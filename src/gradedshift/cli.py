@@ -80,6 +80,19 @@ def _load_schema(name: str) -> Dict[str, Any]:
     return json.loads(text)
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise InvalidInputError(f"non-finite number {token} in JSON input")
+    return value
+
+
+def _load_json(path: str) -> Any:
+    """json.load that refuses NaN, Infinity and overflowing literals like 1e999."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+
+
 def encode_complex(x: complex) -> List[float]:
     return [float(np.real(x)), float(np.imag(x))]
 
@@ -175,8 +188,7 @@ class ScenarioConfig:
 
     @staticmethod
     def from_file(path: str) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = _load_json(path)
         jsonschema.validate(raw, _load_schema("config.schema.json"))
         return ScenarioConfig(
             scenario_id=raw["scenario_id"],
@@ -244,7 +256,13 @@ def _default_vector(basis: TruncatedBasis) -> np.ndarray:
 def _require_symbol(config: ScenarioConfig) -> MultiplierSymbol:
     if config.symbol is None:
         raise InvalidInputError(f"task {config.task} needs a symbol")
-    return decode_symbol(config.symbol)
+    phi = decode_symbol(config.symbol)
+    coeff_dim = config.space.get("coeff_dim", phi.coeff_dim)
+    if coeff_dim != phi.coeff_dim:
+        raise InvalidInputError(
+            f"space coeff_dim {coeff_dim} != symbol coeff_dim {phi.coeff_dim}"
+        )
+    return phi
 
 
 def _run_purity(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
@@ -533,15 +551,24 @@ def _out_dir(explicit: Optional[str]) -> Path:
 
 
 def _run_config_file(
-    path: str, seed_override: Optional[int], tol_overrides: Dict[str, float]
+    path: str,
+    seed_override: Optional[int],
+    tol_overrides: Dict[str, float],
+    command: Optional[str] = None,
 ) -> Tuple[RunReport, int]:
-    """Load, validate, and run one scenario file; exceptions become codes."""
+    """Load, validate, and run one scenario file; exceptions become codes.
+
+    A config whose task differs from ``command`` is not run: the error
+    report carries the config's task and the code is 2.
+    """
     scenario_id = Path(path).stem
     task = "unknown"
     seed = None
     try:
         config = ScenarioConfig.from_file(path)
         scenario_id, task, seed = config.scenario_id, config.task, config.seed
+        if command is not None and task != command:
+            raise InvalidInputError(f"config task {task!r} does not match subcommand {command!r}")
         if seed_override is not None:
             config.seed = seed_override
             seed = seed_override
@@ -559,8 +586,7 @@ def run_suite(
     manifest_path: str, out_dir: Path, seed_override: Optional[int], tol_overrides: Dict[str, float]
 ) -> int:
     """Run every scenario in a manifest; aggregate JSON + CSV summary."""
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _load_json(manifest_path)
     jsonschema.validate(manifest, _load_schema("manifest.schema.json"))
     base = Path(manifest_path).parent
     rows = []
@@ -640,7 +666,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except (InvalidInputError, jsonschema.ValidationError, json.JSONDecodeError, OSError) as exc:
             print(f"error: {_error_message(exc)}", file=sys.stderr)
             return 2
-    report, code = _run_config_file(args.config, args.seed, tol_overrides)
+    report, code = _run_config_file(args.config, args.seed, tol_overrides, args.command)
     if report.task != "unknown" and report.task != args.command:
         print(
             f"error: config task {report.task!r} does not match subcommand {args.command!r}",

@@ -42,14 +42,12 @@ from .spaces import (
     MultiplierSymbol,
     SpaceVector,
     TruncatedBasis,
-    degree,
     enumerate_indices,
 )
 
 __all__ = [
     "OperatorMatrix",
     "SubspaceFrame",
-    "identity_on",
     "shift_matrix",
     "shift_tuple",
     "multiplier_matrix",
@@ -125,12 +123,6 @@ def compose(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     )
 
 
-def identity_on(basis: TruncatedBasis) -> OperatorMatrix:
-    return OperatorMatrix(
-        np.eye(basis.dim, dtype=complex), basis, basis, basis.degree_cap, 0
-    )
-
-
 def _as_array(op: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
     if isinstance(op, OperatorMatrix):
         return op.data
@@ -203,6 +195,32 @@ def null_space_frame(a: np.ndarray, tol: float = SVD_THRESHOLD) -> SubspaceFrame
     return SubspaceFrame(vh[rank:].conj().T)
 
 
+def _weighted_shift(basis: TruncatedBasis, terms: Dict[MultiIndex, np.ndarray]) -> np.ndarray:
+    """The matrix of sum_beta (weighted shift by beta) (x) Phi_beta on V_D.
+
+    Maps ``e_alpha (x) xi`` to ``sum_beta (||z^(alpha+beta)|| / ||z^alpha||)
+    e_(alpha+beta) (x) Phi_beta xi``, dropping every alpha + beta outside the
+    truncation.  Distinct betas send alpha to distinct blocks, so each block
+    is written once and the entries equal ``w * Phi_beta`` exactly.
+    """
+    c = basis.coeff_dim
+    count = len(basis.index_table)
+    norms = np.asarray(basis.norms)
+    positions = basis._positions
+    blocks = np.zeros((count, c, count, c), dtype=complex)
+    for beta, mat in terms.items():
+        pairs = [
+            (k, positions[gamma])
+            for k, alpha in enumerate(basis.index_table)
+            if (gamma := tuple(x + y for x, y in zip(alpha, beta))) in positions
+        ]
+        if not pairs:
+            continue
+        src, dst = (np.array(col) for col in zip(*pairs))
+        blocks[dst, :, src, :] += (norms[dst] / norms[src])[:, None, None] * mat
+    return blocks.reshape(basis.dim, basis.dim)
+
+
 def shift_matrix(basis: TruncatedBasis, axis: int) -> OperatorMatrix:
     """The compressed coordinate shift M_{z_axis} on V_D.
 
@@ -211,18 +229,9 @@ def shift_matrix(basis: TruncatedBasis, axis: int) -> OperatorMatrix:
     """
     if not 0 <= axis < basis.n:
         raise InvalidInputError(f"axis {axis} out of range for n={basis.n}")
-    c = basis.coeff_dim
-    data = np.zeros((basis.dim, basis.dim), dtype=complex)
-    eye = np.eye(c, dtype=complex)
-    cap = basis.degree_cap
-    for k, alpha in enumerate(basis.index_table):
-        if degree(alpha) >= cap:
-            continue
-        beta = alpha[:axis] + (alpha[axis] + 1,) + alpha[axis + 1 :]
-        kb = basis.position(beta)
-        w = basis.norms[kb] / basis.norms[k]
-        data[kb * c : (kb + 1) * c, k * c : (k + 1) * c] = w * eye
-    return OperatorMatrix(data, basis, basis, cap - 1, 1)
+    e_axis = tuple(int(i == axis) for i in range(basis.n))
+    data = _weighted_shift(basis, {e_axis: np.eye(basis.coeff_dim, dtype=complex)})
+    return OperatorMatrix(data, basis, basis, basis.degree_cap - 1, 1)
 
 
 def shift_tuple(basis: TruncatedBasis) -> List[OperatorMatrix]:
@@ -243,17 +252,7 @@ def multiplier_matrix(basis: TruncatedBasis, phi: MultiplierSymbol) -> OperatorM
         raise InvalidInputError(
             f"symbol coeff_dim {phi.coeff_dim} != basis coeff_dim {basis.coeff_dim}"
         )
-    c = basis.coeff_dim
-    data = np.zeros((basis.dim, basis.dim), dtype=complex)
-    positions = {alpha: k for k, alpha in enumerate(basis.index_table)}
-    for k, alpha in enumerate(basis.index_table):
-        for beta, mat in phi.terms.items():
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            kg = positions.get(gamma)
-            if kg is None:
-                continue
-            w = basis.norms[kg] / basis.norms[k]
-            data[kg * c : (kg + 1) * c, k * c : (k + 1) * c] += w * mat
+    data = _weighted_shift(basis, phi.terms)
     return OperatorMatrix(data, basis, basis, basis.degree_cap - phi.degree, phi.degree)
 
 

@@ -141,31 +141,38 @@ def multiplier_purity_verdict(
 ) -> PurityReport:
     """Purity verdict for a contractive polynomial symbol on a graded family.
 
+    The symbol is assembled once, on the padded truncation V_(D_max + deg
+    Phi) used for the norm check.  Every compression of M_Phi^* to V_d,
+    d <= D_max (and the operator of the decay curve), is sliced from that
+    one matrix: V_d is a leading principal block of the graded layout, so
+    the slice equals a fresh assembly on V_d entry for entry.
+
     ``check_contractive=False`` is reserved for degree-D jets of transfer
     functions, whose compressions are exact even though the jet polynomial
     itself need not be a contractive multiplier.
     """
     padded = basis_for(domain, d_max + phi.degree, phi.coeff_dim)
-    padded_norm = opnorm(multiplier_matrix(padded, phi))
+    fwd = multiplier_matrix(padded, phi).data
+    padded_norm = opnorm(fwd)
     if check_contractive and padded_norm > 1.0 + tol:
         raise NotContractiveError(
             f"padded multiplier norm {padded_norm:.12f} exceeds 1 + {tol}"
         )
-    per_degree: Dict[int, float] = {}
-    for d in range(d_max + 1):
-        basis = basis_for(domain, d, phi.coeff_dim)
-        comp = adjoint_compression(phi, basis)
-        per_degree[d] = spectral_radius(comp)
+
+    def compression(d: int) -> np.ndarray:
+        k = padded.dim_upto(d)
+        return fwd[:k, :k].conj().T
+
+    per_degree = {d: spectral_radius(compression(d)) for d in range(d_max + 1)}
     phi0_rho = spectral_radius(phi.phi0)
     verdict = _verdict(per_degree, phi0_rho, tol)
     radii = list(per_degree.values()) + [phi0_rho]
     near = any(abs(r - 1.0) <= tol for r in radii)
     decay = None
     if decay_m_max is not None:
-        basis = basis_for(domain, d_max, phi.coeff_dim)
-        comp = adjoint_compression(phi, basis)
-        h = np.zeros(basis.dim, dtype=complex)
-        h[: basis.coeff_dim] = 1.0 / math.sqrt(basis.coeff_dim)
+        comp = compression(d_max)
+        h = np.zeros(comp.shape[0], dtype=complex)
+        h[: phi.coeff_dim] = 1.0 / math.sqrt(phi.coeff_dim)
         decay = decay_curve(comp, h, decay_m_max, tol=max(tol, 1e-10))
     return PurityReport(
         per_degree_rho=per_degree,

@@ -93,11 +93,39 @@ class TestExitCodes:
         write_json(cfg, {"schema_version": "1", "task": "purity"})
         assert cli.main(["purity", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
 
-    def test_task_subcommand_mismatch_is_two(self, tmp_path, capsys):
+    def test_task_subcommand_mismatch_is_two(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(config):
+            raise AssertionError("the scenario ran before its task was checked")
+
+        monkeypatch.setitem(cli._TASK_RUNNERS, "purity", must_not_run)
         cfg = tmp_path / "s.json"
+        out = tmp_path / "r.json"
         write_json(cfg, purity_config("mismatch", constant_scalar_symbol(2, 0.5)))
-        assert cli.main(["cnp", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        assert cli.main(["cnp", "--config", str(cfg), "--out", str(out)]) == 2
         assert "does not match" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_is_two(self, tmp_path, literal):
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "s.report.json"
+        text = json.dumps(purity_config("non-finite", constant_scalar_symbol(2, 0.5)))
+        cfg.write_text(text.replace("0.5", literal), encoding="utf-8")
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["error"]["type"] == "InvalidInputError"
+        assert "non-finite" in rep["error"]["message"]
+
+    def test_space_symbol_coeff_dim_mismatch_is_two(self, tmp_path):
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "s.report.json"
+        config = purity_config("coeff-dims", constant_scalar_symbol(2, 0.5))
+        config["space"]["coeff_dim"] = 2
+        write_json(cfg, config)
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["error"]["type"] == "InvalidInputError"
+        assert "coeff_dim" in rep["error"]["message"]
 
     def test_missing_config_file_is_two(self, tmp_path):
         missing = tmp_path / "nope.json"

@@ -19,6 +19,7 @@ from gradedshift import (
     NotLeftInvertibleError,
     OperatorMatrix,
     SubspaceFrame,
+    ball_basis,
     bergman,
     cauchy_dual,
     dirichlet,
@@ -124,23 +125,28 @@ class TestMultiplierMatrix:
         # true adjoint restricted to V_D.  Oracle: build the multiplier on a
         # padded basis (degree D + deg Phi, where the forward matrix is exact
         # on all of V_D), take its adjoint there, and cut out the V_D corner.
+        # The corner must match bit for bit: purity verdicts slice their
+        # compressions from the padded matrix and rely on it.
         rng = np.random.default_rng(3)
         d_cap, deg = 4, 2
-        basis = polydisc_basis((hardy(), bergman()), d_cap, coeff_dim=2)
-        padded = polydisc_basis((hardy(), bergman()), d_cap + deg, coeff_dim=2)
         terms = {
             (1, 1): rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
             (0, 2): rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
             (0, 0): rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
         }
         phi = MultiplierSymbol(2, 2, terms)
-        small = multiplier_matrix(basis, phi)
-        big = multiplier_matrix(padded, phi)
-        ncut = basis.dim
-        true_adjoint_corner = big.data.conj().T[:ncut, :ncut]
-        adj = small.adjoint()
-        np.testing.assert_allclose(adj.data, true_adjoint_corner, atol=1e-13)
-        assert adj.exactness_degree == d_cap
+        for make_basis in (
+            lambda cap: polydisc_basis((hardy(), bergman()), cap, coeff_dim=2),
+            lambda cap: ball_basis(drury_arveson(2), cap, coeff_dim=2),
+        ):
+            basis, padded = make_basis(d_cap), make_basis(d_cap + deg)
+            small = multiplier_matrix(basis, phi)
+            big = multiplier_matrix(padded, phi)
+            ncut = basis.dim
+            true_adjoint_corner = big.data.conj().T[:ncut, :ncut]
+            adj = small.adjoint()
+            np.testing.assert_allclose(adj.data, true_adjoint_corner, rtol=0, atol=0)
+            assert adj.exactness_degree == d_cap
 
 
 class TestCauchyDual:

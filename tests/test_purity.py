@@ -31,6 +31,7 @@ from gradedshift import (
     slice_purity_consistency,
 )
 from gradedshift.dilation import BCLTriple, bcl_pair, haar_unitary
+from gradedshift.operators import spectral_radius
 from gradedshift.purity import (
     a_operator_estimate,
     a_operator_monotonicity,
@@ -153,6 +154,25 @@ class TestPurityVerdict:
     def test_noncontractive_rejected(self):
         with pytest.raises(NotContractiveError):
             multiplier_purity_verdict(scalar_symbol(2, {(0, 0): 1.5}), HARDY2, 4)
+
+    def test_sliced_compressions_equal_fresh_assembly(self):
+        # The verdict slices every compression from its padded matrix; a
+        # fresh assembly on V_d is the reference and must agree exactly.
+        d_max = 5
+        cases = (
+            (PolydiscDomain((hardy(), bergman())), 2),
+            (BallDomain(hm_ball(2, 2)), 2),
+            (HARDY2, 1),
+        )
+        for domain, c in cases:
+            phi = random_contractive_symbol(np.random.default_rng(11), domain, c, 2, d_max)
+            rep = multiplier_purity_verdict(phi, domain, d_max, decay_m_max=6)
+            for d in range(d_max + 1):
+                fresh = adjoint_compression(phi, basis_for(domain, d, c))
+                assert rep.per_degree_rho[d] == spectral_radius(fresh)
+            h = np.zeros(fresh.shape[0], dtype=complex)
+            h[:c] = 1.0 / math.sqrt(c)
+            assert rep.decay_samples == decay_curve(fresh, h, 6)
 
     def test_ball_space_sweep_no_inconsistency(self):
         domain = BallDomain(hm_ball(2, 2))
