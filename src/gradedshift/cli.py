@@ -402,6 +402,10 @@ def _run_bcl(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
         return {"mode": "sweep", "count": count, "triples": entries}, ok
     if config.triple is None:
         raise InvalidInputError("bcl task needs a triple or a sweep")
+    e_dim = config.triple["e_dim"]
+    coeff_dim = config.space.get("coeff_dim", e_dim)
+    if coeff_dim != e_dim:
+        raise InvalidInputError(f"space coeff_dim {coeff_dim} != triple e_dim {e_dim}")
     entry = certify(decode_triple(config.triple))
     entry["mode"] = "single"
     return entry, bool(entry["passed"])
@@ -525,14 +529,16 @@ def _error_message(exc: Exception) -> str:
     return str(exc)
 
 
-def _error_report(scenario_id: str, task: str, seed: Optional[int], exc: Exception) -> RunReport:
+def _error_report(
+    scenario_id: str, task: str, seed: Optional[int], exc: Exception, timing: float
+) -> RunReport:
     return RunReport(
         scenario_id=scenario_id,
         task=task if task in TASKS else "unknown",
         passed=False,
         seed=seed,
         payload={},
-        timing=0.0,
+        timing=timing,
         error={"type": type(exc).__name__, "message": _error_message(exc)},
     )
 
@@ -559,8 +565,11 @@ def _run_config_file(
     """Load, validate, and run one scenario file; exceptions become codes.
 
     A config whose task differs from ``command`` is not run: the error
-    report carries the config's task and the code is 2.
+    report carries the config's task and the code is 2.  Numerical
+    breakdowns (``LinAlgError``, ``FloatingPointError``, e.g. after a finite
+    symbol entry overflows during assembly) give an error report and 1.
     """
+    start = time.perf_counter()
     scenario_id = Path(path).stem
     task = "unknown"
     seed = None
@@ -574,11 +583,11 @@ def _run_config_file(
             seed = seed_override
         config.tolerances.update(tol_overrides)
         return run_scenario(config)
-    except CertificationError as exc:
-        report = _error_report(scenario_id, task, seed, exc)
+    except (CertificationError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        report = _error_report(scenario_id, task, seed, exc, time.perf_counter() - start)
         return report, 1
     except (InvalidInputError, jsonschema.ValidationError, json.JSONDecodeError, OSError, KeyError) as exc:
-        report = _error_report(scenario_id, task, seed, exc)
+        report = _error_report(scenario_id, task, seed, exc, time.perf_counter() - start)
         return report, 2
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -195,6 +195,23 @@ def null_space_frame(a: np.ndarray, tol: float = SVD_THRESHOLD) -> SubspaceFrame
     return SubspaceFrame(vh[rank:].conj().T)
 
 
+def _shift_map(
+    basis: TruncatedBasis, beta: MultiIndex
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The monomial positions ``(src, dst)`` with alpha_dst = alpha_src + beta
+    inside the truncation, and the weights ``||z^alpha_dst|| / ||z^alpha_src||``."""
+    positions = basis._positions
+    src, dst = [], []
+    for k, alpha in enumerate(basis.index_table):
+        j = positions.get(tuple(x + y for x, y in zip(alpha, beta)))
+        if j is not None:
+            src.append(k)
+            dst.append(j)
+    src, dst = np.array(src, dtype=int), np.array(dst, dtype=int)
+    norms = np.asarray(basis.norms)
+    return src, dst, norms[dst] / norms[src]
+
+
 def _weighted_shift(basis: TruncatedBasis, terms: Dict[MultiIndex, np.ndarray]) -> np.ndarray:
     """The matrix of sum_beta (weighted shift by beta) (x) Phi_beta on V_D.
 
@@ -205,19 +222,10 @@ def _weighted_shift(basis: TruncatedBasis, terms: Dict[MultiIndex, np.ndarray]) 
     """
     c = basis.coeff_dim
     count = len(basis.index_table)
-    norms = np.asarray(basis.norms)
-    positions = basis._positions
     blocks = np.zeros((count, c, count, c), dtype=complex)
     for beta, mat in terms.items():
-        pairs = [
-            (k, positions[gamma])
-            for k, alpha in enumerate(basis.index_table)
-            if (gamma := tuple(x + y for x, y in zip(alpha, beta))) in positions
-        ]
-        if not pairs:
-            continue
-        src, dst = (np.array(col) for col in zip(*pairs))
-        blocks[dst, :, src, :] += (norms[dst] / norms[src])[:, None, None] * mat
+        src, dst, w = _shift_map(basis, beta)
+        blocks[dst, :, src, :] += w[:, None, None] * mat
     return blocks.reshape(basis.dim, basis.dim)
 
 
@@ -429,17 +437,24 @@ def doubly_commuting_check(
     return DoublyCommutingReport(max_comm, max_cross, budget, tol)
 
 
+def _prefix_steps(n: int, budget: int) -> Iterator[Tuple[MultiIndex, int, MultiIndex]]:
+    """``(m, i, prev)`` with m = prev + e_i for every 0 < |m| <= budget, in
+    graded-lex order, i being the first nonzero coordinate of m; each prev
+    comes before its m."""
+    for m in enumerate_indices(n, budget):
+        if sum(m) == 0:
+            continue
+        i = next(k for k, mk in enumerate(m) if mk > 0)
+        yield m, i, m[:i] + (m[i] - 1,) + m[i + 1 :]
+
+
 def _apply_powers(
     x: Sequence[OperatorMatrix], seed: np.ndarray, budget: int
 ) -> Dict[MultiIndex, np.ndarray]:
     """X^m applied to the seed columns for all |m| <= budget, reusing prefixes."""
     n = x[0].domain.n
     out: Dict[MultiIndex, np.ndarray] = {(0,) * n: seed}
-    for m in enumerate_indices(n, budget):
-        if sum(m) == 0:
-            continue
-        i = next(k for k, mk in enumerate(m) if mk > 0)
-        prev = m[:i] + (m[i] - 1,) + m[i + 1 :]
+    for m, i, prev in _prefix_steps(n, budget):
         out[m] = x[i].data @ out[prev]
     return out
 

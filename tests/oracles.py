@@ -95,3 +95,36 @@ def brute_force_feasible(
         if np.linalg.norm(p_m @ v) > tol:
             out.append(m)
     return out
+
+
+def dense_power_grams(
+    index_table: Sequence[MultiIndex],
+    norms: Sequence[float],
+    coeff_dim: int,
+    budget: int,
+) -> Dict[MultiIndex, np.ndarray]:
+    """Dense M^alpha M^{*alpha} for all |alpha| <= budget, keyed graded-lex.
+
+    The shift M_i is the dense matrix sending e_alpha (x) xi_j to
+    (||z^(alpha+e_i)|| / ||z^alpha||) e_(alpha+e_i) (x) xi_j (coefficient
+    index fastest; dropped outside the table).  Powers are prefix products
+    M^alpha = M_i M^(alpha-e_i), i the first nonzero coordinate of alpha.
+    """
+    n = len(index_table[0])
+    pos = {alpha: k for k, alpha in enumerate(index_table)}
+    dim = coeff_dim * len(index_table)
+    shifts = []
+    for i in range(n):
+        s = np.zeros((dim, dim), dtype=complex)
+        for k, alpha in enumerate(index_table):
+            up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+            if up in pos:
+                for j in range(coeff_dim):
+                    s[pos[up] * coeff_dim + j, k * coeff_dim + j] = norms[pos[up]] / norms[k]
+        shifts.append(s)
+    powers = {(0,) * n: np.eye(dim, dtype=complex)}
+    for alpha in all_indices(n, budget)[1:]:
+        i = next(k for k, a in enumerate(alpha) if a > 0)
+        prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+        powers[alpha] = shifts[i] @ powers[prev]
+    return {alpha: p @ p.conj().T for alpha, p in powers.items()}

@@ -127,6 +127,44 @@ class TestExitCodes:
         assert rep["error"]["type"] == "InvalidInputError"
         assert "coeff_dim" in rep["error"]["message"]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflow_during_assembly_is_one(self, tmp_path):
+        # sqrt(2) * 1.7e308 overflows: the first Dirichlet shift weight is > 1
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "s.report.json"
+        config = purity_config("overflow", monomial_scalar_symbol(2, (1, 0), 1.7e308))
+        config["space"]["family"] = "dirichlet"
+        write_json(cfg, config)
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 1
+        rep = read_report(out)
+        assert rep["pass"] is False
+        assert rep["error"]["type"] in ("LinAlgError", "FloatingPointError")
+        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+
+    def test_bcl_triple_coeff_dim_mismatch_is_two(self, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the triple was certified before its e_dim was checked")
+
+        monkeypatch.setattr(cli, "bcl_dilation_certify", must_not_run)
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "s.report.json"
+        one = [[[1.0, 0.0]]]
+        write_json(
+            cfg,
+            {
+                "schema_version": "1",
+                "scenario_id": "bcl-coeff-dims",
+                "task": "bcl",
+                "space": {"family": "hardy", "n": 1, "degree_cap": 4, "coeff_dim": 5},
+                "seed": 0,
+                "triple": {"e_dim": 1, "u": one, "p": one},
+            },
+        )
+        assert cli.main(["bcl", "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["error"]["type"] == "InvalidInputError"
+        assert "e_dim" in rep["error"]["message"]
+
     def test_missing_config_file_is_two(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert cli.main(["purity", "--config", str(missing), "--out", str(tmp_path / "r.json")]) == 2
@@ -154,6 +192,13 @@ class TestReports:
         write_json(cfg, purity_config("too-big", constant_scalar_symbol(2, 2.0)))
         assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 2
         jsonschema.validate(read_report(out), cli._load_schema("report.schema.json"))
+
+    def test_error_report_records_elapsed_time(self, tmp_path):
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "r.json"
+        write_json(cfg, purity_config("too-big", constant_scalar_symbol(2, 2.0)))
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 2
+        assert read_report(out)["timing"] > 0.0
 
     def test_deterministic_after_dropping_timing(self, tmp_path):
         cfg = tmp_path / "s.json"
