@@ -18,7 +18,14 @@ import numpy as np
 
 from .errors import CertificationError, InvalidInputError
 from .kernels import hardy
-from .operators import OperatorMatrix, multiplier_matrix, opnorm, shift_matrix, spectral_radius
+from .operators import (
+    OperatorMatrix,
+    _prefix_steps,
+    multiplier_matrix,
+    opnorm,
+    shift_matrix,
+    spectral_radius,
+)
 from .purity import PurityReport, basis_for, multiplier_purity_verdict
 from .spaces import (
     MultiIndex,
@@ -454,11 +461,7 @@ def dilation_embedding(
     if basis.coeff_dim != dim:
         raise InvalidInputError("coefficient dimension must match the tuple's space")
     adj: Dict[MultiIndex, np.ndarray] = {(0,) * basis.n: np.eye(dim, dtype=complex)}
-    for alpha in basis.index_table:
-        if sum(alpha) == 0:
-            continue
-        i = next(k for k, ak in enumerate(alpha) if ak > 0)
-        prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+    for alpha, i, prev in _prefix_steps(basis.n, basis.degree_cap):
         adj[alpha] = x_hat[i].conj().T @ adj[prev]
     pi = np.zeros((basis.dim, dim), dtype=complex)
     c = basis.coeff_dim

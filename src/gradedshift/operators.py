@@ -199,16 +199,16 @@ def _shift_map(
     basis: TruncatedBasis, beta: MultiIndex
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The monomial positions ``(src, dst)`` with alpha_dst = alpha_src + beta
-    inside the truncation, and the weights ``||z^alpha_dst|| / ||z^alpha_src||``."""
-    positions = basis._positions
-    src, dst = [], []
-    for k, alpha in enumerate(basis.index_table):
-        j = positions.get(tuple(x + y for x, y in zip(alpha, beta)))
-        if j is not None:
-            src.append(k)
-            dst.append(j)
-    src, dst = np.array(src, dtype=int), np.array(dst, dtype=int)
-    norms = np.asarray(basis.norms)
+    inside the truncation, and the weights ``||z^alpha_dst|| / ||z^alpha_src||``.
+
+    alpha + beta stays inside exactly for |alpha| <= D - |beta|, which in the
+    graded layout is a leading run of positions; dst is their closed-form rank.
+    """
+    beta = np.asarray(beta, dtype=np.int64)
+    kept = basis.dim_upto(basis.degree_cap - int(beta.sum())) // basis.coeff_dim
+    src = np.arange(kept)
+    dst = basis.rank(basis.index_array[:kept] + beta)
+    norms = basis.norm_array
     return src, dst, norms[dst] / norms[src]
 
 

@@ -10,14 +10,31 @@ is a leading principal block.
 Monomial norms: polydisc ``||z^alpha||^2 = prod_i 1/c^(i)_{alpha_i}``;
 ball ``||z^alpha||^2 = alpha! / (|alpha|! a_{|alpha|})``.  Norms are stored
 unsquared because shift weights are ratios of norms.
+
+Positions are closed-form.  With ``C`` the binomial coefficient, the
+graded-lex position of ``alpha`` (first coordinate ascending) is
+``C(|alpha| - 1 + n, n) + sum_{i < n-1} [C(r_i + m_i, m_i) -
+C(r_i - alpha_i + m_i, m_i)]`` with ``m_i = n - 1 - i`` axes after ``i``
+and ``r_i = |alpha| - sum_{j < i} alpha_j`` degree left at ``i`` (the first
+term is 0 at ``|alpha| = 0``): monomials of lower degree, then those of
+the same degree that agree up to ``i`` and are smaller at ``i``.
+:meth:`TruncatedBasis.rank` evaluates it on whole arrays of multi-indices,
+so every shift map is array arithmetic, and ``dim_upto(d) = c C(d + n, n)``.
+
+Bases are memoised: :func:`polydisc_basis` and :func:`ball_basis` return
+the same (frozen, read-only) object for equal ``(kernel, degree_cap,
+coeff_dim)``, so callers share one basis and its cached arrays.  Both
+compute ``dim = c C(D + n, n)`` first and refuse anything above
+:data:`MAX_DIM` before enumerating a single index.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+import operator
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +50,7 @@ __all__ = [
     "PolydiscDomain",
     "BallDomain",
     "TruncatedBasis",
+    "MAX_DIM",
     "polydisc_basis",
     "ball_basis",
     "monomial_norm",
@@ -47,6 +65,13 @@ __all__ = [
 ]
 
 MultiIndex = Tuple[int, ...]
+
+# Largest basis dimension c C(D + n, n) a basis may have.  Operators on it
+# are dense dim x dim complex matrices, 256 MiB each at this size.
+MAX_DIM = 4096
+
+# Distinct bases kept by the memo of polydisc_basis / ball_basis.
+_BASIS_MEMO_SIZE = 32
 
 
 def degree(alpha: MultiIndex) -> int:
@@ -139,21 +164,53 @@ class TruncatedBasis:
         return self.coeff_dim * len(self.index_table)
 
     @cached_property
-    def _positions(self) -> Dict[MultiIndex, int]:
-        return {alpha: k for k, alpha in enumerate(self.index_table)}
+    def index_array(self) -> np.ndarray:
+        """``index_table`` as a read-only ``(count, n)`` int64 array."""
+        out = np.array(self.index_table, dtype=np.int64).reshape(-1, self.n)
+        out.flags.writeable = False
+        return out
 
     @cached_property
-    def _counts_by_degree(self) -> Tuple[int, ...]:
-        counts = [0] * (self.degree_cap + 1)
-        for alpha in self.index_table:
-            counts[degree(alpha)] += 1
-        return tuple(counts)
+    def norm_array(self) -> np.ndarray:
+        """``norms`` as a read-only float64 array."""
+        out = np.array(self.norms, dtype=float)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _rank_tables(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``binom[r, m] = C(r + m, m)`` for r <= D, m <= n, and ``start[d]``,
+        the position of the first monomial of degree d.  Every entry is at
+        most ``binom[D, n]``, the monomial count, so int64 cannot overflow."""
+        binom = np.ones((self.degree_cap + 1, self.n + 1), dtype=np.int64)
+        for m in range(1, self.n + 1):
+            binom[:, m] = np.cumsum(binom[:, m - 1])
+        start = np.concatenate(([0], binom[:-1, self.n]))
+        return binom, start
+
+    def rank(self, alphas: np.ndarray) -> np.ndarray:
+        """Positions of the rows of a ``(k, n)`` int array of multi-indices.
+
+        The rows must lie in the truncation (nonnegative, degree <= D);
+        nothing is checked here, see :meth:`position` for one checked index.
+        """
+        binom, start = self._rank_tables
+        rest = alphas.sum(axis=1)
+        pos = start[rest]
+        for i in range(self.n - 1):
+            m = self.n - 1 - i
+            pos = pos + binom[rest, m] - binom[rest - alphas[:, i], m]
+            rest = rest - alphas[:, i]
+        return pos
 
     def position(self, alpha: MultiIndex) -> int:
         try:
-            return self._positions[tuple(alpha)]
-        except KeyError:
+            row = [operator.index(a) for a in alpha]
+        except TypeError:
+            raise InvalidInputError(f"multi-index {alpha!r} is not a sequence of integers")
+        if len(row) != self.n or min(row) < 0 or sum(row) > self.degree_cap:
             raise InvalidInputError(f"multi-index {alpha} outside the truncation")
+        return int(self.rank(np.array([row], dtype=np.int64))[0])
 
     def coord_index(self, alpha: MultiIndex, j: int) -> int:
         if not 0 <= j < self.coeff_dim:
@@ -167,22 +224,47 @@ class TruncatedBasis:
         """Number of coordinates carried by degrees <= d (0 if d < 0)."""
         if d < 0:
             return 0
-        d = min(d, self.degree_cap)
-        return self.coeff_dim * sum(self._counts_by_degree[: d + 1])
+        return self.coeff_dim * math.comb(min(d, self.degree_cap) + self.n, self.n)
 
     def degree_of_coord(self, k: int) -> int:
         return degree(self.index_table[k // self.coeff_dim])
 
 
+def _checked_size(n: int, degree_cap: int, coeff_dim: int) -> Tuple[int, int]:
+    """``(degree_cap, coeff_dim)`` as ints, once ``c C(D + n, n) <= MAX_DIM``."""
+    try:
+        degree_cap, coeff_dim = operator.index(degree_cap), operator.index(coeff_dim)
+    except TypeError:
+        raise InvalidInputError(
+            f"degree_cap and coeff_dim must be integers, got {degree_cap!r}, {coeff_dim!r}"
+        )
+    if degree_cap < 0:
+        raise InvalidInputError(f"need degree_cap >= 0, got {degree_cap}")
+    if coeff_dim < 1:
+        raise InvalidInputError("coeff_dim must be >= 1")
+    dim = coeff_dim * math.comb(degree_cap + n, n)
+    if dim > MAX_DIM:
+        raise InvalidInputError(
+            f"basis dimension {dim} (n={n}, degree_cap={degree_cap}, coeff_dim={coeff_dim}) "
+            f"exceeds MAX_DIM = {MAX_DIM}"
+        )
+    return degree_cap, coeff_dim
+
+
 def polydisc_basis(
     factors: Sequence[KernelSpec1D], degree_cap: int, coeff_dim: int = 1
 ) -> TruncatedBasis:
-    """Truncated basis of the E-valued product space on D^n."""
+    """Truncated basis of the E-valued product space on D^n (memoised)."""
     factors = tuple(factors)
     if not factors:
         raise InvalidInputError("polydisc basis needs at least one factor")
-    if coeff_dim < 1:
-        raise InvalidInputError("coeff_dim must be >= 1")
+    return _polydisc_basis(factors, *_checked_size(len(factors), degree_cap, coeff_dim))
+
+
+@lru_cache(maxsize=_BASIS_MEMO_SIZE)
+def _polydisc_basis(
+    factors: Tuple[KernelSpec1D, ...], degree_cap: int, coeff_dim: int
+) -> TruncatedBasis:
     table = enumerate_indices(len(factors), degree_cap)
     norms = []
     for alpha in table:
@@ -200,15 +282,22 @@ def polydisc_basis(
 
 
 def ball_basis(spec: BallKernelSpec, degree_cap: int, coeff_dim: int = 1) -> TruncatedBasis:
-    """Truncated basis of the E-valued unitarily invariant space on B_n.
+    """Truncated basis of the E-valued unitarily invariant space on B_n (memoised).
 
     Constructively checks the regularity conditions used downstream: the
     degree-0 block is an isometric copy of E (a_0 = 1), every monomial norm
     is finite and positive, and consecutive-degree norm ratios are bounded
     (shifts act boundedly on the truncation).
     """
-    if coeff_dim < 1:
-        raise InvalidInputError("coeff_dim must be >= 1")
+    try:
+        n = operator.index(spec.n)
+    except TypeError:
+        raise InvalidInputError(f"ball dimension n={spec.n!r} must be an integer")
+    return _ball_basis(spec, *_checked_size(n, degree_cap, coeff_dim))
+
+
+@lru_cache(maxsize=_BASIS_MEMO_SIZE)
+def _ball_basis(spec: BallKernelSpec, degree_cap: int, coeff_dim: int) -> TruncatedBasis:
     table = enumerate_indices(spec.n, degree_cap)
     a = [ball_coeff(spec, j) for j in range(degree_cap + 1)]
     norms = []
@@ -230,7 +319,7 @@ def ball_basis(spec: BallKernelSpec, degree_cap: int, coeff_dim: int = 1) -> Tru
 
 def monomial_norm(basis: TruncatedBasis, alpha: MultiIndex) -> float:
     """||z^alpha|| in the basis's space; alpha must lie in the truncation."""
-    return basis.norm_of(tuple(alpha))
+    return basis.norm_of(alpha)
 
 
 @dataclass

@@ -128,3 +128,28 @@ def dense_power_grams(
         prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
         powers[alpha] = shifts[i] @ powers[prev]
     return {alpha: p @ p.conj().T for alpha, p in powers.items()}
+
+
+def position_oracle(n: int, cap: int) -> Dict[MultiIndex, int]:
+    """Graded-lex position of every multi-index with |alpha| <= cap, by counting."""
+    return {alpha: k for k, alpha in enumerate(all_indices(n, cap))}
+
+
+def shift_map_oracle(
+    pos: Dict[MultiIndex, int], norms: Sequence[float], beta: MultiIndex
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, dst, weight)`` of the shift by beta: one lookup per monomial.
+
+    ``pos`` is a :func:`position_oracle` table.  src runs over the positions
+    whose alpha + beta is in the table, in order; dst is the position of
+    alpha + beta and the weight is ``norms[dst] / norms[src]``.
+    """
+    src, dst = [], []
+    for alpha, k in pos.items():
+        j = pos.get(tuple(x + y for x, y in zip(alpha, beta)))
+        if j is not None:
+            src.append(k)
+            dst.append(j)
+    src, dst = np.array(src, dtype=int), np.array(dst, dtype=int)
+    norms = np.asarray(norms)
+    return src, dst, norms[dst] / norms[src]

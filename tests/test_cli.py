@@ -165,6 +165,29 @@ class TestExitCodes:
         assert rep["error"]["type"] == "InvalidInputError"
         assert "e_dim" in rep["error"]["message"]
 
+    def test_basis_beyond_max_dim_is_two(self, tmp_path):
+        # Drury-Arveson on B_8 at D = 60 has C(68, 8) ~ 7.4e9 monomials; it is
+        # refused from that count, before anything is enumerated
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "s.report.json"
+        write_json(
+            cfg,
+            {
+                "schema_version": "1",
+                "scenario_id": "too-large",
+                "task": "identity",
+                "identity_kind": "chen",
+                "space": {"family": "drury_arveson", "n": 8, "degree_cap": 60},
+                "seed": 0,
+            },
+        )
+        assert cli.main(["identity", "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["pass"] is False
+        assert rep["error"]["type"] == "InvalidInputError"
+        assert "MAX_DIM" in rep["error"]["message"]
+        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+
     def test_missing_config_file_is_two(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert cli.main(["purity", "--config", str(missing), "--out", str(tmp_path / "r.json")]) == 2

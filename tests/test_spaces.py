@@ -6,7 +6,9 @@ kernel vectors are cross-checked against a direct polynomial-evaluation
 oracle.
 """
 
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradedshift import (
+    BallKernelSpec,
     InvalidInputError,
     PolydiscDomain,
     ball_basis,
@@ -33,9 +36,10 @@ from gradedshift import (
     symbol_product,
     weighted_bergman,
 )
-from gradedshift.spaces import MultiplierSymbol, graded_lex_key
+from gradedshift.operators import _shift_map
+from gradedshift.spaces import MAX_DIM, MultiplierSymbol, graded_lex_key
 
-from oracles import all_indices, polynomial_value
+from oracles import all_indices, polynomial_value, position_oracle, shift_map_oracle
 
 
 class TestEnumerateIndices:
@@ -90,6 +94,23 @@ class TestMonomialNorms:
         basis = polydisc_basis((hardy(),), 2)
         with pytest.raises(InvalidInputError):
             monomial_norm(basis, (3,))
+        pair = polydisc_basis((hardy(), bergman()), 2, coeff_dim=2)
+        ball = ball_basis(drury_arveson(2), 2)
+        for b in (pair, ball):
+            for alpha in [(0,), (0, 0, 0), (-1, 1), (2, -1), (3, 0), (1, 2), (1.0, 0), "ab", 7]:
+                with pytest.raises(InvalidInputError):
+                    b.position(alpha)
+                with pytest.raises(InvalidInputError):
+                    b.coord_index(alpha, 0)
+                with pytest.raises(InvalidInputError):
+                    b.norm_of(alpha)
+                with pytest.raises(InvalidInputError):
+                    monomial_norm(b, alpha)
+        # lists and numpy integers name the same monomial as a tuple
+        assert pair.position([1, 1]) == pair.position((1, 1)) == 4
+        assert pair.position(np.array([1, 1])) == 4
+        assert pair.coord_index((np.int64(0), np.int32(2)), 1) == 7
+        assert monomial_norm(pair, [0, 2]) == monomial_norm(pair, (0, 2))
 
     @given(st.integers(min_value=0, max_value=40))
     @settings(max_examples=30, deadline=None)
@@ -122,6 +143,97 @@ class TestBasisLayout:
         assert basis.coord_index((0,), 0) == 0
         assert basis.coord_index((0,), 2) == 2
         assert basis.coord_index((1,), 0) == 3
+
+
+class TestClosedFormPositions:
+    """Closed-form ranks and shift maps against counting oracles."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["polydisc", "ball"])
+    def test_shift_maps_match_oracle(self, n, kind):
+        menu = [bergman(), dirichlet(), hardy(), weighted_bergman(-0.5), bergman()]
+        for cap in range(9):
+            if kind == "polydisc":
+                basis = polydisc_basis(menu[:n], cap, coeff_dim=2)
+            else:
+                basis = ball_basis(drury_arveson(n), cap, coeff_dim=2)
+            positions = position_oracle(n, cap)
+            assert list(basis.index_table) == list(positions)
+            for alpha, k in positions.items():
+                assert basis.position(alpha) == k
+            for d in range(-1, cap + 2):
+                count = sum(1 for alpha in positions if sum(alpha) <= d)
+                assert basis.dim_upto(d) == 2 * count
+            for beta in all_indices(n, 3):
+                src, dst, w = _shift_map(basis, beta)
+                want_src, want_dst, want_w = shift_map_oracle(positions, basis.norms, beta)
+                assert np.array_equal(src, want_src)
+                assert np.array_equal(dst, want_dst)
+                assert np.array_equal(w, want_w)
+                assert src.dtype == dst.dtype == np.int64
+                if sum(beta) > cap:
+                    assert src.size == 0
+
+    def test_rank_of_the_whole_table(self):
+        basis = ball_basis(hm_ball(4, 2), 7)
+        assert np.array_equal(basis.rank(basis.index_array), np.arange(len(basis.index_table)))
+
+
+class TestBasisMemo:
+    def test_equal_keys_share_one_basis(self):
+        a = polydisc_basis((hardy(), bergman()), 3, coeff_dim=2)
+        assert polydisc_basis([hardy(), bergman()], 3, 2) is a
+        assert polydisc_basis((hardy(), bergman()), np.int64(3), np.int32(2)) is a
+        assert polydisc_basis((bergman(), hardy()), 3, coeff_dim=2) is not a
+        b = ball_basis(drury_arveson(2), 4)
+        assert ball_basis(hm_ball(2, 1), 4, coeff_dim=1) is b
+        assert ball_basis(drury_arveson(2), 4, coeff_dim=2) is not b
+
+    def test_numpy_sizes_become_python_ints(self):
+        basis = ball_basis(drury_arveson(2), np.int64(5), np.int64(1))
+        assert type(basis.degree_cap) is int and type(basis.coeff_dim) is int
+        json.dumps({"degree_cap": basis.degree_cap, "coeff_dim": basis.coeff_dim})
+
+    def test_cached_arrays_are_read_only(self):
+        basis = polydisc_basis((hardy(),), 3)
+        with pytest.raises(ValueError):
+            basis.index_array[0, 0] = 1
+        with pytest.raises(ValueError):
+            basis.norm_array[0] = 2.0
+
+    def test_refusals_repeat(self):
+        short = BallKernelSpec(n=2, family="unitarily_invariant_custom", a_coeffs=(1.0, 0.5))
+        for _ in range(2):
+            with pytest.raises(InvalidInputError):
+                ball_basis(short, 4)
+            with pytest.raises(InvalidInputError):
+                polydisc_basis((hardy(),), 2.5)
+            with pytest.raises(InvalidInputError):
+                polydisc_basis((hardy(),), -1)
+            with pytest.raises(InvalidInputError):
+                ball_basis(drury_arveson(2), 2, coeff_dim=0)
+        assert ball_basis(short, 1).dim == 3
+
+
+class TestDimensionBudget:
+    def test_refused_before_enumeration(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="MAX_DIM"):
+                ball_basis(drury_arveson(8), 60)
+            with pytest.raises(InvalidInputError, match="MAX_DIM"):
+                polydisc_basis((hardy(),) * 8, 60, coeff_dim=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_boundary(self):
+        # n = 1, D = 63: 64 monomials, so coeff_dim 64 is exactly MAX_DIM
+        assert MAX_DIM == 4096
+        assert polydisc_basis((hardy(),), 63, coeff_dim=64).dim == MAX_DIM
+        with pytest.raises(InvalidInputError, match="MAX_DIM"):
+            polydisc_basis((hardy(),), 63, coeff_dim=65)
 
 
 class TestKernelVector:
