@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -28,6 +29,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import extend, validator_for
 
 from . import __version__
 from .ball_identities import chen_identity_residual, defect_identity_residual
@@ -78,6 +81,29 @@ TASKS = tuple(DEFAULT_TOLERANCES)
 def _load_schema(name: str) -> Dict[str, Any]:
     text = resources.files("gradedshift").joinpath(f"schemas/{name}").read_text()
     return json.loads(text)
+
+
+def _json_int(checker: Any, instance: Any) -> bool:
+    """JSON ``integer``: a Python int that is not a bool (``2``, not ``2.0``)."""
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
+@functools.cache
+def _validator(name: str) -> Any:
+    """The validator for a package schema, built and meta-checked once per
+    process on first use; its ``integer`` type is :func:`_json_int`."""
+    schema = _load_schema(name)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    strict = extend(cls, type_checker=cls.TYPE_CHECKER.redefine("integer", _json_int))
+    return strict(schema)
+
+
+def _validate(instance: Any, name: str) -> None:
+    """Raise the best-matching schema error, as ``jsonschema.validate`` does."""
+    error = best_match(_validator(name).iter_errors(instance))
+    if error is not None:
+        raise error
 
 
 def _finite_float(token: str) -> float:
@@ -189,7 +215,7 @@ class ScenarioConfig:
     @staticmethod
     def from_file(path: str) -> "ScenarioConfig":
         raw = _load_json(path)
-        jsonschema.validate(raw, _load_schema("config.schema.json"))
+        _validate(raw, "config.schema.json")
         return ScenarioConfig(
             scenario_id=raw["scenario_id"],
             task=raw["task"],
@@ -525,7 +551,7 @@ def run_scenario(config: ScenarioConfig) -> Tuple[RunReport, int]:
 
 def _error_message(exc: Exception) -> str:
     if isinstance(exc, jsonschema.ValidationError):
-        return exc.message
+        return f"{exc.json_path}: {exc.message}"
     return str(exc)
 
 
@@ -596,7 +622,7 @@ def run_suite(
 ) -> int:
     """Run every scenario in a manifest; aggregate JSON + CSV summary."""
     manifest = _load_json(manifest_path)
-    jsonschema.validate(manifest, _load_schema("manifest.schema.json"))
+    _validate(manifest, "manifest.schema.json")
     base = Path(manifest_path).parent
     rows = []
     for entry in manifest["scenarios"]:
@@ -642,11 +668,15 @@ def _parse_tol_overrides(pairs: Optional[List[str]]) -> Dict[str, float]:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise InvalidInputError(f"--tol expects name=value, got {pair!r}")
-        out[name] = float(value)
+        tol = float(value)
+        if not (math.isfinite(tol) and tol > 0):
+            raise InvalidInputError(f"--tol {name} must be finite and > 0, got {value!r}")
+        out[name] = tol
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gradedshift",
         description="run finite-matrix verification scenarios and suites",
@@ -662,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         tol_overrides = _parse_tol_overrides(args.tol)
     except (InvalidInputError, ValueError) as exc:

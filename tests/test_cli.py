@@ -1,17 +1,34 @@
 """End-to-end tests of the scenario harness: exit codes, report shape and
 determinism, schema validation, environment handling, and suite aggregation.
 
-All invocations go through ``cli.main`` in process; configs are written to
+All invocations but one go through ``cli.main`` in process (the exception
+runs ``python -m gradedshift`` in a subprocess); configs are written to
 pytest tmp dirs so every test is hermetic.
 """
 
+import contextlib
 import csv
+import functools
+import io
 import json
+import math
+import operator
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema.validators import validator_for
 
-from gradedshift import cli
+from gradedshift import cli, spaces
+
+ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
+ACCEPTANCE_CONFIGS = sorted(ACCEPTANCE_DIR.glob("*.json"))
 
 
 def write_json(path, obj):
@@ -535,3 +552,245 @@ class TestSuite:
 
     def test_suite_missing_manifest_is_two(self, tmp_path):
         assert cli.main(["suite", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
+
+
+def acceptance_config(stem):
+    return json.loads((ACCEPTANCE_DIR / f"{stem}.json").read_text(encoding="utf-8"))
+
+
+def json_path(path):
+    return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+class TestStrictIntegers:
+    """An integral float such as ``2.0`` is not a JSON integer: exit 2, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "stem, path",
+        [
+            ("purity-hardy-monomial", ("space", "n")),
+            ("bcl-sweep", ("space", "n")),
+            ("purity-sweep-bergman", ("seed",)),
+            ("purity-sweep-bergman", ("sweep", "count")),
+            ("bcl-sweep", ("sweep", "count")),
+            ("decay-averaging-symbol", ("m_max",)),
+            ("cnp-bergman", ("space", "degree_cap")),
+            ("purity-hardy-monomial", ("symbol", "n")),
+            ("purity-hardy-monomial", ("symbol", "coeff_dim")),
+            ("purity-hardy-monomial", ("symbol", "terms", 0, "alpha", 0)),
+        ],
+    )
+    def test_integral_float_is_two(self, tmp_path, stem, path):
+        config = acceptance_config(stem)
+        parent = functools.reduce(operator.getitem, path[:-1], config)
+        value = float(parent[path[-1]])
+        parent[path[-1]] = value
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "r.json"
+        write_json(cfg, config)
+        assert cli.main([config["task"], "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["error"]["type"] == "ValidationError"
+        assert rep["error"]["message"] == f"{json_path(path)}: {value!r} is not of type 'integer'"
+        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_tol_override_is_two(self, tmp_path, capsys, value):
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "r.json"
+        write_json(cfg, purity_config("tol-override", monomial_scalar_symbol(2, (1, 1), 0.9)))
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out), "--tol", f"tol={value}"]) == 2
+        assert "error: --tol tol must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "0", "-1"])
+    def test_bad_config_tolerance_is_two(self, tmp_path, literal):
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "r.json"
+        config = purity_config("tol-config", monomial_scalar_symbol(2, (1, 1), 0.9))
+        config["tolerances"] = {"tol": "TOL"}
+        cfg.write_text(json.dumps(config).replace('"TOL"', literal), encoding="utf-8")
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["error"]["type"] in ("InvalidInputError", "ValidationError")
+        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+
+    def test_positive_config_tolerance_is_used(self, tmp_path):
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "r.json"
+        config = purity_config("tol-config", constant_scalar_symbol(2, 0.9))
+        config["tolerances"] = {"tol": 0.5}
+        write_json(cfg, config)
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_report(out)["payload"]["verdict"] == "not_pure"
+
+
+# Schema-invalid configs; each is refused with the error jsonschema.validate picks.
+INVALID_CONFIGS = [
+    {"schema_version": "1", "task": "purity"},
+    {**purity_config("neg-seed", constant_scalar_symbol(2, 0.5)), "seed": -1},
+    {**purity_config("extra", constant_scalar_symbol(2, 0.5)), "extra": 1},
+    {**purity_config("bad-task", constant_scalar_symbol(2, 0.5)), "task": "nope"},
+    {**purity_config("no-space", constant_scalar_symbol(2, 0.5)), "space": None},
+    {**purity_config("bad-id", constant_scalar_symbol(2, 0.5)), "scenario_id": "a b"},
+    {
+        **purity_config("bad-family", constant_scalar_symbol(2, 0.5)),
+        "space": {"family": "nope", "n": 2, "degree_cap": 4},
+    },
+    {
+        **purity_config("string-n", constant_scalar_symbol(2, 0.5)),
+        "space": {"family": "hardy", "n": "2", "degree_cap": 4},
+    },
+    {
+        **purity_config("bool-cap", constant_scalar_symbol(2, 0.5)),
+        "space": {"family": "hardy", "n": 2, "degree_cap": True},
+    },
+    {**purity_config("neg-alpha", monomial_scalar_symbol(2, (-1, 0), 0.5))},
+    {**purity_config("neg-tol", constant_scalar_symbol(2, 0.5)), "tolerances": {"tol": -1}},
+]
+
+
+class TestSchemaValidation:
+    @pytest.mark.parametrize(
+        "path",
+        sorted(resources.files("gradedshift").joinpath("schemas").iterdir(), key=str),
+        ids=lambda p: p.name,
+    )
+    def test_package_schemas_pass_their_metaschema(self, path):
+        schema = json.loads(path.read_text())
+        validator_for(schema).check_schema(schema)
+
+    def test_schema_loaded_and_checked_once(self, tmp_path, monkeypatch):
+        loads, checks = [], []
+        load = cli._load_schema
+        cls = validator_for(load("config.schema.json"))
+        check = cls.check_schema
+
+        def counting_load(name):
+            loads.append(name)
+            return load(name)
+
+        def counting_check(schema, *args, **kwargs):
+            checks.append(schema["$id"])
+            return check(schema, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_load_schema", counting_load)
+        monkeypatch.setattr(cls, "check_schema", counting_check)
+        cfg = tmp_path / "s.json"
+        write_json(cfg, purity_config("once", constant_scalar_symbol(2, 0.5)))
+        cli._validator.cache_clear()
+        try:
+            for k in range(5):
+                assert cli.main(["purity", "--config", str(cfg), "--out", str(tmp_path / f"{k}.json")]) == 0
+        finally:
+            cli._validator.cache_clear()
+        assert loads == ["config.schema.json"]
+        assert checks == ["gradedshift/config/1"]
+
+    @pytest.mark.parametrize("instance", INVALID_CONFIGS)
+    def test_refusal_is_what_jsonschema_picks(self, tmp_path, instance):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(instance, cli._load_schema("config.schema.json"))
+        with pytest.raises(jsonschema.ValidationError) as actual:
+            cli._validate(instance, "config.schema.json")
+        picked = (expected.value.json_path, expected.value.message)
+        assert (actual.value.json_path, actual.value.message) == picked
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "r.json"
+        write_json(cfg, instance)
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 2
+        assert read_report(out)["error"] == {"type": "ValidationError", "message": "%s: %s" % picked}
+
+    def test_manifest_refusal_names_the_field(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        write_json(manifest, {"schema_version": "1", "scenarios": [{"path": 3, "expected_exit": 0}]})
+        assert cli.main(["suite", "--config", str(manifest), "--out", str(tmp_path)]) == 2
+        assert "error: $.scenarios[0].path: 3 is not of type 'string'" in capsys.readouterr().err
+
+
+def _field_paths(obj, prefix=()):
+    """Paths to every dict value and to the first item of every list."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj[:1])
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _beyond_budget(space):
+    """The least degree cap whose truncation has more than MAX_DIM coordinates."""
+    n, c = space["n"], space.get("coeff_dim", 1)
+    d = 0
+    while c * math.comb(d + n, n) <= spaces.MAX_DIM:
+        d += 1
+    return d
+
+
+MUTATIONS = {
+    "integral_float": lambda v: float(int(v)) if isinstance(v, (int, float)) and not isinstance(v, bool) else 2.0,
+    "negative": lambda v: -1,
+    "string": lambda v: "x",
+    "null": lambda v: None,
+}
+
+
+@st.composite
+def mutated_configs(draw):
+    """An acceptance config with one key dropped, one value replaced, or its
+    degree cap moved just beyond the ``MAX_DIM`` budget."""
+    config = json.loads(draw(st.sampled_from(ACCEPTANCE_CONFIGS)).read_text(encoding="utf-8"))
+    task = config["task"]
+    kind = draw(st.sampled_from(["drop", "beyond_budget", *MUTATIONS]))
+    if kind == "beyond_budget":
+        config["space"]["degree_cap"] = _beyond_budget(config["space"])
+        return task, config
+    paths = [p for p in _field_paths(config) if kind != "drop" or isinstance(p[-1], str)]
+    *head, last = draw(st.sampled_from(paths))
+    parent = functools.reduce(operator.getitem, head, config)
+    if kind == "drop":
+        del parent[last]
+    else:
+        parent[last] = MUTATIONS[kind](parent[last])
+    return task, config
+
+
+REPORT_VALIDATOR = jsonschema.Draft7Validator(cli._load_schema("report.schema.json"))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(case=mutated_configs())
+    def test_mutated_config_ends_in_a_report(self, tmp_path_factory, case):
+        task, config = case
+        tmp = tmp_path_factory.mktemp("fuzz")
+        cfg = tmp / "s.json"
+        out = tmp / "r.json"
+        write_json(cfg, config)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([task, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1, 2)
+        if out.exists():
+            REPORT_VALIDATOR.validate(read_report(out))
+        else:
+            assert code == 2 and "does not match" in err.getvalue()
+
+
+def test_python_dash_m_runs_a_scenario(tmp_path):
+    out = tmp_path / "r.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradedshift", "cnp", "--config", str(ACCEPTANCE_DIR / "cnp-bergman.json"), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert read_report(out)["payload"]["is_cnp_to_L"] is False
