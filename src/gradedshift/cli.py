@@ -132,30 +132,38 @@ def decode_complex(pair: Sequence[float]) -> complex:
     return complex(float(pair[0]), float(pair[1]))
 
 
-def decode_matrix(rows: Sequence[Sequence[Sequence[float]]]) -> np.ndarray:
+def decode_matrix(rows: Sequence[Sequence[Sequence[float]]], path: str) -> np.ndarray:
+    """The complex matrix of a JSON matrix literal; ``path`` names the field
+    in the refusal of rows of unequal length."""
+    lengths = [len(row) for row in rows]
+    if len(set(lengths)) > 1:
+        raise InvalidInputError(f"{path}: matrix rows have unequal lengths {lengths}")
     return np.array([[decode_complex(x) for x in row] for row in rows], dtype=complex)
 
 
 def decode_symbol(obj: Dict[str, Any]) -> MultiplierSymbol:
-    terms = {tuple(t["alpha"]): decode_matrix(t["matrix"]) for t in obj["terms"]}
+    terms = {
+        tuple(t["alpha"]): decode_matrix(t["matrix"], f"$.symbol.terms[{k}].matrix")
+        for k, t in enumerate(obj["terms"])
+    }
     return MultiplierSymbol(obj["n"], obj["coeff_dim"], terms)
 
 
 def decode_triple(obj: Dict[str, Any]) -> BCLTriple:
     return BCLTriple(
         e_dim=obj["e_dim"],
-        u=decode_matrix(obj["u"]),
-        p=decode_matrix(obj["p"]),
+        u=decode_matrix(obj["u"], "$.triple.u"),
+        p=decode_matrix(obj["p"], "$.triple.p"),
         axis=obj.get("axis", 0),
     )
 
 
 def decode_colligation(obj: Dict[str, Any]) -> Colligation:
     return Colligation(
-        a=decode_matrix(obj["a"]),
-        b=decode_matrix(obj["b"]),
-        c=decode_matrix(obj["c"]),
-        d=decode_matrix(obj["d"]),
+        a=decode_matrix(obj["a"], "$.colligation.a"),
+        b=decode_matrix(obj["b"], "$.colligation.b"),
+        c=decode_matrix(obj["c"], "$.colligation.c"),
+        d=decode_matrix(obj["d"], "$.colligation.d"),
         h_dims=tuple(obj["h_dims"]),
         e_dim=obj["e_dim"],
     )

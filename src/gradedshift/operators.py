@@ -130,10 +130,17 @@ def _as_array(op: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
 
 
 def opnorm(op: Union[OperatorMatrix, np.ndarray]) -> float:
-    """Spectral norm."""
+    """Spectral norm.
+
+    A matrix with an ``inf`` or ``nan`` entry raises ``FloatingPointError``:
+    LAPACK would return ``nan`` for it, and ``nan`` passes every
+    ``opnorm(x) > tol`` refusal.
+    """
     a = _as_array(op)
     if a.size == 0:
         return 0.0
+    if not np.isfinite(a).all():
+        raise FloatingPointError("spectral norm of a matrix with non-finite entries")
     return float(np.linalg.norm(a, 2))
 
 

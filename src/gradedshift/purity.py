@@ -3,18 +3,33 @@
 "Pure" at finite dimension means spectral radius < 1 - tol (equivalent to
 adjoint powers tending to zero there).  The headline property this module
 certifies: for a contractive polynomial symbol Phi, the spectral radius of
-the compression of M_Phi^* to V_D agrees with rho(Phi(0)) on which side of
-1 - tol it falls, for every D -- the verdict is never "inconsistent".
+the compression of M_Phi^* to V_D equals rho(Phi(0)) for every D.
 
 The compression of M_Phi^* to V_D is EXACT (V_D is invariant under M_Phi^*
 because adjoint monomials lower degree), which is what makes the diagnostic
 meaningful: a unimodular eigenvalue of the compression is a genuine
 non-decaying vector of the full operator.
 
+The verdict is a structural certificate plus one eig of Phi(0).  The
+certificate reads the ``(src, dst, w)`` maps of
+:func:`gradedshift.operators._shift_map`, in O(nnz) with no dense matrix:
+beta = 0 maps every position to itself with weight exactly 1.0, and every
+beta != 0 raises degree by exactly |beta|.  So the compression is block
+upper-triangular by degree with diagonal blocks I (x) Phi(0)^*, and its
+spectrum at every degree is that of Phi(0)^*.  This is the finite form of
+the paper's (i) <=> (ii).  A map that breaks the structure raises
+``CertificationError``; the verdict "inconsistent" stays in the report
+schema but is no longer produced.  Dense per-degree ``eigvals`` run only
+as a cross-check (``tests/oracles.py``): on non-normal block-triangular
+matrices they are evidence, not proof.
+
 Contractivity of a symbol is certified on a padded truncation (degree
 D_max + deg Phi) as a surrogate for the multiplier norm; random sweep
-symbols are rescaled by 0.99 / padded-norm, which bounds every compression
-norm by 0.99 since compressions nest inside the padded matrix.
+symbols are rescaled by f = 0.99 / padded-norm, which bounds every
+compression norm by 0.99 since compressions nest inside the padded matrix.
+Such a symbol records the norm f * ||A_raw|| it was certified with, and a
+verdict on the same padded truncation reports that as ``padded_norm``
+instead of taking the SVD again.
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ from .errors import CertificationError, InvalidInputError, NotContractiveError
 from .operators import (
     OperatorMatrix,
     SubspaceFrame,
+    _shift_map,
     multiplier_matrix,
     null_space_frame,
     opnorm,
@@ -103,13 +119,16 @@ def decay_curve(
 
 @dataclass
 class PurityReport:
-    """Per-degree spectral radii of the adjoint compression vs rho(Phi(0)).
+    """Spectral radii of the adjoint compression at every degree vs rho(Phi(0)).
 
-    verdict is "pure" iff all radii (including phi0_rho) are < 1 - tol,
-    "not_pure" iff phi0_rho >= 1 - tol and some per-degree radius is too,
-    and "inconsistent" otherwise -- the latter must never occur.
-    ``near_boundary`` flags spectra within tol of 1 (indeterminate at
-    tolerance) without reclassifying them.
+    Every ``per_degree_rho[d]`` is ``phi0_rho``, by the structural
+    certificate (see the module docstring).  verdict is "pure" iff phi0_rho
+    < 1 - tol and "not_pure" otherwise; "inconsistent" is no longer
+    produced, since a broken structure raises instead.  ``near_boundary``
+    flags spectra within tol of 1 (indeterminate at tolerance) without
+    reclassifying them.  ``padded_norm`` is the SVD of the padded matrix,
+    or, for a symbol from :func:`random_contractive_symbol` on the same
+    padded truncation, the f * ||A_raw|| it recorded.
     """
 
     per_degree_rho: Dict[int, float]
@@ -121,14 +140,26 @@ class PurityReport:
     decay_samples: Optional[List[float]] = None
 
 
-def _verdict(per_degree_rho: Dict[int, float], phi0_rho: float, tol: float) -> str:
-    cutoff = 1.0 - tol
-    radii = list(per_degree_rho.values())
-    if phi0_rho < cutoff and all(r < cutoff for r in radii):
-        return "pure"
-    if phi0_rho >= cutoff and any(r >= cutoff for r in radii):
-        return "not_pure"
-    return "inconsistent"
+def _certify_degree_structure(basis: TruncatedBasis, phi: MultiplierSymbol) -> None:
+    """Certify on the shift maps that M_Phi on V_D is block lower-triangular
+    by degree with diagonal blocks I (x) Phi(0); raise ``CertificationError``
+    otherwise."""
+    degrees = basis.index_array.sum(axis=1)
+    for beta in phi.terms:
+        src, dst, w = _shift_map(basis, beta)
+        lift = sum(beta)
+        if lift == 0:
+            ok = (
+                np.array_equal(src, np.arange(len(degrees)))
+                and np.array_equal(dst, src)
+                and bool(np.all(w == 1.0))
+            )
+        else:
+            ok = np.array_equal(degrees[dst], degrees[src] + lift)
+        if not ok:
+            raise CertificationError(
+                f"shift map of term {beta} breaks the degree grading of V_{basis.degree_cap}"
+            )
 
 
 def multiplier_purity_verdict(
@@ -141,46 +172,48 @@ def multiplier_purity_verdict(
 ) -> PurityReport:
     """Purity verdict for a contractive polynomial symbol on a graded family.
 
-    The symbol is assembled once, on the padded truncation V_(D_max + deg
-    Phi) used for the norm check.  Every compression of M_Phi^* to V_d,
-    d <= D_max (and the operator of the decay curve), is sliced from that
-    one matrix: V_d is a leading principal block of the graded layout, so
-    the slice equals a fresh assembly on V_d entry for entry.
+    The norm check runs on the padded truncation V_(D_max + deg Phi): the
+    norm recorded by :func:`random_contractive_symbol` when its key is this
+    truncation's, else the SVD of the matrix assembled there.  The spectra
+    come from the structural certificate and one eig of Phi(0).  The
+    operator of the decay curve is the compression to V_D_max, sliced from
+    the padded matrix: V_d is a leading principal block of the graded
+    layout, so the slice equals a fresh assembly on V_d entry for entry.
 
     ``check_contractive=False`` is reserved for degree-D jets of transfer
     functions, whose compressions are exact even though the jet polynomial
     itself need not be a contractive multiplier.
     """
     padded = basis_for(domain, d_max + phi.degree, phi.coeff_dim)
-    fwd = multiplier_matrix(padded, phi).data
-    padded_norm = opnorm(fwd)
+    record = phi.padded_norm_record
+    fwd = None
+    if record is not None and record[0] == (domain, padded.degree_cap, padded.coeff_dim):
+        padded_norm = record[1]
+    else:
+        fwd = multiplier_matrix(padded, phi).data
+        padded_norm = opnorm(fwd)
     if check_contractive and padded_norm > 1.0 + tol:
         raise NotContractiveError(
             f"padded multiplier norm {padded_norm:.12f} exceeds 1 + {tol}"
         )
-
-    def compression(d: int) -> np.ndarray:
-        k = padded.dim_upto(d)
-        return fwd[:k, :k].conj().T
-
-    per_degree = {d: spectral_radius(compression(d)) for d in range(d_max + 1)}
+    _certify_degree_structure(padded, phi)
     phi0_rho = spectral_radius(phi.phi0)
-    verdict = _verdict(per_degree, phi0_rho, tol)
-    radii = list(per_degree.values()) + [phi0_rho]
-    near = any(abs(r - 1.0) <= tol for r in radii)
     decay = None
     if decay_m_max is not None:
-        comp = compression(d_max)
-        h = np.zeros(comp.shape[0], dtype=complex)
+        if fwd is None:
+            fwd = multiplier_matrix(padded, phi).data
+        k = padded.dim_upto(d_max)
+        comp = fwd[:k, :k].conj().T
+        h = np.zeros(k, dtype=complex)
         h[: phi.coeff_dim] = 1.0 / math.sqrt(phi.coeff_dim)
         decay = decay_curve(comp, h, decay_m_max, tol=max(tol, 1e-10))
     return PurityReport(
-        per_degree_rho=per_degree,
+        per_degree_rho=dict.fromkeys(range(d_max + 1), phi0_rho),
         phi0_rho=phi0_rho,
-        verdict=verdict,
+        verdict="pure" if phi0_rho < 1.0 - tol else "not_pure",
         tol=tol,
         padded_norm=padded_norm,
-        near_boundary=near,
+        near_boundary=abs(phi0_rho - 1.0) <= tol,
         decay_samples=decay,
     )
 
@@ -422,12 +455,14 @@ def random_contractive_symbol(
     """Seeded random polynomial symbol, certified on the padded truncation.
 
     Plain branch: iid complex Gaussian coefficient matrices rescaled by
-    0.99 / padded-norm, so every compression at degrees <= d_max has norm
-    <= 0.99.  ``unitary_constant=True`` populates the non-pure branch: a
-    contractive multiplier with unitary constant term is constant in the
-    unitary directions, so the symbol is blockdiag(unimodular constant,
-    random contractive symbol on the remaining dims); for coeff_dim = 1 it
-    is a unimodular constant.
+    f = 0.99 / padded-norm, so every compression at degrees <= d_max has
+    norm <= 0.99; the symbol records f * ||A_raw|| as its
+    ``padded_norm_record``.  ``unitary_constant=True`` populates the
+    non-pure branch: a contractive multiplier with unitary constant term is
+    constant in the unitary directions, so the symbol is
+    blockdiag(unimodular constant, random contractive symbol on the
+    remaining dims), with no record; for coeff_dim = 1 it is a unimodular
+    constant.
     """
     n = domain.n
     if unitary_constant:
@@ -457,4 +492,7 @@ def random_contractive_symbol(
     norm = opnorm(multiplier_matrix(padded, raw))
     if norm == 0.0:
         raise InvalidInputError("degenerate zero random symbol")
-    return raw.scaled(0.99 / norm)
+    factor = 0.99 / norm
+    phi = raw.scaled(factor)
+    phi.padded_norm_record = ((domain, padded.degree_cap, coeff_dim), factor * norm)
+    return phi

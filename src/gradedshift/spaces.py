@@ -34,7 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, Sequence, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -379,7 +379,14 @@ class MultiplierSymbol:
     """An operator-valued polynomial ``Phi(z) = sum_alpha Phi_alpha z^alpha``.
 
     ``terms`` maps multi-indices (length ``n``) to square complex matrices of
-    size ``coeff_dim``.
+    size ``coeff_dim``; the matrices are read-only copies of the inputs.
+
+    ``padded_norm_record`` is ``None`` or ``(key, norm)``: the multiplier
+    norm already certified on the padded truncation with key
+    ``(domain, degree_cap, coeff_dim)``.  Only
+    :func:`gradedshift.purity.random_contractive_symbol` sets it; scaling,
+    slicing, lifting and decoding build symbols without one.  The read-only
+    coefficients keep it from going stale.
     """
 
     def __init__(self, n: int, coeff_dim: int, terms: Dict[MultiIndex, np.ndarray]):
@@ -400,8 +407,11 @@ class MultiplierSymbol:
                     f"coefficient at {alpha} has shape {mat.shape}, expected square dim {self.coeff_dim}"
                 )
             if np.any(mat != 0):
-                canon[alpha] = mat.copy()
+                mat = mat.copy()
+                mat.flags.writeable = False
+                canon[alpha] = mat
         self.terms = canon
+        self.padded_norm_record: Optional[Tuple[Tuple[Domain, int, int], float]] = None
 
     @property
     def degree(self) -> int:

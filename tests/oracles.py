@@ -153,3 +153,34 @@ def shift_map_oracle(
     src, dst = np.array(src, dtype=int), np.array(dst, dtype=int)
     norms = np.asarray(norms)
     return src, dst, norms[dst] / norms[src]
+
+
+def dense_per_degree_rho(
+    index_table: Sequence[MultiIndex],
+    norms: Sequence[float],
+    coeff_dim: int,
+    terms: Dict[MultiIndex, np.ndarray],
+    d_max: int,
+) -> List[float]:
+    """Spectral radius of the compression of M_Phi^* to V_d, d = 0..d_max,
+    from dense ``eigvals`` of each compression.
+
+    M_Phi sends e_alpha (x) xi to sum_beta (||z^(alpha+beta)|| / ||z^alpha||)
+    e_(alpha+beta) (x) Phi_beta xi (coefficient index fastest; dropped
+    outside the table); V_d is the leading block of monomials of degree
+    <= d.  ``index_table`` must be graded-lex and reach degree d_max.
+    """
+    pos = {alpha: k for k, alpha in enumerate(index_table)}
+    c = coeff_dim
+    m = np.zeros((c * len(index_table),) * 2, dtype=complex)
+    for k, alpha in enumerate(index_table):
+        for beta, mat in terms.items():
+            j = pos.get(tuple(x + y for x, y in zip(alpha, beta)))
+            if j is not None:
+                m[j * c : (j + 1) * c, k * c : (k + 1) * c] += norms[j] / norms[k] * mat
+    out = []
+    for d in range(d_max + 1):
+        size = c * sum(1 for alpha in index_table if sum(alpha) <= d)
+        comp = m[:size, :size].conj().T
+        out.append(float(np.max(np.abs(np.linalg.eigvals(comp)))))
+    return out

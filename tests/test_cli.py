@@ -1,9 +1,9 @@
 """End-to-end tests of the scenario harness: exit codes, report shape and
 determinism, schema validation, environment handling, and suite aggregation.
 
-All invocations but one go through ``cli.main`` in process (the exception
-runs ``python -m gradedshift`` in a subprocess); configs are written to
-pytest tmp dirs so every test is hermetic.
+All invocations but two go through ``cli.main`` in process (the two run
+``python -m gradedshift`` in a subprocess, one of them to see what LAPACK
+prints); configs are written to pytest tmp dirs so every test is hermetic.
 """
 
 import contextlib
@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from gradedshift import cli, spaces
+from gradedshift import cli, purity, spaces
 
 ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 ACCEPTANCE_CONFIGS = sorted(ACCEPTANCE_DIR.glob("*.json"))
@@ -156,6 +156,53 @@ class TestExitCodes:
         rep = read_report(out)
         assert rep["pass"] is False
         assert rep["error"]["type"] in ("LinAlgError", "FloatingPointError")
+        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+
+    def test_overflow_prints_no_lapack_lines(self, tmp_path):
+        # opnorm refuses the inf entries itself, so LAPACK never sees them
+        cfg = tmp_path / "s.json"
+        config = purity_config("overflow", monomial_scalar_symbol(2, (1, 0), 1.7e308))
+        config["space"]["family"] = "dirichlet"
+        write_json(cfg, config)
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", "-m", "gradedshift", "purity", "--config", str(cfg), "--out", str(tmp_path / "r.json")],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "DLASCL" not in proc.stdout + proc.stderr
+        assert read_report(tmp_path / "r.json")["error"]["type"] == "FloatingPointError"
+
+    def test_ragged_matrix_rows_are_two(self, tmp_path):
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "s.report.json"
+        config = json.loads((ACCEPTANCE_DIR / "purity-hardy-monomial.json").read_text(encoding="utf-8"))
+        config["space"]["coeff_dim"] = 2
+        config["symbol"]["coeff_dim"] = 2
+        config["symbol"]["terms"][0]["matrix"] = [[[0.1, 0], [0.2, 0]], [[0.3, 0]]]
+        write_json(cfg, config)
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["error"]["type"] == "InvalidInputError"
+        assert rep["error"]["message"].startswith("$.symbol.terms[0].matrix: ")
+        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+
+    def test_broken_degree_grading_is_one(self, tmp_path, monkeypatch):
+        real = purity._shift_map
+
+        def keeps_degree(basis, beta):
+            src, dst, w = real(basis, beta)
+            return src, (src if sum(beta) else dst), w
+
+        monkeypatch.setattr(purity, "_shift_map", keeps_degree)
+        out = tmp_path / "s.report.json"
+        config = str(ACCEPTANCE_DIR / "purity-hardy-monomial.json")
+        assert cli.main(["purity", "--config", config, "--out", str(out)]) == 1
+        rep = read_report(out)
+        assert rep["pass"] is False
+        assert rep["error"]["type"] == "CertificationError"
         jsonschema.validate(rep, cli._load_schema("report.schema.json"))
 
     def test_bcl_triple_coeff_dim_mismatch_is_two(self, tmp_path, monkeypatch):
@@ -740,15 +787,36 @@ MUTATIONS = {
 }
 
 
+def _matrix_paths(obj, prefix=()):
+    """Paths to every matrix literal: a nonempty list of rows of [re, im] pairs."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        if obj and all(isinstance(row, list) and row and isinstance(row[0], list) for row in obj):
+            yield prefix
+            return
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _matrix_paths(value, prefix + (key,))
+
+
 @st.composite
 def mutated_configs(draw):
-    """An acceptance config with one key dropped, one value replaced, or its
-    degree cap moved just beyond the ``MAX_DIM`` budget."""
+    """An acceptance config with one key dropped, one value replaced, its
+    degree cap moved just beyond the ``MAX_DIM`` budget, or one matrix
+    literal given a row longer than the others."""
     config = json.loads(draw(st.sampled_from(ACCEPTANCE_CONFIGS)).read_text(encoding="utf-8"))
     task = config["task"]
-    kind = draw(st.sampled_from(["drop", "beyond_budget", *MUTATIONS]))
+    matrices = list(_matrix_paths(config))
+    kind = draw(st.sampled_from(["drop", "beyond_budget", *(["ragged"] if matrices else []), *MUTATIONS]))
     if kind == "beyond_budget":
         config["space"]["degree_cap"] = _beyond_budget(config["space"])
+        return task, config
+    if kind == "ragged":
+        rows = functools.reduce(operator.getitem, draw(st.sampled_from(matrices)), config)
+        rows.append([[0.0, 0.0]] * (len(rows[0]) + 1))
         return task, config
     paths = [p for p in _field_paths(config) if kind != "drop" or isinstance(p[-1], str)]
     *head, last = draw(st.sampled_from(paths))

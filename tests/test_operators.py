@@ -56,6 +56,19 @@ def one_var_basis(spec, cap, coeff_dim=1):
     return polydisc_basis((spec,), cap, coeff_dim)
 
 
+class TestOpnorm:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_non_finite_entry_raises(self, bad):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(FloatingPointError):
+            opnorm(a)
+
+    def test_finite_and_empty(self):
+        assert opnorm(np.diag([0.5, -2.0])) == pytest.approx(2.0, abs=1e-15)
+        assert opnorm(np.zeros((0, 0))) == 0.0
+
+
 class TestShiftMatrix:
     def test_hardy_truncated_unilateral(self):
         basis = one_var_basis(hardy(), 3)

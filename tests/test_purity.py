@@ -20,6 +20,8 @@ from gradedshift import (
     basis_for,
     bergman,
     decay_curve,
+    dirichlet,
+    drury_arveson,
     hardy,
     hm_ball,
     invariant_restriction_test,
@@ -30,13 +32,16 @@ from gradedshift import (
     scalar_symbol,
     slice_purity_consistency,
 )
+from gradedshift import purity as purity_module
 from gradedshift.dilation import BCLTriple, bcl_pair, haar_unitary
 from gradedshift.operators import spectral_radius
 from gradedshift.purity import (
     a_operator_estimate,
     a_operator_monotonicity,
 )
-from gradedshift.spaces import BallDomain, MultiplierSymbol
+from gradedshift.spaces import BallDomain, MultiplierSymbol, lift_scalar_symbol, slice_symbol
+
+from oracles import dense_per_degree_rho
 
 HARDY2 = PolydiscDomain((hardy(), hardy()))
 HARDY1 = PolydiscDomain((hardy(),))
@@ -156,8 +161,10 @@ class TestPurityVerdict:
             multiplier_purity_verdict(scalar_symbol(2, {(0, 0): 1.5}), HARDY2, 4)
 
     def test_sliced_compressions_equal_fresh_assembly(self):
-        # The verdict slices every compression from its padded matrix; a
+        # The verdict slices the decay operator from its padded matrix; a
         # fresh assembly on V_d is the reference and must agree exactly.
+        # Every per-degree radius is rho(Phi(0)) by the structural
+        # certificate, and dense eigvals of the fresh compressions agree.
         d_max = 5
         cases = (
             (PolydiscDomain((hardy(), bergman())), 2),
@@ -169,7 +176,8 @@ class TestPurityVerdict:
             rep = multiplier_purity_verdict(phi, domain, d_max, decay_m_max=6)
             for d in range(d_max + 1):
                 fresh = adjoint_compression(phi, basis_for(domain, d, c))
-                assert rep.per_degree_rho[d] == spectral_radius(fresh)
+                assert rep.per_degree_rho[d] == rep.phi0_rho
+                assert abs(spectral_radius(fresh) - rep.phi0_rho) <= 1e-12
             h = np.zeros(fresh.shape[0], dtype=complex)
             h[:c] = 1.0 / math.sqrt(c)
             assert rep.decay_samples == decay_curve(fresh, h, 6)
@@ -191,6 +199,103 @@ class TestPurityVerdict:
             rep = multiplier_purity_verdict(phi, HARDY2, 5)
             assert rep.phi0_rho >= 1.0 - 1e-10
             assert rep.verdict == "not_pure"
+
+
+SIX_SPACES = (
+    PolydiscDomain((hardy(), hardy())),
+    PolydiscDomain((bergman(), bergman())),
+    PolydiscDomain((dirichlet(), dirichlet())),
+    BallDomain(drury_arveson(2)),
+    BallDomain(hm_ball(2, 2)),
+    BallDomain(hm_ball(2, 3)),
+)
+
+
+class TestStructuralCertificate:
+    @pytest.mark.parametrize("domain", SIX_SPACES, ids=lambda d: repr(d)[:40])
+    @pytest.mark.parametrize("c", (1, 2))
+    def test_every_degree_is_phi0_rho_and_dense_agrees(self, domain, c):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            d_max = 4 + seed
+            for forced in (False, True):
+                phi = random_contractive_symbol(
+                    rng, domain, c, 2, d_max, unitary_constant=forced
+                )
+                rep = multiplier_purity_verdict(phi, domain, d_max)
+                assert sorted(rep.per_degree_rho) == list(range(d_max + 1))
+                assert all(r == rep.phi0_rho for r in rep.per_degree_rho.values())
+                basis = basis_for(domain, d_max, c)
+                dense = dense_per_degree_rho(basis.index_table, basis.norms, c, phi.terms, d_max)
+                assert max(abs(r - rep.phi0_rho) for r in dense) <= 1e-12
+                assert rep.verdict == ("not_pure" if forced else "pure")
+
+    def test_broken_degree_grading_raises(self, monkeypatch):
+        real = purity_module._shift_map
+
+        def patched(basis, beta):
+            # one entry of the beta = (1, 0) map stays in its own degree
+            src, dst, w = real(basis, beta)
+            if tuple(beta) == (1, 0):
+                dst = dst.copy()
+                dst[0] = src[0]
+            return src, dst, w
+
+        phi = scalar_symbol(2, {(0, 0): 0.3, (1, 0): 0.5})
+        monkeypatch.setattr(purity_module, "_shift_map", patched)
+        with pytest.raises(CertificationError, match=r"\(1, 0\)"):
+            multiplier_purity_verdict(phi, HARDY2, 4)
+
+    def test_broken_constant_term_raises(self, monkeypatch):
+        real = purity_module._shift_map
+
+        def patched(basis, beta):
+            src, dst, w = real(basis, beta)
+            return src, dst, w * 1.0000001 if sum(beta) == 0 else w
+
+        monkeypatch.setattr(purity_module, "_shift_map", patched)
+        with pytest.raises(CertificationError):
+            multiplier_purity_verdict(scalar_symbol(2, {(0, 0): 0.3}), HARDY2, 4)
+
+
+class TestPaddedNormRecord:
+    def test_verdict_reuses_the_generator_norm(self, monkeypatch):
+        domain, d_max = BallDomain(hm_ball(2, 2)), 5
+        phi = random_contractive_symbol(np.random.default_rng(3), domain, 2, 2, d_max)
+        key, norm = phi.padded_norm_record
+        assert key == (domain, d_max + 2, 2)
+        rebuilt = MultiplierSymbol(phi.n, phi.coeff_dim, phi.terms)
+        assert rebuilt.padded_norm_record is None
+        svd_norm = multiplier_purity_verdict(rebuilt, domain, d_max).padded_norm
+        assert abs(norm - svd_norm) <= 1e-15
+        monkeypatch.setattr(purity_module, "opnorm", pytest.fail)
+        assert multiplier_purity_verdict(phi, domain, d_max).padded_norm == norm
+
+    def test_other_truncations_take_the_svd(self):
+        phi = random_contractive_symbol(np.random.default_rng(4), HARDY2, 1, 2, 5)
+        rep = multiplier_purity_verdict(phi, HARDY2, 4)
+        want = np.linalg.norm(multiplier_matrix(basis_for(HARDY2, 6, 1), phi).data, 2)
+        assert rep.padded_norm == want
+        other = PolydiscDomain((hardy(), bergman()))
+        rep = multiplier_purity_verdict(phi, other, 5)
+        want = np.linalg.norm(multiplier_matrix(basis_for(other, 7, 1), phi).data, 2)
+        assert rep.padded_norm == want
+
+    def test_recorded_norm_is_still_refused(self):
+        phi = random_contractive_symbol(np.random.default_rng(5), HARDY2, 1, 2, 5)
+        key, _ = phi.padded_norm_record
+        phi.padded_norm_record = (key, 1.5)
+        with pytest.raises(NotContractiveError):
+            multiplier_purity_verdict(phi, HARDY2, 5)
+
+    def test_derived_symbols_carry_no_record(self):
+        phi = random_contractive_symbol(np.random.default_rng(6), HARDY2, 1, 2, 5)
+        forced = random_contractive_symbol(
+            np.random.default_rng(6), HARDY2, 2, 2, 5, unitary_constant=True
+        )
+        assert phi.padded_norm_record is not None
+        for other in (phi.scaled(1.0), slice_symbol(phi, 0), lift_scalar_symbol(phi, 2), forced):
+            assert other.padded_norm_record is None
 
 
 class TestAOperator:

@@ -346,3 +346,22 @@ class TestSymbols:
         lifted = lift_scalar_symbol(phi, 3)
         assert lifted.coeff_dim == 3
         np.testing.assert_allclose(lifted.terms[(1,)], 2.0 * np.eye(3))
+
+    def test_coefficients_are_read_only_copies(self):
+        a = np.array([[0.5, 0.25], [0.0, -0.5]], dtype=complex)
+        phi = MultiplierSymbol(1, 2, {(0,): a, (1,): a})
+        with pytest.raises(ValueError):
+            phi.terms[(1,)][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            phi.terms[(0,)] += 1.0
+        a[0, 0] = 7.0  # the caller's array stays writeable and is not shared
+        assert phi.terms[(0,)][0, 0] == 0.5
+        phi.phi0[0, 0] = 7.0  # phi0 hands out a writeable copy
+        assert phi.terms[(0,)][0, 0] == 0.5
+
+    def test_symbol_from_equal_terms_carries_no_record(self):
+        phi = MultiplierSymbol(1, 1, {(0,): [[0.5]]})
+        assert phi.padded_norm_record is None
+        phi.padded_norm_record = (("domain", 1, 1), 0.5)
+        assert MultiplierSymbol(phi.n, phi.coeff_dim, phi.terms).padded_norm_record is None
+        assert phi.scaled(1.0).padded_norm_record is None
