@@ -11,17 +11,29 @@ Every summand is diagonal in the monomial basis: ``M^alpha`` sends each
 ``e_beta (x) xi`` to a multiple of ``e_(beta+alpha) (x) xi``, and distinct
 betas land on distinct rows.  So each Gram is kept as its diagonal, both
 identities are sums of length-dim vectors (O(#alpha * dim) time and
-memory), and a residual is the largest absolute entry of a diagonal.  The
-diagonals are built in :func:`gradedshift.operators._apply_powers` order,
-which makes them, the residuals and the Chen partial sums bit-identical to
-the dense products of the shift matrices.
+memory), and a residual is the largest absolute entry of a diagonal.
+
+The powers follow the prefix recursion of
+:func:`gradedshift.operators._apply_powers`: M^m = M_i M^prev, with i the
+first nonzero coordinate of m.  It runs one degree at a time, as whole-array
+operations on the basis's successor table: M^m keeps exactly the monomials
+e_beta with |beta| <= D - |m|, a leading run of the graded layout, so all
+powers of degree k are two ``(#m, run)`` arrays, positions and values,
+indexed from those of degree k - 1.  Each value is the step weight
+``||z^(gamma + e_i)|| / ||z^gamma||`` times the value at prev, and each Gram
+entry is ``v conj(v)``: the same elementwise products, in the same order,
+as the dense matrix products, whose other terms are exact zeros.  So the
+diagonals, the residuals and the Chen partial sums are bit-identical to the
+dense products of the shift matrices.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -30,12 +42,18 @@ from .kernels import chen_coeffs
 from .operators import (
     SubspaceFrame,
     _prefix_steps,
-    _shift_map,
     opnorm,
     restricted_wandering,
     shift_tuple,
 )
-from .spaces import BallDomain, MultiIndex, TruncatedBasis, multi_factorial
+from .spaces import (
+    _BASIS_MEMO_SIZE,
+    BallDomain,
+    MultiIndex,
+    TruncatedBasis,
+    enumerate_indices,
+    multi_factorial,
+)
 
 __all__ = [
     "GammaTable",
@@ -57,22 +75,24 @@ class GammaTable:
 
     n: int
     m: int
-    values: Dict[MultiIndex, int]
+    values: Mapping[MultiIndex, int]
 
 
+@lru_cache(maxsize=_BASIS_MEMO_SIZE)
 def gamma_coeffs(n: int, m: int) -> GammaTable:
-    """All gamma_alpha = |alpha|!/alpha! with |alpha| <= m, exact integers."""
+    """All gamma_alpha = |alpha|!/alpha! with |alpha| <= m, exact integers.
+
+    Memoised by ``(n, m)``: the table is shared, so ``values`` is a
+    read-only mapping."""
     if m < 1:
         raise InvalidInputError("gamma table needs m >= 1")
     if m > GAMMA_CAP:
         raise InvalidInputError(f"gamma table order {m} beyond cap {GAMMA_CAP}")
-    from .spaces import enumerate_indices
-
     values = {
         alpha: math.factorial(sum(alpha)) // multi_factorial(alpha)
         for alpha in enumerate_indices(n, m)
     }
-    return GammaTable(n=n, m=m, values=values)
+    return GammaTable(n=n, m=m, values=MappingProxyType(values))
 
 
 @dataclass(frozen=True)
@@ -91,39 +111,60 @@ def _degree_zero_projection(basis: TruncatedBasis) -> np.ndarray:
     return p
 
 
+@lru_cache(maxsize=_BASIS_MEMO_SIZE)
+def _degree_steps(
+    n: int, budget: int
+) -> Tuple[Tuple[Tuple[MultiIndex, ...], np.ndarray, np.ndarray], ...]:
+    """:func:`~gradedshift.operators._prefix_steps` grouped by degree: for
+    k = 1..budget, the monomials m of degree k in graded-lex order, the row
+    of each prev among the monomials of degree k - 1, and the axis i of
+    m = prev + e_i (read-only arrays, memoised)."""
+    pos = {alpha: j for j, alpha in enumerate(enumerate_indices(n, budget))}
+    groups = [([], [], []) for _ in range(budget)]
+    for m, i, prev in _prefix_steps(n, budget):
+        k = sum(m)
+        monos, rows, axes = groups[k - 1]
+        monos.append(m)
+        # degree k - 1 starts at position C(k - 2 + n, n)
+        rows.append(pos[prev] - math.comb(k - 2 + n, n))
+        axes.append(i)
+    out = []
+    for monos, rows, axes in groups:
+        rows, axes = np.array(rows, dtype=np.int64), np.array(axes, dtype=np.int64)
+        rows.flags.writeable = axes.flags.writeable = False
+        out.append((tuple(monos), rows, axes))
+    return tuple(out)
+
+
 def _power_grams(basis: TruncatedBasis, budget: int) -> Dict[MultiIndex, np.ndarray]:
     """Diagonals of M^alpha M^{*alpha} for all |alpha| <= budget, exact on V_D.
 
     Each M^alpha is kept as index arrays ``(dst, value)``, one entry per
-    monomial e_beta that M^alpha keeps inside V_D: it sends ``e_beta (x) xi``
+    monomial e_beta with |beta| <= D - |alpha|: it sends ``e_beta (x) xi``
     to ``value e_(beta+alpha) (x) xi``, and ``dst`` is the position of
     beta + alpha.  The values follow the prefix recursion of
-    :func:`~gradedshift.operators._apply_powers`: M^m = M_i M^prev with i
-    the first nonzero coordinate of m, each step multiplying the axis-i
-    weight by the value at prev.  Every entry of a dense shift-matrix product
-    is that one product plus exact zeros, and every diagonal Gram entry is
-    ``v conj(v)`` plus exact zeros, so the diagonals returned here are
-    bit-identical to the dense ones (rows M^alpha does not reach are 0).
+    :func:`~gradedshift.operators._apply_powers`, one degree at a time on
+    the basis's successor table (see the module docstring).
     """
-    n, count = basis.n, len(basis.index_table)
-    # per axis: the position of alpha + e_i (-1 outside V_D) and the step weight
-    succ = np.full((n, count), -1)
-    step = np.zeros((n, count))
-    for i in range(n):
-        src, dst, w = _shift_map(basis, tuple(int(k == i) for k in range(n)))
-        succ[i, src] = dst
-        step[i, src] = w
-    powers = {(0,) * n: (np.arange(count), np.ones(count, dtype=complex))}
-    for m, i, prev in _prefix_steps(n, budget):
-        dst, value = powers[prev]
-        keep = succ[i, dst] >= 0
-        dst = dst[keep]
-        powers[m] = (succ[i, dst], step[i, dst] * value[keep])
+    c, count = basis.coeff_dim, len(basis.index_table)
+    succ, norms = basis.successors, basis.norm_array
+    steps = _degree_steps(basis.n, budget)
+    monos = ((0,) * basis.n,)
+    dst = np.arange(count)[None, :]
+    value = np.ones((1, count), dtype=complex)
     grams = {}
-    for m, (dst, value) in powers.items():
-        diag = np.zeros(count, dtype=complex)
-        diag[dst] = value * value.conj()
-        grams[m] = np.repeat(diag, basis.coeff_dim)
+    for k in range(budget + 1):
+        if k > 0:
+            monos, prev, axis = steps[k - 1]
+            kept = basis.dim_upto(basis.degree_cap - k) // c
+            at = dst[prev, :kept]
+            dst = succ[axis[:, None], at]
+            value = (norms[dst] / norms[at]) * value[prev, :kept]
+        rows, gram = np.arange(len(monos))[:, None], value * value.conj()
+        diags = np.zeros((len(monos), basis.dim), dtype=complex)
+        for j in range(c):
+            diags[rows, c * dst + j] = gram
+        grams.update(zip(monos, diags))
     return grams
 
 
@@ -143,13 +184,13 @@ def defect_identity_residual(basis: TruncatedBasis, tol: float = 1e-10) -> Ident
     gamma = gamma_coeffs(basis.n, budget) if budget >= 1 else None
     total = np.zeros(basis.dim, dtype=complex)
     term_count = 0
-    for j in range(min(m, budget)):
-        coeff = (-1) ** j * math.comb(m, j + 1)
-        for alpha, g in gamma.values.items():
-            if sum(alpha) != j + 1:
-                continue
-            total += coeff * g * grams[alpha]
-            term_count += 1
+    # grams runs in graded-lex order, so the terms add up degree by degree
+    for alpha, gram in grams.items():
+        j = sum(alpha)
+        if j == 0:
+            continue
+        total += (-1) ** (j - 1) * math.comb(m, j) * gamma.values[alpha] * gram
+        term_count += 1
     residual = float(np.max(np.abs(1.0 - total - _degree_zero_projection(basis))))
     report = IdentityResidual(
         residual_norm=residual, certified_block=basis.degree_cap, term_count=term_count

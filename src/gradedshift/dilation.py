@@ -309,8 +309,8 @@ def bcl_dilation_certify(
     rep_p = multiplier_purity_verdict(phi_p, domain, degree_cap, purity_tol)
     rep_q = multiplier_purity_verdict(phi_q, domain, degree_cap, purity_tol)
     cut = 1.0 - purity_tol
-    consistent_p = rep_p.verdict != "inconsistent" and (rep_p.verdict == "pure") == (rho_p < cut)
-    consistent_q = rep_q.verdict != "inconsistent" and (rep_q.verdict == "pure") == (rho_q < cut)
+    consistent_p = (rep_p.verdict == "pure") == (rho_p < cut)
+    consistent_q = (rep_q.verdict == "pure") == (rho_q < cut)
     return BCLCertificate(
         product_coeff_error=product_err,
         max_commutator=max_comm,
@@ -429,10 +429,6 @@ class JetPurityReport:
     report: PurityReport
     jet_degree: int
     rho_a: float
-
-    @property
-    def consistent(self) -> bool:
-        return self.report.verdict != "inconsistent"
 
 
 def schur_agler_purity(c: Colligation, degree_cap: int, tol: float = 1e-8) -> JetPurityReport:

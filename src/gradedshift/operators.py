@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.linalg
@@ -38,6 +39,8 @@ from .errors import (
     NotLeftInvertibleError,
 )
 from .spaces import (
+    _BASIS_MEMO_SIZE,
+    _SHIFT_MAP_MEMO_SIZE,
     MultiIndex,
     MultiplierSymbol,
     SpaceVector,
@@ -209,14 +212,31 @@ def _shift_map(
     inside the truncation, and the weights ``||z^alpha_dst|| / ||z^alpha_src||``.
 
     alpha + beta stays inside exactly for |alpha| <= D - |beta|, which in the
-    graded layout is a leading run of positions; dst is their closed-form rank.
+    graded layout is a leading run of positions; dst follows the basis's
+    successor table beta_i times along each axis i.  The read-only arrays are
+    kept on the basis (at most ``spaces._SHIFT_MAP_MEMO_SIZE`` maps), so
+    later calls with the same beta return them without arithmetic.
     """
-    beta = np.asarray(beta, dtype=np.int64)
-    kept = basis.dim_upto(basis.degree_cap - int(beta.sum())) // basis.coeff_dim
+    beta = tuple(beta)
+    memo = basis._shift_maps
+    if beta in memo:
+        return memo[beta]
+    if len(beta) != basis.n or min(beta) < 0:
+        raise InvalidInputError(f"bad multi-index {beta} for n={basis.n}")
+    kept = basis.dim_upto(basis.degree_cap - sum(beta)) // basis.coeff_dim
     src = np.arange(kept)
-    dst = basis.rank(basis.index_array[:kept] + beta)
+    dst = src
+    for i, b in enumerate(beta):
+        for _ in range(b):
+            dst = basis.successors[i, dst]
     norms = basis.norm_array
-    return src, dst, norms[dst] / norms[src]
+    maps = (src, dst, norms[dst] / norms[src])
+    for a in maps:
+        a.flags.writeable = False
+    if len(memo) >= _SHIFT_MAP_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[beta] = maps
+    return maps
 
 
 def _weighted_shift(basis: TruncatedBasis, terms: Dict[MultiIndex, np.ndarray]) -> np.ndarray:
@@ -444,15 +464,18 @@ def doubly_commuting_check(
     return DoublyCommutingReport(max_comm, max_cross, budget, tol)
 
 
-def _prefix_steps(n: int, budget: int) -> Iterator[Tuple[MultiIndex, int, MultiIndex]]:
+@lru_cache(maxsize=_BASIS_MEMO_SIZE)
+def _prefix_steps(n: int, budget: int) -> Tuple[Tuple[MultiIndex, int, MultiIndex], ...]:
     """``(m, i, prev)`` with m = prev + e_i for every 0 < |m| <= budget, in
     graded-lex order, i being the first nonzero coordinate of m; each prev
-    comes before its m."""
+    comes before its m.  Memoised: the tuple is shared."""
+    steps = []
     for m in enumerate_indices(n, budget):
         if sum(m) == 0:
             continue
         i = next(k for k, mk in enumerate(m) if mk > 0)
-        yield m, i, m[:i] + (m[i] - 1,) + m[i + 1 :]
+        steps.append((m, i, m[:i] + (m[i] - 1,) + m[i + 1 :]))
+    return tuple(steps)
 
 
 def _apply_powers(

@@ -26,6 +26,14 @@ the same (frozen, read-only) object for equal ``(kernel, degree_cap,
 coeff_dim)``, so callers share one basis and its cached arrays.  Both
 compute ``dim = c C(D + n, n)`` first and refuse anything above
 :data:`MAX_DIM` before enumerating a single index.
+
+A basis also carries the index structure every shift-built operator
+needs, built on first use and read-only: the per-axis successor table
+(:attr:`TruncatedBasis.successors`) and a memo of the weighted-shift maps
+of :func:`gradedshift.operators._shift_map`, at most
+:data:`_SHIFT_MAP_MEMO_SIZE` of them.  Neither depends on a symbol, so
+certificates on one basis share them; certificate outcomes are never
+cached.
 """
 
 from __future__ import annotations
@@ -73,6 +81,10 @@ MAX_DIM = 4096
 # Distinct bases kept by the memo of polydisc_basis / ball_basis.
 _BASIS_MEMO_SIZE = 32
 
+# Shift maps (src, dst, w) kept per basis, one per multi-index beta; the
+# oldest is dropped beyond this.  Each holds at most 24 bytes per monomial.
+_SHIFT_MAP_MEMO_SIZE = 64
+
 
 def degree(alpha: MultiIndex) -> int:
     """Total degree |alpha|."""
@@ -93,8 +105,10 @@ def _indices_of_degree(n: int, d: int) -> Iterator[MultiIndex]:
             yield (first,) + rest
 
 
+@lru_cache(maxsize=_BASIS_MEMO_SIZE)
 def enumerate_indices(n: int, D: int) -> Tuple[MultiIndex, ...]:
-    """All multi-indices with |alpha| <= D in graded lexicographic order."""
+    """All multi-indices with |alpha| <= D in graded lexicographic order
+    (memoised; the tuple is shared)."""
     if n < 1 or D < 0:
         raise InvalidInputError(f"need n >= 1 and D >= 0, got n={n}, D={D}")
     out = []
@@ -202,6 +216,22 @@ class TruncatedBasis:
             pos = pos + binom[rest, m] - binom[rest - alphas[:, i], m]
             rest = rest - alphas[:, i]
         return pos
+
+    @cached_property
+    def successors(self) -> np.ndarray:
+        """Read-only ``(n, count)`` int64 table: ``[i, k]`` is the position of
+        ``alpha_k + e_i``, or -1 where ``|alpha_k| = D`` (it leaves V_D)."""
+        kept = self.dim_upto(self.degree_cap - 1) // self.coeff_dim
+        out = np.full((self.n, len(self.index_table)), -1, dtype=np.int64)
+        for i, e_i in enumerate(np.eye(self.n, dtype=np.int64)):
+            out[i, :kept] = self.rank(self.index_array[:kept] + e_i)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def _shift_maps(self) -> Dict[MultiIndex, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Memo of :func:`gradedshift.operators._shift_map`, filled there."""
+        return {}
 
     def position(self, alpha: MultiIndex) -> int:
         try:

@@ -34,7 +34,7 @@ from gradedshift import (
     shift_tuple,
     hardy,
 )
-from gradedshift.ball_identities import _power_grams
+from gradedshift.ball_identities import _degree_steps, _power_grams
 
 from oracles import dense_power_grams
 
@@ -69,6 +69,21 @@ class TestGammaCoeffs:
     def test_overflow_guard(self):
         with pytest.raises(InvalidInputError):
             gamma_coeffs(2, 100)
+
+    def test_shared_table_is_immutable(self):
+        table = gamma_coeffs(3, 4)
+        assert gamma_coeffs(3, 4) is table
+        with pytest.raises(TypeError):
+            table.values[(1, 0, 0)] = 5
+        with pytest.raises(TypeError):
+            del table.values[(1, 0, 0)]
+        assert table.values[(1, 0, 0)] == 1
+
+    def test_degree_steps_are_read_only(self):
+        for monos, prev, axis in _degree_steps(3, 4):
+            for arr in (prev, axis):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
 
 
 class TestDefectIdentity:
@@ -179,28 +194,31 @@ class TestDiagonalPowerGrams:
     @pytest.mark.parametrize("coeff_dim", [1, 2])
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("family", ["h1", "h2", "h3", "da", "custom"])
-    def test_bit_identical_to_dense_oracle(self, family, n, coeff_dim):
+    def test_bit_identical_to_dense_oracle(self, family, n, coeff_dim, cold_memos):
         spec = _grid_spec(family, n)
         for d in range(7):
             basis = ball_basis(spec, d, coeff_dim)
+            assert "successors" not in vars(basis)
             dense = dense_power_grams(basis.index_table, basis.norms, coeff_dim, d)
-            grams = _power_grams(basis, d)
-            assert list(grams) == list(dense)
-            for alpha, gram in dense.items():
-                diag = np.diag(gram)
-                assert not np.any(gram - np.diag(diag))
-                assert np.array_equal(grams[alpha], diag)
             p0 = np.zeros((basis.dim, basis.dim), dtype=complex)
             p0[: coeff_dim, : coeff_dim] = np.eye(coeff_dim)
-            if family.startswith("h"):
-                m = spec.m
-                res = defect_identity_residual(basis)
-                assert res.residual_norm == _dense_defect(dense, m, min(m, d), p0)
-            if family in ("h1", "da", "custom"):
-                res = chen_identity_residual(basis)
-                residual, sums = _dense_chen(dense, chen_coeffs(spec, d).c.coeffs, d, p0)
-                assert res.residual_norm == residual
-                assert res.partial_sums == sums
+            for _call in ("cold", "warm"):
+                grams = _power_grams(basis, d)
+                assert list(grams) == list(dense)
+                for alpha, gram in dense.items():
+                    diag = np.diag(gram)
+                    assert not np.any(gram - np.diag(diag))
+                    assert np.array_equal(grams[alpha], diag)
+                if family.startswith("h"):
+                    m = spec.m
+                    res = defect_identity_residual(basis)
+                    assert res.residual_norm == _dense_defect(dense, m, min(m, d), p0)
+                if family in ("h1", "da", "custom"):
+                    res = chen_identity_residual(basis)
+                    residual, sums = _dense_chen(dense, chen_coeffs(spec, d).c.coeffs, d, p0)
+                    assert res.residual_norm == residual
+                    assert res.partial_sums == sums
+            assert "successors" in vars(basis)
 
     def test_large_dim_in_diagonal_memory(self):
         # n=3, D=16, coeff_dim=2: the dense Grams would need about 116 GB

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from gradedshift import cli, purity, spaces
+from gradedshift import cli, errors, purity, spaces
 
 ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 ACCEPTANCE_CONFIGS = sorted(ACCEPTANCE_DIR.glob("*.json"))
@@ -204,6 +204,36 @@ class TestExitCodes:
         assert rep["pass"] is False
         assert rep["error"]["type"] == "CertificationError"
         jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+
+    def test_broken_grading_on_a_warm_basis_is_one(self, tmp_path, monkeypatch):
+        config = str(ACCEPTANCE_DIR / "purity-hardy-monomial.json")
+        domain = cli.build_domain(json.loads(Path(config).read_text(encoding="utf-8"))["space"])
+        phi = spaces.scalar_symbol(2, {(1, 1): 0.9})
+        # build the padded basis's tables: Hardy bidisc at D = 6 + deg Phi
+        assert purity.multiplier_purity_verdict(phi, domain, 6).verdict == "pure"
+        padded = purity.basis_for(domain, 8, 1)
+        assert (1, 1) in padded._shift_maps and "successors" in vars(padded)
+        real = purity._shift_map
+
+        def keeps_degree(basis, beta):
+            src, dst, w = real(basis, beta)
+            return src, (src if sum(beta) else dst), w
+
+        monkeypatch.setattr(purity, "_shift_map", keeps_degree)
+        with pytest.raises(errors.CertificationError, match="degree grading"):
+            purity.multiplier_purity_verdict(phi, domain, 6)
+        out = tmp_path / "s.report.json"
+        assert cli.main(["purity", "--config", config, "--out", str(out)]) == 1
+        rep = read_report(out)
+        assert rep["pass"] is False
+        assert rep["error"]["type"] == "CertificationError"
+        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+        cached = [padded.index_array, padded.norm_array, padded.successors]
+        cached += [arr for maps in padded._shift_maps.values() for arr in maps]
+        for arr in cached:
+            with pytest.raises(ValueError):
+                arr[...] = 0
+        assert isinstance(padded.index_table, tuple) and isinstance(padded.norms, tuple)
 
     def test_bcl_triple_coeff_dim_mismatch_is_two(self, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):

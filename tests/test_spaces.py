@@ -37,7 +37,12 @@ from gradedshift import (
     weighted_bergman,
 )
 from gradedshift.operators import _shift_map
-from gradedshift.spaces import MAX_DIM, MultiplierSymbol, graded_lex_key
+from gradedshift.spaces import (
+    _SHIFT_MAP_MEMO_SIZE,
+    MAX_DIM,
+    MultiplierSymbol,
+    graded_lex_key,
+)
 
 from oracles import all_indices, polynomial_value, position_oracle, shift_map_oracle
 
@@ -150,7 +155,7 @@ class TestClosedFormPositions:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["polydisc", "ball"])
-    def test_shift_maps_match_oracle(self, n, kind):
+    def test_shift_maps_match_oracle(self, n, kind, cold_memos):
         menu = [bergman(), dirichlet(), hardy(), weighted_bergman(-0.5), bergman()]
         for cap in range(9):
             if kind == "polydisc":
@@ -164,15 +169,23 @@ class TestClosedFormPositions:
             for d in range(-1, cap + 2):
                 count = sum(1 for alpha in positions if sum(alpha) <= d)
                 assert basis.dim_upto(d) == 2 * count
-            for beta in all_indices(n, 3):
-                src, dst, w = _shift_map(basis, beta)
-                want_src, want_dst, want_w = shift_map_oracle(positions, basis.norms, beta)
-                assert np.array_equal(src, want_src)
-                assert np.array_equal(dst, want_dst)
-                assert np.array_equal(w, want_w)
-                assert src.dtype == dst.dtype == np.int64
-                if sum(beta) > cap:
-                    assert src.size == 0
+            assert not basis._shift_maps
+            cold = {}
+            for call in ("cold", "warm"):
+                for beta in all_indices(n, 3):
+                    maps = _shift_map(basis, beta)
+                    if call == "cold":
+                        cold[beta] = maps
+                    else:
+                        assert maps is cold[beta]
+                    src, dst, w = maps
+                    want_src, want_dst, want_w = shift_map_oracle(positions, basis.norms, beta)
+                    assert np.array_equal(src, want_src)
+                    assert np.array_equal(dst, want_dst)
+                    assert np.array_equal(w, want_w)
+                    assert src.dtype == dst.dtype == np.int64
+                    if sum(beta) > cap:
+                        assert src.size == 0
 
     def test_rank_of_the_whole_table(self):
         basis = ball_basis(hm_ball(4, 2), 7)
@@ -200,6 +213,47 @@ class TestBasisMemo:
             basis.index_array[0, 0] = 1
         with pytest.raises(ValueError):
             basis.norm_array[0] = 2.0
+        with pytest.raises(ValueError):
+            basis.successors[0, 0] = 0
+        for arr in _shift_map(basis, (1,)):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_successor_table(self):
+        basis = ball_basis(hm_ball(3, 2), 5)
+        for i in range(3):
+            for k, alpha in enumerate(basis.index_table):
+                up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+                want = basis.position(up) if sum(up) <= 5 else -1
+                assert basis.successors[i, k] == want
+
+    def test_shift_map_memo_is_bounded(self, cold_memos):
+        # 91 multi-indices |beta| <= 12 on two variables, more than the bound
+        basis = polydisc_basis((hardy(), bergman()), 12)
+        positions = position_oracle(2, 12)
+        betas = all_indices(2, 12)
+        assert len(betas) > _SHIFT_MAP_MEMO_SIZE
+        for beta in betas + betas[:5]:
+            src, dst, w = _shift_map(basis, beta)
+            want_src, want_dst, want_w = shift_map_oracle(positions, basis.norms, beta)
+            assert np.array_equal(src, want_src)
+            assert np.array_equal(dst, want_dst)
+            assert np.array_equal(w, want_w)
+            assert len(basis._shift_maps) <= _SHIFT_MAP_MEMO_SIZE
+        # the oldest maps went first; the last one asked for is kept
+        assert betas[-1] in basis._shift_maps
+        assert betas[5] not in basis._shift_maps
+
+    def test_shift_map_refuses_bad_multi_indices(self, cold_memos):
+        basis = polydisc_basis((hardy(), hardy()), 3)
+        for beta in ((1,), (1, 0, 0), (-1, 1)):
+            with pytest.raises(InvalidInputError):
+                _shift_map(basis, beta)
+        assert not basis._shift_maps
+
+    def test_index_tables_are_shared_tuples(self):
+        assert enumerate_indices(3, 4) is enumerate_indices(3, 4)
+        assert isinstance(enumerate_indices(3, 4), tuple)
 
     def test_refusals_repeat(self):
         short = BallKernelSpec(n=2, family="unitarily_invariant_custom", a_coeffs=(1.0, 0.5))
