@@ -98,4 +98,5 @@ from .dilation import (
     schur_agler_purity,
     transfer_eval,
     transfer_jet,
+    transfer_values,
 )

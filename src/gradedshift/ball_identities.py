@@ -136,8 +136,10 @@ def _degree_steps(
     return tuple(out)
 
 
-def _power_grams(basis: TruncatedBasis, budget: int) -> Dict[MultiIndex, np.ndarray]:
-    """Diagonals of M^alpha M^{*alpha} for all |alpha| <= budget, exact on V_D.
+def _power_gram_stack(basis: TruncatedBasis, budget: int) -> Tuple[Tuple[MultiIndex, ...], np.ndarray]:
+    """Diagonals of M^alpha M^{*alpha} for all |alpha| <= budget, exact on V_D:
+    the multi-indices in graded-lex order and the ``(#alpha, dim)`` array of
+    their diagonals, degree k in rows ``C(k - 1 + n, n) : C(k + n, n)``.
 
     Each M^alpha is kept as index arrays ``(dst, value)``, one entry per
     monomial e_beta with |beta| <= D - |alpha|: it sends ``e_beta (x) xi``
@@ -149,23 +151,37 @@ def _power_grams(basis: TruncatedBasis, budget: int) -> Dict[MultiIndex, np.ndar
     c, count = basis.coeff_dim, len(basis.index_table)
     succ, norms = basis.successors, basis.norm_array
     steps = _degree_steps(basis.n, budget)
-    monos = ((0,) * basis.n,)
+    monos = [(0,) * basis.n]
     dst = np.arange(count)[None, :]
     value = np.ones((1, count), dtype=complex)
-    grams = {}
+    diags = np.zeros((math.comb(budget + basis.n, basis.n), basis.dim), dtype=complex)
+    lo = 0
     for k in range(budget + 1):
         if k > 0:
-            monos, prev, axis = steps[k - 1]
+            monos_k, prev, axis = steps[k - 1]
+            monos.extend(monos_k)
             kept = basis.dim_upto(basis.degree_cap - k) // c
             at = dst[prev, :kept]
             dst = succ[axis[:, None], at]
             value = (norms[dst] / norms[at]) * value[prev, :kept]
-        rows, gram = np.arange(len(monos))[:, None], value * value.conj()
-        diags = np.zeros((len(monos), basis.dim), dtype=complex)
+        rows, gram = np.arange(lo, lo + len(value))[:, None], value * value.conj()
         for j in range(c):
             diags[rows, c * dst + j] = gram
-        grams.update(zip(monos, diags))
-    return grams
+        lo += len(value)
+    return tuple(monos), diags
+
+
+def _power_grams(basis: TruncatedBasis, budget: int) -> Dict[MultiIndex, np.ndarray]:
+    """:func:`_power_gram_stack` keyed by multi-index, in graded-lex order."""
+    return dict(zip(*_power_gram_stack(basis, budget)))
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """``0 + terms[0] + terms[1] + ...``, added left to right like a loop of
+    ``+=``.  numpy sums the rows of a stack one after another when they are
+    longer than 1 (rows of length 1 it sums pairwise); the rows here are
+    diagonals on V_D, of length 1 only on V_0 with coeff_dim 1: one term."""
+    return terms.sum(axis=0) + 0.0  # as from a zero start, so -0 becomes +0
 
 
 def defect_identity_residual(basis: TruncatedBasis, tol: float = 1e-10) -> IdentityResidual:
@@ -180,20 +196,14 @@ def defect_identity_residual(basis: TruncatedBasis, tol: float = 1e-10) -> Ident
     # terms with |alpha| > D vanish identically on V_D (the adjoint power
     # annihilates everything), so the assembled sum stops at the budget
     budget = min(m, basis.degree_cap)
-    grams = _power_grams(basis, budget)
-    gamma = gamma_coeffs(basis.n, budget) if budget >= 1 else None
-    total = np.zeros(basis.dim, dtype=complex)
-    term_count = 0
-    # grams runs in graded-lex order, so the terms add up degree by degree
-    for alpha, gram in grams.items():
-        j = sum(alpha)
-        if j == 0:
-            continue
-        total += (-1) ** (j - 1) * math.comb(m, j) * gamma.values[alpha] * gram
-        term_count += 1
+    monos, diags = _power_gram_stack(basis, budget)
+    gamma = gamma_coeffs(basis.n, max(budget, 1)).values
+    # exact integer weights; the terms add up in graded-lex order
+    weights = [(-1) ** (sum(a) - 1) * math.comb(m, sum(a)) * gamma[a] for a in monos[1:]]
+    total = _ordered_sum(np.array(weights, dtype=complex)[:, None] * diags[1:])
     residual = float(np.max(np.abs(1.0 - total - _degree_zero_projection(basis))))
     report = IdentityResidual(
-        residual_norm=residual, certified_block=basis.degree_cap, term_count=term_count
+        residual_norm=residual, certified_block=basis.degree_cap, term_count=len(monos) - 1
     )
     if residual > tol:
         raise CertificationError(
@@ -237,16 +247,15 @@ def chen_identity_residual(basis: TruncatedBasis, tol: float = 1e-10) -> ChenIde
             f"kernel is not cnp-certified to order {d}"
             + (f" (c_{bad} = {cc.c.coeffs[bad]:+.6g} > 0)" if bad is not None else "")
         )
-    gamma = gamma_coeffs(basis.n, max(d, 1))
-    grams = _power_grams(basis, d)
-    dim = basis.dim
-    per_degree = [np.zeros(dim, dtype=complex) for _ in range(d + 1)]
-    term_count = 0
-    for alpha, gram in grams.items():
-        j = sum(alpha)
-        g = gamma.values[alpha] if j > 0 else 1
-        per_degree[j] += cc.c.coeffs[j] * g * gram
-        term_count += 1
+    monos, diags = _power_gram_stack(basis, d)
+    dim, n = basis.dim, basis.n
+    # gamma in graded-lex order, gamma_0 = 1
+    gamma = np.fromiter(gamma_coeffs(n, max(d, 1)).values.values(), float, len(monos))
+    per_degree = np.empty((d + 1, dim), dtype=complex)
+    for j in range(d + 1):
+        lo, hi = math.comb(j - 1 + n, n), math.comb(j + n, n)
+        weights = cc.c.coeffs[j] * gamma[lo:hi]
+        per_degree[j] = _ordered_sum(weights[:, None] * diags[lo:hi])
     total = sum(per_degree)
     residual = float(np.max(np.abs(total - _degree_zero_projection(basis))))
     h = np.ones(dim, dtype=complex) / math.sqrt(dim)
@@ -259,7 +268,7 @@ def chen_identity_residual(basis: TruncatedBasis, tol: float = 1e-10) -> ChenIde
     report = ChenIdentityResidual(
         residual_norm=residual,
         certified_block=d,
-        term_count=term_count,
+        term_count=len(monos),
         partial_sums=tuple(sums),
         monotone=monotone,
     )

@@ -40,7 +40,7 @@ from .dilation import (
     bcl_dilation_certify,
     random_bcl_triple,
     schur_agler_purity,
-    transfer_eval,
+    transfer_values,
 )
 from .errors import CertificationError, GradedShiftError, InvalidInputError
 from .kernels import (
@@ -452,14 +452,15 @@ def _run_colligation(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     transfer_tol = config.tol("transfer_tol")
     purity_tol = config.tol("purity_tol")
     rng = np.random.default_rng(config.seed)
-    max_norm = 0.0
+    points = []
     for _ in range(200):
         z = []
         for _ in range(coll.n_vars):
             r = math.sqrt(rng.uniform()) * 0.999
             theta = rng.uniform(0.0, 2.0 * math.pi)
             z.append(r * complex(math.cos(theta), math.sin(theta)))
-        max_norm = max(max_norm, opnorm(transfer_eval(coll, z)))
+        points.append(z)
+    max_norm = opnorm(transfer_values(coll, points))
     jet = schur_agler_purity(coll, d_max, purity_tol)
     payload = {
         "transfer_max_norm": max_norm,

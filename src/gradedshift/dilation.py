@@ -39,6 +39,7 @@ from .spaces import (
 __all__ = [
     "Colligation",
     "transfer_eval",
+    "transfer_values",
     "transfer_jet",
     "BCLTriple",
     "bcl_pair",
@@ -109,28 +110,25 @@ class Colligation:
         return j
 
 
-def _diag_e(c: Colligation, z: Sequence[complex]) -> np.ndarray:
+def transfer_values(c: Colligation, points: Sequence[Sequence[complex]]) -> np.ndarray:
+    """Phi(z) = a + b E(z) (I - d E(z))^{-1} c at interior points of D^k,
+    as a ``(len(points), e, e)`` stack: one batched solve for all points."""
+    z = np.array(points, dtype=complex)
+    if z.ndim != 2 or z.shape[1] != c.n_vars:
+        raise InvalidInputError(f"points of shape {z.shape}, colligation has {c.n_vars} variables")
+    if not np.all(np.abs(z) < 1.0):
+        raise InvalidInputError("transfer function is evaluated strictly inside the polydisc")
+    # E(z): z_i on the diagonal of each H_i block
     h = sum(c.h_dims)
-    e = np.zeros((h, h), dtype=complex)
-    pos = 0
-    for zi, hi in zip(z, c.h_dims):
-        for k in range(pos, pos + hi):
-            e[k, k] = zi
-        pos += hi
-    return e
+    ez = np.zeros((len(z), h, h), dtype=complex)
+    ez[:, np.arange(h), np.arange(h)] = np.repeat(z, c.h_dims, axis=1)
+    resolvent = np.linalg.solve(np.eye(h) - c.d @ ez, c.c)
+    return c.a + c.b @ ez @ resolvent
 
 
 def transfer_eval(c: Colligation, z: Sequence[complex]) -> np.ndarray:
-    """Phi(z) = a + b E(z) (I - d E(z))^{-1} c at an interior point of D^k."""
-    z = tuple(complex(x) for x in z)
-    if len(z) != c.n_vars:
-        raise InvalidInputError(f"point has {len(z)} coordinates, colligation has {c.n_vars}")
-    if max(abs(x) for x in z) >= 1.0:
-        raise InvalidInputError("transfer function is evaluated strictly inside the polydisc")
-    ez = _diag_e(c, z)
-    h = sum(c.h_dims)
-    resolvent = np.linalg.solve(np.eye(h) - c.d @ ez, c.c)
-    return c.a + c.b @ ez @ resolvent
+    """Phi(z) at one interior point of D^k (see :func:`transfer_values`)."""
+    return transfer_values(c, [z])[0]
 
 
 def transfer_jet(c: Colligation, degree: int) -> MultiplierSymbol:

@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CertificationError,
@@ -133,7 +132,8 @@ def _as_array(op: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
 
 
 def opnorm(op: Union[OperatorMatrix, np.ndarray]) -> float:
-    """Spectral norm.
+    """Spectral norm; of a stack of matrices, the largest of their norms
+    (the norm of their direct sum), from one batched SVD.
 
     A matrix with an ``inf`` or ``nan`` entry raises ``FloatingPointError``:
     LAPACK would return ``nan`` for it, and ``nan`` passes every
@@ -144,7 +144,8 @@ def opnorm(op: Union[OperatorMatrix, np.ndarray]) -> float:
         return 0.0
     if not np.isfinite(a).all():
         raise FloatingPointError("spectral norm of a matrix with non-finite entries")
-    return float(np.linalg.norm(a, 2))
+    s = np.linalg.svd(a, compute_uv=False)
+    return float(s[0] if s.ndim == 1 else s[:, 0].max())
 
 
 def spectral_radius(op: Union[OperatorMatrix, np.ndarray]) -> float:
@@ -302,6 +303,7 @@ def cauchy_dual(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
     Raises :class:`NotLeftInvertibleError` if the restriction is not bounded
     below by ``tol``.  Involution: the dual of the dual reproduces T.
     """
+    import scipy.linalg  # loaded on first use: it doubles the package's import time
     tr, ncols = _restricted_columns(t)
     if ncols == 0:
         raise NotLeftInvertibleError("no exact columns to invert on", 0.0)
@@ -321,6 +323,7 @@ def cauchy_dual(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
 def range_projection(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
     """Orthogonal projection onto the column span of the exact columns,
     P = T (T*T)^(-1) T*."""
+    import scipy.linalg
     tr, ncols = _restricted_columns(t)
     if ncols == 0:
         raise NotLeftInvertibleError("no exact columns to project onto", 0.0)
@@ -370,6 +373,7 @@ def restricted_wandering(
 
 def principal_angles(f1: SubspaceFrame, f2: SubspaceFrame) -> np.ndarray:
     """Principal angles between two frames (radians, descending)."""
+    import scipy.linalg
     if f1.dim == 0 or f2.dim == 0:
         return np.zeros(0)
     return scipy.linalg.subspace_angles(f1.columns, f2.columns)

@@ -34,7 +34,7 @@ from gradedshift import (
     shift_tuple,
     hardy,
 )
-from gradedshift.ball_identities import _degree_steps, _power_grams
+from gradedshift.ball_identities import _degree_steps, _ordered_sum, _power_grams
 
 from oracles import dense_power_grams
 
@@ -219,6 +219,19 @@ class TestDiagonalPowerGrams:
                     assert res.residual_norm == residual
                     assert res.partial_sums == sums
             assert "successors" in vars(basis)
+
+    @pytest.mark.parametrize("rows,width", [(0, 3), (1, 1), (20, 2), (84, 3), (200, 168)])
+    def test_ordered_sum_adds_left_to_right(self, rows, width):
+        rng = np.random.default_rng(rows + width)
+        scale = 10.0 ** rng.integers(-12, 12, size=(rows, 1))
+        terms = rng.standard_normal((rows, width)) * scale + 1j * rng.standard_normal((rows, width))
+        terms[:1, :1] = -0.0
+        want = np.zeros(width, dtype=complex)
+        for row in terms:
+            want += row
+        got = _ordered_sum(terms)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
 
     def test_large_dim_in_diagonal_memory(self):
         # n=3, D=16, coeff_dim=2: the dense Grams would need about 116 GB

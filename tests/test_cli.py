@@ -892,3 +892,44 @@ def test_python_dash_m_runs_a_scenario(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert read_report(out)["payload"]["is_cnp_to_L"] is False
+
+
+IMPORT_FOOTPRINT = """
+import json, sys
+import gradedshift, gradedshift.cli
+
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py"))
+
+def run(name):
+    cfg = configs / (name + ".json")
+    task = json.loads(cfg.read_text(encoding="utf-8"))["task"]
+    return gradedshift.cli.main([task, "--config", str(cfg), "--out", str(out / (name + ".json"))])
+
+from pathlib import Path
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+steps = {"import": heavy()}
+steps["exits"] = [run("purity-hardy-monomial"), run("identity-defect-h2b2")]
+steps["certificates"] = heavy()
+steps["witness_exit"] = run("witness-axis-orbit")
+steps["witness"] = heavy()
+print(json.dumps(steps))
+"""
+
+
+def test_scipy_loads_only_for_the_cauchy_dual(tmp_path):
+    # no timing threshold: which modules a fresh interpreter holds is exact
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_FOOTPRINT, str(ACCEPTANCE_DIR), str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert steps["import"] == []
+    assert steps["exits"] == [0, 0]
+    assert steps["certificates"] == []
+    assert steps["witness_exit"] == 0
+    assert "scipy.linalg" in steps["witness"]

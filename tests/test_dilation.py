@@ -23,8 +23,10 @@ from gradedshift import (
     symbol_product,
     transfer_eval,
     transfer_jet,
+    transfer_values,
 )
 from gradedshift.dilation import haar_unitary, random_bcl_triple
+from gradedshift.operators import opnorm
 
 
 def random_colligation(seed: int, e_dim: int, h_dims) -> Colligation:
@@ -94,6 +96,33 @@ class TestTransferEval:
             z = 0.95 * (rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2)) / np.sqrt(2)
             val = transfer_eval(c, z)
             assert np.linalg.norm(val, 2) <= 1.0 + 1e-10
+
+
+class TestTransferValues:
+    @pytest.mark.parametrize("seed,e_dim,h_dims", [(13, 2, (2, 3)), (4, 1, (1, 1, 1)), (8, 3, (4,))])
+    def test_batch_equals_pointwise_algebra_bit_for_bit(self, seed, e_dim, h_dims):
+        c = random_colligation(seed, e_dim, h_dims)
+        rng = np.random.default_rng(seed)
+        k, h = len(h_dims), sum(h_dims)
+        points = 0.99 * np.sqrt(rng.uniform(size=(40, k))) * np.exp(2j * np.pi * rng.uniform(size=(40, k)))
+        stack = transfer_values(c, points)
+        assert stack.shape == (40, e_dim, e_dim)
+        for z, val in zip(points, stack):
+            ez = np.diag(np.repeat(z, h_dims))
+            direct = c.a + c.b @ ez @ np.linalg.solve(np.eye(h) - c.d @ ez, c.c)
+            assert np.array_equal(val, direct)
+            assert np.array_equal(transfer_eval(c, z), direct)
+        assert opnorm(stack) == max(opnorm(v) for v in stack)
+
+    def test_one_bad_point_refuses_the_batch(self):
+        c = random_colligation(5, 1, (2,))
+        for bad in (1.0, 0.6 + 0.8j, np.nan, complex(0.0, np.inf)):
+            with pytest.raises(InvalidInputError):
+                transfer_values(c, [(0.1,), (bad,), (0.2j,)])
+        with pytest.raises(InvalidInputError):
+            transfer_values(c, [])
+        with pytest.raises(InvalidInputError):
+            transfer_values(c, [(0.1, 0.2)])
 
 
 class TestTransferJet:

@@ -68,6 +68,24 @@ class TestOpnorm:
         assert opnorm(np.diag([0.5, -2.0])) == pytest.approx(2.0, abs=1e-15)
         assert opnorm(np.zeros((0, 0))) == 0.0
 
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (8, 8), (40, 40), (3, 7), (9, 2)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_equals_numpy_two_norm_exactly(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        a = rng.standard_normal(shape)
+        if dtype is complex:
+            a = a + 1j * rng.standard_normal(shape)
+        # opnorm reads every input as complex, real ones included
+        assert opnorm(a) == float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
+
+    def test_stack_is_largest_member_norm(self):
+        rng = np.random.default_rng(3)
+        stack = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        assert opnorm(stack) == max(opnorm(m) for m in stack)
+        stack[2, 0, 1] = np.nan
+        with pytest.raises(FloatingPointError):
+            opnorm(stack)
+
 
 class TestShiftMatrix:
     def test_hardy_truncated_unilateral(self):
