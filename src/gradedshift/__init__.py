@@ -98,5 +98,4 @@ from .dilation import (
     schur_agler_purity,
     transfer_eval,
     transfer_jet,
-    transfer_values,
 )

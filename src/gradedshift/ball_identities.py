@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
@@ -136,7 +136,7 @@ def _degree_steps(
     return tuple(out)
 
 
-def _power_gram_stack(basis: TruncatedBasis, budget: int) -> Tuple[Tuple[MultiIndex, ...], np.ndarray]:
+def _power_grams(basis: TruncatedBasis, budget: int) -> Tuple[Tuple[MultiIndex, ...], np.ndarray]:
     """Diagonals of M^alpha M^{*alpha} for all |alpha| <= budget, exact on V_D:
     the multi-indices in graded-lex order and the ``(#alpha, dim)`` array of
     their diagonals, degree k in rows ``C(k - 1 + n, n) : C(k + n, n)``.
@@ -171,11 +171,6 @@ def _power_gram_stack(basis: TruncatedBasis, budget: int) -> Tuple[Tuple[MultiIn
     return tuple(monos), diags
 
 
-def _power_grams(basis: TruncatedBasis, budget: int) -> Dict[MultiIndex, np.ndarray]:
-    """:func:`_power_gram_stack` keyed by multi-index, in graded-lex order."""
-    return dict(zip(*_power_gram_stack(basis, budget)))
-
-
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     """``0 + terms[0] + terms[1] + ...``, added left to right like a loop of
     ``+=``.  numpy sums the rows of a stack one after another when they are
@@ -196,7 +191,7 @@ def defect_identity_residual(basis: TruncatedBasis, tol: float = 1e-10) -> Ident
     # terms with |alpha| > D vanish identically on V_D (the adjoint power
     # annihilates everything), so the assembled sum stops at the budget
     budget = min(m, basis.degree_cap)
-    monos, diags = _power_gram_stack(basis, budget)
+    monos, diags = _power_grams(basis, budget)
     gamma = gamma_coeffs(basis.n, max(budget, 1)).values
     # exact integer weights; the terms add up in graded-lex order
     weights = [(-1) ** (sum(a) - 1) * math.comb(m, sum(a)) * gamma[a] for a in monos[1:]]
@@ -247,7 +242,7 @@ def chen_identity_residual(basis: TruncatedBasis, tol: float = 1e-10) -> ChenIde
             f"kernel is not cnp-certified to order {d}"
             + (f" (c_{bad} = {cc.c.coeffs[bad]:+.6g} > 0)" if bad is not None else "")
         )
-    monos, diags = _power_gram_stack(basis, d)
+    monos, diags = _power_grams(basis, d)
     dim, n = basis.dim, basis.n
     # gamma in graded-lex order, gamma_0 = 1
     gamma = np.fromiter(gamma_coeffs(n, max(d, 1)).values.values(), float, len(monos))

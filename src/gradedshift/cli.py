@@ -37,10 +37,10 @@ from .ball_identities import chen_identity_residual, defect_identity_residual
 from .dilation import (
     BCLTriple,
     Colligation,
+    _transfer_values,
     bcl_dilation_certify,
     random_bcl_triple,
     schur_agler_purity,
-    transfer_values,
 )
 from .errors import CertificationError, GradedShiftError, InvalidInputError
 from .kernels import (
@@ -460,7 +460,7 @@ def _run_colligation(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
             theta = rng.uniform(0.0, 2.0 * math.pi)
             z.append(r * complex(math.cos(theta), math.sin(theta)))
         points.append(z)
-    max_norm = opnorm(transfer_values(coll, points))
+    max_norm = opnorm(_transfer_values(coll, points))
     jet = schur_agler_purity(coll, d_max, purity_tol)
     payload = {
         "transfer_max_norm": max_norm,

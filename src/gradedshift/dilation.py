@@ -39,7 +39,6 @@ from .spaces import (
 __all__ = [
     "Colligation",
     "transfer_eval",
-    "transfer_values",
     "transfer_jet",
     "BCLTriple",
     "bcl_pair",
@@ -110,7 +109,7 @@ class Colligation:
         return j
 
 
-def transfer_values(c: Colligation, points: Sequence[Sequence[complex]]) -> np.ndarray:
+def _transfer_values(c: Colligation, points: Sequence[Sequence[complex]]) -> np.ndarray:
     """Phi(z) = a + b E(z) (I - d E(z))^{-1} c at interior points of D^k,
     as a ``(len(points), e, e)`` stack: one batched solve for all points."""
     z = np.array(points, dtype=complex)
@@ -122,13 +121,15 @@ def transfer_values(c: Colligation, points: Sequence[Sequence[complex]]) -> np.n
     h = sum(c.h_dims)
     ez = np.zeros((len(z), h, h), dtype=complex)
     ez[:, np.arange(h), np.arange(h)] = np.repeat(z, c.h_dims, axis=1)
-    resolvent = np.linalg.solve(np.eye(h) - c.d @ ez, c.c)
+    # c as a (1, h, e) stack: numpy 1.x reads a 2-D right-hand side against
+    # a 3-D stack as a stack of vectors
+    resolvent = np.linalg.solve(np.eye(h) - c.d @ ez, c.c[None])
     return c.a + c.b @ ez @ resolvent
 
 
 def transfer_eval(c: Colligation, z: Sequence[complex]) -> np.ndarray:
-    """Phi(z) at one interior point of D^k (see :func:`transfer_values`)."""
-    return transfer_values(c, [z])[0]
+    """Phi(z) at one interior point of D^k (see :func:`_transfer_values`)."""
+    return _transfer_values(c, [z])[0]
 
 
 def transfer_jet(c: Colligation, degree: int) -> MultiplierSymbol:
