@@ -43,14 +43,10 @@ from .spaces import (
     BallDomain,
     MultiplierSymbol,
     PolydiscDomain,
-    SpaceVector,
     TruncatedBasis,
     ball_basis,
-    constant_symbol,
     enumerate_indices,
-    kernel_vector,
     lift_scalar_symbol,
-    monomial_norm,
     polydisc_basis,
     scalar_symbol,
     slice_symbol,
@@ -60,11 +56,9 @@ from .operators import (
     OperatorMatrix,
     SubspaceFrame,
     cauchy_dual,
-    doubly_commuting_check,
     multiplier_matrix,
     orbit_frame,
     range_projection,
-    restricted_wandering,
     shift_matrix,
     shift_tuple,
     union_projection,
@@ -78,7 +72,6 @@ from .purity import (
     decay_curve,
     invariant_restriction_test,
     multiplier_purity_verdict,
-    nagy_foias_split,
     random_contractive_symbol,
     slice_purity_consistency,
 )
@@ -86,15 +79,12 @@ from .ball_identities import (
     chen_identity_residual,
     defect_identity_residual,
     gamma_coeffs,
-    regular_wandering_check,
 )
 from .dilation import (
     BCLTriple,
     Colligation,
     bcl_dilation_certify,
     bcl_pair,
-    colligation_from_defects,
-    dilation_embedding,
     schur_agler_purity,
     transfer_eval,
     transfer_jet,

@@ -39,13 +39,7 @@ import numpy as np
 
 from .errors import CertificationError, InvalidInputError, NotCnpError
 from .kernels import chen_coeffs
-from .operators import (
-    SubspaceFrame,
-    _prefix_steps,
-    opnorm,
-    restricted_wandering,
-    shift_tuple,
-)
+from .operators import _prefix_steps
 from .spaces import (
     _BASIS_MEMO_SIZE,
     BallDomain,
@@ -62,8 +56,6 @@ __all__ = [
     "defect_identity_residual",
     "ChenIdentityResidual",
     "chen_identity_residual",
-    "RegularWanderingReport",
-    "regular_wandering_check",
 ]
 
 GAMMA_CAP = 64
@@ -272,40 +264,3 @@ def chen_identity_residual(basis: TruncatedBasis, tol: float = 1e-10) -> ChenIde
             f"reconstruction identity residual {residual:.3e} exceeds {tol}"
         )
     return report
-
-
-@dataclass(frozen=True)
-class RegularWanderingReport:
-    """Finite form of "M != 0 iff its restricted wandering subspace is != 0"."""
-
-    m_dim: int
-    wandering_dim: int
-    equivalence_ok: bool
-
-
-def regular_wandering_check(
-    basis: TruncatedBasis, m_frame: SubspaceFrame, tol: float = 1e-10
-) -> RegularWanderingReport:
-    """Certify that a shift-invariant M is nonzero iff W(M_z|_M) is nonzero.
-
-    The forward implication is structural at finite dimension: the shifts
-    raise degree, so an invariant M with M = sum_i X_i M would be zero.
-    """
-    x = shift_tuple(basis)
-    q = m_frame.columns
-    if m_frame.dim:
-        for i, t in enumerate(x):
-            leak = opnorm(t.data @ q - q @ (q.conj().T @ t.data @ q))
-            if leak > tol:
-                raise InvalidInputError(
-                    f"subspace not invariant under shift {i} (residual {leak:.3e})"
-                )
-    w = restricted_wandering(x, m_frame, tol)
-    ok = (m_frame.dim > 0) == (w.dim > 0)
-    if not ok:
-        raise CertificationError(
-            f"wandering equivalence failed: dim M = {m_frame.dim}, dim W = {w.dim}"
-        )
-    return RegularWanderingReport(
-        m_dim=m_frame.dim, wandering_dim=w.dim, equivalence_ok=ok
-    )

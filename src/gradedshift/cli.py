@@ -8,8 +8,9 @@ aggregate JSON and a CSV summary.
 Exit codes: 0 all properties pass, 1 a certified property was violated,
 2 invalid input (including typed refusals).  Reports are deterministic for a
 fixed config, seed, and version; the top-level ``timing`` key is the only
-field excluded from golden comparisons.  Complex numbers serialize as
-``[re, im]`` pairs, matrices as row-major nested arrays.
+field excluded from golden comparisons.  Configs give complex numbers as
+``[re, im]`` pairs and matrices as row-major nested arrays of such pairs;
+no report serialises a matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .dilation import (
     random_bcl_triple,
     schur_agler_purity,
 )
-from .errors import CertificationError, GradedShiftError, InvalidInputError
+from .errors import CertificationError, InvalidInputError
 from .kernels import (
     BallKernelSpec,
     KernelSpec1D,
@@ -117,15 +118,6 @@ def _load_json(path: str) -> Any:
     """json.load that refuses NaN, Infinity and overflowing literals like 1e999."""
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
-
-
-def encode_complex(x: complex) -> List[float]:
-    return [float(np.real(x)), float(np.imag(x))]
-
-
-def encode_matrix(a: np.ndarray) -> List[List[List[float]]]:
-    a = np.asarray(a, dtype=complex)
-    return [[encode_complex(x) for x in row] for row in a]
 
 
 def decode_complex(pair: Sequence[float]) -> complex:

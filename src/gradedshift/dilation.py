@@ -10,17 +10,15 @@ dimensional) existence arguments.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CertificationError, InvalidInputError
+from .errors import InvalidInputError
 from .kernels import hardy
 from .operators import (
     OperatorMatrix,
-    _prefix_steps,
     multiplier_matrix,
     opnorm,
     shift_matrix,
@@ -31,7 +29,6 @@ from .spaces import (
     MultiIndex,
     MultiplierSymbol,
     PolydiscDomain,
-    TruncatedBasis,
     enumerate_indices,
     symbol_product,
 )
@@ -44,10 +41,8 @@ __all__ = [
     "bcl_pair",
     "BCLCertificate",
     "bcl_dilation_certify",
-    "colligation_from_defects",
     "JetPurityReport",
     "schur_agler_purity",
-    "dilation_embedding",
     "haar_unitary",
     "random_bcl_triple",
 ]
@@ -325,96 +320,6 @@ def bcl_dilation_certify(
     )
 
 
-def _psd_sqrt(a: np.ndarray, tol: float) -> np.ndarray:
-    """Square root of a Hermitian matrix that is PSD up to -tol."""
-    sym = (a + a.conj().T) / 2
-    w, v = np.linalg.eigh(sym)
-    if w.min() < -tol:
-        raise InvalidInputError(f"matrix not positive semidefinite (min eig {w.min():.3e})")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def _hereditary_product(x_hat: Sequence[np.ndarray], g: np.ndarray, skip: Optional[int]) -> np.ndarray:
-    """prod_{j != skip} (I - C_{X_j}) applied to g, C_X(A) = X A X*."""
-    out = np.asarray(g, dtype=complex)
-    for j, xj in enumerate(x_hat):
-        if j == skip:
-            continue
-        out = out - xj @ out @ xj.conj().T
-    return out
-
-
-def colligation_from_defects(
-    x: Sequence[np.ndarray], g: Sequence[np.ndarray], tol: float = 1e-8
-) -> Colligation:
-    """Assemble the unitary colligation transported by a commuting tuple.
-
-    Inputs: a commuting tuple (X_1, ..., X_n) on a finite H and positive
-    matrices G_1, ..., G_{n-1} splitting the last defect, sum G_i =
-    I - X_n X_n*.  The graph map
-
-        (D h, F_1 X_1* h, ..., F_{n-1} X_{n-1}* h)
-            |-> (D X_n* h, F_1 h, ..., F_{n-1} h)
-
-    with D = (prod_j (I - C_{X_j})(I))^{1/2} and F_i = S_X(G_i)^{1/2} is
-    isometric whenever the split holds, and is extended to a unitary by
-    pairing SVD orthocomplement bases in order.
-    """
-    xs = [np.asarray(m, dtype=complex) for m in x]
-    gs = [np.asarray(m, dtype=complex) for m in g]
-    if len(xs) < 2:
-        raise InvalidInputError("tuple needs n >= 2")
-    if len(gs) != len(xs) - 1:
-        raise InvalidInputError(f"need n - 1 = {len(xs) - 1} defect splitters, got {len(gs)}")
-    dim = xs[0].shape[0]
-    for m in xs + gs:
-        if m.shape != (dim, dim):
-            raise InvalidInputError("all matrices must be square of one size")
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            comm = opnorm(xs[i] @ xs[j] - xs[j] @ xs[i])
-            if comm > tol:
-                raise InvalidInputError(f"tuple does not commute (||[X_{i},X_{j}]|| = {comm:.3e})")
-    x_hat, x_n = xs[:-1], xs[-1]
-    eye = np.eye(dim, dtype=complex)
-    split_gap = opnorm(eye - x_n @ x_n.conj().T - sum(gs))
-    if split_gap > tol:
-        raise InvalidInputError(
-            f"defect split violated: ||I - X_n X_n* - sum G_i|| = {split_gap:.3e}"
-        )
-    dhat = _psd_sqrt(_hereditary_product(x_hat, eye, skip=None), tol)
-    fs = [
-        _psd_sqrt(_hereditary_product(x_hat, gs[i], skip=i), tol)
-        for i in range(len(gs))
-    ]
-    ml = np.vstack([dhat] + [f @ xh.conj().T for f, xh in zip(fs, x_hat)])
-    mr = np.vstack([dhat @ x_n.conj().T] + list(fs))
-    gram_gap = opnorm(ml.conj().T @ ml - mr.conj().T @ mr)
-    if gram_gap > tol:
-        raise InvalidInputError(
-            f"graph map not isometric (Gram gap {gram_gap:.3e}); defect conditions fail numerically"
-        )
-    # full SVD of the graph pair: leading singular directions carry the
-    # range-to-range map, trailing ones are the two orthocomplement bases,
-    # paired in order; W V^H is the error-minimizing unitary extension
-    w_full, _, vh_full = np.linalg.svd(mr @ ml.conj().T)
-    u = w_full @ vh_full
-    graph_err = opnorm(u @ ml - mr)
-    if graph_err > 20 * tol:
-        raise CertificationError(
-            f"no unitary extension at this truncation (graph error {graph_err:.3e})"
-        )
-    n_internal = len(x_hat)
-    return Colligation(
-        a=u[:dim, :dim],
-        b=u[:dim, dim:],
-        c=u[dim:, :dim],
-        d=u[dim:, dim:],
-        h_dims=(dim,) * n_internal,
-        e_dim=dim,
-    )
-
-
 @dataclass
 class JetPurityReport:
     """Purity verdict of the degree-D Taylor jet of a transfer function.
@@ -436,33 +341,6 @@ def schur_agler_purity(c: Colligation, degree_cap: int, tol: float = 1e-8) -> Je
     domain = PolydiscDomain((hardy(),) * c.n_vars)
     report = multiplier_purity_verdict(jet, domain, degree_cap, tol, check_contractive=False)
     return JetPurityReport(report=report, jet_degree=degree_cap, rho_a=spectral_radius(c.a))
-
-
-def dilation_embedding(
-    x_hat: Sequence[np.ndarray], dhat: np.ndarray, basis: TruncatedBasis
-) -> np.ndarray:
-    """The matrix of Pi h = sum_alpha e_alpha (x) D X^{*alpha} h on Hardy D^k.
-
-    Intertwines Pi X_i* = M_{z_i}* Pi exactly on rows of degree <= D - 1;
-    the degree-D rows carry the geometric tail of the untruncated relation.
-    """
-    if not isinstance(basis.domain, PolydiscDomain) or any(
-        f.family != "hardy" for f in basis.domain.factors
-    ):
-        raise InvalidInputError("dilation embedding is a Hardy-space construction")
-    if len(x_hat) != basis.n:
-        raise InvalidInputError(f"tuple has {len(x_hat)} members, basis has n = {basis.n}")
-    dim = dhat.shape[0]
-    if basis.coeff_dim != dim:
-        raise InvalidInputError("coefficient dimension must match the tuple's space")
-    adj: Dict[MultiIndex, np.ndarray] = {(0,) * basis.n: np.eye(dim, dtype=complex)}
-    for alpha, i, prev in _prefix_steps(basis.n, basis.degree_cap):
-        adj[alpha] = x_hat[i].conj().T @ adj[prev]
-    pi = np.zeros((basis.dim, dim), dtype=complex)
-    c = basis.coeff_dim
-    for k, alpha in enumerate(basis.index_table):
-        pi[k * c : (k + 1) * c, :] = dhat @ adj[alpha]
-    return pi
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InvalidInputError, SeriesRangeError
 
@@ -55,10 +55,10 @@ class KernelSpec1D:
     """A one-variable kernel family given by its diagonal coefficients.
 
     ``alpha`` is meaningful only for ``weighted_bergman``: the kernel is
-    ``(1 - z w~)^(alpha - 2)``, so ``alpha = 1`` is Hardy and ``alpha = 0``
-    is Bergman.  Coefficient positivity restricts alpha to (-1, 2); the
-    wandering-subspace guarantees downstream are certified only for
-    alpha in (-1, 0], which :func:`weighted_bergman` flags.
+    ``(1 - z w~)^(alpha - 2)``, i.e. ``(1 - z w~)^(-s)`` with ``s = 2 - alpha``,
+    so ``alpha = 1`` is Hardy and ``alpha = 0`` is Bergman.  Coefficient
+    positivity restricts alpha to (-1, 2).  For which s the paper's
+    wandering-subspace hypothesis holds, see ROADMAP.md item 2.
     """
 
     family: str
@@ -80,13 +80,6 @@ class KernelSpec1D:
             if any(not math.isfinite(c) or c <= 0.0 for c in coeffs):
                 raise InvalidInputError("custom coefficients must be positive and finite")
             object.__setattr__(self, "custom_coeffs", coeffs)
-
-    @property
-    def theorem_certified(self) -> bool:
-        """Whether the wandering-subspace guarantees are certified for this spec."""
-        if self.family == "weighted_bergman":
-            return -1.0 < self.alpha <= 0.0
-        return self.family in ("hardy", "bergman", "dirichlet")
 
 
 @dataclass(frozen=True)
@@ -135,9 +128,6 @@ class PowerSeries:
     @property
     def length(self) -> int:
         return len(self.coeffs)
-
-    def __getitem__(self, j: int) -> float:
-        return self.coeffs[j]
 
 
 def _check_order(m: int) -> None:

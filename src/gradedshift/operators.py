@@ -12,8 +12,8 @@ codomain bases plus two integers that make truncation soundness auditable:
     (0 for adjoints and projections, 1 for a coordinate shift, deg(Phi)
     for a multiplier).
 
-Composition propagates d* by ``min(d*_B, d*_A - lift(B))``; every certified
-property check downstream restricts itself to the certified sub-block.
+A product A B is exact on degrees <= ``min(d*_B, d*_A - lift(B))``; every
+certified property check downstream restricts itself to that sub-block.
 
 A practical consequence of compression: a truncated shift or multiplier has
 exactly-zero (or truncation-damaged) columns above its exactness degree, so
@@ -25,8 +25,7 @@ remaining columns as zero.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -42,7 +41,6 @@ from .spaces import (
     _SHIFT_MAP_MEMO_SIZE,
     MultiIndex,
     MultiplierSymbol,
-    SpaceVector,
     TruncatedBasis,
     enumerate_indices,
 )
@@ -53,19 +51,15 @@ __all__ = [
     "shift_matrix",
     "shift_tuple",
     "multiplier_matrix",
-    "compose",
     "opnorm",
     "spectral_radius",
     "null_space_frame",
     "cauchy_dual",
     "range_projection",
     "wandering_subspace",
-    "restricted_wandering",
     "principal_angles",
     "frames_match",
     "union_projection",
-    "DoublyCommutingReport",
-    "doubly_commuting_check",
     "orbit_frame",
     "wandering_span_dimension",
     "WitnessResult",
@@ -112,19 +106,6 @@ class OperatorMatrix:
         )
 
 
-def compose(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """a after b, with d* = min(d*_b, d*_a - lift(b))."""
-    if a.domain != b.codomain:
-        raise InvalidInputError("composition bases do not match")
-    return OperatorMatrix(
-        a.data @ b.data,
-        b.domain,
-        a.codomain,
-        min(b.exactness_degree, a.exactness_degree - b.lift),
-        a.lift + b.lift,
-    )
-
-
 def _as_array(op: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
     if isinstance(op, OperatorMatrix):
         return op.data
@@ -169,10 +150,6 @@ class SubspaceFrame:
             gram = self.columns.conj().T @ self.columns
             if np.max(np.abs(gram - np.eye(self.dim))) > 1e-12:
                 raise InvalidInputError("frame columns are not orthonormal to 1e-12")
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.columns.shape[0]
 
     @property
     def dim(self) -> int:
@@ -292,9 +269,23 @@ def multiplier_matrix(basis: TruncatedBasis, phi: MultiplierSymbol) -> OperatorM
     return OperatorMatrix(data, basis, basis, basis.degree_cap - phi.degree, phi.degree)
 
 
-def _restricted_columns(t: OperatorMatrix) -> Tuple[np.ndarray, int]:
-    ncols = t.exact_column_count()
-    return t.data[:, :ncols], ncols
+def _left_inverse(t: OperatorMatrix, tol: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``(T_r, (T_r* T_r)^(-1) T_r*)`` for the exact-column block T_r of t.
+
+    Raises :class:`NotLeftInvertibleError` if T_r is empty or not bounded
+    below by ``tol``.
+    """
+    import scipy.linalg  # loaded on first use: it doubles the package's import time
+    tr = t.data[:, : t.exact_column_count()]
+    if tr.shape[1] == 0:
+        raise NotLeftInvertibleError("no exact columns to invert on", 0.0)
+    smin = float(np.linalg.svd(tr, compute_uv=False)[-1])
+    if smin <= tol:
+        raise NotLeftInvertibleError(
+            f"operator not bounded below at truncation scale (sigma_min={smin:.3e})", smin
+        )
+    cf = scipy.linalg.cho_factor(tr.conj().T @ tr)
+    return tr, scipy.linalg.cho_solve(cf, tr.conj().T)
 
 
 def cauchy_dual(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
@@ -303,39 +294,17 @@ def cauchy_dual(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
     Raises :class:`NotLeftInvertibleError` if the restriction is not bounded
     below by ``tol``.  Involution: the dual of the dual reproduces T.
     """
-    import scipy.linalg  # loaded on first use: it doubles the package's import time
-    tr, ncols = _restricted_columns(t)
-    if ncols == 0:
-        raise NotLeftInvertibleError("no exact columns to invert on", 0.0)
-    smin = float(np.linalg.svd(tr, compute_uv=False)[-1])
-    if smin <= tol:
-        raise NotLeftInvertibleError(
-            f"operator not bounded below at truncation scale (sigma_min={smin:.3e})", smin
-        )
-    gram = tr.conj().T @ tr
-    cf = scipy.linalg.cho_factor(gram)
-    dual_r = scipy.linalg.cho_solve(cf, tr.conj().T).conj().T
+    tr, left = _left_inverse(t, tol)
     data = np.zeros_like(t.data)
-    data[:, :ncols] = dual_r
+    data[:, : tr.shape[1]] = left.conj().T
     return OperatorMatrix(data, t.domain, t.codomain, t.exactness_degree, t.lift)
 
 
 def range_projection(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
     """Orthogonal projection onto the column span of the exact columns,
     P = T (T*T)^(-1) T*."""
-    import scipy.linalg
-    tr, ncols = _restricted_columns(t)
-    if ncols == 0:
-        raise NotLeftInvertibleError("no exact columns to project onto", 0.0)
-    smin = float(np.linalg.svd(tr, compute_uv=False)[-1])
-    if smin <= tol:
-        raise NotLeftInvertibleError(
-            f"operator not bounded below at truncation scale (sigma_min={smin:.3e})", smin
-        )
-    gram = tr.conj().T @ tr
-    cf = scipy.linalg.cho_factor(gram)
-    proj = tr @ scipy.linalg.cho_solve(cf, tr.conj().T)
-    return OperatorMatrix(proj, t.codomain, t.codomain, t.exactness_degree, 0)
+    tr, left = _left_inverse(t, tol)
+    return OperatorMatrix(tr @ left, t.codomain, t.codomain, t.exactness_degree, 0)
 
 
 def wandering_subspace(
@@ -350,25 +319,6 @@ def wandering_subspace(
             raise InvalidInputError("tuple members live on different spaces")
     stacked = np.vstack([t.data.conj().T for t in x])
     return null_space_frame(stacked, tol)
-
-
-def restricted_wandering(
-    x: Sequence[OperatorMatrix], frame: SubspaceFrame, tol: float = SVD_THRESHOLD
-) -> SubspaceFrame:
-    """Wandering subspace of the tuple restricted to an invariant subspace.
-
-    Works in the frame's own coordinates (R_i = Q* X_i Q), where the
-    compressions of the adjoints are free of truncation leakage, and maps
-    the joint kernel back through Q.
-    """
-    q = frame.columns
-    if frame.dim == 0:
-        return SubspaceFrame.empty(frame.ambient_dim)
-    stacked = np.vstack([(q.conj().T @ t.data @ q).conj().T for t in x])
-    inner = null_space_frame(stacked, tol)
-    if inner.dim == 0:
-        return SubspaceFrame.empty(frame.ambient_dim)
-    return SubspaceFrame(q @ inner.columns)
 
 
 def principal_angles(f1: SubspaceFrame, f2: SubspaceFrame) -> np.ndarray:
@@ -425,47 +375,6 @@ def union_projection(
     if gap > 10 * len(ps) * tol:
         raise CertificationError(f"union projection block form mismatch {gap:.3e}")
     return out
-
-
-@dataclass
-class DoublyCommutingReport:
-    max_commutator: float
-    max_cross_commutator: float
-    budget_degree: int
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.max_commutator <= self.tol and self.max_cross_commutator <= self.tol
-        )
-
-
-def doubly_commuting_check(
-    x: Sequence[OperatorMatrix], tol: float = 1e-10
-) -> DoublyCommutingReport:
-    """Max commutator and cross-commutator norms on the certified sub-block.
-
-    Residuals are evaluated only on columns of degrees within the
-    exactness-compatible budget (degree <= D-2 for degree-1 shift tuples).
-    """
-    if len(x) < 2:
-        return DoublyCommutingReport(0.0, 0.0, x[0].exactness_degree if x else 0, tol)
-    basis = x[0].domain
-    budget = min(t.exactness_degree for t in x) - max(t.lift for t in x)
-    ncols = basis.dim_upto(budget)
-    max_comm = 0.0
-    max_cross = 0.0
-    for i in range(len(x)):
-        for j in range(len(x)):
-            if i == j:
-                continue
-            a, b = x[i].data, x[j].data
-            comm = (a @ b - b @ a)[:, :ncols]
-            cross = (a.conj().T @ b - b @ a.conj().T)[:, :ncols]
-            max_comm = max(max_comm, opnorm(comm))
-            max_cross = max(max_cross, opnorm(cross))
-    return DoublyCommutingReport(max_comm, max_cross, budget, tol)
 
 
 @lru_cache(maxsize=_BASIS_MEMO_SIZE)

@@ -35,8 +35,8 @@ instead of taking the SVD again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .operators import (
     SubspaceFrame,
     _shift_map,
     multiplier_matrix,
-    null_space_frame,
     opnorm,
     spectral_radius,
 )
@@ -55,7 +54,6 @@ from .spaces import (
     Domain,
     MultiplierSymbol,
     PolydiscDomain,
-    SpaceVector,
     TruncatedBasis,
     ball_basis,
     enumerate_indices,
@@ -70,11 +68,6 @@ __all__ = [
     "decay_curve",
     "PurityReport",
     "multiplier_purity_verdict",
-    "ATEstimate",
-    "a_operator_estimate",
-    "a_operator_monotonicity",
-    "NagyFoiasSplit",
-    "nagy_foias_split",
     "InvariantRestrictionReport",
     "invariant_restriction_test",
     "SliceConsistencyReport",
@@ -100,7 +93,7 @@ def adjoint_compression(phi: MultiplierSymbol, basis: TruncatedBasis) -> Operato
 
 def decay_curve(
     t: Union[OperatorMatrix, np.ndarray],
-    h: Union[SpaceVector, np.ndarray],
+    h: np.ndarray,
     m_max: int,
     tol: float = 1e-10,
 ) -> List[float]:
@@ -109,7 +102,7 @@ def decay_curve(
     norm = opnorm(a)
     if norm > 1.0 + tol:
         raise NotContractiveError(f"operator norm {norm:.12f} exceeds 1 + {tol}")
-    v = (h.coords if isinstance(h, SpaceVector) else np.asarray(h, dtype=complex)).reshape(-1)
+    v = np.asarray(h, dtype=complex).reshape(-1)
     curve = [float(np.linalg.norm(v))]
     for _ in range(m_max):
         v = a @ v
@@ -216,98 +209,6 @@ def multiplier_purity_verdict(
         near_boundary=abs(phi0_rho - 1.0) <= tol,
         decay_samples=decay,
     )
-
-
-@dataclass
-class ATEstimate:
-    """T^m T^*m, the m-th term of the monotone approximation of A_T^2."""
-
-    m: int
-    matrix: np.ndarray
-
-
-def a_operator_estimate(t: Union[OperatorMatrix, np.ndarray], m: int) -> ATEstimate:
-    a = t.data if isinstance(t, OperatorMatrix) else np.asarray(t, dtype=complex)
-    power = np.linalg.matrix_power(a, m)
-    return ATEstimate(m, power @ power.conj().T)
-
-
-def a_operator_monotonicity(
-    t: Union[OperatorMatrix, np.ndarray], m_max: int, tol: float = 1e-10
-) -> Tuple[bool, List[float]]:
-    """Loewner monotonicity certificate for (T^m T^*m)_m on a contraction.
-
-    Returns (ok, per-step minimum eigenvalues of A_m - A_{m+1}).
-    """
-    a = t.data if isinstance(t, OperatorMatrix) else np.asarray(t, dtype=complex)
-    if opnorm(a) > 1.0 + tol:
-        raise NotContractiveError("monotonicity certificate requires a contraction")
-    cur = np.eye(a.shape[0], dtype=complex)
-    mins: List[float] = []
-    for _ in range(m_max):
-        nxt = a @ cur @ a.conj().T
-        diff = cur - nxt
-        mins.append(float(np.min(np.linalg.eigvalsh((diff + diff.conj().T) / 2))))
-        cur = nxt
-    return all(x >= -tol for x in mins), mins
-
-
-@dataclass
-class NagyFoiasSplit:
-    """Unitary-part / pure-part splitting of a finite-dimensional contraction."""
-
-    e0: SubspaceFrame
-    e1: SubspaceFrame
-    unimodular_eigenvalues: Tuple[complex, ...]
-    rho_pure_part: float
-    tol: float
-
-    @property
-    def pure(self) -> bool:
-        return self.e0.dim == 0
-
-
-def nagy_foias_split(t: np.ndarray, tol: float = 1e-8) -> NagyFoiasSplit:
-    """Split a contraction into its unitary part E0 and pure part E1.
-
-    E0 is the span of eigenvectors with |lambda| >= 1 - tol; the split is
-    certified post hoc (T commutes with P_E0, T|_E0 unitary, rho(T|_E1)
-    < 1 - tol) and certification failure raises with the offending
-    eigenvalue neighborhood.
-    """
-    a = np.asarray(t, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInputError("split requires a square matrix")
-    if opnorm(a) > 1.0 + tol:
-        raise NotContractiveError("split requires a contraction")
-    dim = a.shape[0]
-    w, v = np.linalg.eig(a)
-    sel = np.abs(w) >= 1.0 - tol
-    uni = tuple(complex(x) for x in w[sel])
-    e0 = SubspaceFrame.from_columns(v[:, sel]) if np.any(sel) else SubspaceFrame.empty(dim)
-    e1 = null_space_frame(e0.columns.conj().T) if e0.dim else SubspaceFrame(np.eye(dim, dtype=complex))
-    p0 = e0.projection()
-    comm = opnorm(a @ p0 - p0 @ a)
-    if comm > tol:
-        raise CertificationError(
-            f"unitary part not reducing (commutator {comm:.3e}); "
-            f"near-boundary eigenvalues {uni}"
-        )
-    if e0.dim:
-        r0 = e0.columns.conj().T @ a @ e0.columns
-        defect = opnorm(r0.conj().T @ r0 - np.eye(e0.dim))
-        if defect > tol:
-            raise CertificationError(
-                f"restriction to unitary part not unitary (defect {defect:.3e})"
-            )
-    rho1 = 0.0
-    if e1.dim:
-        rho1 = spectral_radius(e1.columns.conj().T @ a @ e1.columns)
-        if rho1 >= 1.0 - tol:
-            raise CertificationError(
-                f"pure part has spectral radius {rho1:.12f} >= 1 - {tol}"
-            )
-    return NagyFoiasSplit(e0, e1, uni, rho1, tol)
 
 
 @dataclass

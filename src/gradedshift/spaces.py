@@ -52,7 +52,6 @@ from .kernels import BallKernelSpec, KernelSpec1D, ball_coeff, coeff_1d
 __all__ = [
     "MultiIndex",
     "degree",
-    "graded_lex_key",
     "enumerate_indices",
     "multi_factorial",
     "PolydiscDomain",
@@ -61,11 +60,7 @@ __all__ = [
     "MAX_DIM",
     "polydisc_basis",
     "ball_basis",
-    "monomial_norm",
-    "SpaceVector",
-    "kernel_vector",
     "MultiplierSymbol",
-    "constant_symbol",
     "scalar_symbol",
     "lift_scalar_symbol",
     "symbol_product",
@@ -89,11 +84,6 @@ _SHIFT_MAP_MEMO_SIZE = 64
 def degree(alpha: MultiIndex) -> int:
     """Total degree |alpha|."""
     return sum(alpha)
-
-
-def graded_lex_key(alpha: MultiIndex) -> Tuple[int, MultiIndex]:
-    """Sort key for the graded lexicographic order used everywhere."""
-    return (sum(alpha), alpha)
 
 
 def _indices_of_degree(n: int, d: int) -> Iterator[MultiIndex]:
@@ -256,9 +246,6 @@ class TruncatedBasis:
             return 0
         return self.coeff_dim * math.comb(min(d, self.degree_cap) + self.n, self.n)
 
-    def degree_of_coord(self, k: int) -> int:
-        return degree(self.index_table[k // self.coeff_dim])
-
 
 def _checked_size(n: int, degree_cap: int, coeff_dim: int) -> Tuple[int, int]:
     """``(degree_cap, coeff_dim)`` as ints, once ``c C(D + n, n) <= MAX_DIM``."""
@@ -347,64 +334,6 @@ def _ball_basis(spec: BallKernelSpec, degree_cap: int, coeff_dim: int) -> Trunca
     )
 
 
-def monomial_norm(basis: TruncatedBasis, alpha: MultiIndex) -> float:
-    """||z^alpha|| in the basis's space; alpha must lie in the truncation."""
-    return basis.norm_of(alpha)
-
-
-@dataclass
-class SpaceVector:
-    """Coordinates of a vector of V_D in the normalized basis."""
-
-    basis: TruncatedBasis
-    coords: np.ndarray
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=complex).reshape(-1)
-        if self.coords.shape[0] != self.basis.dim:
-            raise InvalidInputError(
-                f"coordinate length {self.coords.shape[0]} != basis dim {self.basis.dim}"
-            )
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
-def _interior_check(basis: TruncatedBasis, lam: Sequence[complex]) -> Tuple[complex, ...]:
-    lam = tuple(complex(x) for x in lam)
-    if len(lam) != basis.n:
-        raise InvalidInputError(f"point has {len(lam)} coordinates, domain has {basis.n}")
-    if isinstance(basis.domain, PolydiscDomain):
-        if max(abs(x) for x in lam) >= 1.0:
-            raise InvalidInputError("point not strictly inside the polydisc")
-    else:
-        if math.fsum(abs(x) ** 2 for x in lam) >= 1.0:
-            raise InvalidInputError("point not strictly inside the ball")
-    return lam
-
-
-def kernel_vector(
-    basis: TruncatedBasis, lam: Sequence[complex], xi: Sequence[complex]
-) -> SpaceVector:
-    """Degree-D truncation of K(., lam) xi.
-
-    Coordinate on ``e_alpha (x) xi_j`` is ``conj(lam)^alpha / ||z^alpha|| * xi_j``.
-    """
-    lam = _interior_check(basis, lam)
-    xi = np.asarray(xi, dtype=complex).reshape(-1)
-    if xi.shape[0] != basis.coeff_dim:
-        raise InvalidInputError(f"xi has dim {xi.shape[0]}, coefficient space {basis.coeff_dim}")
-    coords = np.zeros(basis.dim, dtype=complex)
-    lam_conj = np.conj(lam)
-    for k, alpha in enumerate(basis.index_table):
-        mono = 1.0 + 0.0j
-        for x, a in zip(lam_conj, alpha):
-            mono *= x**a
-        coords[k * basis.coeff_dim : (k + 1) * basis.coeff_dim] = (mono / basis.norms[k]) * xi
-    return SpaceVector(basis, coords)
-
-
 class MultiplierSymbol:
     """An operator-valued polynomial ``Phi(z) = sum_alpha Phi_alpha z^alpha``.
 
@@ -473,14 +402,6 @@ class MultiplierSymbol:
 
     def __repr__(self) -> str:
         return f"MultiplierSymbol(n={self.n}, coeff_dim={self.coeff_dim}, degree={self.degree}, terms={len(self.terms)})"
-
-
-def constant_symbol(mat: np.ndarray, n: int) -> MultiplierSymbol:
-    """The constant symbol Phi = mat on n variables."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim == 0:
-        mat = mat.reshape(1, 1)
-    return MultiplierSymbol(n, mat.shape[0], {(0,) * n: mat})
 
 
 def scalar_symbol(n: int, coeffs: Dict[MultiIndex, complex]) -> MultiplierSymbol:

@@ -27,3 +27,23 @@ def cold_memos():
         ball_identities.gamma_coeffs,
     ):
         memo.cache_clear()
+
+
+@pytest.fixture
+def inner_bcl_theta():
+    """``theta(seed, e_dim=2)``: an inner degree-1 symbol on two variables
+    with theta(0) != 0, the first of a seeded BCL pair."""
+    import numpy as np
+
+    from gradedshift.dilation import BCLTriple, bcl_pair, haar_unitary
+
+    def theta(seed: int, e_dim: int = 2):
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(rng, e_dim)
+        p = np.zeros((e_dim, e_dim), dtype=complex)
+        p[0, 0] = 1.0
+        q = haar_unitary(rng, e_dim)
+        p = q @ p @ q.conj().T
+        return bcl_pair(BCLTriple(e_dim=e_dim, u=u, p=p), n_vars=2)[0]
+
+    return theta

@@ -44,23 +44,6 @@ def all_indices(n: int, cap: int) -> List[MultiIndex]:
     return out
 
 
-def polynomial_value(
-    coords: np.ndarray,
-    index_table: Sequence[MultiIndex],
-    norms: Sequence[float],
-    coeff_dim: int,
-    point: Sequence[complex],
-) -> np.ndarray:
-    """Evaluate f = sum coords[(alpha, j)] z^alpha/||z^alpha|| xi_j at a point."""
-    val = np.zeros(coeff_dim, dtype=complex)
-    for k, alpha in enumerate(index_table):
-        mono = 1.0 + 0.0j
-        for z, a in zip(point, alpha):
-            mono *= z**a
-        val += coords[k * coeff_dim : (k + 1) * coeff_dim] * (mono / norms[k])
-    return val
-
-
 def witness_index_oracle(
     feasible: Sequence[MultiIndex],
 ) -> Optional[MultiIndex]:

@@ -21,7 +21,6 @@ from gradedshift import (
     SubspaceFrame,
     ball_basis,
     ball_series,
-    basis_for,
     bcl_dilation_certify,
     bergman,
     cauchy_dual,
@@ -264,11 +263,9 @@ def test_criterion_08_wandering_witness_oracle():
                 assert result.m_tilde == witness_index_oracle(feasible)
 
 
-def test_criterion_09_restriction_ratio():
+def test_criterion_09_restriction_ratio(inner_bcl_theta):
     with criterion(9, "restricted compression ratio"):
-        from test_purity import _inner_bcl_theta
-
-        theta = _inner_bcl_theta(5)
+        theta = inner_bcl_theta(5)
         basis = polydisc_basis((hardy(), hardy()), 10, coeff_dim=2)
         rng = np.random.default_rng(99)
         for trial in range(10):

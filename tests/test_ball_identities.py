@@ -1,5 +1,4 @@
-"""Ball-space defect identity, the CNP coefficient identity, and the
-regular-space wandering equivalence.
+"""Ball-space defect identity and the CNP coefficient identity.
 
 Gamma coefficients are validated against the multinomial theorem (sympy
 expansion of (x_1 + ... + x_n)^j); the m = 1 defect identity is rebuilt
@@ -17,10 +16,8 @@ import sympy
 
 from gradedshift import (
     BallKernelSpec,
-    CertificationError,
     InvalidInputError,
     NotCnpError,
-    SubspaceFrame,
     ball_basis,
     chen_coeffs,
     chen_identity_residual,
@@ -28,9 +25,7 @@ from gradedshift import (
     drury_arveson,
     gamma_coeffs,
     hm_ball,
-    orbit_frame,
     polydisc_basis,
-    regular_wandering_check,
     shift_tuple,
     hardy,
 )
@@ -251,38 +246,3 @@ class TestDiagonalPowerGrams:
         for a, b in zip(chen.partial_sums, chen.partial_sums[1:]):
             assert b <= a + 1e-12
         assert peak < 200 * 2**20
-
-
-class TestRegularWandering:
-    def test_axis_orbit_nonzero(self):
-        basis = ball_basis(drury_arveson(2), 5, coeff_dim=1)
-        x = shift_tuple(basis)
-        seed = np.zeros(basis.dim, dtype=complex)
-        seed[basis.coord_index((1, 0), 0)] = 1.0
-        frame = orbit_frame(x, seed, basis.degree_cap)
-        rep = regular_wandering_check(basis, frame)
-        assert rep.m_dim > 0
-        assert rep.wandering_dim > 0
-        assert rep.equivalence_ok
-
-    def test_zero_subspace(self):
-        basis = ball_basis(drury_arveson(2), 4, coeff_dim=1)
-        rep = regular_wandering_check(basis, SubspaceFrame.empty(basis.dim))
-        assert rep.m_dim == 0
-        assert rep.wandering_dim == 0
-        assert rep.equivalence_ok
-
-    def test_full_space_wandering_is_coefficient_block(self):
-        basis = ball_basis(drury_arveson(2), 4, coeff_dim=2)
-        frame = SubspaceFrame.from_columns(np.eye(basis.dim, dtype=complex))
-        rep = regular_wandering_check(basis, frame)
-        assert rep.wandering_dim == 2
-        assert rep.equivalence_ok
-
-    def test_non_invariant_rejected(self):
-        basis = ball_basis(drury_arveson(2), 4, coeff_dim=1)
-        vec = np.zeros(basis.dim, dtype=complex)
-        vec[basis.coord_index((0, 1), 0)] = 1.0
-        frame = SubspaceFrame.from_columns(vec[:, None])
-        with pytest.raises(InvalidInputError):
-            regular_wandering_check(basis, frame)

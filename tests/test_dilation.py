@@ -1,5 +1,4 @@
-"""Transfer functions of unitary colligations, isometric-pair symbols,
-colligation assembly from defect data, and the row-contraction embedding.
+"""Transfer functions of unitary colligations and isometric-pair symbols.
 
 Hand cases are frozen from direct matrix algebra; the jet is validated
 against pointwise transfer evaluation with a geometric tail bound.
@@ -14,12 +13,7 @@ from gradedshift import (
     InvalidInputError,
     bcl_dilation_certify,
     bcl_pair,
-    colligation_from_defects,
-    dilation_embedding,
-    hardy,
-    polydisc_basis,
     schur_agler_purity,
-    shift_matrix,
     symbol_product,
     transfer_eval,
     transfer_jet,
@@ -75,6 +69,13 @@ class TestTransferEval:
         jet = transfer_jet(c, 2)
         assert np.allclose(jet.terms[(1, 0)], np.diag([1.0, 0.0]), atol=1e-14)
         assert np.allclose(jet.terms[(0, 1)], np.diag([0.0, 1.0]), atol=1e-14)
+        # one variable: [[0, 1], [1, 0]] realizes Phi(z) = z, a jet of one term
+        shift = Colligation(
+            a=np.zeros((1, 1)), b=np.eye(1), c=np.eye(1), d=np.zeros((1, 1)), h_dims=(1,), e_dim=1
+        )
+        jet = transfer_jet(shift, 3)
+        assert set(jet.terms) == {(1,)}
+        assert np.array_equal(jet.terms[(1,)], np.eye(1))
 
     def test_boundary_point_rejected(self):
         c = random_colligation(5, 1, (2,))
@@ -249,56 +250,6 @@ class TestBCLCertify:
         assert cert.passed
 
 
-class TestColligationFromDefects:
-    def test_zero_tuple(self):
-        z = np.zeros((1, 1))
-        c = colligation_from_defects([z, z], [np.eye(1)])
-        u = c.unitary
-        assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-14)
-        # graph map sends the defect direction e_1 to e_2
-        assert np.allclose(u @ np.array([1.0, 0.0]), np.array([0.0, 1.0]), atol=1e-12)
-        jet = transfer_jet(c, 3)
-        lin = jet.terms.get((1,), np.zeros((1, 1)))
-        assert abs(abs(lin[0, 0]) - 1.0) <= 1e-12
-        for alpha, coeff in jet.terms.items():
-            if alpha != (1,):
-                assert np.linalg.norm(coeff) <= 1e-12
-
-    def test_scalar_pair(self):
-        x1 = np.array([[0.5]])
-        x2 = np.array([[0.3]])
-        g = [np.eye(1) - x2 @ x2.conj().T]
-        c = colligation_from_defects([x1, x2], g)
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            z = 0.9 * rng.uniform(-1, 1)
-            val = transfer_eval(c, (z,))
-            assert np.linalg.norm(val, 2) <= 1.0 + 1e-10
-
-    def test_diagonal_three_tuple(self):
-        rng = np.random.default_rng(17)
-        xs = [np.diag(0.4 * rng.uniform(-1, 1, 3)).astype(complex) for _ in range(3)]
-        defect = np.eye(3) - xs[-1] @ xs[-1].conj().T
-        g = [0.4 * defect, 0.6 * defect]
-        c = colligation_from_defects(xs, g)
-        assert c.n_vars == 2
-        rep = schur_agler_purity(c, 4)
-        assert rep.report.verdict != "inconsistent"
-
-    def test_broken_split_rejected(self):
-        x1 = np.array([[0.5]])
-        x2 = np.array([[0.3]])
-        with pytest.raises(InvalidInputError, match="split"):
-            colligation_from_defects([x1, x2], [0.5 * (np.eye(1) - x2 @ x2.conj().T)])
-
-    def test_noncommuting_rejected(self):
-        a = np.array([[0.0, 0.3], [0.0, 0.0]])
-        b = np.array([[0.0, 0.0], [0.3, 0.0]])
-        defect = np.eye(2) - b @ b.conj().T
-        with pytest.raises(InvalidInputError, match="commute"):
-            colligation_from_defects([a, b], [defect])
-
-
 class TestSchurAglerPurity:
     def test_constant_unitary_not_pure(self):
         rng = np.random.default_rng(2)
@@ -317,61 +268,6 @@ class TestSchurAglerPurity:
         rep = schur_agler_purity(c, 5)
         assert rep.report.verdict in ("pure", "not_pure")
         assert rep.jet_degree == 5
-
-
-class TestDilationEmbedding:
-    @staticmethod
-    def _doubly_commuting_tuple(scale=0.28):
-        # diagonal tuples double-commute and have product defects
-        x1 = np.diag([scale, -0.5 * scale]).astype(complex)
-        x2 = np.diag([0.5 * scale, scale]).astype(complex)
-        eye = np.eye(2)
-        prod = (eye - x1 @ x1.conj().T) @ (eye - x2 @ x2.conj().T)
-        w, v = np.linalg.eigh(prod)
-        dhat = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
-        return [x1, x2], dhat
-
-    def test_intertwining_exact_below_cap(self):
-        xs, dhat = self._doubly_commuting_tuple()
-        basis = polydisc_basis((hardy(), hardy()), 8, coeff_dim=2)
-        pi = dilation_embedding(xs, dhat, basis)
-        cut = basis.dim_upto(basis.degree_cap - 1)
-        for i in range(2):
-            mzi = shift_matrix(basis, i)
-            gap = mzi.data.conj().T @ pi - pi @ xs[i].conj().T
-            assert np.linalg.norm(gap[:cut, :]) <= 1e-12
-            # the degree-8 rows carry the geometric tail, O(0.28^7)
-            assert np.linalg.norm(gap) <= 1e-3
-
-    def test_intertwining_tail_vanishes_deep(self):
-        xs, dhat = self._doubly_commuting_tuple()
-        basis = polydisc_basis((hardy(), hardy()), 25, coeff_dim=2)
-        pi = dilation_embedding(xs, dhat, basis)
-        for i in range(2):
-            mzi = shift_matrix(basis, i)
-            gap = mzi.data.conj().T @ pi - pi @ xs[i].conj().T
-            assert np.linalg.norm(gap) <= 1e-8
-
-    def test_isometry_for_doubly_commuting(self):
-        xs, dhat = self._doubly_commuting_tuple()
-        basis = polydisc_basis((hardy(), hardy()), 25, coeff_dim=2)
-        pi = dilation_embedding(xs, dhat, basis)
-        gram = pi.conj().T @ pi
-        assert np.linalg.norm(gram - np.eye(2), 2) <= 1e-10
-
-    def test_non_hardy_basis_rejected(self):
-        from gradedshift import bergman
-
-        xs, dhat = self._doubly_commuting_tuple()
-        basis = polydisc_basis((bergman(), bergman()), 6, coeff_dim=2)
-        with pytest.raises(InvalidInputError, match="Hardy"):
-            dilation_embedding(xs, dhat, basis)
-
-    def test_dimension_mismatch_rejected(self):
-        xs, dhat = self._doubly_commuting_tuple()
-        basis = polydisc_basis((hardy(), hardy()), 6, coeff_dim=1)
-        with pytest.raises(InvalidInputError):
-            dilation_embedding(xs, dhat, basis)
 
 
 class TestRandomGenerators:

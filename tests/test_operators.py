@@ -11,19 +11,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gradedshift import (
     InvalidInputError,
     NotLeftInvertibleError,
-    OperatorMatrix,
     SubspaceFrame,
     ball_basis,
     bergman,
     cauchy_dual,
     dirichlet,
-    doubly_commuting_check,
     drury_arveson,
     hardy,
     multiplier_matrix,
@@ -38,13 +34,10 @@ from gradedshift import (
     wandering_witness,
     weighted_bergman,
 )
-from gradedshift.ball_identities import regular_wandering_check
 from gradedshift.operators import (
-    compose,
     frames_match,
     opnorm,
     principal_angles,
-    restricted_wandering,
     wandering_span_dimension,
 )
 from gradedshift.spaces import MultiplierSymbol, ball_basis
@@ -97,6 +90,7 @@ class TestShiftMatrix:
         np.testing.assert_allclose(s.data, expected, atol=0)
         assert s.exactness_degree == 2
         assert s.lift == 1
+        assert s.exact_column_count() == basis.dim_upto(2) == 3
 
     def test_bergman_weights(self):
         basis = one_var_basis(bergman(), 6)
@@ -113,15 +107,6 @@ class TestShiftMatrix:
             assert s.data[m + 1, m] == pytest.approx(
                 math.sqrt((m + 2) / (m + 1)), rel=1e-15
             )
-
-    def test_exactness_propagation_through_composition(self):
-        basis = polydisc_basis((hardy(), hardy()), 5)
-        s = shift_tuple(basis)
-        prod = compose(s[0], s[1])
-        assert prod.exactness_degree == 3
-        assert prod.lift == 2
-        assert prod.exact_column_count() == basis.dim_upto(3)
-
 
 class TestMultiplierMatrix:
     def test_identity_symbol(self):
@@ -224,8 +209,13 @@ class TestCauchyDual:
     def test_not_left_invertible(self):
         basis = one_var_basis(hardy(), 4)
         zero = multiplier_matrix(basis, scalar_symbol(1, {(1,): 0.0}))
-        with pytest.raises(NotLeftInvertibleError):
-            cauchy_dual(zero)
+        # z^5 raises every monomial of V_4 out of the truncation
+        beyond = multiplier_matrix(basis, scalar_symbol(1, {(5,): 1.0}))
+        for inverse in (cauchy_dual, range_projection):
+            with pytest.raises(NotLeftInvertibleError, match="sigma_min"):
+                inverse(zero)
+            with pytest.raises(NotLeftInvertibleError, match="no exact columns"):
+                inverse(beyond)
 
 
 class TestRangeProjection:
@@ -258,11 +248,15 @@ class TestRangeProjection:
 
 class TestWanderingSubspace:
     def test_hardy_pair_constants(self):
-        basis = polydisc_basis((hardy(), hardy()), 4, coeff_dim=2)
-        w = wandering_subspace(shift_tuple(basis))
-        assert w.dim == 2
-        coords = np.abs(w.columns)
-        assert np.max(coords[basis.dim_upto(0) :, :]) <= 1e-12
+        # the constants, on the bidisc and on the Drury-Arveson ball
+        for basis in (
+            polydisc_basis((hardy(), hardy()), 4, coeff_dim=2),
+            ball_basis(drury_arveson(2), 4, coeff_dim=2),
+        ):
+            w = wandering_subspace(shift_tuple(basis))
+            assert w.dim == 2
+            coords = np.abs(w.columns)
+            assert np.max(coords[basis.dim_upto(0) :, :]) <= 1e-12
 
     def test_single_shift_coeff_dim(self):
         basis = one_var_basis(hardy(), 4, coeff_dim=2)
@@ -319,55 +313,6 @@ class TestUnionProjection:
             w = wandering_subspace(x)
             complement = np.eye(basis.dim) - w.projection()
             assert opnorm(union - complement) <= 1e-10
-
-
-class TestDoublyCommuting:
-    def test_hardy_pair_exact(self):
-        basis = polydisc_basis((hardy(), hardy()), 4)
-        rep = doubly_commuting_check(shift_tuple(basis))
-        assert rep.passed
-        assert rep.max_commutator == pytest.approx(0.0, abs=1e-14)
-        assert rep.max_cross_commutator == pytest.approx(0.0, abs=1e-14)
-
-    def test_bergman_pair_exact(self):
-        basis = polydisc_basis((bergman(), bergman()), 4)
-        rep = doubly_commuting_check(shift_tuple(basis))
-        assert rep.passed
-
-    def test_same_axis_fails_cross(self):
-        basis = one_var_basis(hardy(), 4)
-        s = shift_matrix(basis, 0)
-        rep = doubly_commuting_check([s, s])
-        assert rep.max_commutator <= 1e-14
-        assert rep.max_cross_commutator > 0.5
-        assert not rep.passed
-
-
-class TestRestrictedWandering:
-    def test_partial_isometry_wandering_formula(self):
-        # For an inner homogeneous theta on the Hardy bidisc, the wandering
-        # subspace of the shifts restricted to theta V equals theta applied
-        # to the wandering subspace of the full tuple.
-        d_cap = 5
-        basis = polydisc_basis((hardy(), hardy()), d_cap)
-        x = shift_tuple(basis)
-        for theta_terms, t_deg in (({(1, 1): 1.0}, 2), ({(1, 0): 1.0}, 1)):
-            phi = scalar_symbol(2, theta_terms)
-            pi = multiplier_matrix(basis, phi)
-            cols = pi.data[:, : basis.dim_upto(d_cap - t_deg)]
-            m_frame = SubspaceFrame.from_columns(cols)
-            w_restricted = restricted_wandering(x, m_frame)
-            w_full = wandering_subspace(x)
-            image = SubspaceFrame.from_columns(pi.data @ w_full.columns)
-            assert w_restricted.dim == image.dim == 1
-            assert np.max(principal_angles(w_restricted, image)) <= 1e-9
-
-    def test_full_space_wandering(self):
-        basis = polydisc_basis((hardy(), hardy()), 3, coeff_dim=2)
-        x = shift_tuple(basis)
-        full = SubspaceFrame.from_columns(np.eye(basis.dim, dtype=complex))
-        w = restricted_wandering(x, full)
-        assert frames_match(w, wandering_subspace(x), 1e-10)
 
 
 class TestWanderingSpanProperty:

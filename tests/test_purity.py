@@ -1,5 +1,5 @@
-"""Purity verdicts, decay curves, A_T monotonicity, unitary/pure splitting,
-invariant-restriction decay, and slice consistency.
+"""Purity verdicts, decay curves, invariant-restriction decay, and slice
+consistency.
 
 Decay curves are validated against a direct matrix-power oracle; spectral
 expectations come from hand-computable symbols (constants, monomials,
@@ -27,18 +27,12 @@ from gradedshift import (
     invariant_restriction_test,
     multiplier_matrix,
     multiplier_purity_verdict,
-    nagy_foias_split,
     random_contractive_symbol,
     scalar_symbol,
     slice_purity_consistency,
 )
 from gradedshift import purity as purity_module
-from gradedshift.dilation import BCLTriple, bcl_pair, haar_unitary
 from gradedshift.operators import spectral_radius
-from gradedshift.purity import (
-    a_operator_estimate,
-    a_operator_monotonicity,
-)
 from gradedshift.spaces import BallDomain, MultiplierSymbol, lift_scalar_symbol, slice_symbol
 
 from oracles import dense_per_degree_rho
@@ -298,86 +292,10 @@ class TestPaddedNormRecord:
             assert other.padded_norm_record is None
 
 
-class TestAOperator:
-    def test_unitary_block_projection_limit(self):
-        u = np.diag([1.0, np.exp(0.5j)]).astype(complex)
-        t = np.block(
-            [[u, np.zeros((2, 2))], [np.zeros((2, 2)), 0.5 * np.eye(2)]]
-        ).astype(complex)
-        est = a_operator_estimate(t, 60)
-        want = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(est.matrix, want, atol=1e-15)
-
-    def test_nilpotent_hits_zero(self):
-        t = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        est = a_operator_estimate(t, 2)
-        np.testing.assert_allclose(est.matrix, 0.0, atol=0)
-
-    def test_scaled_identity(self):
-        c = 0.7
-        est = a_operator_estimate(c * np.eye(3, dtype=complex), 5)
-        np.testing.assert_allclose(est.matrix, c ** 10 * np.eye(3), atol=1e-14)
-
-    def test_monotone_for_random_contraction(self):
-        rng = np.random.default_rng(2)
-        g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        t = 0.95 * g / np.linalg.norm(g, 2)
-        ok, mins = a_operator_monotonicity(t, 10)
-        assert ok
-        assert all(m >= -1e-10 for m in mins)
-
-
-class TestNagyFoiasSplit:
-    def test_unitary_everything(self):
-        rng = np.random.default_rng(3)
-        u = haar_unitary(rng, 4)
-        split = nagy_foias_split(u)
-        assert split.e0.dim == 4
-        assert split.e1.dim == 0
-        assert not split.pure
-
-    def test_diag_split(self):
-        split = nagy_foias_split(np.diag([1.0, 0.5]).astype(complex))
-        assert split.e0.dim == 1
-        assert split.e1.dim == 1
-        got = np.abs(split.e0.columns[:, 0])
-        np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-12)
-        assert split.rho_pure_part == pytest.approx(0.5, abs=1e-12)
-
-    def test_nilpotent_pure(self):
-        split = nagy_foias_split(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-        assert split.pure
-        assert split.e0.dim == 0
-
-    def test_gap_inputs_always_certify(self):
-        tol = 1e-8
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            dim = int(rng.integers(2, 6))
-            u = haar_unitary(rng, dim)
-            # eigenvalues either exactly unimodular or well inside: gap >= 10 tol
-            radii = np.where(rng.uniform(size=dim) < 0.5, 1.0, rng.uniform(0.2, 0.9, dim))
-            t = u @ np.diag(radii * np.exp(2j * np.pi * rng.uniform(size=dim))) @ u.conj().T
-            split = nagy_foias_split(t, tol)
-            assert split.e0.dim == int(np.sum(radii == 1.0))
-
-
-def _inner_bcl_theta(seed: int, e_dim: int = 2):
-    """An inner degree-1 symbol on two variables with theta(0) != 0."""
-    rng = np.random.default_rng(seed)
-    u = haar_unitary(rng, e_dim)
-    p = np.zeros((e_dim, e_dim), dtype=complex)
-    p[0, 0] = 1.0
-    q = haar_unitary(rng, e_dim)
-    p = q @ p @ q.conj().T
-    theta, _ = bcl_pair(BCLTriple(e_dim=e_dim, u=u, p=p), n_vars=2)
-    return theta
-
-
 class TestInvariantRestriction:
-    def test_constant_phi_exact_ratio(self):
+    def test_constant_phi_exact_ratio(self, inner_bcl_theta):
         basis = basis_for(HARDY2, 8, 2)
-        theta = _inner_bcl_theta(0)
+        theta = inner_bcl_theta(0)
         c = 0.35 - 0.2j
         phi = scalar_symbol(2, {(0, 0): c})
         rep = invariant_restriction_test(phi, theta, basis, m_max=5)
@@ -385,9 +303,9 @@ class TestInvariantRestriction:
         assert rep.target_ratio == pytest.approx(abs(c), abs=1e-14)
         assert rep.max_ratio_error <= 1e-10
 
-    def test_bcl_theta_with_polynomial_phi(self):
+    def test_bcl_theta_with_polynomial_phi(self, inner_bcl_theta):
         basis = basis_for(HARDY2, 10, 2)
-        theta = _inner_bcl_theta(4)
+        theta = inner_bcl_theta(4)
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             terms = {
@@ -407,9 +325,9 @@ class TestInvariantRestriction:
         with pytest.raises(InvalidInputError):
             invariant_restriction_test(phi, theta, basis, m_max=3)
 
-    def test_budget_too_small_reported(self):
+    def test_budget_too_small_reported(self, inner_bcl_theta):
         basis = basis_for(HARDY2, 3, 2)
-        theta = _inner_bcl_theta(1)
+        theta = inner_bcl_theta(1)
         phi = scalar_symbol(2, {(2, 0): 0.3, (0, 0): 0.4})
         with pytest.raises(InvalidInputError, match="certified"):
             invariant_restriction_test(phi, theta, basis, m_max=6)
