@@ -1,5 +1,6 @@
 """End-to-end tests of the scenario harness: exit codes, report shape and
-determinism, schema validation, environment handling, and suite aggregation.
+determinism, schema validation, environment handling, and suite aggregation;
+plus the JSON decoders that build symbols, triples and colligations.
 
 All invocations but two go through ``cli.main`` in process (the two run
 ``python -m gradedshift`` in a subprocess, one of them to see what LAPACK
@@ -25,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
-from gradedshift import cli, errors, purity, spaces
+from gradedshift import cli, dilation, errors, purity, spaces
 
 ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 ACCEPTANCE_CONFIGS = sorted(ACCEPTANCE_DIR.glob("*.json"))
@@ -727,6 +728,69 @@ INVALID_CONFIGS = [
     {**purity_config("neg-alpha", monomial_scalar_symbol(2, (-1, 0), 0.5))},
     {**purity_config("neg-tol", constant_scalar_symbol(2, 0.5)), "tolerances": {"tol": -1}},
 ]
+
+
+class TestDecoders:
+    def test_complex_pairs(self):
+        assert cli.decode_complex([0.5, -2.0]) == 0.5 - 2.0j
+        assert cli.decode_complex((3, 0)) == 3.0
+
+    def test_matrix_is_row_major(self):
+        got = cli.decode_matrix([[[1, 0], [0, 1]], [[2, 0], [0, -1]], [[0, 0], [4, 0]]], "$.m")
+        assert got.dtype == complex
+        assert got.tolist() == [[1, 1j], [2, -1j], [0, 4]]
+
+    def test_ragged_matrix_names_its_field(self):
+        with pytest.raises(errors.InvalidInputError, match=r"\$\.colligation\.b: .*\[2, 1\]"):
+            cli.decode_colligation(
+                {
+                    "a": [[[0, 0]]],
+                    "b": [[[1, 0], [0, 0]], [[0, 0]]],
+                    "c": [[[1, 0]]],
+                    "d": [[[0, 0]]],
+                    "h_dims": [1],
+                    "e_dim": 1,
+                }
+            )
+
+    def test_symbol_terms_keyed_by_alpha(self):
+        sym = cli.decode_symbol(
+            {
+                "n": 2,
+                "coeff_dim": 1,
+                "terms": [
+                    {"alpha": [0, 0], "matrix": [[[0.25, 0]]]},
+                    {"alpha": [1, 2], "matrix": [[[0, -0.5]]]},
+                ],
+            }
+        )
+        assert (sym.n, sym.coeff_dim) == (2, 1)
+        assert set(sym.terms) == {(0, 0), (1, 2)}
+        assert sym.terms[(1, 2)][0, 0] == -0.5j
+        assert sym.padded_norm_record is None
+
+    def test_triple_axis_defaults_to_zero(self):
+        obj = {"e_dim": 1, "u": [[[0, 1]]], "p": [[[1, 0]]]}
+        triple = cli.decode_triple(obj)
+        assert triple.axis == 0
+        assert triple.u[0, 0] == 1j
+        assert cli.decode_triple({**obj, "axis": 2}).axis == 2
+
+    def test_colligation_realizes_its_transfer_function(self):
+        # [[0, 1], [1, 0]] on C + C realizes Phi(z) = z
+        c = cli.decode_colligation(
+            {
+                "a": [[[0, 0]]],
+                "b": [[[1, 0]]],
+                "c": [[[1, 0]]],
+                "d": [[[0, 0]]],
+                "h_dims": [1],
+                "e_dim": 1,
+            }
+        )
+        assert c.h_dims == (1,)
+        for z in (0.3, -0.5j, 0.2 + 0.6j):
+            assert dilation.transfer_eval(c, (z,))[0, 0] == pytest.approx(z, abs=1e-15)
 
 
 class TestSchemaValidation:

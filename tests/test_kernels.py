@@ -167,6 +167,61 @@ class TestReciprocalSeries:
             assert np.max(np.abs(np.asarray(prod.coeffs) - delta)) <= 1e-13
 
 
+class TestConvolve:
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (hardy(), hardy()),
+            (hardy(), bergman()),
+            (bergman(), dirichlet()),
+            (dirichlet(), weighted_bergman(-0.5)),
+            (weighted_bergman(0.5), hardy()),
+        ],
+        ids=["hardy-hardy", "hardy-bergman", "bergman-dirichlet", "dirichlet-wb-0.5", "wb0.5-hardy"],
+    )
+    def test_kernel_products_match_cauchy_oracle(self, left, right):
+        a = series_1d(left, 15)
+        b = series_1d(right, 15)
+        got = convolve(a, b)
+        want = convolve_lists(a.coeffs, b.coeffs)
+        assert got.length == len(want) == 16
+        for g, w in zip(got.coeffs, want):
+            assert g == pytest.approx(w, rel=1e-14, abs=0)
+
+    def test_hand_products(self):
+        # (1 - x)^-1 squared is (1 - x)^-2, the Bergman series m + 1
+        hardy_sq = convolve(series_1d(hardy(), 10), series_1d(hardy(), 10))
+        assert hardy_sq.coeffs == series_1d(bergman(), 10).coeffs
+        # (1 + x)(1 - x) = 1 - x^2, truncated to the input length
+        prod = convolve(PowerSeries((1.0, 1.0, 0.0, 0.0)), PowerSeries((1.0, -1.0, 0.0, 0.0)))
+        assert prod.coeffs == (1.0, 0.0, -1.0, 0.0)
+
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda n: st.tuples(
+                *(
+                    st.lists(
+                        st.floats(min_value=-4.0, max_value=4.0, allow_nan=False),
+                        min_size=n,
+                        max_size=n,
+                    ),
+                )
+                * 2
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_pairs_match_cauchy_oracle(self, pair):
+        a, b = pair
+        got = convolve(PowerSeries(tuple(a)), PowerSeries(tuple(b)))
+        for g, w in zip(got.coeffs, convolve_lists(a, b)):
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-12)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(InvalidInputError, match="equal lengths"):
+            convolve(PowerSeries((1.0, 2.0)), PowerSeries((1.0,)))
+
+
 class TestCnpCertificate:
     def test_hardy(self):
         cert = cnp_certificate(series_1d(hardy(), 5))

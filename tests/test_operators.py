@@ -36,8 +36,10 @@ from gradedshift import (
 )
 from gradedshift.operators import (
     frames_match,
+    null_space_frame,
     opnorm,
     principal_angles,
+    spectral_radius,
     wandering_span_dimension,
 )
 from gradedshift.spaces import MultiplierSymbol, ball_basis
@@ -328,6 +330,55 @@ class TestWanderingSpanProperty:
         assert wandering_span_dimension(xd, w, basis.degree_cap) == basis.dim
 
 
+class TestSpectralRadius:
+    @pytest.mark.parametrize(
+        "build, want",
+        [
+            (lambda: np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0),
+            (lambda: np.diag([0.5, -0.9j, 0.25]), 0.9),
+            (lambda: np.array([[0.6, -0.8], [0.8, 0.6]]), 1.0),
+            (lambda: np.zeros((0, 0)), 0.0),
+            (
+                lambda: multiplier_matrix(
+                    polydisc_basis((bergman(),), 4), scalar_symbol(1, {(0,): 0.6})
+                ),
+                0.6,
+            ),
+        ],
+        ids=["nilpotent", "diagonal", "rotation", "empty", "constant-multiplier"],
+    )
+    def test_hand_spectra(self, build, want):
+        assert spectral_radius(build()) == pytest.approx(want, abs=1e-14)
+
+
+class TestFrames:
+    def test_angle_between_lines(self):
+        t = 0.3
+        line = SubspaceFrame.from_columns(np.array([[1.0], [0.0], [0.0]]))
+        tilted = SubspaceFrame.from_columns(np.array([[math.cos(t)], [math.sin(t)], [0.0]]))
+        np.testing.assert_allclose(principal_angles(line, tilted), [t], atol=1e-14)
+        assert not frames_match(line, tilted, 1e-3)
+        assert frames_match(line, tilted, 0.31)
+
+    def test_frames_match_span_not_columns(self):
+        plane = SubspaceFrame.from_columns(np.eye(3)[:, :2])
+        turned = SubspaceFrame.from_columns(np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]]))
+        assert frames_match(plane, turned, 1e-12)
+        assert not frames_match(plane, SubspaceFrame.from_columns(np.eye(3)[:, :1]))
+        assert frames_match(SubspaceFrame.empty(3), SubspaceFrame.empty(3))
+        assert principal_angles(SubspaceFrame.empty(3), plane).size == 0
+
+    def test_null_space_frame(self):
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 1e-12, 0.0]])
+        frame = null_space_frame(a)
+        assert frame.dim == 2
+        assert frames_match(frame, SubspaceFrame.from_columns(np.eye(3)[:, 1:]), 1e-12)
+        # a zero threshold keeps the tiny singular value out of the kernel
+        assert null_space_frame(a, tol=0.0).dim == 1
+        # no rows: the whole space
+        assert null_space_frame(np.zeros((0, 4))).dim == 4
+
+
 class TestOrbitFrame:
     def test_invariance_by_construction(self):
         rng = np.random.default_rng(0)
@@ -340,6 +391,22 @@ class TestOrbitFrame:
         for t in x:
             leak = opnorm(t.data @ q - q @ (q.conj().T @ t.data @ q))
             assert leak <= 1e-10
+
+    def test_z1_orbit_on_drury_arveson(self):
+        # the orbit of z_1 is z_1 C[z]: the monomials with alpha_1 >= 1
+        basis = ball_basis(drury_arveson(2), 5, coeff_dim=1)
+        x = shift_tuple(basis)
+        seed = np.zeros(basis.dim, dtype=complex)
+        seed[basis.coord_index((1, 0), 0)] = 1.0
+        frame = orbit_frame(x, seed, basis.degree_cap)
+        cols = [
+            basis.coord_index(alpha, 0)
+            for alpha in basis.index_table
+            if alpha[0] >= 1
+        ]
+        assert frame.dim == len(cols) == math.comb(4 + 2, 2)
+        want = SubspaceFrame.from_columns(np.eye(basis.dim)[:, cols])
+        assert frames_match(frame, want, 1e-10)
 
 
 class TestWanderingWitness:

@@ -77,6 +77,16 @@ class TestMonomialNorms:
         basis = ball_basis(drury_arveson(2), 3)
         assert basis.norm_of((1, 1)) == pytest.approx(1 / math.sqrt(2), rel=1e-15)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_drury_arveson_closed_form(self, n):
+        # ||z^alpha||^2 = alpha! / |alpha|! on the Drury-Arveson space
+        basis = ball_basis(drury_arveson(n), 5)
+        for alpha in basis.index_table:
+            alpha_fact = math.prod(math.factorial(a) for a in alpha)
+            assert basis.norm_of(alpha) == pytest.approx(
+                math.sqrt(alpha_fact / math.factorial(sum(alpha))), rel=1e-14
+            )
+
     def test_hm_ball_closed_form(self):
         m = 2
         basis = ball_basis(hm_ball(2, m), 4)
