@@ -53,11 +53,12 @@ from .kernels import (
 )
 from .operators import multiplier_matrix, opnorm, orbit_frame, shift_tuple, wandering_witness
 from .purity import (
+    _purity_verdicts,
+    _random_symbols,
     adjoint_compression,
     basis_for,
     decay_curve,
     multiplier_purity_verdict,
-    random_contractive_symbol,
 )
 from .spaces import BallDomain, Domain, MultiplierSymbol, PolydiscDomain, TruncatedBasis
 
@@ -301,23 +302,18 @@ def _run_purity(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
         count = config.sweep["count"]
         degree = config.sweep.get("symbol_degree", 2)
         forced = config.sweep.get("forced_unitary", 0)
-        entries = []
-        for k in range(count + forced):
-            unitary = k >= count
-            phi = random_contractive_symbol(
-                rng, domain, coeff_dim, degree, d_max, unitary_constant=unitary
-            )
-            rep = multiplier_purity_verdict(phi, domain, d_max, tol)
-            entries.append(
-                {
-                    "index": k,
-                    "forced_unitary": unitary,
-                    "verdict": rep.verdict,
-                    "phi0_rho": rep.phi0_rho,
-                    "padded_norm": rep.padded_norm,
-                    "near_boundary": rep.near_boundary,
-                }
-            )
+        symbols = _random_symbols(rng, domain, coeff_dim, degree, d_max, count, forced)
+        entries = [
+            {
+                "index": k,
+                "forced_unitary": k >= count,
+                "verdict": rep.verdict,
+                "phi0_rho": rep.phi0_rho,
+                "padded_norm": rep.padded_norm,
+                "near_boundary": rep.near_boundary,
+            }
+            for k, rep in enumerate(_purity_verdicts(symbols, domain, d_max, tol))
+        ]
         payload = {
             "mode": "sweep",
             "count": count + forced,

@@ -24,7 +24,7 @@ from .operators import (
     shift_matrix,
     spectral_radius,
 )
-from .purity import PurityReport, basis_for, multiplier_purity_verdict
+from .purity import PurityReport, _purity_verdicts, basis_for, multiplier_purity_verdict
 from .spaces import (
     MultiIndex,
     MultiplierSymbol,
@@ -298,10 +298,9 @@ def bcl_dilation_certify(
         if cols.shape[1] == 0:
             continue
         max_iso = max(max_iso, opnorm(cols.conj().T @ cols - np.eye(cols.shape[1])))
-    rho_p = spectral_radius(t.p @ t.u.conj().T)
-    rho_q = spectral_radius(t.u @ t.p_perp)
-    rep_p = multiplier_purity_verdict(phi_p, domain, degree_cap, purity_tol)
-    rep_q = multiplier_purity_verdict(phi_q, domain, degree_cap, purity_tol)
+    # Phi_p(0) is P U* and Phi_q(0) is U P_perp, so these are rho(P U*), rho(U P_perp)
+    rep_p, rep_q = _purity_verdicts([phi_p, phi_q], domain, degree_cap, purity_tol)
+    rho_p, rho_q = rep_p.phi0_rho, rep_q.phi0_rho
     cut = 1.0 - purity_tol
     consistent_p = (rep_p.verdict == "pure") == (rho_p < cut)
     consistent_q = (rep_q.verdict == "pure") == (rho_q < cut)

@@ -23,6 +23,13 @@ schema but is no longer produced.  Dense per-degree ``eigvals`` run only
 as a cross-check (``tests/oracles.py``): on non-normal block-triangular
 matrices they are evidence, not proof.
 
+The certificate reads only a symbol's support and the basis, never its
+coefficients, so a call that takes a stack of symbols on one space (a
+sweep) certifies each distinct support once per call; no outcome is
+cached across calls.  Such a call draws, assembles and norms the padded
+matrices as stacks and takes every rho(Phi(0)) from one batched
+``eigvals``; its results equal those of one-symbol calls bit for bit.
+
 Contractivity of a symbol is certified on a padded truncation (degree
 D_max + deg Phi) as a surrogate for the multiplier norm; random sweep
 symbols are rescaled by f = 0.99 / padded-norm, which bounds every
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -44,17 +51,20 @@ from .errors import CertificationError, InvalidInputError, NotContractiveError
 from .operators import (
     OperatorMatrix,
     SubspaceFrame,
+    _opnorms,
     _shift_map,
+    _weighted_shift,
     multiplier_matrix,
     opnorm,
-    spectral_radius,
 )
 from .spaces import (
     BallDomain,
     Domain,
+    MultiIndex,
     MultiplierSymbol,
     PolydiscDomain,
     TruncatedBasis,
+    _stack_chunks,
     ball_basis,
     enumerate_indices,
     lift_scalar_symbol,
@@ -133,12 +143,12 @@ class PurityReport:
     decay_samples: Optional[List[float]] = None
 
 
-def _certify_degree_structure(basis: TruncatedBasis, phi: MultiplierSymbol) -> None:
-    """Certify on the shift maps that M_Phi on V_D is block lower-triangular
-    by degree with diagonal blocks I (x) Phi(0); raise ``CertificationError``
-    otherwise."""
+def _certify_degree_structure(basis: TruncatedBasis, support: Sequence[MultiIndex]) -> None:
+    """Certify on the shift maps that M_Phi on V_D, for any Phi with this
+    support, is block lower-triangular by degree with diagonal blocks
+    I (x) Phi(0); raise ``CertificationError`` otherwise."""
     degrees = basis.index_array.sum(axis=1)
-    for beta in phi.terms:
+    for beta in support:
         src, dst, w = _shift_map(basis, beta)
         lift = sum(beta)
         if lift == 0:
@@ -155,6 +165,93 @@ def _certify_degree_structure(basis: TruncatedBasis, phi: MultiplierSymbol) -> N
             )
 
 
+def _padded_norms(
+    basis: TruncatedBasis, support: Sequence[MultiIndex], coeffs: np.ndarray
+) -> np.ndarray:
+    """The norms on ``basis`` of the multipliers with a ``(k, len(support),
+    c, c)`` coefficient stack: one scatter per beta and one batched SVD per
+    chunk of the stack (see ``spaces._STACK_BYTES``)."""
+    norms = np.empty(len(coeffs))
+    for part in _stack_chunks(len(coeffs), 16 * basis.dim**2):
+        chunk = coeffs[part]
+        terms = {beta: chunk[:, t] for t, beta in enumerate(support)}
+        norms[part] = _opnorms(_weighted_shift(basis, terms, len(chunk)))
+    return norms
+
+
+def _phi0_radii(phis: Sequence[MultiplierSymbol]) -> np.ndarray:
+    """rho(Phi(0)) of every symbol, from one batched ``eigvals`` per chunk:
+    LAPACK runs the same geev on each matrix as on that matrix alone."""
+    c = phis[0].coeff_dim
+    radii = np.empty(len(phis))
+    for part in _stack_chunks(len(phis), 16 * c * c):
+        stack = np.array([phi.phi0 for phi in phis[part]])
+        radii[part] = np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+    return radii
+
+
+def _purity_verdicts(
+    phis: Sequence[MultiplierSymbol],
+    domain: Domain,
+    d_max: int,
+    tol: float = 1e-8,
+    check_contractive: bool = True,
+) -> List[PurityReport]:
+    """Purity verdicts of symbols on one space (one n and coeff_dim), each
+    equal to its own :func:`multiplier_purity_verdict` bit for bit.
+
+    The symbols without a usable norm record are assembled and normed as
+    stacks, one per padded truncation and support.  In symbol order, each
+    norm meets the ``NotContractiveError`` refusal and each support not yet
+    seen in this call is certified on the shift maps; nothing is cached
+    across calls.  The Phi(0) spectra come from one batched ``eigvals``.
+    """
+    if not phis:
+        return []
+    c = phis[0].coeff_dim
+    # (degree, support) of each symbol; the degree names its padded basis
+    keys = [(phi.degree, tuple(phi.terms)) for phi in phis]
+    padded: Dict[int, TruncatedBasis] = {}
+    norms: List[float] = [0.0] * len(phis)
+    stacks: Dict[Tuple[int, Tuple[MultiIndex, ...]], List[int]] = {}
+    for i, (phi, (deg, _)) in enumerate(zip(phis, keys)):
+        if phi.n != domain.n:
+            raise InvalidInputError(f"symbol has n={phi.n}, basis has n={domain.n}")
+        if deg not in padded:
+            padded[deg] = basis_for(domain, d_max + deg, c)
+        record = phi.padded_norm_record
+        if record is not None and record[0] == (domain, d_max + deg, c):
+            norms[i] = record[1]
+        else:
+            stacks.setdefault(keys[i], []).append(i)
+    for (deg, support), members in stacks.items():
+        coeffs = np.array([[phis[i].terms[b] for b in support] for i in members])
+        coeffs = coeffs.reshape(len(members), len(support), c, c)
+        for i, norm in zip(members, _padded_norms(padded[deg], support, coeffs)):
+            norms[i] = float(norm)
+    certified = set()
+    for norm, key in zip(norms, keys):
+        if check_contractive and norm > 1.0 + tol:
+            raise NotContractiveError(f"padded multiplier norm {norm:.12f} exceeds 1 + {tol}")
+        if key not in certified:
+            _certify_degree_structure(padded[key[0]], key[1])
+            certified.add(key)
+    reports = []
+    for norm, rho in zip(norms, _phi0_radii(phis)):
+        rho = float(rho)
+        reports.append(
+            PurityReport(
+                per_degree_rho=dict.fromkeys(range(d_max + 1), rho),
+                phi0_rho=rho,
+                verdict="pure" if rho < 1.0 - tol else "not_pure",
+                tol=tol,
+                padded_norm=norm,
+                near_boundary=abs(rho - 1.0) <= tol,
+            )
+        )
+    return reports
+
+
 def multiplier_purity_verdict(
     phi: MultiplierSymbol,
     domain: Domain,
@@ -169,46 +266,21 @@ def multiplier_purity_verdict(
     norm recorded by :func:`random_contractive_symbol` when its key is this
     truncation's, else the SVD of the matrix assembled there.  The spectra
     come from the structural certificate and one eig of Phi(0).  The
-    operator of the decay curve is the compression to V_D_max, sliced from
-    the padded matrix: V_d is a leading principal block of the graded
-    layout, so the slice equals a fresh assembly on V_d entry for entry.
+    operator of the decay curve is the compression to V_D_max.  This is the
+    one-symbol case of the stacked verdict of a sweep.
 
     ``check_contractive=False`` is reserved for degree-D jets of transfer
     functions, whose compressions are exact even though the jet polynomial
     itself need not be a contractive multiplier.
     """
-    padded = basis_for(domain, d_max + phi.degree, phi.coeff_dim)
-    record = phi.padded_norm_record
-    fwd = None
-    if record is not None and record[0] == (domain, padded.degree_cap, padded.coeff_dim):
-        padded_norm = record[1]
-    else:
-        fwd = multiplier_matrix(padded, phi).data
-        padded_norm = opnorm(fwd)
-    if check_contractive and padded_norm > 1.0 + tol:
-        raise NotContractiveError(
-            f"padded multiplier norm {padded_norm:.12f} exceeds 1 + {tol}"
-        )
-    _certify_degree_structure(padded, phi)
-    phi0_rho = spectral_radius(phi.phi0)
-    decay = None
+    (report,) = _purity_verdicts([phi], domain, d_max, tol, check_contractive)
     if decay_m_max is not None:
-        if fwd is None:
-            fwd = multiplier_matrix(padded, phi).data
-        k = padded.dim_upto(d_max)
-        comp = fwd[:k, :k].conj().T
-        h = np.zeros(k, dtype=complex)
+        basis = basis_for(domain, d_max, phi.coeff_dim)
+        h = np.zeros(basis.dim, dtype=complex)
         h[: phi.coeff_dim] = 1.0 / math.sqrt(phi.coeff_dim)
-        decay = decay_curve(comp, h, decay_m_max, tol=max(tol, 1e-10))
-    return PurityReport(
-        per_degree_rho=dict.fromkeys(range(d_max + 1), phi0_rho),
-        phi0_rho=phi0_rho,
-        verdict="pure" if phi0_rho < 1.0 - tol else "not_pure",
-        tol=tol,
-        padded_norm=padded_norm,
-        near_boundary=abs(phi0_rho - 1.0) <= tol,
-        decay_samples=decay,
-    )
+        comp = adjoint_compression(phi, basis)
+        report.decay_samples = decay_curve(comp, h, decay_m_max, tol=max(tol, 1e-10))
+    return report
 
 
 @dataclass
@@ -345,6 +417,82 @@ def slice_purity_consistency(
     )
 
 
+def _scaled_symbols(
+    domain: Domain, support: Tuple[MultiIndex, ...], gauss: np.ndarray, padded_cap: int
+) -> List[MultiplierSymbol]:
+    """The symbols with coefficients ``gauss[:, :, 0] + 1j gauss[:, :, 1]``
+    on ``support``, each scaled to norm 0.99 on the padded truncation
+    V_padded_cap and recording it."""
+    k, _, _, c, _ = gauss.shape
+    if k == 0:
+        return []
+    coeffs = gauss[:, :, 0] + 1j * gauss[:, :, 1]
+    padded = basis_for(domain, padded_cap, c)
+    norms = _padded_norms(padded, support, coeffs)
+    if np.any(norms == 0.0):
+        raise InvalidInputError("degenerate zero random symbol")
+    factors = 0.99 / norms
+    scaled = factors[:, None, None, None] * coeffs
+    key = (domain, padded.degree_cap, c)
+    symbols = []
+    for mats, recorded in zip(scaled, factors * norms):
+        phi = MultiplierSymbol(domain.n, c, dict(zip(support, mats)))
+        phi.padded_norm_record = (key, float(recorded))
+        symbols.append(phi)
+    return symbols
+
+
+def _with_unitary_constant(u: complex, inner: MultiplierSymbol) -> MultiplierSymbol:
+    """blockdiag(u, inner): the unimodular constant u on the first
+    coefficient direction, ``inner`` on the others."""
+    c = inner.coeff_dim + 1
+    terms: Dict[MultiIndex, np.ndarray] = {}
+    for alpha, mat in inner.terms.items():
+        big = np.zeros((c, c), dtype=complex)
+        big[1:, 1:] = mat
+        terms[alpha] = big
+    zero = (0,) * inner.n
+    base = terms.get(zero, np.zeros((c, c), dtype=complex))
+    base[0, 0] = u
+    terms[zero] = base
+    return MultiplierSymbol(inner.n, c, terms)
+
+
+def _random_symbols(
+    rng: np.random.Generator,
+    domain: Domain,
+    coeff_dim: int,
+    degree: int,
+    d_max: int,
+    count: int,
+    forced: int,
+) -> List[MultiplierSymbol]:
+    """``count`` plain then ``forced`` unitary-constant symbols, equal bit
+    for bit to as many :func:`random_contractive_symbol` calls on ``rng``,
+    which is left in the same state.
+
+    One ``standard_normal((count, T, 2, c, c))`` draws the plain symbols
+    (T terms, real and imaginary parts); then each forced symbol draws its
+    phase and its inner symbol's coefficients.  The padded matrices of each
+    stack are assembled and normed together (see :func:`_padded_norms`).
+    """
+    n = domain.n
+    support = enumerate_indices(n, degree)
+    shape = (len(support), 2, coeff_dim - 1, coeff_dim - 1)
+    gauss = rng.standard_normal((count, len(support), 2, coeff_dim, coeff_dim))
+    phases, inner = [], []
+    for _ in range(forced):
+        phases.append(complex(np.exp(2j * math.pi * rng.uniform())))
+        if coeff_dim > 1:
+            inner.append(rng.standard_normal(shape))
+    symbols = _scaled_symbols(domain, support, gauss, d_max + degree)
+    if coeff_dim == 1:
+        return symbols + [MultiplierSymbol(n, 1, {(0,) * n: np.array([[u]])}) for u in phases]
+    inner_gauss = np.array(inner).reshape((forced,) + shape)
+    inner_symbols = _scaled_symbols(domain, support, inner_gauss, d_max + degree)
+    return symbols + [_with_unitary_constant(u, phi) for u, phi in zip(phases, inner_symbols)]
+
+
 def random_contractive_symbol(
     rng: np.random.Generator,
     domain: Domain,
@@ -363,37 +511,8 @@ def random_contractive_symbol(
     constant in the unitary directions, so the symbol is
     blockdiag(unimodular constant, random contractive symbol on the
     remaining dims), with no record; for coeff_dim = 1 it is a unimodular
-    constant.
+    constant.  This is the one-symbol case of a sweep's stacked generator.
     """
-    n = domain.n
-    if unitary_constant:
-        u = complex(np.exp(2j * math.pi * rng.uniform()))
-        if coeff_dim == 1:
-            return MultiplierSymbol(n, 1, {(0,) * n: np.array([[u]])})
-        inner = random_contractive_symbol(
-            rng, domain, coeff_dim - 1, degree, d_max, unitary_constant=False
-        )
-        terms: Dict[Tuple[int, ...], np.ndarray] = {}
-        for alpha, mat in inner.terms.items():
-            big = np.zeros((coeff_dim, coeff_dim), dtype=complex)
-            big[1:, 1:] = mat
-            terms[alpha] = big
-        zero = (0,) * n
-        base = terms.get(zero, np.zeros((coeff_dim, coeff_dim), dtype=complex))
-        base[0, 0] = u
-        terms[zero] = base
-        return MultiplierSymbol(n, coeff_dim, terms)
-    terms = {}
-    for alpha in enumerate_indices(n, degree):
-        terms[alpha] = rng.standard_normal((coeff_dim, coeff_dim)) + 1j * rng.standard_normal(
-            (coeff_dim, coeff_dim)
-        )
-    raw = MultiplierSymbol(n, coeff_dim, terms)
-    padded = basis_for(domain, d_max + raw.degree, coeff_dim)
-    norm = opnorm(multiplier_matrix(padded, raw))
-    if norm == 0.0:
-        raise InvalidInputError("degenerate zero random symbol")
-    factor = 0.99 / norm
-    phi = raw.scaled(factor)
-    phi.padded_norm_record = ((domain, padded.degree_cap, coeff_dim), factor * norm)
+    count, forced = (0, 1) if unitary_constant else (1, 0)
+    (phi,) = _random_symbols(rng, domain, coeff_dim, degree, d_max, count, forced)
     return phi

@@ -73,12 +73,28 @@ MultiIndex = Tuple[int, ...]
 # are dense dim x dim complex matrices, 256 MiB each at this size.
 MAX_DIM = 4096
 
+# Byte budget of one chunk of a stack of dense matrices (the padded
+# multipliers of a purity sweep, assembled and normed together; their Phi(0)
+# blocks).  A stack is split into chunks of at most this many bytes and never
+# less than one matrix, so its peak memory does not grow with the number of
+# symbols; at MAX_DIM a chunk is one matrix.
+_STACK_BYTES = 8 * 2**20
+
 # Distinct bases kept by the memo of polydisc_basis / ball_basis.
 _BASIS_MEMO_SIZE = 32
 
 # Shift maps (src, dst, w) kept per basis, one per multi-index beta; the
 # oldest is dropped beyond this.  Each holds at most 24 bytes per monomial.
 _SHIFT_MAP_MEMO_SIZE = 64
+
+
+def _stack_chunks(count: int, matrix_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)``, each holding as many
+    ``matrix_bytes``-byte matrices as fit in ``_STACK_BYTES``, and at least
+    one."""
+    step = max(1, _STACK_BYTES // matrix_bytes)
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 def degree(alpha: MultiIndex) -> int:

@@ -138,6 +138,29 @@ def shift_map_oracle(
     return src, dst, norms[dst] / norms[src]
 
 
+def dense_multiplier(
+    index_table: Sequence[MultiIndex],
+    norms: Sequence[float],
+    coeff_dim: int,
+    terms: Dict[MultiIndex, np.ndarray],
+) -> np.ndarray:
+    """The matrix of M_Phi on the table's truncation, block by block.
+
+    M_Phi sends e_alpha (x) xi to sum_beta (||z^(alpha+beta)|| / ||z^alpha||)
+    e_(alpha+beta) (x) Phi_beta xi (coefficient index fastest; dropped
+    outside the table).
+    """
+    pos = {alpha: k for k, alpha in enumerate(index_table)}
+    c = coeff_dim
+    m = np.zeros((c * len(index_table),) * 2, dtype=complex)
+    for k, alpha in enumerate(index_table):
+        for beta, mat in terms.items():
+            j = pos.get(tuple(x + y for x, y in zip(alpha, beta)))
+            if j is not None:
+                m[j * c : (j + 1) * c, k * c : (k + 1) * c] += norms[j] / norms[k] * mat
+    return m
+
+
 def dense_per_degree_rho(
     index_table: Sequence[MultiIndex],
     norms: Sequence[float],
@@ -148,22 +171,54 @@ def dense_per_degree_rho(
     """Spectral radius of the compression of M_Phi^* to V_d, d = 0..d_max,
     from dense ``eigvals`` of each compression.
 
-    M_Phi sends e_alpha (x) xi to sum_beta (||z^(alpha+beta)|| / ||z^alpha||)
-    e_(alpha+beta) (x) Phi_beta xi (coefficient index fastest; dropped
-    outside the table); V_d is the leading block of monomials of degree
-    <= d.  ``index_table`` must be graded-lex and reach degree d_max.
+    V_d is the leading block of monomials of degree <= d of
+    :func:`dense_multiplier`'s layout.  ``index_table`` must be graded-lex
+    and reach degree d_max.
     """
-    pos = {alpha: k for k, alpha in enumerate(index_table)}
-    c = coeff_dim
-    m = np.zeros((c * len(index_table),) * 2, dtype=complex)
-    for k, alpha in enumerate(index_table):
-        for beta, mat in terms.items():
-            j = pos.get(tuple(x + y for x, y in zip(alpha, beta)))
-            if j is not None:
-                m[j * c : (j + 1) * c, k * c : (k + 1) * c] += norms[j] / norms[k] * mat
+    m = dense_multiplier(index_table, norms, coeff_dim, terms)
     out = []
     for d in range(d_max + 1):
-        size = c * sum(1 for alpha in index_table if sum(alpha) <= d)
+        size = coeff_dim * sum(1 for alpha in index_table if sum(alpha) <= d)
         comp = m[:size, :size].conj().T
         out.append(float(np.max(np.abs(np.linalg.eigvals(comp)))))
     return out
+
+
+def random_symbol_oracle(
+    rng: np.random.Generator,
+    index_table: Sequence[MultiIndex],
+    norms: Sequence[float],
+    coeff_dim: int,
+    degree: int,
+    forced: bool = False,
+) -> Tuple[Dict[MultiIndex, np.ndarray], Optional[float]]:
+    """The terms and the recorded padded norm of one seeded random symbol,
+    drawn one coefficient at a time.
+
+    Each term over ``all_indices(n, degree)`` is ``standard_normal((c, c)) +
+    1j * standard_normal((c, c))``; the symbol is scaled by 0.99 over the
+    dense SVD norm of :func:`dense_multiplier` on the padded table, and
+    records that factor times the norm.  A forced symbol draws its phase u
+    first and is blockdiag(u, plain symbol of size c - 1), with no record.
+    """
+    n = len(index_table[0])
+    if forced:
+        u = complex(np.exp(2j * np.pi * rng.uniform()))
+        if coeff_dim == 1:
+            return {(0,) * n: np.array([[u]])}, None
+        inner, _ = random_symbol_oracle(rng, index_table, norms, coeff_dim - 1, degree)
+        terms = {}
+        for alpha, mat in inner.items():
+            terms[alpha] = np.zeros((coeff_dim, coeff_dim), dtype=complex)
+            terms[alpha][1:, 1:] = mat
+        terms[(0,) * n][0, 0] = u
+        return terms, None
+    terms = {
+        alpha: rng.standard_normal((coeff_dim, coeff_dim))
+        + 1j * rng.standard_normal((coeff_dim, coeff_dim))
+        for alpha in all_indices(n, degree)
+    }
+    m = dense_multiplier(index_table, norms, coeff_dim, terms)
+    norm = float(np.linalg.svd(m, compute_uv=False)[0])
+    factor = 0.99 / norm
+    return {alpha: factor * mat for alpha, mat in terms.items()}, factor * norm

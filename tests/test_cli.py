@@ -236,6 +236,28 @@ class TestExitCodes:
                 arr[...] = 0
         assert isinstance(padded.index_table, tuple) and isinstance(padded.norms, tuple)
 
+    def test_broken_grading_on_a_warm_basis_is_one_for_a_sweep(self, tmp_path, monkeypatch):
+        config = str(ACCEPTANCE_DIR / "purity-sweep-bergman.json")
+        out = tmp_path / "s.report.json"
+        assert cli.main(["purity", "--config", config, "--out", str(out)]) == 0
+        # the sweep's padded basis: Bergman bidisc at D = 4 + symbol degree 2
+        space = json.loads(Path(config).read_text(encoding="utf-8"))["space"]
+        padded = purity.basis_for(cli.build_domain(space), 6, 2)
+        assert (1, 1) in padded._shift_maps and "successors" in vars(padded)
+        real = purity._shift_map
+
+        def keeps_degree(basis, beta):
+            src, dst, w = real(basis, beta)
+            return src, (src if sum(beta) else dst), w
+
+        monkeypatch.setattr(purity, "_shift_map", keeps_degree)
+        assert cli.main(["purity", "--config", config, "--out", str(out)]) == 1
+        rep = read_report(out)
+        assert rep["pass"] is False
+        assert rep["error"]["type"] == "CertificationError"
+        assert "degree grading" in rep["error"]["message"]
+        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+
     def test_bcl_triple_coeff_dim_mismatch_is_two(self, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):
             raise AssertionError("the triple was certified before its e_dim was checked")

@@ -19,7 +19,7 @@ from gradedshift import (
     transfer_jet,
 )
 from gradedshift.dilation import _transfer_values, haar_unitary, random_bcl_triple
-from gradedshift.operators import opnorm
+from gradedshift.operators import opnorm, spectral_radius
 
 
 def random_colligation(seed: int, e_dim: int, h_dims) -> Colligation:
@@ -239,6 +239,9 @@ class TestBCLCertify:
         t = random_bcl_triple(rng, e_dim=4)
         cert = bcl_dilation_certify(t, 2, 5)
         assert cert.passed
+        # the verdicts' Phi(0) radii are rho(P U*) and rho(U P_perp), bit for bit
+        assert cert.rho_p == spectral_radius(t.p @ t.u.conj().T)
+        assert cert.rho_q == spectral_radius(t.u @ t.p_perp)
         assert cert.max_commutator <= 1e-10
         assert cert.max_isometry_defect <= 1e-10
         assert cert.product_coeff_error <= 1e-12

@@ -32,10 +32,11 @@ from gradedshift import (
     slice_purity_consistency,
 )
 from gradedshift import purity as purity_module
+from gradedshift import spaces as spaces_module
 from gradedshift.operators import spectral_radius
 from gradedshift.spaces import BallDomain, MultiplierSymbol, lift_scalar_symbol, slice_symbol
 
-from oracles import dense_per_degree_rho
+from oracles import dense_per_degree_rho, random_symbol_oracle
 
 HARDY2 = PolydiscDomain((hardy(), hardy()))
 HARDY1 = PolydiscDomain((hardy(),))
@@ -262,7 +263,7 @@ class TestPaddedNormRecord:
         assert rebuilt.padded_norm_record is None
         svd_norm = multiplier_purity_verdict(rebuilt, domain, d_max).padded_norm
         assert abs(norm - svd_norm) <= 1e-15
-        monkeypatch.setattr(purity_module, "opnorm", pytest.fail)
+        monkeypatch.setattr(purity_module, "_opnorms", pytest.fail)
         assert multiplier_purity_verdict(phi, domain, d_max).padded_norm == norm
 
     def test_other_truncations_take_the_svd(self):
@@ -290,6 +291,88 @@ class TestPaddedNormRecord:
         assert phi.padded_norm_record is not None
         for other in (phi.scaled(1.0), slice_symbol(phi, 0), lift_scalar_symbol(phi, 2), forced):
             assert other.padded_norm_record is None
+
+
+# (domain, symbol degree, d_max): the six criterion-01 spaces, a constant
+# symbol, and a symbol of degree above the cap on one variable
+STACK_CASES = [(domain, 2, 3) for domain in SIX_SPACES] + [
+    (HARDY2, 0, 3),
+    (HARDY1, 4, 2),
+]
+
+
+class TestStackedSweep:
+    @pytest.mark.parametrize("one_matrix_chunks", (False, True), ids=("budget", "one-matrix"))
+    @pytest.mark.parametrize("count, forced", ((4, 0), (2, 3)), ids=("plain", "plain+forced"))
+    @pytest.mark.parametrize("c", (1, 2, 3))
+    @pytest.mark.parametrize(
+        "domain, degree, d_max", STACK_CASES, ids=lambda v: repr(v)[:40]
+    )
+    def test_stack_equals_single_calls_bit_for_bit(
+        self, monkeypatch, domain, degree, d_max, c, count, forced, one_matrix_chunks
+    ):
+        if one_matrix_chunks:
+            monkeypatch.setattr(spaces_module, "_STACK_BYTES", 1)
+        rngs = [np.random.default_rng(77) for _ in range(3)]
+        stacked = purity_module._random_symbols(rngs[0], domain, c, degree, d_max, count, forced)
+        singles = [
+            random_contractive_symbol(rngs[1], domain, c, degree, d_max, unitary_constant=k >= count)
+            for k in range(count + forced)
+        ]
+        assert len(stacked) == count + forced
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        padded = basis_for(domain, d_max + degree, 1)
+        reports = purity_module._purity_verdicts(stacked, domain, d_max)
+        for k, (phi, single, rep) in enumerate(zip(stacked, singles, reports)):
+            terms, record = random_symbol_oracle(
+                rngs[2], padded.index_table, padded.norms, c, degree, forced=k >= count
+            )
+            for other in (single.terms, terms):
+                assert list(phi.terms) == list(other)
+                for beta, mat in phi.terms.items():
+                    assert mat.tobytes() == other[beta].tobytes()
+            assert phi.padded_norm_record == single.padded_norm_record
+            if record is None:
+                assert phi.padded_norm_record is None
+            else:
+                assert phi.padded_norm_record[1] == record
+            assert rep == multiplier_purity_verdict(single, domain, d_max)
+        assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+
+    def test_recorded_norm_is_refused_inside_a_stack(self):
+        phis = purity_module._random_symbols(np.random.default_rng(5), HARDY2, 1, 2, 5, 3, 0)
+        key, _ = phis[1].padded_norm_record
+        phis[1].padded_norm_record = (key, 1.5)
+        with pytest.raises(NotContractiveError) as single:
+            multiplier_purity_verdict(phis[1], HARDY2, 5)
+        with pytest.raises(NotContractiveError) as stacked:
+            purity_module._purity_verdicts(phis, HARDY2, 5)
+        assert str(stacked.value) == str(single.value)
+
+    def test_computed_norm_is_refused_inside_a_stack(self):
+        phis = [scalar_symbol(2, {(0, 0): v, (1, 0): 0.1}) for v in (0.3, 1.5, 0.2)]
+        with pytest.raises(NotContractiveError) as single:
+            multiplier_purity_verdict(phis[1], HARDY2, 4)
+        with pytest.raises(NotContractiveError) as stacked:
+            purity_module._purity_verdicts(phis, HARDY2, 4)
+        assert str(stacked.value) == str(single.value)
+
+    def test_every_call_certifies_each_support_once(self, monkeypatch):
+        phis = purity_module._random_symbols(np.random.default_rng(8), HARDY2, 2, 2, 4, 3, 2)
+        real = purity_module._shift_map
+        seen = []
+
+        def counting(basis, beta):
+            seen.append((basis.degree_cap, tuple(beta)))
+            return real(basis, beta)
+
+        monkeypatch.setattr(purity_module, "_shift_map", counting)
+        # plain and forced symbols share one support on the padded V_6
+        support = [(6, beta) for beta in phis[0].terms]
+        for _ in range(2):
+            seen.clear()
+            purity_module._purity_verdicts(phis, HARDY2, 4)
+            assert seen == support
 
 
 class TestInvariantRestriction:
