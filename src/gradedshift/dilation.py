@@ -24,7 +24,7 @@ from .operators import (
     shift_matrix,
     spectral_radius,
 )
-from .purity import PurityReport, _purity_verdicts, basis_for, multiplier_purity_verdict
+from .purity import PurityReport, _purity_verdicts, basis_for
 from .spaces import (
     MultiIndex,
     MultiplierSymbol,
@@ -326,7 +326,7 @@ class JetPurityReport:
     The verdict is jet-certified to the stated degree: compression spectra
     at degrees <= D depend only on coefficients <= D, so they are exact for
     the rational symbol; the jet polynomial itself need not be a
-    contractive multiplier, hence no padded-contractivity gate.
+    contractive multiplier, so it is certified on V_D with no padded norm.
     """
 
     report: PurityReport
@@ -338,7 +338,7 @@ def schur_agler_purity(c: Colligation, degree_cap: int, tol: float = 1e-8) -> Je
     """Purity verdict of the transfer function via its degree-D jet."""
     jet = transfer_jet(c, degree_cap)
     domain = PolydiscDomain((hardy(),) * c.n_vars)
-    report = multiplier_purity_verdict(jet, domain, degree_cap, tol, check_contractive=False)
+    (report,) = _purity_verdicts([jet], domain, degree_cap, tol, check_contractive=False)
     return JetPurityReport(report=report, jet_degree=degree_cap, rho_a=spectral_radius(c.a))
 
 

@@ -282,22 +282,22 @@ def multiplier_matrix(basis: TruncatedBasis, phi: MultiplierSymbol) -> OperatorM
 
 
 def _left_inverse(t: OperatorMatrix, tol: float) -> Tuple[np.ndarray, np.ndarray]:
-    """``(T_r, (T_r* T_r)^(-1) T_r*)`` for the exact-column block T_r of t.
+    """``(T_r, (T_r* T_r)^(-1) T_r* = V S^(-1) U*)`` for the exact-column
+    block T_r = U S V* of t, from one thin SVD.
 
     Raises :class:`NotLeftInvertibleError` if T_r is empty or not bounded
     below by ``tol``.
     """
-    import scipy.linalg  # loaded on first use: it doubles the package's import time
     tr = t.data[:, : t.exact_column_count()]
     if tr.shape[1] == 0:
         raise NotLeftInvertibleError("no exact columns to invert on", 0.0)
-    smin = float(np.linalg.svd(tr, compute_uv=False)[-1])
+    u, s, vh = np.linalg.svd(tr, full_matrices=False)
+    smin = float(s[-1]) if len(s) == tr.shape[1] else 0.0  # wide T_r has a kernel
     if smin <= tol:
         raise NotLeftInvertibleError(
             f"operator not bounded below at truncation scale (sigma_min={smin:.3e})", smin
         )
-    cf = scipy.linalg.cho_factor(tr.conj().T @ tr)
-    return tr, scipy.linalg.cho_solve(cf, tr.conj().T)
+    return tr, (vh.conj().T / s) @ u.conj().T
 
 
 def cauchy_dual(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
@@ -334,11 +334,22 @@ def wandering_subspace(
 
 
 def principal_angles(f1: SubspaceFrame, f2: SubspaceFrame) -> np.ndarray:
-    """Principal angles between two frames (radians, descending)."""
-    import scipy.linalg
+    """Principal angles between two frames (radians, descending).
+
+    With Q1 the wider frame: cosines from the SVD of Q1* Q2, sines from that
+    of Q2 - Q1 Q1* Q2.  An angle with cos^2 >= 1/2 is the arcsin of its own
+    sine, since arccos cannot resolve angles below about 1e-8 (Bjorck &
+    Golub 1973; Knyazev & Argentati 2002).
+    """
     if f1.dim == 0 or f2.dim == 0:
         return np.zeros(0)
-    return scipy.linalg.subspace_angles(f1.columns, f2.columns)
+    if f1.dim < f2.dim:
+        f1, f2 = f2, f1
+    cross = f1.columns.conj().T @ f2.columns
+    # both lists descend, so reversing the cosines pairs them by angle
+    cos = np.minimum(np.linalg.svd(cross, compute_uv=False)[::-1], 1.0)
+    sin = np.minimum(np.linalg.svd(f2.columns - f1.columns @ cross, compute_uv=False), 1.0)
+    return np.where(cos**2 >= 0.5, np.arcsin(sin), np.arccos(cos))
 
 
 def frames_match(f1: SubspaceFrame, f2: SubspaceFrame, tol: float = SVD_THRESHOLD) -> bool:

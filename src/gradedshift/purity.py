@@ -36,7 +36,8 @@ symbols are rescaled by f = 0.99 / padded-norm, which bounds every
 compression norm by 0.99 since compressions nest inside the padded matrix.
 Such a symbol records the norm f * ||A_raw|| it was certified with, and a
 verdict on the same padded truncation reports that as ``padded_norm``
-instead of taking the SVD again.
+instead of taking the SVD again.  The jet of a transfer function need not
+be contractive; it is certified on V_D itself, with no padded norm.
 """
 
 from __future__ import annotations
@@ -131,16 +132,15 @@ class PurityReport:
     flags spectra within tol of 1 (indeterminate at tolerance) without
     reclassifying them.  ``padded_norm`` is the SVD of the padded matrix,
     or, for a symbol from :func:`random_contractive_symbol` on the same
-    padded truncation, the f * ||A_raw|| it recorded.
+    padded truncation, the f * ||A_raw|| it recorded; None for a jet.
     """
 
     per_degree_rho: Dict[int, float]
     phi0_rho: float
     verdict: str
     tol: float
-    padded_norm: float
+    padded_norm: Optional[float]
     near_boundary: bool
-    decay_samples: Optional[List[float]] = None
 
 
 def _certify_degree_structure(basis: TruncatedBasis, support: Sequence[MultiIndex]) -> None:
@@ -205,20 +205,25 @@ def _purity_verdicts(
     norm meets the ``NotContractiveError`` refusal and each support not yet
     seen in this call is certified on the shift maps; nothing is cached
     across calls.  The Phi(0) spectra come from one batched ``eigvals``.
+
+    ``check_contractive=False``, for the jets of transfer functions,
+    certifies on V_D_max and takes no norm; ``padded_norm`` is then None.
     """
     if not phis:
         return []
     c = phis[0].coeff_dim
-    # (degree, support) of each symbol; the degree names its padded basis
+    # (degree, support) of each symbol; the degree names its basis
     keys = [(phi.degree, tuple(phi.terms)) for phi in phis]
-    padded: Dict[int, TruncatedBasis] = {}
-    norms: List[float] = [0.0] * len(phis)
+    bases: Dict[int, TruncatedBasis] = {}
+    norms: List[Optional[float]] = [None] * len(phis)
     stacks: Dict[Tuple[int, Tuple[MultiIndex, ...]], List[int]] = {}
     for i, (phi, (deg, _)) in enumerate(zip(phis, keys)):
         if phi.n != domain.n:
             raise InvalidInputError(f"symbol has n={phi.n}, basis has n={domain.n}")
-        if deg not in padded:
-            padded[deg] = basis_for(domain, d_max + deg, c)
+        if deg not in bases:
+            bases[deg] = basis_for(domain, d_max + (deg if check_contractive else 0), c)
+        if not check_contractive:
+            continue
         record = phi.padded_norm_record
         if record is not None and record[0] == (domain, d_max + deg, c):
             norms[i] = record[1]
@@ -227,14 +232,14 @@ def _purity_verdicts(
     for (deg, support), members in stacks.items():
         coeffs = np.array([[phis[i].terms[b] for b in support] for i in members])
         coeffs = coeffs.reshape(len(members), len(support), c, c)
-        for i, norm in zip(members, _padded_norms(padded[deg], support, coeffs)):
+        for i, norm in zip(members, _padded_norms(bases[deg], support, coeffs)):
             norms[i] = float(norm)
     certified = set()
     for norm, key in zip(norms, keys):
-        if check_contractive and norm > 1.0 + tol:
+        if norm is not None and norm > 1.0 + tol:
             raise NotContractiveError(f"padded multiplier norm {norm:.12f} exceeds 1 + {tol}")
         if key not in certified:
-            _certify_degree_structure(padded[key[0]], key[1])
+            _certify_degree_structure(bases[key[0]], key[1])
             certified.add(key)
     reports = []
     for norm, rho in zip(norms, _phi0_radii(phis)):
@@ -253,33 +258,17 @@ def _purity_verdicts(
 
 
 def multiplier_purity_verdict(
-    phi: MultiplierSymbol,
-    domain: Domain,
-    d_max: int,
-    tol: float = 1e-8,
-    check_contractive: bool = True,
-    decay_m_max: Optional[int] = None,
+    phi: MultiplierSymbol, domain: Domain, d_max: int, tol: float = 1e-8
 ) -> PurityReport:
     """Purity verdict for a contractive polynomial symbol on a graded family.
 
     The norm check runs on the padded truncation V_(D_max + deg Phi): the
     norm recorded by :func:`random_contractive_symbol` when its key is this
     truncation's, else the SVD of the matrix assembled there.  The spectra
-    come from the structural certificate and one eig of Phi(0).  The
-    operator of the decay curve is the compression to V_D_max.  This is the
-    one-symbol case of the stacked verdict of a sweep.
-
-    ``check_contractive=False`` is reserved for degree-D jets of transfer
-    functions, whose compressions are exact even though the jet polynomial
-    itself need not be a contractive multiplier.
+    come from the structural certificate and one eig of Phi(0).  This is
+    the one-symbol case of the stacked verdict of a sweep.
     """
-    (report,) = _purity_verdicts([phi], domain, d_max, tol, check_contractive)
-    if decay_m_max is not None:
-        basis = basis_for(domain, d_max, phi.coeff_dim)
-        h = np.zeros(basis.dim, dtype=complex)
-        h[: phi.coeff_dim] = 1.0 / math.sqrt(phi.coeff_dim)
-        comp = adjoint_compression(phi, basis)
-        report.decay_samples = decay_curve(comp, h, decay_m_max, tol=max(tol, 1e-10))
+    (report,) = _purity_verdicts([phi], domain, d_max, tol)
     return report
 
 

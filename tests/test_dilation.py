@@ -11,13 +11,18 @@ from gradedshift import (
     BCLTriple,
     Colligation,
     InvalidInputError,
+    PolydiscDomain,
     bcl_dilation_certify,
     bcl_pair,
+    hardy,
+    multiplier_purity_verdict,
+    scalar_symbol,
     schur_agler_purity,
     symbol_product,
     transfer_eval,
     transfer_jet,
 )
+from gradedshift import purity as purity_module
 from gradedshift.dilation import _transfer_values, haar_unitary, random_bcl_triple
 from gradedshift.operators import opnorm, spectral_radius
 
@@ -271,6 +276,41 @@ class TestSchurAglerPurity:
         rep = schur_agler_purity(c, 5)
         assert rep.report.verdict in ("pure", "not_pure")
         assert rep.jet_degree == 5
+
+    # A jet is certified on V_D itself.  Its padded truncation V_2D would be
+    # past the Hardy series cap for n=1 at D >= 33 and past MAX_DIM for n=2
+    # at D=46 (dim 4,371, against 1,128 for V_46).
+    @pytest.mark.parametrize("n_vars, degree_cap", [(1, d) for d in range(33, 65)] + [(2, 46)])
+    def test_jet_verdict_at_large_degree(self, n_vars, degree_cap):
+        tol = 1e-8
+        h_dims = (1,) * n_vars
+        rng = np.random.default_rng(degree_cap)
+        unitary_a = Colligation(
+            a=haar_unitary(rng, 1),
+            b=np.zeros((1, n_vars)),
+            c=np.zeros((n_vars, 1)),
+            d=haar_unitary(rng, n_vars),
+            h_dims=h_dims,
+            e_dim=1,
+        )
+        verdicts = []
+        for c in (random_colligation(700 + degree_cap, 1, h_dims), unitary_a):
+            rep = schur_agler_purity(c, degree_cap, tol)
+            assert rep.report.verdict == ("pure" if rep.rho_a < 1.0 - tol else "not_pure")
+            assert rep.report.padded_norm is None
+            verdicts.append(rep.report.verdict)
+        assert verdicts == ["pure", "not_pure"]
+
+    def test_jet_takes_no_norm(self, monkeypatch):
+        def refuse(stack):
+            raise AssertionError("a norm was taken")
+
+        monkeypatch.setattr(purity_module, "_opnorms", refuse)
+        rep = schur_agler_purity(random_colligation(7, 2, (2, 2)), 5)
+        assert rep.report.padded_norm is None
+        # a checked verdict does reach the patched norm
+        with pytest.raises(AssertionError, match="a norm was taken"):
+            multiplier_purity_verdict(scalar_symbol(1, {(1,): 0.5}), PolydiscDomain((hardy(),)), 4)
 
 
 class TestRandomGenerators:

@@ -35,6 +35,7 @@ from gradedshift import (
     weighted_bergman,
 )
 from gradedshift.operators import (
+    OperatorMatrix,
     frames_match,
     null_space_frame,
     opnorm,
@@ -213,11 +214,16 @@ class TestCauchyDual:
         zero = multiplier_matrix(basis, scalar_symbol(1, {(1,): 0.0}))
         # z^5 raises every monomial of V_4 out of the truncation
         beyond = multiplier_matrix(basis, scalar_symbol(1, {(5,): 1.0}))
+        # four exact columns in a 2-dim codomain: full row rank, yet a kernel
+        narrow = one_var_basis(hardy(), 1)
+        wide = OperatorMatrix(np.arange(1.0, 9.0).reshape(2, 4), one_var_basis(hardy(), 3), narrow, 3)
         for inverse in (cauchy_dual, range_projection):
             with pytest.raises(NotLeftInvertibleError, match="sigma_min"):
                 inverse(zero)
             with pytest.raises(NotLeftInvertibleError, match="no exact columns"):
                 inverse(beyond)
+            with pytest.raises(NotLeftInvertibleError, match="sigma_min=0"):
+                inverse(wide)
 
 
 class TestRangeProjection:
@@ -352,13 +358,23 @@ class TestSpectralRadius:
 
 
 class TestFrames:
-    def test_angle_between_lines(self):
-        t = 0.3
+    # cos(1e-13) rounds to 1.0, so arccos alone would return 0 there
+    @pytest.mark.parametrize("t", [0.3, 1e-13])
+    def test_angle_between_lines(self, t):
         line = SubspaceFrame.from_columns(np.array([[1.0], [0.0], [0.0]]))
         tilted = SubspaceFrame.from_columns(np.array([[math.cos(t)], [math.sin(t)], [0.0]]))
-        np.testing.assert_allclose(principal_angles(line, tilted), [t], atol=1e-14)
-        assert not frames_match(line, tilted, 1e-3)
-        assert frames_match(line, tilted, 0.31)
+        np.testing.assert_allclose(principal_angles(line, tilted), [t], rtol=0, atol=1e-15)
+        assert not frames_match(line, tilted, t - 1e-15)
+        assert frames_match(line, tilted, t + 1e-15)
+
+    def test_small_angle_keeps_its_own_sine(self):
+        # Each angle takes the sine or cosine of that same angle: pairing a
+        # cosine with another angle's sine returns [1.2, 0.0] here.
+        angles = np.array([1.2, 1e-9])
+        planes = SubspaceFrame(np.eye(4)[:, :2])
+        turned = SubspaceFrame(np.vstack([np.diag(np.cos(angles)), np.diag(np.sin(angles))]))
+        for pair in ((planes, turned), (turned, planes)):
+            np.testing.assert_allclose(principal_angles(*pair), angles, rtol=0, atol=1e-15)
 
     def test_frames_match_span_not_columns(self):
         plane = SubspaceFrame.from_columns(np.eye(3)[:, :2])
