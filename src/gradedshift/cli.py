@@ -36,11 +36,13 @@ from jsonschema.validators import extend, validator_for
 from . import __version__
 from .ball_identities import chen_identity_residual, defect_identity_residual
 from .dilation import (
+    BCLCertificate,
     BCLTriple,
     Colligation,
+    _bcl_certificates,
+    _random_bcl_stacks,
     _transfer_values,
     bcl_dilation_certify,
-    random_bcl_triple,
     schur_agler_purity,
 )
 from .errors import CertificationError, InvalidInputError
@@ -394,8 +396,7 @@ def _run_bcl(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     tol = config.tol("tol")
     purity_tol = config.tol("purity_tol")
 
-    def certify(t: BCLTriple) -> Dict[str, Any]:
-        cert = bcl_dilation_certify(t, n, d_max, tol, purity_tol)
+    def entry(cert: BCLCertificate) -> Dict[str, Any]:
         return {
             "product_coeff_error": cert.product_coeff_error,
             "max_commutator": cert.max_commutator,
@@ -412,13 +413,9 @@ def _run_bcl(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     if config.sweep is not None:
         rng = np.random.default_rng(config.seed)
         count = config.sweep["count"]
-        e_dim = config.space.get("coeff_dim", 2)
-        entries = []
-        for k in range(count):
-            t = random_bcl_triple(rng, e_dim)
-            entry = certify(t)
-            entry["index"] = k
-            entries.append(entry)
+        u, p = _random_bcl_stacks(rng, config.space.get("coeff_dim", 2), count)
+        certs = _bcl_certificates(u, p, 0, n, d_max, tol, purity_tol)
+        entries = [dict(entry(cert), index=k) for k, cert in enumerate(certs)]
         ok = all(e["passed"] for e in entries)
         return {"mode": "sweep", "count": count, "triples": entries}, ok
     if config.triple is None:
@@ -427,9 +424,9 @@ def _run_bcl(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     coeff_dim = config.space.get("coeff_dim", e_dim)
     if coeff_dim != e_dim:
         raise InvalidInputError(f"space coeff_dim {coeff_dim} != triple e_dim {e_dim}")
-    entry = certify(decode_triple(config.triple))
-    entry["mode"] = "single"
-    return entry, bool(entry["passed"])
+    single = entry(bcl_dilation_certify(decode_triple(config.triple), n, d_max, tol, purity_tol))
+    single["mode"] = "single"
+    return single, bool(single["passed"])
 
 
 def _run_colligation(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:

@@ -6,6 +6,13 @@ H_{n-1}, the symbol Phi(z) = A + B E(z) (I - D E(z))^{-1} C it generates,
 and matrix models of the multiplication tuple it dilates to.  Everything is
 certified post hoc at stated tolerances; nothing relies on the (infinite
 dimensional) existence arguments.
+
+A BCL sweep draws, validates and certifies its triples as stacks: one
+batched QR for every Haar matrix, one batched SVD per validation test, one
+scatter per coefficient and one batched SVD per residual for each group of
+equal symbol degrees, and one stacked call for all purity verdicts.  The
+one-triple functions (:func:`random_bcl_triple`, :func:`bcl_dilation_certify`)
+are the k=1 case, and a stack's results equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -17,20 +24,15 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .kernels import hardy
-from .operators import (
-    OperatorMatrix,
-    multiplier_matrix,
-    opnorm,
-    shift_matrix,
-    spectral_radius,
-)
+from .operators import _opnorms, _weighted_shift, opnorm, shift_matrix, spectral_radius
 from .purity import PurityReport, _purity_verdicts, basis_for
 from .spaces import (
     MultiIndex,
     MultiplierSymbol,
     PolydiscDomain,
+    TruncatedBasis,
+    _stack_chunks,
     enumerate_indices,
-    symbol_product,
 )
 
 __all__ = [
@@ -162,6 +164,21 @@ def transfer_jet(c: Colligation, degree: int) -> MultiplierSymbol:
     return MultiplierSymbol(n, c.e_dim, terms)
 
 
+def _adjoints(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of every matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _check_bcl_stacks(u: np.ndarray, p: np.ndarray) -> None:
+    """Refuse unless every U of a ``(k, e, e)`` stack is unitary to
+    ``UNITARITY_TOL`` and every P an orthogonal projection to
+    ``PROJECTION_TOL``: one batched SVD per test."""
+    if opnorm(_adjoints(u) @ u - np.eye(u.shape[-1])) > UNITARITY_TOL:
+        raise InvalidInputError("U is not unitary to 1e-10")
+    if opnorm(p @ p - p) > PROJECTION_TOL or opnorm(p - _adjoints(p)) > PROJECTION_TOL:
+        raise InvalidInputError("P is not an orthogonal projection to 1e-12")
+
+
 @dataclass
 class BCLTriple:
     """The data (E, U, P) generating the degree-one inner pair on axis p."""
@@ -177,19 +194,45 @@ class BCLTriple:
         e = int(self.e_dim)
         if self.u.shape != (e, e) or self.p.shape != (e, e):
             raise InvalidInputError("U and P must be square of size e_dim")
-        if opnorm(self.u.conj().T @ self.u - np.eye(e)) > UNITARITY_TOL:
-            raise InvalidInputError("U is not unitary to 1e-10")
-        if (
-            opnorm(self.p @ self.p - self.p) > PROJECTION_TOL
-            or opnorm(self.p - self.p.conj().T) > PROJECTION_TOL
-        ):
-            raise InvalidInputError("P is not an orthogonal projection to 1e-12")
+        _check_bcl_stacks(self.u[None], self.p[None])
         if self.axis < 0:
             raise InvalidInputError("axis must be >= 0")
 
     @property
     def p_perp(self) -> np.ndarray:
         return np.eye(self.e_dim, dtype=complex) - self.p
+
+
+_PairCoefficients = Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def _pair_support(n: int, axis: int) -> Tuple[MultiIndex, MultiIndex]:
+    """The multi-indices 0 and e_axis of the pair's two coefficients."""
+    return (0,) * n, tuple(int(i == axis) for i in range(n))
+
+
+def _pair_coefficients(u: np.ndarray, p: np.ndarray) -> _PairCoefficients:
+    """``((P U*, P_perp U*), (U P_perp, U P))``: the z_p^0 and z_p^1
+    coefficients of Phi_p and Phi_q, as stacks for ``(k, e, e)`` stacks."""
+    uh = _adjoints(u)
+    p_perp = np.eye(u.shape[-1], dtype=complex) - p
+    return (p @ uh, p_perp @ uh), (u @ p_perp, u @ p)
+
+
+def _pair_symbols(
+    n: int, axis: int, coeffs: _PairCoefficients
+) -> List[Tuple[MultiplierSymbol, MultiplierSymbol]]:
+    """The pair (Phi_p, Phi_q) in n variables of every triple of a stack."""
+    e = coeffs[0][0].shape[-1]
+    zero, ep = _pair_support(n, axis)
+    (p0, p1), (q0, q1) = coeffs
+    return [
+        (
+            MultiplierSymbol(n, e, {zero: p0[i], ep: p1[i]}),
+            MultiplierSymbol(n, e, {zero: q0[i], ep: q1[i]}),
+        )
+        for i in range(len(p0))
+    ]
 
 
 def bcl_pair(t: BCLTriple, n_vars: Optional[int] = None) -> Tuple[MultiplierSymbol, MultiplierSymbol]:
@@ -201,27 +244,44 @@ def bcl_pair(t: BCLTriple, n_vars: Optional[int] = None) -> Tuple[MultiplierSymb
     n = n_vars if n_vars is not None else t.axis + 1
     if n < t.axis + 1:
         raise InvalidInputError(f"n_vars {n} too small for axis {t.axis}")
-    uh = t.u.conj().T
-    zero = (0,) * n
-    ep = tuple(1 if i == t.axis else 0 for i in range(n))
-    phi_p = MultiplierSymbol(n, t.e_dim, {zero: t.p @ uh, ep: t.p_perp @ uh})
-    phi_q = MultiplierSymbol(n, t.e_dim, {zero: t.u @ t.p_perp, ep: t.u @ t.p})
-    return phi_p, phi_q
+    return _pair_symbols(n, t.axis, _pair_coefficients(t.u[None], t.p[None]))[0]
 
 
-def _pair_product_error(t: BCLTriple, phi_p: MultiplierSymbol, phi_q: MultiplierSymbol) -> float:
-    """Coefficient-wise error of Phi_p Phi_q = Phi_q Phi_p = z_p I."""
-    n = phi_p.n
-    ep = tuple(1 if i == t.axis else 0 for i in range(n))
-    target = MultiplierSymbol(n, t.e_dim, {ep: np.eye(t.e_dim, dtype=complex)})
-    worst = 0.0
-    for prod in (symbol_product(phi_p, phi_q), symbol_product(phi_q, phi_p)):
-        keys = set(prod.terms) | set(target.terms)
-        zero = np.zeros((t.e_dim, t.e_dim), dtype=complex)
-        for k in keys:
-            diff = prod.terms.get(k, zero) - target.terms.get(k, zero)
-            worst = max(worst, float(np.max(np.abs(diff))))
+def _product_errors(coeffs: _PairCoefficients) -> np.ndarray:
+    """Coefficient-wise error of Phi_p Phi_q = Phi_q Phi_p = z_p I for every
+    triple of a stack; the z_p^1 coefficient of A B is A_0 B_1 + A_1 B_0, as
+    :func:`gradedshift.spaces.symbol_product` sums it."""
+    eye = np.eye(coeffs[0][0].shape[-1], dtype=complex)
+    worst = np.zeros(len(coeffs[0][0]))
+    for (a0, a1), (b0, b1) in (coeffs, coeffs[::-1]):
+        for diff in (a0 @ b0, a0 @ b1 + a1 @ b0 - eye, a1 @ b1):
+            worst = np.maximum(worst, np.abs(diff).max(axis=(-2, -1)))
     return worst
+
+
+def _tuple_residuals(
+    basis: TruncatedBasis, ops: Sequence[Tuple[np.ndarray, int, int]], count: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The largest pairwise commutator and the largest column-isometry defect
+    on exactness blocks of each of ``count`` tuples.
+
+    ``ops`` lists ``(data, exactness_degree, lift)`` per member; ``data`` is
+    a ``(count, dim, dim)`` stack, or one matrix that every tuple shares.
+    A product A B is exact on the columns of degrees <= min(d*_A, d*_B) -
+    max(lift_A, lift_B).
+    """
+    comm = np.zeros(count)
+    iso = np.zeros(count)
+    for i, (a, exact_a, lift_a) in enumerate(ops):
+        for b, exact_b, lift_b in ops[i + 1 :]:
+            ncols = basis.dim_upto(min(exact_a, exact_b) - max(lift_a, lift_b))
+            if ncols:
+                comm = np.maximum(comm, _opnorms((a @ b - b @ a)[..., :ncols]))
+        ncols = basis.dim_upto(exact_a)
+        if ncols:
+            cols = a[..., :ncols]
+            iso = np.maximum(iso, _opnorms(_adjoints(cols) @ cols - np.eye(ncols)))
+    return comm, iso
 
 
 @dataclass
@@ -256,6 +316,81 @@ class BCLCertificate:
         )
 
 
+def _bcl_certificates(
+    u: np.ndarray,
+    p: np.ndarray,
+    axis: int,
+    n: int,
+    degree_cap: int,
+    tol: float,
+    purity_tol: float,
+) -> List[BCLCertificate]:
+    """Certificates of the triples (U, P) of ``(k, e, e)`` stacks on one
+    axis, each equal to its own :func:`bcl_dilation_certify` bit for bit.
+
+    The product errors come from stacked coefficient products.
+    ``MultiplierSymbol`` drops exactly-zero coefficients, so a z_p
+    coefficient that is exactly 0 (Phi_q's U P at P = 0) makes that
+    symbol constant, which moves its exactness degree and lift.  So the
+    triples are grouped by (deg Phi_p, deg Phi_q), and each group's
+    multiplier matrices are assembled with one scatter per coefficient and
+    normed by one batched SVD per commutator and defect, in chunks of at
+    most ``spaces._STACK_BYTES`` per stack.  All 2k purity verdicts come
+    from one stacked call.
+    """
+    if n < 2:
+        raise InvalidInputError("dilation tuple needs n >= 2")
+    if not 0 <= axis <= n - 2:
+        raise InvalidInputError(f"axis {axis} out of range for n - 1 = {n - 1} variables")
+    coeffs = _pair_coefficients(u, p)
+    domain = PolydiscDomain((hardy(),) * (n - 1))
+    basis = basis_for(domain, degree_cap, u.shape[-1])
+    zero, ep = _pair_support(n - 1, axis)
+    shifts = [shift_matrix(basis, i) for i in range(n - 1) if i != axis]
+    shift_ops = [(s.data, s.exactness_degree, s.lift) for s in shifts]
+    # deg Phi_p and deg Phi_q of each triple: 1 unless the z_p coefficient is 0
+    degrees = [np.any(c1 != 0, axis=(-2, -1)).astype(int) for _, c1 in coeffs]
+    groups: Dict[Tuple[int, int], List[int]] = {}
+    for i, key in enumerate(zip(*degrees)):
+        groups.setdefault(key, []).append(i)
+    max_comm = np.empty(len(u))
+    max_iso = np.empty(len(u))
+    for key, members in groups.items():
+        for part in _stack_chunks(len(members), 16 * basis.dim**2):
+            idx = members[part]
+            mults = [
+                (
+                    _weighted_shift(basis, {zero: c0[idx], ep: c1[idx]}, len(idx)),
+                    degree_cap - deg,
+                    deg,
+                )
+                for (c0, c1), deg in zip(coeffs, key)
+            ]
+            max_comm[idx], max_iso[idx] = _tuple_residuals(basis, shift_ops + mults, len(idx))
+    symbols = [phi for pair in _pair_symbols(n - 1, axis, coeffs) for phi in pair]
+    # Phi_p(0) is P U* and Phi_q(0) is U P_perp, so these are rho(P U*), rho(U P_perp)
+    reports = _purity_verdicts(symbols, domain, degree_cap, purity_tol)
+    cut = 1.0 - purity_tol
+    return [
+        BCLCertificate(
+            product_coeff_error=float(err),
+            max_commutator=float(comm),
+            max_isometry_defect=float(iso),
+            rho_p=rep_p.phi0_rho,
+            rho_q=rep_q.phi0_rho,
+            verdict_p=rep_p.verdict,
+            verdict_q=rep_q.verdict,
+            consistent_p=(rep_p.verdict == "pure") == (rep_p.phi0_rho < cut),
+            consistent_q=(rep_q.verdict == "pure") == (rep_q.phi0_rho < cut),
+            tol=tol,
+            purity_tol=purity_tol,
+        )
+        for err, comm, iso, rep_p, rep_q in zip(
+            _product_errors(coeffs), max_comm, max_iso, reports[::2], reports[1::2]
+        )
+    ]
+
+
 def bcl_dilation_certify(
     t: BCLTriple,
     n: int,
@@ -267,56 +402,10 @@ def bcl_dilation_certify(
 
     Residual gates: pairwise commutators and column-isometry defects <= tol
     on exactness blocks; pure branch of M_{Phi_p} iff rho(P U*) < 1 -
-    purity_tol, and of M_{Phi_q} iff rho(U P_perp) < 1 - purity_tol.
+    purity_tol, and of M_{Phi_q} iff rho(U P_perp) < 1 - purity_tol.  This
+    is the one-triple case of the stacked certificate of a sweep.
     """
-    if n < 2:
-        raise InvalidInputError("dilation tuple needs n >= 2")
-    if not 0 <= t.axis <= n - 2:
-        raise InvalidInputError(f"axis {t.axis} out of range for n - 1 = {n - 1} variables")
-    phi_p, phi_q = bcl_pair(t, n - 1)
-    product_err = _pair_product_error(t, phi_p, phi_q)
-    domain = PolydiscDomain((hardy(),) * (n - 1))
-    basis = basis_for(domain, degree_cap, t.e_dim)
-    ops: List[OperatorMatrix] = [
-        shift_matrix(basis, i) for i in range(n - 1) if i != t.axis
-    ]
-    ops.append(multiplier_matrix(basis, phi_p))
-    ops.append(multiplier_matrix(basis, phi_q))
-    max_comm = 0.0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            a, b = ops[i], ops[j]
-            budget = min(a.exactness_degree, b.exactness_degree) - max(a.lift, b.lift)
-            ncols = basis.dim_upto(budget)
-            if ncols == 0:
-                continue
-            comm = (a.data @ b.data - b.data @ a.data)[:, :ncols]
-            max_comm = max(max_comm, opnorm(comm))
-    max_iso = 0.0
-    for op in ops:
-        cols = op.data[:, : op.exact_column_count()]
-        if cols.shape[1] == 0:
-            continue
-        max_iso = max(max_iso, opnorm(cols.conj().T @ cols - np.eye(cols.shape[1])))
-    # Phi_p(0) is P U* and Phi_q(0) is U P_perp, so these are rho(P U*), rho(U P_perp)
-    rep_p, rep_q = _purity_verdicts([phi_p, phi_q], domain, degree_cap, purity_tol)
-    rho_p, rho_q = rep_p.phi0_rho, rep_q.phi0_rho
-    cut = 1.0 - purity_tol
-    consistent_p = (rep_p.verdict == "pure") == (rho_p < cut)
-    consistent_q = (rep_q.verdict == "pure") == (rho_q < cut)
-    return BCLCertificate(
-        product_coeff_error=product_err,
-        max_commutator=max_comm,
-        max_isometry_defect=max_iso,
-        rho_p=rho_p,
-        rho_q=rho_q,
-        verdict_p=rep_p.verdict,
-        verdict_q=rep_q.verdict,
-        consistent_p=consistent_p,
-        consistent_q=consistent_q,
-        tol=tol,
-        purity_tol=purity_tol,
-    )
+    return _bcl_certificates(t.u[None], t.p[None], t.axis, n, degree_cap, tol, purity_tol)[0]
 
 
 @dataclass
@@ -342,28 +431,63 @@ def schur_agler_purity(c: Colligation, degree_cap: int, tol: float = 1e-8) -> Je
     return JetPurityReport(report=report, jet_degree=degree_cap, rho_a=spectral_radius(c.a))
 
 
+def _gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A complex Gaussian ``dim x dim`` matrix: its real part, then its
+    imaginary part."""
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _haar_unitaries(gauss: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from a stack of complex Gaussians: one
+    batched QR with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(gauss)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[..., None, :]
+
+
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary (QR of a complex Gaussian with phase fix)."""
-    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(gauss)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _haar_unitaries(_gaussian(rng, dim)[None])[0]
+
+
+def _random_bcl_stacks(
+    rng: np.random.Generator, e_dim: int, count: int, rank: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(u, p)`` stacks of shape ``(count, e_dim, e_dim)``, equal bit for bit
+    to as many :func:`random_bcl_triple` calls on ``rng``, which is left in
+    the same state.
+
+    Each triple draws its U, then its rank unless ``rank`` is given, then
+    the V that conjugates the coordinate projection of that rank.  One
+    batched QR makes every U and V Haar, P = V P_0 V* is symmetrised as a
+    stack, and the stacks are checked as :class:`BCLTriple` checks one.  A
+    ``rank`` outside [0, e_dim] is refused before anything is drawn.
+    """
+    if rank is not None and not 0 <= rank <= e_dim:
+        raise InvalidInputError(f"projection rank {rank} out of range")
+    gauss = np.empty((count, 2, e_dim, e_dim), dtype=complex)
+    ranks = np.full(count, rank if rank is not None else 0)
+    for k in range(count):
+        gauss[k, 0] = _gaussian(rng, e_dim)
+        if rank is None:
+            ranks[k] = rng.integers(0, e_dim + 1)
+        gauss[k, 1] = _gaussian(rng, e_dim)
+    unitaries = _haar_unitaries(gauss)
+    u, v = unitaries[:, 0], unitaries[:, 1]
+    p0 = np.zeros((count, e_dim, e_dim), dtype=complex)
+    diag = np.arange(e_dim)
+    p0[:, diag, diag] = diag < ranks[:, None]
+    p = v @ p0 @ _adjoints(v)
+    p = (p + _adjoints(p)) / 2
+    _check_bcl_stacks(u, p)
+    return u, p
 
 
 def random_bcl_triple(
     rng: np.random.Generator, e_dim: int, axis: int = 0, rank: Optional[int] = None
 ) -> BCLTriple:
-    """Seeded random BCL triple: Haar U, coordinate projection conjugated by Haar."""
-    u = haar_unitary(rng, e_dim)
-    if rank is None:
-        rank = int(rng.integers(0, e_dim + 1))
-    if not 0 <= rank <= e_dim:
-        raise InvalidInputError(f"projection rank {rank} out of range")
-    v = haar_unitary(rng, e_dim)
-    p0 = np.zeros((e_dim, e_dim), dtype=complex)
-    for k in range(rank):
-        p0[k, k] = 1.0
-    p = v @ p0 @ v.conj().T
-    p = (p + p.conj().T) / 2
-    return BCLTriple(e_dim=e_dim, u=u, p=p, axis=axis)
+    """Seeded random BCL triple: Haar U, coordinate projection conjugated by
+    Haar.  This is the one-triple case of a sweep's stacked generator."""
+    u, p = _random_bcl_stacks(rng, e_dim, 1, rank)
+    return BCLTriple(e_dim=e_dim, u=u[0], p=p[0], axis=axis)

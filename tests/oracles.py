@@ -222,3 +222,92 @@ def random_symbol_oracle(
     norm = float(np.linalg.svd(m, compute_uv=False)[0])
     factor = 0.99 / norm
     return {alpha: factor * mat for alpha, mat in terms.items()}, factor * norm
+
+
+def bcl_triple_oracle(
+    rng: np.random.Generator, e_dim: int, rank: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """U and P of one seeded BCL triple, drawn one matrix at a time.
+
+    U and V are the QR factors Q of ``standard_normal((e, e)) + 1j *
+    standard_normal((e, e))`` with the phases of R's diagonal moved into Q;
+    the rank is drawn between them unless given; P = V diag(1^rank, 0) V*,
+    symmetrised.
+    """
+
+    def haar() -> np.ndarray:
+        gauss = rng.standard_normal((e_dim, e_dim)) + 1j * rng.standard_normal((e_dim, e_dim))
+        q, r = np.linalg.qr(gauss)
+        d = np.diag(r).copy()
+        return q * (d / np.abs(d))
+
+    u = haar()
+    if rank is None:
+        rank = int(rng.integers(0, e_dim + 1))
+    v = haar()
+    p0 = np.diag([1.0] * rank + [0.0] * (e_dim - rank)).astype(complex)
+    p = v @ p0 @ v.conj().T
+    return u, (p + p.conj().T) / 2
+
+
+def bcl_certificate_oracle(
+    u: np.ndarray,
+    p: np.ndarray,
+    axis: int,
+    index_table: Sequence[MultiIndex],
+    norms: Sequence[float],
+    purity_tol: float = 1e-8,
+) -> tuple:
+    """``(product error, max commutator, max isometry defect, rho_p, rho_q,
+    verdict_p, verdict_q)`` of one BCL triple on the Hardy table, one
+    coefficient product and one operator pair at a time.
+
+    Phi_p = (P + z_axis P_perp) U* and Phi_q = U (P_perp + z_axis P), with
+    exactly-zero coefficients dropped; a symbol of degree d is exact on the
+    columns of degree <= D - d and lifts by d, a coordinate shift on those of
+    degree <= D - 1 and by 1.  Commutators and isometry defects are dense
+    SVD norms of those columns; rho is that of Phi(0).
+    """
+    n, e = len(index_table[0]), len(u)
+    cap = max(sum(alpha) for alpha in index_table)
+    zero = (0,) * n
+    ep = tuple(int(i == axis) for i in range(n))
+    eye = np.eye(e, dtype=complex)
+    p_perp = eye - p
+    phis = [{zero: p @ u.conj().T, ep: p_perp @ u.conj().T}, {zero: u @ p_perp, ep: u @ p}]
+    phis = [{beta: m for beta, m in phi.items() if np.any(m != 0)} for phi in phis]
+    err = 0.0
+    for a, b in ((phis[0], phis[1]), (phis[1], phis[0])):
+        prod: Dict[MultiIndex, np.ndarray] = {}
+        for alpha, ma in a.items():
+            for beta, mb in b.items():
+                gamma = tuple(x + y for x, y in zip(alpha, beta))
+                prod[gamma] = prod[gamma] + ma @ mb if gamma in prod else ma @ mb
+        prod[ep] = prod.get(ep, np.zeros_like(eye)) - eye
+        err = max(err, max(float(np.max(np.abs(m))) for m in prod.values()))
+
+    def columns_upto(d: int) -> int:
+        return e * sum(1 for alpha in index_table if sum(alpha) <= d)
+
+    ops = []
+    for i in range(n):
+        if i != axis:
+            e_i = tuple(int(j == i) for j in range(n))
+            ops.append((dense_multiplier(index_table, norms, e, {e_i: eye}), cap - 1, 1))
+    for phi in phis:
+        deg = max((sum(beta) for beta in phi), default=0)
+        ops.append((dense_multiplier(index_table, norms, e, phi), cap - deg, deg))
+    comm = iso = 0.0
+    for i, (a, exact_a, lift_a) in enumerate(ops):
+        for b, exact_b, lift_b in ops[i + 1 :]:
+            k = columns_upto(min(exact_a, exact_b) - max(lift_a, lift_b))
+            if k:
+                comm = max(comm, float(np.linalg.svd((a @ b - b @ a)[:, :k], compute_uv=False)[0]))
+        k = columns_upto(exact_a)
+        if k:
+            cols = a[:, :k]
+            gram = cols.conj().T @ cols - np.eye(k)
+            iso = max(iso, float(np.linalg.svd(gram, compute_uv=False)[0]))
+    rhos = [float(np.max(np.abs(np.linalg.eigvals(phi.get(zero, 0 * eye))))) for phi in phis]
+    verdicts = ["pure" if rho < 1.0 - purity_tol else "not_pure" for rho in rhos]
+    return (err, comm, iso, *rhos, *verdicts)

@@ -22,9 +22,21 @@ from gradedshift import (
     transfer_eval,
     transfer_jet,
 )
+from gradedshift import dilation as dilation_module
 from gradedshift import purity as purity_module
-from gradedshift.dilation import _transfer_values, haar_unitary, random_bcl_triple
+from gradedshift import spaces as spaces_module
+from gradedshift.dilation import (
+    _bcl_certificates,
+    _check_bcl_stacks,
+    _random_bcl_stacks,
+    _transfer_values,
+    haar_unitary,
+    random_bcl_triple,
+)
 from gradedshift.operators import opnorm, spectral_radius
+from gradedshift.spaces import polydisc_basis
+
+from oracles import bcl_certificate_oracle, bcl_triple_oracle
 
 
 def random_colligation(seed: int, e_dim: int, h_dims) -> Colligation:
@@ -256,6 +268,144 @@ class TestBCLCertify:
         t = random_bcl_triple(rng, e_dim=3, axis=1)
         cert = bcl_dilation_certify(t, 3, 4)
         assert cert.passed
+
+
+# ranks forced per triple of a stacked sweep; at rank 0, P = 0 exactly, so
+# Phi_q is constant there; None draws the rank
+SWEEP_RANKS = (0, 0, "e", "e", None, None, None)
+
+
+def _mixed_sweep(rng, e_dim):
+    """A sweep drawn as three stacks: two rank-0, two rank-e, three drawn."""
+    stacks = [_random_bcl_stacks(rng, e_dim, 2, 0), _random_bcl_stacks(rng, e_dim, 2, e_dim)]
+    stacks.append(_random_bcl_stacks(rng, e_dim, 3))
+    return np.concatenate([u for u, _ in stacks]), np.concatenate([p for _, p in stacks])
+
+
+def _fields(cert):
+    """A certificate's residuals, radii and verdicts."""
+    return (
+        cert.product_coeff_error,
+        cert.max_commutator,
+        cert.max_isometry_defect,
+        cert.rho_p,
+        cert.rho_q,
+        cert.verdict_p,
+        cert.verdict_q,
+    )
+
+
+class TestStackedBCL:
+    @pytest.mark.parametrize("degree_cap", (0, 1, 3))
+    @pytest.mark.parametrize("n, axis", ((2, 0), (3, 0), (3, 1)))
+    @pytest.mark.parametrize("e_dim", (1, 2, 3, 4))
+    def test_stack_equals_single_calls_bit_for_bit(self, e_dim, n, axis, degree_cap):
+        rngs = [np.random.default_rng(100 + e_dim) for _ in range(3)]
+        u, p = _mixed_sweep(rngs[0], e_dim)
+        ranks = [e_dim if r == "e" else r for r in SWEEP_RANKS]
+        singles = [random_bcl_triple(rngs[1], e_dim, axis, rank) for rank in ranks]
+        drawn = [bcl_triple_oracle(rngs[2], e_dim, rank) for rank in ranks]
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
+        basis = polydisc_basis((hardy(),) * (n - 1), degree_cap, e_dim)
+        certs = _bcl_certificates(u, p, axis, n, degree_cap, 1e-10, 1e-8)
+        assert len(certs) == len(ranks)
+        for k, (cert, t, (u_k, p_k)) in enumerate(zip(certs, singles, drawn)):
+            for got_u, got_p in ((t.u, t.p), (u_k, p_k)):
+                assert got_u.tobytes() == u[k].tobytes()
+                assert got_p.tobytes() == p[k].tobytes()
+            assert cert == bcl_dilation_certify(t, n, degree_cap)
+            oracle = bcl_certificate_oracle(u_k, p_k, axis, basis.index_table, basis.norms)
+            assert _fields(cert) == oracle
+            assert cert.passed
+        # rank 0 makes Phi_q constant, so constant symbols share the sweep
+        assert [bcl_pair(t, n - 1)[1].degree for t in singles[:2]] == [0, 0]
+
+    @pytest.mark.parametrize("e_dim, count", ((1, 1), (2, 5), (3, 4), (4, 2)))
+    def test_generator_leaves_rng_as_single_calls(self, e_dim, count):
+        stacked, single = np.random.default_rng(9), np.random.default_rng(9)
+        u, p = _random_bcl_stacks(stacked, e_dim, count)
+        triples = [random_bcl_triple(single, e_dim) for _ in range(count)]
+        assert stacked.bit_generator.state == single.bit_generator.state
+        assert u.shape == p.shape == (count, e_dim, e_dim)
+        assert u.tobytes() == np.array([t.u for t in triples]).tobytes()
+        assert p.tobytes() == np.array([t.p for t in triples]).tobytes()
+
+    # (product error, commutator, isometry defect, rho_p, rho_q, verdicts) of
+    # the triples of rank 0, e and a drawn rank, from the per-triple path that
+    # the stacked certificate replaced
+    PINNED = {
+        (12, 3, 3, 1, 3): [
+            (4.440948905049759e-16, 4.273193894916767e-16, 4.861070885267241e-16,
+             0.0, 1.0, "pure", "not_pure"),
+            (9.992872416041467e-16, 1.6072513164290168e-15, 2.0474801504820243e-15,
+             1.0000000000000007, 4.086189027754154e-16, "not_pure", "pure"),
+            (8.883003129068515e-16, 1.7861659804965027e-15, 2.1063567628593174e-15,
+             0.9397894776570004, 0.3615233924923176, "pure", "pure"),
+        ],
+        (4, 2, 2, 0, 4): [
+            (4.440957164955956e-16, 3.7214452071007327e-16, 4.766576081086438e-16,
+             0.0, 1.0, "pure", "not_pure"),
+            (2.2611900120438456e-16, 2.802128462417071e-16, 6.900978506627339e-16,
+             1.0000000000000004, 2.465380976574689e-16, "not_pure", "pure"),
+            (4.445373847447075e-16, 3.124773545941096e-16, 6.879098986112182e-16,
+             0.4421118261872011, 0.4421118261872012, "pure", "pure"),
+        ],
+    }
+
+    @pytest.mark.parametrize("seed, e_dim, n, axis, degree_cap", sorted(PINNED))
+    def test_pinned_certificates(self, seed, e_dim, n, axis, degree_cap):
+        rng = np.random.default_rng(seed)
+        stacks = [_random_bcl_stacks(rng, e_dim, 1, rank) for rank in (0, e_dim, None)]
+        u = np.concatenate([u for u, _ in stacks])
+        p = np.concatenate([p for _, p in stacks])
+        certs = _bcl_certificates(u, p, axis, n, degree_cap, 1e-10, 1e-8)
+        assert [_fields(c) for c in certs] == self.PINNED[(seed, e_dim, n, axis, degree_cap)]
+
+    def test_one_matrix_chunks_give_the_same_certificates(self, monkeypatch):
+        u, p = _random_bcl_stacks(np.random.default_rng(25), 2, 25)
+        u[:5], p[:5] = _random_bcl_stacks(np.random.default_rng(26), 2, 5, 0)
+        want = _bcl_certificates(u, p, 1, 3, 3, 1e-10, 1e-8)
+        counts = []
+        assemble = dilation_module._weighted_shift
+
+        def counted(basis, terms, count):
+            counts.append(count)
+            return assemble(basis, terms, count)
+
+        monkeypatch.setattr(dilation_module, "_weighted_shift", counted)
+        monkeypatch.setattr(spaces_module, "_STACK_BYTES", 1)
+        assert _bcl_certificates(u, p, 1, 3, 3, 1e-10, 1e-8) == want
+        # Phi_p and Phi_q of each triple, one matrix per chunk
+        assert counts == [1] * 50
+
+    @pytest.mark.parametrize("rank", (-1, 4))
+    def test_rank_out_of_range_refused_before_drawing(self, rank):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(InvalidInputError, match="out of range"):
+            random_bcl_triple(rng, 3, rank=rank)
+        with pytest.raises(InvalidInputError, match="out of range"):
+            _random_bcl_stacks(rng, 3, 4, rank)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "which, bad",
+        (
+            ("u", 2 * np.eye(2)),
+            ("p", np.diag([0.5, 0.0])),
+            ("p", np.array([[1.0, 1.0], [0.0, 0.0]])),  # idempotent, not self-adjoint
+        ),
+    )
+    def test_stack_refusal_matches_triple(self, which, bad):
+        u, p = _random_bcl_stacks(np.random.default_rng(5), 2, 3)
+        stacks = {"u": u, "p": p}
+        stacks[which][1] = bad
+        with pytest.raises(InvalidInputError) as stacked:
+            _check_bcl_stacks(u, p)
+        with pytest.raises(InvalidInputError) as single:
+            BCLTriple(e_dim=2, u=u[1], p=p[1])
+        assert str(stacked.value) == str(single.value)
 
 
 class TestSchurAglerPurity:
