@@ -66,7 +66,7 @@ from .spaces import BallDomain, Domain, MultiplierSymbol, PolydiscDomain, Trunca
 
 __all__ = ["ScenarioConfig", "RunReport", "run_scenario", "run_suite", "main"]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 OUT_DIR_ENV = "GRADEDSHIFT_OUT_DIR"
 
 DEFAULT_TOLERANCES: Dict[str, Dict[str, float]] = {
@@ -80,6 +80,17 @@ DEFAULT_TOLERANCES: Dict[str, Dict[str, float]] = {
 }
 
 TASKS = tuple(DEFAULT_TOLERANCES)
+
+
+def _refuse_unknown_tolerances(names: Sequence[str], tasks: Sequence[str], field: str) -> None:
+    """Refuse a tolerance name that none of ``tasks`` documents; ``field``
+    places the name in the refusal, e.g. ``"$.tolerances.{}"``."""
+    documented = sorted({name for task in tasks for name in DEFAULT_TOLERANCES[task]})
+    for name in names:
+        if name not in documented:
+            raise InvalidInputError(
+                f"{field.format(name)}: unknown tolerance (documented: {', '.join(documented)})"
+            )
 
 
 def _load_schema(name: str) -> Dict[str, Any]:
@@ -235,12 +246,7 @@ class ScenarioConfig:
         )
 
     def tol(self, name: str) -> float:
-        if name in self.tolerances:
-            return float(self.tolerances[name])
-        defaults = DEFAULT_TOLERANCES.get(self.task, {})
-        if name not in defaults:
-            raise InvalidInputError(f"no documented default for tolerance {name!r}")
-        return defaults[name]
+        return float(self.tolerances.get(name, DEFAULT_TOLERANCES[self.task][name]))
 
 
 @dataclass
@@ -316,15 +322,7 @@ def _run_purity(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
             }
             for k, rep in enumerate(_purity_verdicts(symbols, domain, d_max, tol))
         ]
-        payload = {
-            "mode": "sweep",
-            "count": count + forced,
-            # a broken degree structure raises instead of counting here; the
-            # field stays until the report schema's next version
-            "inconsistent_count": 0,
-            "symbols": entries,
-        }
-        return payload, True
+        return {"mode": "sweep", "count": count + forced, "symbols": entries}, True
     phi = _require_symbol(config)
     rep = multiplier_purity_verdict(phi, domain, d_max, tol)
     payload = {
@@ -405,8 +403,6 @@ def _run_bcl(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
             "rho_q": cert.rho_q,
             "verdict_p": cert.verdict_p,
             "verdict_q": cert.verdict_q,
-            "consistent_p": cert.consistent_p,
-            "consistent_q": cert.consistent_q,
             "passed": cert.passed,
         }
 
@@ -453,8 +449,6 @@ def _run_colligation(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
         "rho_a": jet.rho_a,
         "verdict": jet.report.verdict,
         "per_degree_rho": [jet.report.per_degree_rho[d] for d in range(d_max + 1)],
-        # a broken jet structure raises, so the verdict is always consistent
-        "consistent": True,
     }
     ok = max_norm <= 1.0 + transfer_tol
     return payload, ok
@@ -598,6 +592,7 @@ def _run_config_file(
         scenario_id, task, seed = config.scenario_id, config.task, config.seed
         if command is not None and task != command:
             raise InvalidInputError(f"config task {task!r} does not match subcommand {command!r}")
+        _refuse_unknown_tolerances(list(config.tolerances), [task], "$.tolerances.{}")
         if seed_override is not None:
             config.seed = seed_override
             seed = seed_override
@@ -656,12 +651,15 @@ def run_suite(
     return 0 if aggregate["suite_pass"] else 1
 
 
-def _parse_tol_overrides(pairs: Optional[List[str]]) -> Dict[str, float]:
+def _parse_tol_overrides(pairs: Optional[List[str]], command: str) -> Dict[str, float]:
+    """The ``--tol`` overrides by name; a name must be documented for the
+    subcommand's task, or, for ``suite``, for some task."""
     out: Dict[str, float] = {}
     for pair in pairs or []:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise InvalidInputError(f"--tol expects name=value, got {pair!r}")
+        _refuse_unknown_tolerances([name], TASKS if command == "suite" else [command], "--tol {}")
         tol = float(value)
         if not (math.isfinite(tol) and tol > 0):
             raise InvalidInputError(f"--tol {name} must be finite and > 0, got {value!r}")
@@ -688,7 +686,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        tol_overrides = _parse_tol_overrides(args.tol)
+        tol_overrides = _parse_tol_overrides(args.tol, args.command)
     except (InvalidInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,12 +7,34 @@ and matrix models of the multiplication tuple it dilates to.  Everything is
 certified post hoc at stated tolerances; nothing relies on the (infinite
 dimensional) existence arguments.
 
+A BCL triple (E, U, P) on axis p gives Phi_p = (P + z_p P_perp) U* and
+Phi_q = U (P_perp + z_p P); its tuple (M_{z_i} for i != p, M_{Phi_p},
+M_{Phi_q}) acts on the Hardy space of D^{n-1} (x) E.  Its certificate is
+made of e x e coefficient identities, independent of D.  Every Hardy
+monomial norm is exactly 1.0, so J_beta: e_alpha -> e_(alpha+beta) is an
+isometry, and on the columns of degree <= D - deg Phi, M_Phi is sum_beta
+J_beta (x) Phi_beta.  Write Phi = Phi_0 + z_p Phi_1.
+
+- Commutator.  On the columns of degree <= D - 2 max(deg Phi_p, deg
+  Phi_q), [M_{Phi_p}, M_{Phi_q}] is sum_gamma J_gamma (x) (Phi_p Phi_q -
+  Phi_q Phi_p)_gamma over gamma in {0, e_p, 2 e_p}, so its norm is at most
+  the sum of the coefficient norms.
+- Isometry defect.  On the columns of degree <= D - deg Phi, the defect
+  M_Phi^* M_Phi - I is I (x) (Phi_0^* Phi_0 + Phi_1^* Phi_1 - I) +
+  T (x) Phi_1^* Phi_0 + T^* (x) Phi_0^* Phi_1, with T a compressed shift
+  of norm <= 1, so its norm is at most ||Phi_0^* Phi_0 + Phi_1^* Phi_1 -
+  I|| + 2 ||Phi_0^* Phi_1||.  On the full space the same sum gives
+  ||M_Phi||^2 <= 1 + that bound, so contractivity needs no padded norm.
+- A coordinate shift is J_(e_i) (x) I: it commutes with every M_Phi and is
+  isometric on its exact columns, so it adds exactly 0.
+
 A BCL sweep draws, validates and certifies its triples as stacks: one
-batched QR for every Haar matrix, one batched SVD per validation test, one
-scatter per coefficient and one batched SVD per residual for each group of
-equal symbol degrees, and one stacked call for all purity verdicts.  The
-one-triple functions (:func:`random_bcl_triple`, :func:`bcl_dilation_certify`)
-are the k=1 case, and a stack's results equal theirs bit for bit.
+batched QR for every Haar matrix, one batched SVD per validation test,
+stacked coefficient products, one batched SVD of all e x e residual
+matrices, and one stacked call for all purity verdicts.  The one-triple
+functions (:func:`random_bcl_triple`, :func:`bcl_dilation_certify`) are the
+k=1 case, and a stack's results equal theirs bit for bit.  The dense
+residuals are cross-checks in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,18 +44,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import CertificationError, InvalidInputError
 from .kernels import hardy
-from .operators import _opnorms, _weighted_shift, opnorm, shift_matrix, spectral_radius
+from .operators import _opnorms, opnorm, spectral_radius
 from .purity import PurityReport, _purity_verdicts, basis_for
-from .spaces import (
-    MultiIndex,
-    MultiplierSymbol,
-    PolydiscDomain,
-    TruncatedBasis,
-    _stack_chunks,
-    enumerate_indices,
-)
+from .spaces import MultiIndex, MultiplierSymbol, PolydiscDomain, enumerate_indices
 
 __all__ = [
     "Colligation",
@@ -206,11 +221,6 @@ class BCLTriple:
 _PairCoefficients = Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 
 
-def _pair_support(n: int, axis: int) -> Tuple[MultiIndex, MultiIndex]:
-    """The multi-indices 0 and e_axis of the pair's two coefficients."""
-    return (0,) * n, tuple(int(i == axis) for i in range(n))
-
-
 def _pair_coefficients(u: np.ndarray, p: np.ndarray) -> _PairCoefficients:
     """``((P U*, P_perp U*), (U P_perp, U P))``: the z_p^0 and z_p^1
     coefficients of Phi_p and Phi_q, as stacks for ``(k, e, e)`` stacks."""
@@ -224,7 +234,7 @@ def _pair_symbols(
 ) -> List[Tuple[MultiplierSymbol, MultiplierSymbol]]:
     """The pair (Phi_p, Phi_q) in n variables of every triple of a stack."""
     e = coeffs[0][0].shape[-1]
-    zero, ep = _pair_support(n, axis)
+    zero, ep = (0,) * n, tuple(int(i == axis) for i in range(n))
     (p0, p1), (q0, q1) = coeffs
     return [
         (
@@ -247,50 +257,13 @@ def bcl_pair(t: BCLTriple, n_vars: Optional[int] = None) -> Tuple[MultiplierSymb
     return _pair_symbols(n, t.axis, _pair_coefficients(t.u[None], t.p[None]))[0]
 
 
-def _product_errors(coeffs: _PairCoefficients) -> np.ndarray:
-    """Coefficient-wise error of Phi_p Phi_q = Phi_q Phi_p = z_p I for every
-    triple of a stack; the z_p^1 coefficient of A B is A_0 B_1 + A_1 B_0, as
-    :func:`gradedshift.spaces.symbol_product` sums it."""
-    eye = np.eye(coeffs[0][0].shape[-1], dtype=complex)
-    worst = np.zeros(len(coeffs[0][0]))
-    for (a0, a1), (b0, b1) in (coeffs, coeffs[::-1]):
-        for diff in (a0 @ b0, a0 @ b1 + a1 @ b0 - eye, a1 @ b1):
-            worst = np.maximum(worst, np.abs(diff).max(axis=(-2, -1)))
-    return worst
-
-
-def _tuple_residuals(
-    basis: TruncatedBasis, ops: Sequence[Tuple[np.ndarray, int, int]], count: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The largest pairwise commutator and the largest column-isometry defect
-    on exactness blocks of each of ``count`` tuples.
-
-    ``ops`` lists ``(data, exactness_degree, lift)`` per member; ``data`` is
-    a ``(count, dim, dim)`` stack, or one matrix that every tuple shares.
-    A product A B is exact on the columns of degrees <= min(d*_A, d*_B) -
-    max(lift_A, lift_B).
-    """
-    comm = np.zeros(count)
-    iso = np.zeros(count)
-    for i, (a, exact_a, lift_a) in enumerate(ops):
-        for b, exact_b, lift_b in ops[i + 1 :]:
-            ncols = basis.dim_upto(min(exact_a, exact_b) - max(lift_a, lift_b))
-            if ncols:
-                comm = np.maximum(comm, _opnorms((a @ b - b @ a)[..., :ncols]))
-        ncols = basis.dim_upto(exact_a)
-        if ncols:
-            cols = a[..., :ncols]
-            iso = np.maximum(iso, _opnorms(_adjoints(cols) @ cols - np.eye(ncols)))
-    return comm, iso
-
-
 @dataclass
 class BCLCertificate:
     """Certificate for the commuting-isometry tuple generated by a BCL triple.
 
-    The tuple is (M_{z_i} for i != axis, M_{Phi_p}, M_{Phi_q}) on the
-    truncated Hardy space of D^{n-1} (x) E; residuals are measured on
-    exactness blocks only.
+    ``max_commutator`` and ``max_isometry_defect`` are certified upper
+    bounds of the largest commutator and column-isometry defect of the
+    tuple on exactness blocks (see the module docstring).
     """
 
     product_coeff_error: float
@@ -300,8 +273,6 @@ class BCLCertificate:
     rho_q: float
     verdict_p: str
     verdict_q: str
-    consistent_p: bool
-    consistent_q: bool
     tol: float
     purity_tol: float
 
@@ -311,8 +282,6 @@ class BCLCertificate:
             self.product_coeff_error <= 1e-12
             and self.max_commutator <= self.tol
             and self.max_isometry_defect <= self.tol
-            and self.consistent_p
-            and self.consistent_q
         )
 
 
@@ -328,15 +297,18 @@ def _bcl_certificates(
     """Certificates of the triples (U, P) of ``(k, e, e)`` stacks on one
     axis, each equal to its own :func:`bcl_dilation_certify` bit for bit.
 
-    The product errors come from stacked coefficient products.
-    ``MultiplierSymbol`` drops exactly-zero coefficients, so a z_p
-    coefficient that is exactly 0 (Phi_q's U P at P = 0) makes that
-    symbol constant, which moves its exactness degree and lift.  So the
-    triples are grouped by (deg Phi_p, deg Phi_q), and each group's
-    multiplier matrices are assembled with one scatter per coefficient and
-    normed by one batched SVD per commutator and defect, in chunks of at
-    most ``spaces._STACK_BYTES`` per stack.  All 2k purity verdicts come
-    from one stacked call.
+    The product error is the largest entry of Phi_p Phi_q - z_p I and
+    Phi_q Phi_p - z_p I, whose z_p^1 coefficients are A_0 B_1 + A_1 B_0 as
+    :func:`gradedshift.spaces.symbol_product` sums them.  The same products
+    give ``max_commutator``, sum_gamma ||(Phi_p Phi_q - Phi_q
+    Phi_p)_gamma||, counted where D >= 2 max deg.  ``max_isometry_defect``
+    is the larger of ||Phi_0^* Phi_0 + Phi_1^* Phi_1 - I|| + 2 ||Phi_0^*
+    Phi_1|| over the symbols with D >= deg Phi.  Both bound the dense
+    residuals on exactness blocks by the module docstring's proof, which
+    needs every Hardy norm to be exactly 1.0 (else ``CertificationError``).
+    A z_p coefficient that is exactly 0 (U P at P = 0) makes that symbol
+    constant.  The defect bound certifies contractivity, so the 2k purity
+    verdicts come from one stacked call that takes no padded norm.
     """
     if n < 2:
         raise InvalidInputError("dilation tuple needs n >= 2")
@@ -345,48 +317,40 @@ def _bcl_certificates(
     coeffs = _pair_coefficients(u, p)
     domain = PolydiscDomain((hardy(),) * (n - 1))
     basis = basis_for(domain, degree_cap, u.shape[-1])
-    zero, ep = _pair_support(n - 1, axis)
-    shifts = [shift_matrix(basis, i) for i in range(n - 1) if i != axis]
-    shift_ops = [(s.data, s.exactness_degree, s.lift) for s in shifts]
+    if np.any(basis.norm_array != 1.0):
+        raise CertificationError("a Hardy monomial norm is not exactly 1.0, so shifts are not isometries")
+    eye = np.eye(u.shape[-1], dtype=complex)
+    # the z_p^0, z_p^1 and z_p^2 coefficients of Phi_p Phi_q and of Phi_q Phi_p
+    pq, qp = ([a0 @ b0, a0 @ b1 + a1 @ b0, a1 @ b1] for (a0, a1), (b0, b1) in (coeffs, coeffs[::-1]))
+    diffs = [d for prod in (pq, qp) for d in (prod[0], prod[1] - eye, prod[2])]
+    errors = np.max([np.abs(d).max(axis=(-2, -1)) for d in diffs], axis=0)
+    # per triple: three commutator coefficients, then G_0 - I and Phi_0^* Phi_1 per symbol
+    blocks = [x - y for x, y in zip(pq, qp)]
+    for c0, c1 in coeffs:
+        blocks += [_adjoints(c0) @ c0 + _adjoints(c1) @ c1 - eye, _adjoints(c0) @ c1]
+    norms = _opnorms(np.stack(blocks, axis=1))
     # deg Phi_p and deg Phi_q of each triple: 1 unless the z_p coefficient is 0
-    degrees = [np.any(c1 != 0, axis=(-2, -1)).astype(int) for _, c1 in coeffs]
-    groups: Dict[Tuple[int, int], List[int]] = {}
-    for i, key in enumerate(zip(*degrees)):
-        groups.setdefault(key, []).append(i)
-    max_comm = np.empty(len(u))
-    max_iso = np.empty(len(u))
-    for key, members in groups.items():
-        for part in _stack_chunks(len(members), 16 * basis.dim**2):
-            idx = members[part]
-            mults = [
-                (
-                    _weighted_shift(basis, {zero: c0[idx], ep: c1[idx]}, len(idx)),
-                    degree_cap - deg,
-                    deg,
-                )
-                for (c0, c1), deg in zip(coeffs, key)
-            ]
-            max_comm[idx], max_iso[idx] = _tuple_residuals(basis, shift_ops + mults, len(idx))
+    deg_p, deg_q = (np.any(c1 != 0, axis=(-2, -1)) for _, c1 in coeffs)
+    comm = np.where(degree_cap >= 2 * (deg_p | deg_q), norms[:, 0] + norms[:, 1] + norms[:, 2], 0.0)
+    iso_p = np.where(degree_cap >= deg_p, norms[:, 3] + 2 * norms[:, 4], 0.0)
+    iso_q = np.where(degree_cap >= deg_q, norms[:, 5] + 2 * norms[:, 6], 0.0)
     symbols = [phi for pair in _pair_symbols(n - 1, axis, coeffs) for phi in pair]
     # Phi_p(0) is P U* and Phi_q(0) is U P_perp, so these are rho(P U*), rho(U P_perp)
-    reports = _purity_verdicts(symbols, domain, degree_cap, purity_tol)
-    cut = 1.0 - purity_tol
+    reports = _purity_verdicts(symbols, domain, degree_cap, purity_tol, check_contractive=False)
     return [
         BCLCertificate(
             product_coeff_error=float(err),
-            max_commutator=float(comm),
-            max_isometry_defect=float(iso),
+            max_commutator=float(c),
+            max_isometry_defect=float(max(i_p, i_q)),
             rho_p=rep_p.phi0_rho,
             rho_q=rep_q.phi0_rho,
             verdict_p=rep_p.verdict,
             verdict_q=rep_q.verdict,
-            consistent_p=(rep_p.verdict == "pure") == (rep_p.phi0_rho < cut),
-            consistent_q=(rep_q.verdict == "pure") == (rep_q.phi0_rho < cut),
             tol=tol,
             purity_tol=purity_tol,
         )
-        for err, comm, iso, rep_p, rep_q in zip(
-            _product_errors(coeffs), max_comm, max_iso, reports[::2], reports[1::2]
+        for err, c, i_p, i_q, rep_p, rep_q in zip(
+            errors, comm, iso_p, iso_q, reports[::2], reports[1::2]
         )
     ]
 
@@ -400,10 +364,11 @@ def bcl_dilation_certify(
 ) -> BCLCertificate:
     """Certify the n-tuple of commuting isometries generated by a BCL triple.
 
-    Residual gates: pairwise commutators and column-isometry defects <= tol
-    on exactness blocks; pure branch of M_{Phi_p} iff rho(P U*) < 1 -
-    purity_tol, and of M_{Phi_q} iff rho(U P_perp) < 1 - purity_tol.  This
-    is the one-triple case of the stacked certificate of a sweep.
+    Residual gates: the bounds of the pairwise commutators and of the
+    column-isometry defects on exactness blocks are <= tol.  M_{Phi_p} is
+    on the pure branch iff rho(P U*) < 1 - purity_tol, and M_{Phi_q} iff
+    rho(U P_perp) < 1 - purity_tol.  This is the one-triple case of the
+    stacked certificate of a sweep.
     """
     return _bcl_certificates(t.u[None], t.p[None], t.axis, n, degree_cap, tol, purity_tol)[0]
 

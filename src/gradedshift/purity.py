@@ -18,10 +18,9 @@ beta != 0 raises degree by exactly |beta|.  So the compression is block
 upper-triangular by degree with diagonal blocks I (x) Phi(0)^*, and its
 spectrum at every degree is that of Phi(0)^*.  This is the finite form of
 the paper's (i) <=> (ii).  A map that breaks the structure raises
-``CertificationError``; the verdict "inconsistent" stays in the report
-schema but is no longer produced.  Dense per-degree ``eigvals`` run only
-as a cross-check (``tests/oracles.py``): on non-normal block-triangular
-matrices they are evidence, not proof.
+``CertificationError``, so every verdict is "pure" or "not_pure".  Dense
+per-degree ``eigvals`` run only as a cross-check (``tests/oracles.py``): on
+non-normal block-triangular matrices they are evidence, not proof.
 
 The certificate reads only a symbol's support and the basis, never its
 coefficients, so a call that takes a stack of symbols on one space (a
@@ -127,8 +126,7 @@ class PurityReport:
 
     Every ``per_degree_rho[d]`` is ``phi0_rho``, by the structural
     certificate (see the module docstring).  verdict is "pure" iff phi0_rho
-    < 1 - tol and "not_pure" otherwise; "inconsistent" is no longer
-    produced, since a broken structure raises instead.  ``near_boundary``
+    < 1 - tol and "not_pure" otherwise.  ``near_boundary``
     flags spectra within tol of 1 (indeterminate at tolerance) without
     reclassifying them.  ``padded_norm`` is the SVD of the padded matrix,
     or, for a symbol from :func:`random_contractive_symbol` on the same
@@ -206,8 +204,11 @@ def _purity_verdicts(
     seen in this call is certified on the shift maps; nothing is cached
     across calls.  The Phi(0) spectra come from one batched ``eigvals``.
 
-    ``check_contractive=False``, for the jets of transfer functions,
-    certifies on V_D_max and takes no norm; ``padded_norm`` is then None.
+    ``check_contractive=False`` certifies on V_D_max and takes no norm;
+    ``padded_norm`` is then None.  Its callers are
+    :func:`gradedshift.dilation.schur_agler_purity`, whose jets need not be
+    contractive, and :func:`gradedshift.dilation._bcl_certificates`, whose
+    isometry-defect bound certifies contractivity.
     """
     if not phis:
         return []

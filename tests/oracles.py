@@ -250,6 +250,59 @@ def bcl_triple_oracle(
     return u, (p + p.conj().T) / 2
 
 
+def _bcl_symbol_dicts(u: np.ndarray, p: np.ndarray, n: int, axis: int) -> tuple:
+    """``(0, e_axis, [Phi_p, Phi_q])``: Phi_p = (P + z_axis P_perp) U* and
+    Phi_q = U (P_perp + z_axis P) as dicts in n variables, with
+    exactly-zero coefficients dropped."""
+    zero = (0,) * n
+    ep = tuple(int(i == axis) for i in range(n))
+    p_perp = np.eye(len(u), dtype=complex) - p
+    phis = [{zero: p @ u.conj().T, ep: p_perp @ u.conj().T}, {zero: u @ p_perp, ep: u @ p}]
+    return zero, ep, [{beta: m for beta, m in phi.items() if np.any(m != 0)} for phi in phis]
+
+
+def _dict_product(a: Dict[MultiIndex, np.ndarray], b: Dict[MultiIndex, np.ndarray]) -> Dict[MultiIndex, np.ndarray]:
+    """The coefficients of the symbol product A B, one matrix product at a time."""
+    prod: Dict[MultiIndex, np.ndarray] = {}
+    for alpha, ma in a.items():
+        for beta, mb in b.items():
+            gamma = tuple(x + y for x, y in zip(alpha, beta))
+            prod[gamma] = prod[gamma] + ma @ mb if gamma in prod else ma @ mb
+    return prod
+
+
+def _top_singular_value(m: np.ndarray) -> float:
+    return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def bcl_bound_oracle(u: np.ndarray, p: np.ndarray, axis: int, n: int, cap: int) -> Tuple[float, float]:
+    """``(commutator bound, isometry-defect bound)`` of one BCL triple in n
+    variables at degree cap ``cap``, from one dict coefficient product and
+    one e x e SVD at a time; a missing coefficient is the zero matrix.
+
+    The commutator bound is the sum over gamma in (0, e_axis, 2 e_axis) of
+    ||(Phi_p Phi_q - Phi_q Phi_p)_gamma|| where cap >= 2 max deg, else 0.
+    A symbol's defect bound is ||Phi_0^* Phi_0 + Phi_1^* Phi_1 - I|| +
+    2 ||Phi_0^* Phi_1|| where cap >= deg Phi, else 0; the larger counts.
+    """
+    e = len(u)
+    none = np.zeros((e, e), dtype=complex)
+    zero, ep, phis = _bcl_symbol_dicts(u, p, n, axis)
+    pq, qp = _dict_product(phis[0], phis[1]), _dict_product(phis[1], phis[0])
+    degrees = [max((sum(beta) for beta in phi), default=0) for phi in phis]
+    comm = 0.0
+    if cap >= 2 * max(degrees):
+        for gamma in (zero, ep, tuple(2 * x for x in ep)):
+            comm += _top_singular_value(pq.get(gamma, none) - qp.get(gamma, none))
+    iso = 0.0
+    for phi, deg in zip(phis, degrees):
+        if cap >= deg:
+            phi0, phi1 = phi.get(zero, none), phi.get(ep, none)
+            gram = phi0.conj().T @ phi0 + phi1.conj().T @ phi1 - np.eye(e, dtype=complex)
+            iso = max(iso, _top_singular_value(gram) + 2 * _top_singular_value(phi0.conj().T @ phi1))
+    return comm, iso
+
+
 def bcl_certificate_oracle(
     u: np.ndarray,
     p: np.ndarray,
@@ -260,29 +313,23 @@ def bcl_certificate_oracle(
 ) -> tuple:
     """``(product error, max commutator, max isometry defect, rho_p, rho_q,
     verdict_p, verdict_q)`` of one BCL triple on the Hardy table, one
-    coefficient product and one operator pair at a time.
+    coefficient product and one dense operator pair at a time.
 
-    Phi_p = (P + z_axis P_perp) U* and Phi_q = U (P_perp + z_axis P), with
-    exactly-zero coefficients dropped; a symbol of degree d is exact on the
-    columns of degree <= D - d and lifts by d, a coordinate shift on those of
-    degree <= D - 1 and by 1.  Commutators and isometry defects are dense
-    SVD norms of those columns; rho is that of Phi(0).
+    The commutator and the defect are the dense residuals that the
+    certificate's coefficient bounds must dominate; the tests run them as a
+    cross-check at dims <= 300.  A symbol of degree d is exact on the
+    columns of degree <= D - d and lifts by d, a coordinate shift on those
+    of degree <= D - 1 and by 1.  Commutators and isometry defects are
+    dense SVD norms of those columns; rho is that of Phi(0).  U and P need
+    not be unitary or a projection.
     """
     n, e = len(index_table[0]), len(u)
     cap = max(sum(alpha) for alpha in index_table)
-    zero = (0,) * n
-    ep = tuple(int(i == axis) for i in range(n))
     eye = np.eye(e, dtype=complex)
-    p_perp = eye - p
-    phis = [{zero: p @ u.conj().T, ep: p_perp @ u.conj().T}, {zero: u @ p_perp, ep: u @ p}]
-    phis = [{beta: m for beta, m in phi.items() if np.any(m != 0)} for phi in phis]
+    zero, ep, phis = _bcl_symbol_dicts(u, p, n, axis)
     err = 0.0
     for a, b in ((phis[0], phis[1]), (phis[1], phis[0])):
-        prod: Dict[MultiIndex, np.ndarray] = {}
-        for alpha, ma in a.items():
-            for beta, mb in b.items():
-                gamma = tuple(x + y for x, y in zip(alpha, beta))
-                prod[gamma] = prod[gamma] + ma @ mb if gamma in prod else ma @ mb
+        prod = _dict_product(a, b)
         prod[ep] = prod.get(ep, np.zeros_like(eye)) - eye
         err = max(err, max(float(np.max(np.abs(m))) for m in prod.values()))
 
@@ -302,12 +349,11 @@ def bcl_certificate_oracle(
         for b, exact_b, lift_b in ops[i + 1 :]:
             k = columns_upto(min(exact_a, exact_b) - max(lift_a, lift_b))
             if k:
-                comm = max(comm, float(np.linalg.svd((a @ b - b @ a)[:, :k], compute_uv=False)[0]))
+                comm = max(comm, _top_singular_value((a @ b - b @ a)[:, :k]))
         k = columns_upto(exact_a)
         if k:
             cols = a[:, :k]
-            gram = cols.conj().T @ cols - np.eye(k)
-            iso = max(iso, float(np.linalg.svd(gram, compute_uv=False)[0]))
+            iso = max(iso, _top_singular_value(cols.conj().T @ cols - np.eye(k)))
     rhos = [float(np.max(np.abs(np.linalg.eigvals(phi.get(zero, 0 * eye))))) for phi in phis]
     verdicts = ["pure" if rho < 1.0 - purity_tol else "not_pure" for rho in rhos]
     return (err, comm, iso, *rhos, *verdicts)

@@ -169,7 +169,6 @@ def test_criterion_05_bcl_suite():
             assert cert.product_coeff_error <= 1e-12
             assert cert.max_commutator <= 1e-10
             assert cert.max_isometry_defect <= 1e-10
-            assert cert.consistent_p and cert.consistent_q
             assert (cert.verdict_p == "pure") == (cert.rho_p < 1 - tol)
             assert (cert.verdict_q == "pure") == (cert.rho_q < 1 - tol)
 

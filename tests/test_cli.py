@@ -8,6 +8,7 @@ prints); configs are written to pytest tmp dirs so every test is hermetic.
 """
 
 import contextlib
+import copy
 import csv
 import functools
 import io
@@ -30,6 +31,7 @@ from gradedshift import cli, dilation, errors, purity, spaces
 
 ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 ACCEPTANCE_CONFIGS = sorted(ACCEPTANCE_DIR.glob("*.json"))
+MANIFEST = ACCEPTANCE_DIR.parent / "acceptance_manifest.json"
 
 
 def write_json(path, obj):
@@ -726,6 +728,41 @@ class TestTolerances:
         assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 0
         assert read_report(out)["payload"]["verdict"] == "not_pure"
 
+    def test_unknown_config_tolerance_is_two(self, tmp_path):
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "r.json"
+        config = acceptance_config("purity-hardy-monomial")
+        config["tolerances"] = {"tol_typo": 0.5}
+        write_json(cfg, config)
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        message = "$.tolerances.tol_typo: unknown tolerance (documented: tol)"
+        assert rep["error"] == {"type": "InvalidInputError", "message": message}
+        REPORT_VALIDATOR.validate(rep)
+
+    @pytest.mark.parametrize(
+        "command, config, name",
+        [
+            ("purity", ACCEPTANCE_DIR / "purity-hardy-monomial.json", "purity_tol"),
+            ("bcl", ACCEPTANCE_DIR / "bcl-sweep.json", "transfer_tol"),
+            ("suite", MANIFEST, "tol_typo"),
+        ],
+    )
+    def test_unknown_tol_override_is_two(self, tmp_path, capsys, command, config, name):
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(config), "--out", str(out), "--tol", f"{name}=0.5"]) == 2
+        assert f"error: --tol {name}: unknown tolerance (documented: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_suite_tol_override_of_another_task_is_used_where_documented(self, tmp_path):
+        # purity_tol is a bcl and colligation tolerance, and no purity one
+        out = tmp_path / "out"
+        assert cli.main(["suite", "--config", str(MANIFEST), "--out", str(out), "--tol", "purity_tol=0.5"]) == 0
+        assert read_report(out / "purity-hardy-monomial.report.json")["payload"]["verdict"] == "pure"
+        assert read_report(out / "colligation-coordinate-flip.report.json")["payload"]["verdict"] == "pure"
+        bcl = read_report(out / "bcl-sweep.report.json")["payload"]["triples"]
+        assert all(t["verdict_p"] == ("pure" if t["rho_p"] < 0.5 else "not_pure") for t in bcl)
+
 
 # Schema-invalid configs; each is refused with the error jsonschema.validate picks.
 INVALID_CONFIGS = [
@@ -945,6 +982,44 @@ def mutated_configs(draw):
 
 
 REPORT_VALIDATOR = jsonschema.Draft7Validator(cli._load_schema("report.schema.json"))
+
+
+def _manifest_reports(tmp_path, seed):
+    out = tmp_path / f"seed-{seed}"
+    assert cli.main(["suite", "--config", str(MANIFEST), "--out", str(out), "--seed", str(seed)]) == 0
+    return [read_report(path) for path in sorted(out.glob("*.report.json"))]
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("seed", (0, 5))
+    def test_manifest_reports_validate(self, tmp_path, seed):
+        reports = _manifest_reports(tmp_path, seed)
+        assert len(reports) == 11
+        for rep in reports:
+            assert rep["schema_version"] == cli.SCHEMA_VERSION == "2"
+            REPORT_VALIDATOR.validate(rep)
+
+    @pytest.mark.parametrize("seed", (0, 5))
+    def test_report_without_a_payload_field_fails(self, tmp_path, seed):
+        checked = 0
+        for rep in _manifest_reports(tmp_path, seed):
+            for *head, last in _field_paths(rep["payload"]):
+                if isinstance(last, str):
+                    broken = copy.deepcopy(rep)
+                    del functools.reduce(operator.getitem, head, broken["payload"])[last]
+                    assert not REPORT_VALIDATOR.is_valid(broken), (rep["scenario_id"], *head, last)
+                    checked += 1
+        assert checked > 50
+
+    def test_error_report_payload_stays_empty(self, tmp_path):
+        (refusal,) = [r for r in _manifest_reports(tmp_path, 0) if "error" in r]
+        assert refusal["payload"] == {}
+        assert not REPORT_VALIDATOR.is_valid({**refusal, "payload": {"kind": "chen"}})
+
+    def test_extra_payload_field_fails(self, tmp_path):
+        for rep in _manifest_reports(tmp_path, 0):
+            if "error" not in rep:
+                assert not REPORT_VALIDATOR.is_valid({**rep, "payload": {**rep["payload"], "consistent": True}})
 
 
 class TestConfigFuzz:

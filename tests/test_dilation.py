@@ -9,11 +9,13 @@ import pytest
 
 from gradedshift import (
     BCLTriple,
+    CertificationError,
     Colligation,
     InvalidInputError,
     PolydiscDomain,
     bcl_dilation_certify,
     bcl_pair,
+    bergman,
     hardy,
     multiplier_purity_verdict,
     scalar_symbol,
@@ -23,8 +25,8 @@ from gradedshift import (
     transfer_jet,
 )
 from gradedshift import dilation as dilation_module
+from gradedshift import operators as operators_module
 from gradedshift import purity as purity_module
-from gradedshift import spaces as spaces_module
 from gradedshift.dilation import (
     _bcl_certificates,
     _check_bcl_stacks,
@@ -36,7 +38,7 @@ from gradedshift.dilation import (
 from gradedshift.operators import opnorm, spectral_radius
 from gradedshift.spaces import polydisc_basis
 
-from oracles import bcl_certificate_oracle, bcl_triple_oracle
+from oracles import bcl_bound_oracle, bcl_certificate_oracle, bcl_triple_oracle
 
 
 def random_colligation(seed: int, e_dim: int, h_dims) -> Colligation:
@@ -295,6 +297,16 @@ def _fields(cert):
     )
 
 
+def _assert_bounds_dominate(cert, dense, factor=1.0):
+    """The certificate's bounds against the dense residuals of
+    :func:`oracles.bcl_certificate_oracle`, and its other fields equal."""
+    assert (cert.product_coeff_error, *_fields(cert)[3:]) == (dense[0], *dense[3:])
+    assert cert.max_commutator >= dense[1] * factor - 1e-15
+    assert cert.max_isometry_defect >= dense[2] * factor - 1e-15
+    if max(dense[1], dense[2]) > cert.tol:
+        assert not cert.passed
+
+
 class TestStackedBCL:
     @pytest.mark.parametrize("degree_cap", (0, 1, 3))
     @pytest.mark.parametrize("n, axis", ((2, 0), (3, 0), (3, 1)))
@@ -315,8 +327,9 @@ class TestStackedBCL:
                 assert got_u.tobytes() == u[k].tobytes()
                 assert got_p.tobytes() == p[k].tobytes()
             assert cert == bcl_dilation_certify(t, n, degree_cap)
-            oracle = bcl_certificate_oracle(u_k, p_k, axis, basis.index_table, basis.norms)
-            assert _fields(cert) == oracle
+            bounds = bcl_bound_oracle(u_k, p_k, axis, n - 1, degree_cap)
+            assert (cert.max_commutator, cert.max_isometry_defect) == bounds
+            _assert_bounds_dominate(cert, bcl_certificate_oracle(u_k, p_k, axis, basis.index_table, basis.norms))
             assert cert.passed
         # rank 0 makes Phi_q constant, so constant symbols share the sweep
         assert [bcl_pair(t, n - 1)[1].degree for t in singles[:2]] == [0, 0]
@@ -331,24 +344,24 @@ class TestStackedBCL:
         assert u.tobytes() == np.array([t.u for t in triples]).tobytes()
         assert p.tobytes() == np.array([t.p for t in triples]).tobytes()
 
-    # (product error, commutator, isometry defect, rho_p, rho_q, verdicts) of
-    # the triples of rank 0, e and a drawn rank, from the per-triple path that
-    # the stacked certificate replaced
+    # (product error, commutator bound, isometry-defect bound, rho_p, rho_q,
+    # verdicts) of the triples of rank 0, e and a drawn rank.  All but the
+    # two bounds are those of the dense per-triple path that came before.
     PINNED = {
         (12, 3, 3, 1, 3): [
-            (4.440948905049759e-16, 4.273193894916767e-16, 4.861070885267241e-16,
+            (4.440948905049759e-16, 4.512480908001304e-16, 4.779154476266342e-16,
              0.0, 1.0, "pure", "not_pure"),
-            (9.992872416041467e-16, 1.6072513164290168e-15, 2.0474801504820243e-15,
+            (9.992872416041467e-16, 1.9447539893393554e-15, 2.443010323434271e-15,
              1.0000000000000007, 4.086189027754154e-16, "not_pure", "pure"),
-            (8.883003129068515e-16, 1.7861659804965027e-15, 2.1063567628593174e-15,
+            (8.883003129068515e-16, 2.796653438379777e-15, 2.597994231587198e-15,
              0.9397894776570004, 0.3615233924923176, "pure", "pure"),
         ],
         (4, 2, 2, 0, 4): [
-            (4.440957164955956e-16, 3.7214452071007327e-16, 4.766576081086438e-16,
+            (4.440957164955956e-16, 3.7252915648369863e-16, 4.766576081086439e-16,
              0.0, 1.0, "pure", "not_pure"),
-            (2.2611900120438456e-16, 2.802128462417071e-16, 6.900978506627339e-16,
+            (2.2611900120438456e-16, 2.2221284626709234e-16, 8.260191844410596e-16,
              1.0000000000000004, 2.465380976574689e-16, "not_pure", "pure"),
-            (4.445373847447075e-16, 3.124773545941096e-16, 6.879098986112182e-16,
+            (4.445373847447075e-16, 4.835592977697032e-16, 9.053320333149186e-16,
              0.4421118261872011, 0.4421118261872012, "pure", "pure"),
         ],
     }
@@ -362,22 +375,67 @@ class TestStackedBCL:
         certs = _bcl_certificates(u, p, axis, n, degree_cap, 1e-10, 1e-8)
         assert [_fields(c) for c in certs] == self.PINNED[(seed, e_dim, n, axis, degree_cap)]
 
-    def test_one_matrix_chunks_give_the_same_certificates(self, monkeypatch):
-        u, p = _random_bcl_stacks(np.random.default_rng(25), 2, 25)
-        u[:5], p[:5] = _random_bcl_stacks(np.random.default_rng(26), 2, 5, 0)
-        want = _bcl_certificates(u, p, 1, 3, 3, 1e-10, 1e-8)
-        counts = []
-        assemble = dilation_module._weighted_shift
+    @pytest.mark.parametrize("n, axis, degree_cap", ((2, 0, 4), (3, 1, 3)))
+    def test_bounds_dominate_dense_residuals_off_the_construction(self, n, axis, degree_cap):
+        rng = np.random.default_rng(50 + n)
+        u, p = _random_bcl_stacks(rng, 3, 4)
+        noise = rng.standard_normal((2, 4, 3, 3)) + 1j * rng.standard_normal((2, 4, 3, 3))
+        hermitian = noise[1] + noise[1].conj().swapaxes(-1, -2)
+        # U off unitary by 1e-3, P off a projection by 1e-2: passed straight
+        # to the stacked certificate, past the triple checks
+        cases = [(u + 1e-3 * noise[0], p), (u, p + 1e-2 * hermitian)]
+        # U scaled by 1 + t: the product error stays <= 1e-12 while the dense
+        # isometry defect, about 2t, straddles tol
+        scales = 1.0 + np.logspace(-15, -12, 13)
+        cases.append((scales[:, None, None] * u[0], np.repeat(p[:1], len(scales), axis=0)))
+        tol = 1e-13
+        basis = polydisc_basis((hardy(),) * (n - 1), degree_cap, 3)
+        assert basis.dim <= 300
+        outcomes = []
+        for u_s, p_s in cases:
+            certs = _bcl_certificates(u_s, p_s, axis, n, degree_cap, tol, 1e-8)
+            for cert, u_k, p_k in zip(certs, u_s, p_s):
+                bounds = bcl_bound_oracle(u_k, p_k, axis, n - 1, degree_cap)
+                assert (cert.max_commutator, cert.max_isometry_defect) == bounds
+                dense = bcl_certificate_oracle(u_k, p_k, axis, basis.index_table, basis.norms)
+                _assert_bounds_dominate(cert, dense, 1.0 - 1e-12)
+                outcomes.append((dense[2] > tol, cert.product_coeff_error <= 1e-12, cert.passed))
+        assert not any(passed for _, _, passed in outcomes[:8])
+        scaled = outcomes[8:]
+        # some pass, and some fail on the defect bound alone
+        assert any(passed for _, _, passed in scaled)
+        assert any(exceeds and product_ok for exceeds, product_ok, _ in scaled)
 
-        def counted(basis, terms, count):
-            counts.append(count)
-            return assemble(basis, terms, count)
+    def test_scale_takes_only_e_by_e_norms(self, monkeypatch):
+        # n=3, e=2, D=40: the dense certificate took 36 s on a dim-1,722 space
+        t = random_bcl_triple(np.random.default_rng(40), 2, rank=1)
+        assert polydisc_basis((hardy(),) * 2, 40, 2).dim == 1722
+        shapes = []
+        real = operators_module._opnorms
 
-        monkeypatch.setattr(dilation_module, "_weighted_shift", counted)
-        monkeypatch.setattr(spaces_module, "_STACK_BYTES", 1)
-        assert _bcl_certificates(u, p, 1, 3, 3, 1e-10, 1e-8) == want
-        # Phi_p and Phi_q of each triple, one matrix per chunk
-        assert counts == [1] * 50
+        def recording(stack):
+            shapes.append(stack.shape[-2:])
+            return real(stack)
+
+        for module in (operators_module, purity_module, dilation_module):
+            monkeypatch.setattr(module, "_opnorms", recording)
+        cert = bcl_dilation_certify(t, 3, 40)
+        assert cert.passed
+        assert shapes and set(shapes) == {(2, 2)}
+
+    def test_basis_norms_other_than_one_are_refused(self, monkeypatch):
+        t = BCLTriple(e_dim=2, u=np.eye(2), p=np.diag([1.0, 0.0]))
+        monkeypatch.setattr(dilation_module, "hardy", bergman)
+        with pytest.raises(CertificationError, match="exactly 1.0"):
+            bcl_dilation_certify(t, 2, 3)
+
+    def test_verdicts_take_no_padded_norm(self):
+        # a purity tolerance far below rounding: a padded-norm check would
+        # refuse symbols whose norm rounds above 1, the defect bound does not
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            cert = bcl_dilation_certify(random_bcl_triple(rng, 3), 2, 3, purity_tol=1e-300)
+            assert cert.passed and cert.max_isometry_defect <= 1e-10
 
     @pytest.mark.parametrize("rank", (-1, 4))
     def test_rank_out_of_range_refused_before_drawing(self, rank):
