@@ -425,6 +425,15 @@ def _run_bcl(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     return single, bool(single["passed"])
 
 
+def _polydisc_points(rng: np.random.Generator, count: int, n_vars: int) -> np.ndarray:
+    """``(count, n_vars)`` points z = r e^(i theta) with r = 0.999 sqrt(u),
+    theta = 2 pi v, from one draw of ``(u, v)`` per coordinate in point order."""
+    draws = rng.uniform(size=(count, n_vars, 2))
+    r = np.sqrt(draws[..., 0]) * 0.999
+    theta = 2.0 * math.pi * draws[..., 1]
+    return r * (np.cos(theta) + 1j * np.sin(theta))
+
+
 def _run_colligation(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     if config.colligation is None:
         raise InvalidInputError("colligation task needs a colligation literal")
@@ -432,15 +441,7 @@ def _run_colligation(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     d_max = config.space["degree_cap"]
     transfer_tol = config.tol("transfer_tol")
     purity_tol = config.tol("purity_tol")
-    rng = np.random.default_rng(config.seed)
-    points = []
-    for _ in range(200):
-        z = []
-        for _ in range(coll.n_vars):
-            r = math.sqrt(rng.uniform()) * 0.999
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            z.append(r * complex(math.cos(theta), math.sin(theta)))
-        points.append(z)
+    points = _polydisc_points(np.random.default_rng(config.seed), 200, coll.n_vars)
     max_norm = opnorm(_transfer_values(coll, points))
     jet = schur_agler_purity(coll, d_max, purity_tol)
     payload = {
@@ -686,6 +687,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
         tol_overrides = _parse_tol_overrides(args.tol, args.command)
     except (InvalidInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,12 @@ symbols are rescaled by f = 0.99 / padded-norm, which bounds every
 compression norm by 0.99 since compressions nest inside the padded matrix.
 Such a symbol records the norm f * ||A_raw|| it was certified with, and a
 verdict on the same padded truncation reports that as ``padded_norm``
-instead of taking the SVD again.  The jet of a transfer function need not
+instead of taking the SVD again.  A forced (non-pure) sweep symbol
+blockdiag(u, Phi_inner) with |u| = 1 records max(|u|, r), r the record of
+Phi_inner: the beta = 0 shift map is the identity with weight exactly 1.0,
+so on every truncation M_Phi is a permutation of u I (+) M_inner; for
+coeff_dim = 1 it is the constant u and records |u|.  No forced symbol is
+assembled or normed at full size.  The jet of a transfer function need not
 be contractive; it is certified on V_D itself, with no padded norm.
 """
 
@@ -130,7 +135,9 @@ class PurityReport:
     flags spectra within tol of 1 (indeterminate at tolerance) without
     reclassifying them.  ``padded_norm`` is the SVD of the padded matrix,
     or, for a symbol from :func:`random_contractive_symbol` on the same
-    padded truncation, the f * ||A_raw|| it recorded; None for a jet.
+    padded truncation, the norm it recorded: f * ||A_raw|| for a plain
+    symbol, the exact direct-sum norm max(|u|, r) for a forced one; None
+    for a jet.
     """
 
     per_degree_rho: Dict[int, float]
@@ -434,7 +441,13 @@ def _scaled_symbols(
 
 def _with_unitary_constant(u: complex, inner: MultiplierSymbol) -> MultiplierSymbol:
     """blockdiag(u, inner): the unimodular constant u on the first
-    coefficient direction, ``inner`` on the others."""
+    coefficient direction, ``inner`` on the others.
+
+    It records max(|u|, r) on the key of the norm r that ``inner`` records,
+    with the coefficient dimension one larger: the beta = 0 shift map is the
+    identity with weight 1.0 (:func:`_certify_degree_structure`), so on
+    every truncation M_Phi is a permutation of u I (+) M_inner.
+    """
     c = inner.coeff_dim + 1
     terms: Dict[MultiIndex, np.ndarray] = {}
     for alpha, mat in inner.terms.items():
@@ -445,7 +458,17 @@ def _with_unitary_constant(u: complex, inner: MultiplierSymbol) -> MultiplierSym
     base = terms.get(zero, np.zeros((c, c), dtype=complex))
     base[0, 0] = u
     terms[zero] = base
-    return MultiplierSymbol(inner.n, c, terms)
+    phi = MultiplierSymbol(inner.n, c, terms)
+    (domain, cap, _), norm = inner.padded_norm_record
+    phi.padded_norm_record = ((domain, cap, c), max(abs(u), norm))
+    return phi
+
+
+def _unimodular_constant(u: complex, domain: Domain, d_max: int) -> MultiplierSymbol:
+    """The 1x1 constant symbol u, recording |u|: M_u = u I on V_d_max."""
+    phi = MultiplierSymbol(domain.n, 1, {(0,) * domain.n: np.array([[u]])})
+    phi.padded_norm_record = ((domain, d_max, 1), abs(u))
+    return phi
 
 
 def _random_symbols(
@@ -464,7 +487,9 @@ def _random_symbols(
     One ``standard_normal((count, T, 2, c, c))`` draws the plain symbols
     (T terms, real and imaginary parts); then each forced symbol draws its
     phase and its inner symbol's coefficients.  The padded matrices of each
-    stack are assembled and normed together (see :func:`_padded_norms`).
+    stack are assembled and normed together (see :func:`_padded_norms`);
+    a forced symbol records its direct-sum norm without a matrix of its
+    own (see :func:`_with_unitary_constant`).
     """
     n = domain.n
     support = enumerate_indices(n, degree)
@@ -477,7 +502,7 @@ def _random_symbols(
             inner.append(rng.standard_normal(shape))
     symbols = _scaled_symbols(domain, support, gauss, d_max + degree)
     if coeff_dim == 1:
-        return symbols + [MultiplierSymbol(n, 1, {(0,) * n: np.array([[u]])}) for u in phases]
+        return symbols + [_unimodular_constant(u, domain, d_max) for u in phases]
     inner_gauss = np.array(inner).reshape((forced,) + shape)
     inner_symbols = _scaled_symbols(domain, support, inner_gauss, d_max + degree)
     return symbols + [_with_unitary_constant(u, phi) for u, phi in zip(phases, inner_symbols)]
@@ -499,9 +524,11 @@ def random_contractive_symbol(
     ``padded_norm_record``.  ``unitary_constant=True`` populates the
     non-pure branch: a contractive multiplier with unitary constant term is
     constant in the unitary directions, so the symbol is
-    blockdiag(unimodular constant, random contractive symbol on the
-    remaining dims), with no record; for coeff_dim = 1 it is a unimodular
-    constant.  This is the one-symbol case of a sweep's stacked generator.
+    blockdiag(unimodular constant u, random contractive symbol on the
+    remaining dims), and it records the exact norm max(|u|, r) of the
+    direct sum u I (+) M_inner, r the inner symbol's record; for
+    coeff_dim = 1 it is the constant u and records |u| on V_d_max.  This
+    is the one-symbol case of a sweep's stacked generator.
     """
     count, forced = (0, 1) if unitary_constant else (1, 0)
     (phi,) = _random_symbols(rng, domain, coeff_dim, degree, d_max, count, forced)

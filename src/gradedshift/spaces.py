@@ -359,7 +359,9 @@ class MultiplierSymbol:
     ``padded_norm_record`` is ``None`` or ``(key, norm)``: the multiplier
     norm already certified on the padded truncation with key
     ``(domain, degree_cap, coeff_dim)``.  Only
-    :func:`gradedshift.purity.random_contractive_symbol` sets it; scaling,
+    :func:`gradedshift.purity.random_contractive_symbol` and the sweeps'
+    generator set it: the rescaled norm of a plain symbol, or the exact
+    direct-sum norm max(|u|, r) of a unitary-constant one.  Scaling,
     slicing, lifting and decoding build symbols without one.  The read-only
     coefficients keep it from going stale.
     """
@@ -373,15 +375,15 @@ class MultiplierSymbol:
         self.coeff_dim = int(coeff_dim)
         canon: Dict[MultiIndex, np.ndarray] = {}
         for alpha, mat in terms.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != self.n or any(a < 0 for a in alpha):
+            alpha = tuple(map(int, alpha))
+            if len(alpha) != self.n or min(alpha) < 0:
                 raise InvalidInputError(f"bad multi-index {alpha} for n={self.n}")
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (self.coeff_dim, self.coeff_dim):
                 raise InvalidInputError(
                     f"coefficient at {alpha} has shape {mat.shape}, expected square dim {self.coeff_dim}"
                 )
-            if np.any(mat != 0):
+            if mat.any():
                 mat = mat.copy()
                 mat.flags.writeable = False
                 canon[alpha] = mat

@@ -5,6 +5,7 @@ the library's own series or operator code paths) so that test expectations
 are derived, not echoed.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -191,7 +192,7 @@ def random_symbol_oracle(
     coeff_dim: int,
     degree: int,
     forced: bool = False,
-) -> Tuple[Dict[MultiIndex, np.ndarray], Optional[float]]:
+) -> Tuple[Dict[MultiIndex, np.ndarray], float]:
     """The terms and the recorded padded norm of one seeded random symbol,
     drawn one coefficient at a time.
 
@@ -199,20 +200,24 @@ def random_symbol_oracle(
     1j * standard_normal((c, c))``; the symbol is scaled by 0.99 over the
     dense SVD norm of :func:`dense_multiplier` on the padded table, and
     records that factor times the norm.  A forced symbol draws its phase u
-    first and is blockdiag(u, plain symbol of size c - 1), with no record.
+    first and is blockdiag(u, plain symbol of size c - 1); it records
+    max(|u|, r), r the plain symbol's record, because its multiplier is
+    u I (+) M_inner up to a permutation of coordinates, whose norm is the
+    larger of the two blocks' norms.  For c = 1 it is the constant u and
+    records |u|.
     """
     n = len(index_table[0])
     if forced:
         u = complex(np.exp(2j * np.pi * rng.uniform()))
         if coeff_dim == 1:
-            return {(0,) * n: np.array([[u]])}, None
-        inner, _ = random_symbol_oracle(rng, index_table, norms, coeff_dim - 1, degree)
+            return {(0,) * n: np.array([[u]])}, abs(u)
+        inner, r = random_symbol_oracle(rng, index_table, norms, coeff_dim - 1, degree)
         terms = {}
         for alpha, mat in inner.items():
             terms[alpha] = np.zeros((coeff_dim, coeff_dim), dtype=complex)
             terms[alpha][1:, 1:] = mat
         terms[(0,) * n][0, 0] = u
-        return terms, None
+        return terms, max(abs(u), r)
     terms = {
         alpha: rng.standard_normal((coeff_dim, coeff_dim))
         + 1j * rng.standard_normal((coeff_dim, coeff_dim))
@@ -357,3 +362,17 @@ def bcl_certificate_oracle(
     rhos = [float(np.max(np.abs(np.linalg.eigvals(phi.get(zero, 0 * eye))))) for phi in phis]
     verdicts = ["pure" if rho < 1.0 - purity_tol else "not_pure" for rho in rhos]
     return (err, comm, iso, *rhos, *verdicts)
+
+
+def polydisc_points_oracle(rng: np.random.Generator, count: int, n_vars: int) -> List[List[complex]]:
+    """``count`` points of D^n_vars, one scalar draw at a time with ``math``:
+    r = sqrt(uniform()) * 0.999, theta = uniform(0, 2 pi), z = r e^(i theta)."""
+    points = []
+    for _ in range(count):
+        z = []
+        for _ in range(n_vars):
+            r = math.sqrt(rng.uniform()) * 0.999
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            z.append(r * complex(math.cos(theta), math.sin(theta)))
+        points.append(z)
+    return points

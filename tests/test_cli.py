@@ -22,12 +22,15 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema.validators import validator_for
 
 from gradedshift import cli, dilation, errors, purity, spaces
+
+from oracles import polydisc_points_oracle
 
 ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 ACCEPTANCE_CONFIGS = sorted(ACCEPTANCE_DIR.glob("*.json"))
@@ -311,6 +314,24 @@ class TestExitCodes:
         missing = tmp_path / "nope.json"
         assert cli.main(["purity", "--config", str(missing), "--out", str(tmp_path / "r.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [("purity", ACCEPTANCE_DIR / "purity-sweep-bergman.json"), ("suite", MANIFEST)],
+        ids=("purity", "suite"),
+    )
+    def test_negative_seed_is_two(self, tmp_path, command, config):
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gradedshift", command, "--config", str(config), "--out", str(out), "--seed", "-1"],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent)),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "error: --seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_bad_tol_syntax_is_two(self, tmp_path):
         cfg = tmp_path / "s.json"
         write_json(cfg, purity_config("ok", constant_scalar_symbol(2, 0.5)))
@@ -573,6 +594,15 @@ class TestTaskPayloads:
         rep = read_report(out)
         assert rep["payload"]["transfer_max_norm"] <= 1.0 + 1e-10
         assert rep["payload"]["verdict"] == "pure"
+
+    @pytest.mark.parametrize("n_vars", (1, 2, 3))
+    def test_colligation_points_equal_scalar_draws(self, n_vars):
+        # bit for bit only where np.sqrt, np.cos and np.sin round as math does
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            points = cli._polydisc_points(rng, 200, n_vars)
+            assert points.tobytes() == np.array(polydisc_points_oracle(ref, 200, n_vars)).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSuite:

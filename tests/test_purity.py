@@ -34,8 +34,9 @@ from gradedshift import spaces as spaces_module
 from gradedshift.operators import spectral_radius
 from gradedshift.spaces import BallDomain, MultiplierSymbol, lift_scalar_symbol, slice_symbol
 
-from oracles import dense_per_degree_rho, random_symbol_oracle
+from oracles import dense_multiplier, dense_per_degree_rho, random_symbol_oracle
 
+EPS = np.finfo(float).eps
 HARDY2 = PolydiscDomain((hardy(), hardy()))
 HARDY1 = PolydiscDomain((hardy(),))
 
@@ -176,7 +177,7 @@ class TestPurityVerdict:
             rng = np.random.default_rng(seed)
             phi = random_contractive_symbol(rng, domain, 2, 2, 5)
             rep = multiplier_purity_verdict(phi, domain, 5)
-            assert rep.verdict != "inconsistent"
+            assert rep.verdict == "pure"
 
     def test_forced_unitary_constant_not_pure(self):
         for seed in range(8):
@@ -278,12 +279,42 @@ class TestPaddedNormRecord:
 
     def test_derived_symbols_carry_no_record(self):
         phi = random_contractive_symbol(np.random.default_rng(6), HARDY2, 1, 2, 5)
-        forced = random_contractive_symbol(
-            np.random.default_rng(6), HARDY2, 2, 2, 5, unitary_constant=True
-        )
         assert phi.padded_norm_record is not None
-        for other in (phi.scaled(1.0), slice_symbol(phi, 0), lift_scalar_symbol(phi, 2), forced):
+        for other in (phi.scaled(1.0), slice_symbol(phi, 0), lift_scalar_symbol(phi, 2)):
             assert other.padded_norm_record is None
+
+    def test_forced_symbols_carry_the_direct_sum_record(self):
+        # a forced symbol draws its phase, then an inner symbol of size c - 1
+        rng = np.random.default_rng(6)
+        u = complex(np.exp(2j * np.pi * rng.uniform()))
+        inner = random_contractive_symbol(rng, HARDY2, 1, 2, 5)
+        _, r = inner.padded_norm_record
+        forced, constant = (
+            random_contractive_symbol(np.random.default_rng(6), HARDY2, c, 2, 5, unitary_constant=True)
+            for c in (2, 1)
+        )
+        assert forced.padded_norm_record == ((HARDY2, 7, 2), max(abs(u), r))
+        assert constant.padded_norm_record == ((HARDY2, 5, 1), abs(u))
+
+    @pytest.mark.parametrize("domain", SIX_SPACES, ids=lambda d: repr(d)[:40])
+    @pytest.mark.parametrize("c", (1, 2, 3))
+    def test_forced_records_equal_the_dense_norm(self, monkeypatch, domain, c):
+        d_max = 3
+        phis = purity_module._random_symbols(np.random.default_rng(c), domain, c, 2, d_max, 0, 4)
+        for phi in phis:
+            key, norm = phi.padded_norm_record
+            assert key == (domain, d_max + phi.degree, c)
+            padded = basis_for(*key)
+            dense = dense_multiplier(padded.index_table, padded.norms, c, phi.terms)
+            # the record is exact; the dense SVD carries its rounding, of order dim * eps
+            assert abs(norm - np.linalg.svd(dense, compute_uv=False)[0]) <= padded.dim * EPS
+        monkeypatch.setattr(purity_module, "_opnorms", pytest.fail)
+        monkeypatch.setattr(purity_module, "_weighted_shift", pytest.fail)
+        stacked = purity_module._purity_verdicts(phis, domain, d_max)
+        for phi, rep in zip(phis, stacked):
+            assert rep == multiplier_purity_verdict(phi, domain, d_max)
+            assert rep.padded_norm == phi.padded_norm_record[1]
+            assert rep.verdict == "not_pure"
 
 
 # (domain, symbol degree, d_max): the six criterion-01 spaces, a constant
@@ -325,10 +356,7 @@ class TestStackedSweep:
                 for beta, mat in phi.terms.items():
                     assert mat.tobytes() == other[beta].tobytes()
             assert phi.padded_norm_record == single.padded_norm_record
-            if record is None:
-                assert phi.padded_norm_record is None
-            else:
-                assert phi.padded_norm_record[1] == record
+            assert phi.padded_norm_record[1] == record
             assert rep == multiplier_purity_verdict(single, domain, d_max)
         assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
 

@@ -292,7 +292,39 @@ class TestDimensionBudget:
             polydisc_basis((hardy(),), 63, coeff_dim=65)
 
 
+NAN = complex(np.nan, 0.0)
+
+# terms of MultiplierSymbol(2, 1, terms) and their canonical form, or the
+# message of its InvalidInputError
+CANONICAL_CASES = [
+    ({(0, 0): [[-0.0]], (1, 0): [[0.5]]}, {(1, 0): 0.5}),
+    ({(0, 0): [[complex(-0.0, -0.0)]]}, {}),
+    ({(0, 0): [[NAN]], (0, 1): [[complex(0.0, np.nan)]]}, {(0, 0): NAN, (0, 1): complex(0.0, np.nan)}),
+    ({(1.0, 0): [[0.5]], (np.int64(0), 2.0): [[0.25j]]}, {(1, 0): 0.5, (0, 2): 0.25j}),
+    ({(0, -1): [[0.5]]}, "bad multi-index (0, -1) for n=2"),
+    ({(0,): [[0.5]]}, "bad multi-index (0,) for n=2"),
+    ({(): [[0.5]]}, "bad multi-index () for n=2"),
+    ({(0, 0): [[0.5, 0.0]]}, "coefficient at (0, 0) has shape (1, 2), expected square dim 1"),
+]
+
+
 class TestSymbols:
+    @pytest.mark.parametrize("terms, want", CANONICAL_CASES)
+    def test_canonical_terms(self, terms, want):
+        terms = {alpha: np.array(mat, dtype=complex) for alpha, mat in terms.items()}
+        if isinstance(want, str):
+            with pytest.raises(InvalidInputError) as exc:
+                MultiplierSymbol(2, 1, terms)
+            assert str(exc.value) == want
+            return
+        phi = MultiplierSymbol(2, 1, terms)
+        assert list(phi.terms) == list(want)
+        for (alpha, mat), given in zip(phi.terms.items(), (m for m in terms.values() if m.any())):
+            assert all(type(a) is int for a in alpha)
+            assert mat.dtype == complex and not mat.flags.writeable
+            assert np.array_equal(mat, [[want[alpha]]], equal_nan=True)
+            assert not np.shares_memory(mat, given)
+
     def test_slice_drops_variable(self):
         phi = scalar_symbol(2, {(1, 1): 1.0, (0, 1): 1.0})
         sliced = slice_symbol(phi, 0)
