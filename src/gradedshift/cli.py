@@ -11,6 +11,15 @@ fixed config, seed, and version; the top-level ``timing`` key is the only
 field excluded from golden comparisons.  Configs give complex numbers as
 ``[re, im]`` pairs and matrices as row-major nested arrays of such pairs;
 no report serialises a matrix.
+
+Reports, ``suite_report.json`` and ``suite_summary.csv`` are overwritten in
+place and then cut to the length of what was written; missing parent
+directories are made.  A write is not atomic, and was not before: a crash
+mid-write used to leave an empty or partial file, and now leaves the old
+file, or the new bytes followed by the old tail, which ``json.load``
+refuses.  A single-task report that cannot be written (``--out`` names a
+directory, or a path under a regular file) is a refusal: one ``error:``
+line and exit 2.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -558,11 +568,27 @@ def _error_report(
     )
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 over ``path`` in place, then cut the file to it.
+
+    The file is opened without ``O_TRUNC``, so an existing report is never
+    cut to zero bytes first; on ext4 (``auto_da_alloc``) such a truncation
+    makes ``close`` start a flush that the next overwrite waits for.  The
+    parent directories are made only when the open finds them missing.
+    """
+    flags = os.O_WRONLY | os.O_CREAT
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        fh.truncate()
+
+
 def _write_report(report: RunReport, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
 
 
 def _out_dir(explicit: Optional[str]) -> Path:
@@ -639,16 +665,12 @@ def run_suite(
         "scenario_count": len(rows),
         "scenarios": rows,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "suite_report.json", "w", encoding="utf-8") as fh:
-        json.dump(aggregate, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(out_dir / "suite_summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["scenario_id", "task", "exit_code", "expected_exit", "ok"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_text(out_dir / "suite_report.json", json.dumps(aggregate, sort_keys=True, indent=2) + "\n")
+    summary = io.StringIO(newline="")
+    writer = csv.DictWriter(summary, fieldnames=["scenario_id", "task", "exit_code", "expected_exit", "ok"])
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_text(out_dir / "suite_summary.csv", summary.getvalue())
     return 0 if aggregate["suite_pass"] else 1
 
 
@@ -711,7 +733,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_path = Path(args.out)
     else:
         out_path = _out_dir(None) / f"{report.scenario_id}.report.json"
-    _write_report(report, out_path)
+    try:
+        _write_report(report, out_path)
+    except OSError as exc:
+        print(f"error: cannot write report {str(out_path)!r}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     if report.error is not None:
         print(f"{report.scenario_id}: {report.error['type']}: {report.error['message']}", file=sys.stderr)
     else:

@@ -311,3 +311,24 @@ def test_criterion_11_determinism(tmp_path):
             assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         agg = json.loads(agg1)
         assert agg["suite_pass"] is True
+
+
+def _without_timing(data):
+    return b"\n".join(line for line in data.split(b"\n") if not line.startswith(b'  "timing": '))
+
+
+def test_rerun_overwrites_every_file_exactly(tmp_path):
+    # seed 5 writes longer sweep reports than seed 0, so an overwrite that
+    # kept the old length would leave a tail here
+    manifest = CONFIG_DIR / "acceptance_manifest.json"
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    for out, seed in ((rerun, 5), (rerun, 0), (fresh, 0)):
+        assert cli.main(["suite", "--config", str(manifest), "--out", str(out), "--seed", str(seed)]) == 0
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in rerun.iterdir()) and len(names) == 13
+    for name in names:
+        old, new = (rerun / name).read_bytes(), (fresh / name).read_bytes()
+        if name.endswith(".report.json"):
+            assert old.count(b'\n  "timing": ') == 1
+            old, new = _without_timing(old), _without_timing(new)
+        assert old == new, name

@@ -339,6 +339,36 @@ class TestExitCodes:
             cli.main(["purity", "--config", str(cfg), "--out", str(tmp_path / "r.json"), "--tol", "oops"]) == 2
         )
 
+    @staticmethod
+    def _run_module(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "gradedshift", *args],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("where", ("directory", "under-a-file"))
+    def test_unwritable_report_is_two(self, tmp_path, where):
+        (tmp_path / "file").write_text("kept\n")
+        out = tmp_path if where == "directory" else tmp_path / "file" / "x.json"
+        proc = self._run_module("cnp", "--config", str(ACCEPTANCE_DIR / "cnp-bergman.json"), "--out", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: cannot write report {str(out)!r}: ")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+    def test_suite_out_under_a_regular_file_is_two(self, tmp_path):
+        out = tmp_path / "file"
+        out.write_text("kept\n")
+        proc = self._run_module("suite", "--config", str(MANIFEST), "--out", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert out.read_text() == "kept\n"
+
 
 class TestReports:
     def test_report_validates_against_schema(self, tmp_path):
@@ -605,6 +635,62 @@ class TestTaskPayloads:
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
+class TestReportWriter:
+    def test_shorter_text_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "r.json"
+        cli._write_text(path, "x" * 4096)
+        cli._write_text(path, "Φ(0)\n")
+        assert path.read_bytes() == "Φ(0)\n".encode("utf-8")
+        cli._write_text(path, "")
+        assert path.read_bytes() == b""
+
+    def test_report_over_a_longer_file_is_the_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_text("{" + " " * 10_000 + "}\n")
+        assert cli.main(["cnp", "--config", str(ACCEPTANCE_DIR / "cnp-bergman.json"), "--out", str(out)]) == 0
+        rep = read_report(out)
+        assert out.read_bytes() == (json.dumps(rep, sort_keys=True, indent=2) + "\n").encode()
+
+    def test_missing_nested_parents_are_made(self, tmp_path):
+        path = tmp_path / "a" / "b" / "c" / "r.json"
+        cli._write_text(path, "text\n")
+        assert path.read_bytes() == b"text\n"
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            cli._write_text(tmp_path / "new.json", "{}\n")
+            with open(tmp_path / "opened.json", "w", encoding="utf-8") as fh:
+                fh.write("{}\n")
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "new.json").stat().st_mode & 0o777
+        assert mode == 0o666 & ~0o027 == (tmp_path / "opened.json").stat().st_mode & 0o777
+
+    def test_every_file_is_opened_without_o_trunc(self, tmp_path, monkeypatch):
+        # a revert to open(path, "w") never calls os.open, and O_TRUNC is the
+        # truncate-on-open this writer avoids
+        opened = []
+        real_open = os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            opened.append((Path(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        out = tmp_path / "suite"
+        for _ in range(2):
+            assert cli.main(["suite", "--config", str(MANIFEST), "--out", str(out), "--seed", "0"]) == 0
+        single = tmp_path / "single.json"
+        assert cli.main(["cnp", "--config", str(ACCEPTANCE_DIR / "cnp-bergman.json"), "--out", str(single)]) == 0
+        written = {path for path, flags in opened if flags & os.O_WRONLY}
+        assert written == set(out.iterdir()) | {single}
+        assert len(written) == 14
+        for path, flags in opened:
+            if path in written:
+                assert flags & os.O_CREAT and not flags & os.O_TRUNC, path
+
+
 class TestSuite:
     @staticmethod
     def _seed_suite(tmp_path, include_failure=True):
@@ -681,6 +767,17 @@ class TestSuite:
         agg = json.loads((out_dir / "suite_report.json").read_text())
         assert agg["scenario_count"] == 0
         assert agg["suite_pass"] is True
+
+    def test_summary_keeps_crlf_row_ends(self, tmp_path):
+        manifest = self._seed_suite(tmp_path)
+        out_dir = tmp_path / "out"
+        assert cli.main(["suite", "--config", str(manifest), "--out", str(out_dir)]) == 0
+        assert (out_dir / "suite_summary.csv").read_bytes() == (
+            b"scenario_id,task,exit_code,expected_exit,ok\r\n"
+            b"a-pure,purity,0,0,True\r\n"
+            b"b-cnp,cnp,0,0,True\r\n"
+            b"c-refused,purity,2,2,True\r\n"
+        )
 
     def test_suite_missing_manifest_is_two(self, tmp_path):
         assert cli.main(["suite", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 2
