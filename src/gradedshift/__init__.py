@@ -18,6 +18,7 @@ from .errors import (
     NotContractiveError,
     NotLeftInvertibleError,
     SeriesRangeError,
+    ValidationError,
 )
 from .kernels import (
     BallKernelSpec,

@@ -17,20 +17,32 @@ place and then cut to the length of what was written; missing parent
 directories are made.  A write is not atomic, and was not before: a crash
 mid-write used to leave an empty or partial file, and now leaves the old
 file, or the new bytes followed by the old tail, which ``json.load``
-refuses.  A single-task report that cannot be written (``--out`` names a
-directory, or a path under a regular file) is a refusal: one ``error:``
-line and exit 2.
+refuses.  An output that cannot be written (a single task's report path
+that is a directory, or a report path or output directory that is, or
+lies under, a regular file) is refused before any scenario runs, from
+stat calls alone: one ``error:`` line and exit 2.
+
+Configs and manifests are checked against the shipped
+``config.schema.json`` and ``manifest.schema.json`` by a small in-package
+checker for the draft-7 keywords those schemas use; it refuses a schema
+with any other keyword, and it raises the error, with the message, that
+``jsonschema.validate`` would.  ``report.schema.json`` uses more of the
+draft and is checked with jsonschema in the tests, so the runtime needs
+numpy alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import io
 import json
 import math
 import os
+import re
+import stat
 import sys
 import time
 from dataclasses import dataclass, field
@@ -38,10 +50,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import jsonschema
 import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import extend, validator_for
 
 from . import __version__
 from .ball_identities import chen_identity_residual, defect_identity_residual
@@ -55,7 +64,7 @@ from .dilation import (
     bcl_dilation_certify,
     schur_agler_purity,
 )
-from .errors import CertificationError, InvalidInputError
+from .errors import CertificationError, InvalidInputError, ValidationError
 from .kernels import (
     BallKernelSpec,
     KernelSpec1D,
@@ -108,27 +117,138 @@ def _load_schema(name: str) -> Dict[str, Any]:
     return json.loads(text)
 
 
-def _json_int(checker: Any, instance: Any) -> bool:
+def _json_int(instance: Any) -> bool:
     """JSON ``integer``: a Python int that is not a bool (``2``, not ``2.0``)."""
     return isinstance(instance, int) and not isinstance(instance, bool)
 
 
+def _json_number(instance: Any) -> bool:
+    return isinstance(instance, (int, float)) and not isinstance(instance, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": _json_int,
+    "number": _json_number,
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+}
+# The draft-7 keywords the checker implements, and the annotations it skips.
+_KEYWORDS = frozenset(
+    "type required properties additionalProperties const enum pattern minimum "
+    "exclusiveMinimum items minItems maxItems $ref $schema $id title definitions".split()
+)
+_REF_PREFIX = "#/definitions/"
+
+
+def _check_keywords(name: str, root: Dict[str, Any]) -> None:
+    """Refuse a schema the checker would misread: a keyword outside its
+    subset, a ``type`` that is not one type name, a ``$ref`` that is not
+    one of the schema's own definitions, a list ``items``, or a list or
+    object in ``const``/``enum``."""
+    stack = [root]
+    while stack:
+        schema = stack.pop()
+        bad = sorted(set(schema) - _KEYWORDS)
+        if "type" in schema and not (isinstance(schema["type"], str) and schema["type"] in _TYPES):
+            bad.append(f"type {schema['type']!r}")
+        ref = schema.get("$ref")
+        if ref is not None and not (ref.startswith(_REF_PREFIX) and ref[len(_REF_PREFIX) :] in root.get("definitions", {})):
+            bad.append(f"$ref {ref!r}")
+        values = [schema["const"]] if "const" in schema else schema.get("enum", [])
+        bad += [f"{v!r} in const or enum" for v in values if isinstance(v, (list, dict))]
+        bad += ["a list of items"] if isinstance(schema.get("items"), list) else []
+        if bad:
+            raise NotImplementedError(f"{name}: outside the schema checker's subset: {', '.join(bad)}")
+        stack.extend(schema.get("properties", {}).values())
+        stack.extend(schema.get("definitions", {}).values())
+        stack.extend(schema[k] for k in ("additionalProperties", "items") if isinstance(schema.get(k), dict))
+
+
 @functools.cache
-def _validator(name: str) -> Any:
-    """The validator for a package schema, built and meta-checked once per
-    process on first use; its ``integer`` type is :func:`_json_int`."""
+def _validator(name: str) -> Dict[str, Any]:
+    """A package schema, loaded and keyword-checked once per process on first
+    use (see :func:`_check_keywords`)."""
     schema = _load_schema(name)
-    cls = validator_for(schema)
-    cls.check_schema(schema)
-    strict = extend(cls, type_checker=cls.TYPE_CHECKER.redefine("integer", _json_int))
-    return strict(schema)
+    _check_keywords(name, schema)
+    return schema
+
+
+def _json_equal(a: Any, b: Any) -> bool:
+    """JSON equality of an instance and a scalar: ``1 == 1.0``, ``True != 1``."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(schema: Dict[str, Any], instance: Any, path: tuple, root: Dict[str, Any], out: list) -> None:
+    """Append ``(path, message)`` to ``out`` for every error of ``instance``
+    against ``schema``, with jsonschema 4.26's messages; the errors on one
+    path keep keyword order, as ``iter_errors`` yields them."""
+    while "$ref" in schema:  # draft 7 ignores a $ref's siblings
+        schema = root["definitions"][schema["$ref"].removeprefix(_REF_PREFIX)]
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](instance):
+                out.append((path, f"{instance!r} is not of type {value!r}"))
+        elif key in ("required", "properties", "additionalProperties"):
+            if not isinstance(instance, dict):
+                continue
+            if key == "required":
+                out += [(path, f"{p!r} is a required property") for p in value if p not in instance]
+            elif key == "properties":
+                for p, sub in value.items():
+                    if p in instance:
+                        _schema_errors(sub, instance[p], path + (p,), root, out)
+            elif isinstance(value, dict):
+                for p in instance:
+                    if p not in schema.get("properties", ()):
+                        _schema_errors(value, instance[p], path + (p,), root, out)
+            else:
+                extras = sorted(p for p in instance if p not in schema.get("properties", ()))
+                if extras and not value:
+                    verb = "was" if len(extras) == 1 else "were"
+                    out.append((path, f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"))
+        elif key == "const":
+            if not _json_equal(instance, value):
+                out.append((path, f"{value!r} was expected"))
+        elif key == "enum":
+            if not any(_json_equal(instance, v) for v in value):
+                out.append((path, f"{instance!r} is not one of {value!r}"))
+        elif key == "pattern":
+            if isinstance(instance, str) and not re.search(value, instance):
+                out.append((path, f"{instance!r} does not match {value!r}"))
+        elif key == "minimum":
+            if _json_number(instance) and instance < value:
+                out.append((path, f"{instance!r} is less than the minimum of {value!r}"))
+        elif key == "exclusiveMinimum":
+            if _json_number(instance) and instance <= value:
+                out.append((path, f"{instance!r} is less than or equal to the minimum of {value!r}"))
+        elif isinstance(instance, list):
+            if key == "items":
+                for k, item in enumerate(instance):
+                    _schema_errors(value, item, path + (k,), root, out)
+            elif key == "minItems" and len(instance) < value:
+                out.append((path, f"{instance!r} {'should be non-empty' if value == 1 else 'is too short'}"))
+            elif key == "maxItems" and len(instance) > value:
+                out.append((path, f"{instance!r} {'is expected to be empty' if value == 0 else 'is too long'}"))
 
 
 def _validate(instance: Any, name: str) -> None:
-    """Raise the best-matching schema error, as ``jsonschema.validate`` does."""
-    error = best_match(_validator(name).iter_errors(instance))
-    if error is not None:
-        raise error
+    """Raise the :class:`ValidationError` that ``jsonschema.validate`` would
+    raise for ``instance`` against the package schema ``name``.
+
+    That is ``best_match``'s pick: the first error of greatest relevance
+    ``(-len(path), path, the instance misses the failing schema's type)``.
+    In this subset one schema checks each path, so errors on one path share
+    the last part of that key, and the first of them wins.
+    """
+    schema = _validator(name)
+    out: list = []
+    _schema_errors(schema, instance, (), schema, out)
+    if out:
+        path, message = max(out, key=lambda e: (-len(e[0]), e[0]))
+        raise ValidationError("$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path), message)
 
 
 def _finite_float(token: str) -> float:
@@ -548,12 +668,6 @@ def run_scenario(config: ScenarioConfig) -> Tuple[RunReport, int]:
     return report, 0 if passed else 1
 
 
-def _error_message(exc: Exception) -> str:
-    if isinstance(exc, jsonschema.ValidationError):
-        return f"{exc.json_path}: {exc.message}"
-    return str(exc)
-
-
 def _error_report(
     scenario_id: str, task: str, seed: Optional[int], exc: Exception, timing: float
 ) -> RunReport:
@@ -564,7 +678,7 @@ def _error_report(
         seed=seed,
         payload={},
         timing=timing,
-        error={"type": type(exc).__name__, "message": _error_message(exc)},
+        error={"type": type(exc).__name__, "message": str(exc)},
     )
 
 
@@ -589,6 +703,23 @@ def _write_text(path: Path, text: str) -> None:
 
 def _write_report(report: RunReport, path: Path) -> None:
     _write_text(path, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+
+
+def _refuse_unwritable(path: Path, is_dir: bool) -> None:
+    """Refuse, by stat calls alone and before any scenario runs, an output
+    path that cannot be written: a report path that is a directory, or a
+    directory of reports (or a report's parent) that is a regular file or
+    lies under one."""
+    for k, p in enumerate((path, *path.parents)):
+        try:
+            isdir = stat.S_ISDIR(os.stat(p).st_mode)
+        except OSError:
+            continue
+        if isdir != (is_dir or k > 0):
+            what = "reports under" if is_dir else "report"
+            reason = os.strerror(errno.EISDIR if isdir else errno.ENOTDIR)
+            raise InvalidInputError(f"cannot write {what} {str(path)!r}: {reason}")
+        return
 
 
 def _out_dir(explicit: Optional[str]) -> Path:
@@ -628,7 +759,7 @@ def _run_config_file(
     except (CertificationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         report = _error_report(scenario_id, task, seed, exc, time.perf_counter() - start)
         return report, 1
-    except (InvalidInputError, jsonschema.ValidationError, json.JSONDecodeError, OSError, KeyError) as exc:
+    except (InvalidInputError, json.JSONDecodeError, OSError, KeyError) as exc:
         report = _error_report(scenario_id, task, seed, exc, time.perf_counter() - start)
         return report, 2
 
@@ -712,6 +843,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.seed is not None and args.seed < 0:
             raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
         tol_overrides = _parse_tol_overrides(args.tol, args.command)
+        if args.command == "suite" or not args.out:
+            _refuse_unwritable(_out_dir(args.out), is_dir=True)
+        else:
+            _refuse_unwritable(Path(args.out), is_dir=False)
     except (InvalidInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -719,8 +854,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_dir = _out_dir(args.out)
         try:
             return run_suite(args.config, out_dir, args.seed, tol_overrides)
-        except (InvalidInputError, jsonschema.ValidationError, json.JSONDecodeError, OSError) as exc:
-            print(f"error: {_error_message(exc)}", file=sys.stderr)
+        except (InvalidInputError, json.JSONDecodeError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
     report, code = _run_config_file(args.config, args.seed, tol_overrides, args.command)
     if report.task != "unknown" and report.task != args.command:

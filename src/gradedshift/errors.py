@@ -2,13 +2,15 @@
 
 The split matters for the CLI exit-code contract: ``InvalidInputError`` and
 its subclasses map to exit code 2 (bad input, including typed refusals such
-as a non-CNP kernel fed to the Chen identity), while ``CertificationError``
+as a non-CNP kernel fed to the Chen identity, and ``ValidationError`` for a
+config or manifest that breaks its schema), while ``CertificationError``
 maps to exit code 1 (a property that should hold numerically did not).
 """
 
 __all__ = [
     "GradedShiftError",
     "InvalidInputError",
+    "ValidationError",
     "SeriesRangeError",
     "NotLeftInvertibleError",
     "NotContractiveError",
@@ -23,6 +25,19 @@ class GradedShiftError(Exception):
 
 class InvalidInputError(GradedShiftError, ValueError):
     """Input violates a documented precondition."""
+
+
+class ValidationError(InvalidInputError):
+    """A config or manifest breaks its JSON schema.
+
+    ``json_path`` names the field (``$`` for the whole document) and
+    ``message`` says how; ``str()`` is ``"<json_path>: <message>"``.
+    """
+
+    def __init__(self, json_path: str, message: str):
+        super().__init__(f"{json_path}: {message}")
+        self.json_path = json_path
+        self.message = message
 
 
 class SeriesRangeError(InvalidInputError):

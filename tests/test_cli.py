@@ -16,6 +16,7 @@ import json
 import math
 import operator
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -26,7 +27,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from jsonschema.validators import validator_for
+from jsonschema.exceptions import best_match
+from jsonschema.validators import extend, validator_for
 
 from gradedshift import cli, dilation, errors, purity, spaces
 
@@ -367,6 +369,34 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "command, out, message",
+        [
+            ("cnp", ".", "cannot write report {out!r}: Is a directory"),
+            ("cnp", "file/x.json", "cannot write report {out!r}: Not a directory"),
+            ("suite", "file", "cannot write reports under {out!r}: Not a directory"),
+            ("suite", "file/sub", "cannot write reports under {out!r}: Not a directory"),
+        ],
+    )
+    def test_unwritable_out_is_refused_before_any_scenario_runs(self, tmp_path, monkeypatch, capsys, command, out, message):
+        (tmp_path / "file").write_text("kept\n")
+        out = str(tmp_path / out) if out != "." else str(tmp_path)
+        monkeypatch.setattr(cli, "_run_config_file", lambda *args, **kwargs: pytest.fail("a scenario ran"))
+        config = MANIFEST if command == "suite" else ACCEPTANCE_DIR / "cnp-bergman.json"
+        assert cli.main([command, "--config", str(config), "--out", out]) == 2
+        assert capsys.readouterr().err == "error: " + message.format(out=out) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+
+    def test_unwritable_out_dir_env_is_refused_before_the_scenario_runs(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "file"
+        out.write_text("kept\n")
+        monkeypatch.setenv(cli.OUT_DIR_ENV, str(out))
+        monkeypatch.setattr(cli, "_run_config_file", lambda *args, **kwargs: pytest.fail("a scenario ran"))
+        assert cli.main(["bcl", "--config", str(ACCEPTANCE_DIR / "bcl-sweep.json")]) == 2
+        assert capsys.readouterr().err == f"error: cannot write reports under {str(out)!r}: Not a directory\n"
         assert out.read_text() == "kept\n"
 
 
@@ -891,6 +921,12 @@ class TestTolerances:
         assert all(t["verdict_p"] == ("pure" if t["rho_p"] < 0.5 else "not_pure") for t in bcl)
 
 
+def _colligation_with(**fields):
+    config = acceptance_config("colligation-coordinate-flip")
+    config["colligation"].update(fields)
+    return config
+
+
 # Schema-invalid configs; each is refused with the error jsonschema.validate picks.
 INVALID_CONFIGS = [
     {"schema_version": "1", "task": "purity"},
@@ -913,7 +949,78 @@ INVALID_CONFIGS = [
     },
     {**purity_config("neg-alpha", monomial_scalar_symbol(2, (-1, 0), 0.5))},
     {**purity_config("neg-tol", constant_scalar_symbol(2, 0.5)), "tolerances": {"tol": -1}},
+    _colligation_with(h_dims=[]),
+    _colligation_with(a=[[[0.0, 0.0, 1.0]]]),
+    _colligation_with(a=[[[0.0, 0.0, 1.0]]], b=[[[1.0]]]),
 ]
+
+
+# Schema-invalid manifests; the same refusal from both checkers, as for configs.
+_ENTRY = {"path": "a.json", "expected_exit": 0}
+INVALID_MANIFESTS = [
+    [],
+    {"schema_version": "1"},
+    {"schema_version": 1, "scenarios": []},
+    {"schema_version": "1", "scenarios": {}},
+    {"schema_version": "1", "scenarios": [], "extra": 1, "another": None},
+    {"schema_version": "1", "scenarios": [{"path": "a.json"}]},
+    {"schema_version": "1", "scenarios": [{**_ENTRY, "expected_exit": 3}]},
+    {"schema_version": "1", "scenarios": [{**_ENTRY, "expected_exit": True}]},
+    {"schema_version": "1", "scenarios": [{**_ENTRY, "expected_pass": 1}]},
+    {"schema_version": "1", "scenarios": [_ENTRY, {**_ENTRY, "path": 3, "x": 1}, None]},
+    {"scenarios": [{"expected_exit": "0"}], "schema_version": "2"},
+]
+
+
+def _jsonschema_validator(name):
+    """jsonschema's validator for a package schema, reading JSON ``integer``
+    as the CLI does: ``2.0`` and ``True`` are not integers."""
+    schema = cli._load_schema(name)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return extend(cls, type_checker=cls.TYPE_CHECKER.redefine("integer", lambda _, v: cli._json_int(v)))(schema)
+
+
+JSONSCHEMA = {name: _jsonschema_validator(name) for name in ("config.schema.json", "manifest.schema.json")}
+
+
+def assert_same_refusal(instance, name):
+    """Assert that the CLI's checker and jsonschema's ``best_match`` refuse
+    ``instance`` with the same ``(json_path, message)``, or both accept it;
+    returns that pair, or None."""
+    error = best_match(JSONSCHEMA[name].iter_errors(instance))
+    expected = None if error is None else (error.json_path, error.message)
+    try:
+        cli._validate(instance, name)
+    except errors.ValidationError as exc:
+        assert (exc.json_path, exc.message) == expected
+    else:
+        assert expected is None
+    return expected
+
+
+_ANY_VALUES = [None, True, False, -1, -0.5, 0, 2.0, 3, "x", "a b", [], [True, 0], {}, {"z": 1}, [[1, 0]]]
+
+
+def _mutate_anywhere(rng, instance):
+    """Drop, replace or add one value at a random place in ``instance``."""
+    paths = list(_field_paths(instance))
+    if not paths:
+        return
+    *head, last = rng.choice(paths)
+    parent = functools.reduce(operator.getitem, head, instance)
+    kind = rng.choice(["drop", "replace", "replace", "add"])
+    if kind == "drop":
+        del parent[last]
+    elif kind == "replace":
+        parent[last] = copy.deepcopy(rng.choice(_ANY_VALUES))
+    else:
+        target = parent[last] if isinstance(parent[last], (dict, list)) else parent
+        value = copy.deepcopy(rng.choice(_ANY_VALUES))
+        if isinstance(target, dict):
+            target[rng.choice(["extra", "aa", "zz", "tol"])] = value
+        else:
+            target.append(value)
 
 
 class TestDecoders:
@@ -991,44 +1098,96 @@ class TestSchemaValidation:
 
     def test_schema_loaded_and_checked_once(self, tmp_path, monkeypatch):
         loads, checks = [], []
-        load = cli._load_schema
-        cls = validator_for(load("config.schema.json"))
-        check = cls.check_schema
+        load, check = cli._load_schema, cli._check_keywords
 
         def counting_load(name):
             loads.append(name)
             return load(name)
 
-        def counting_check(schema, *args, **kwargs):
-            checks.append(schema["$id"])
-            return check(schema, *args, **kwargs)
+        def counting_check(name, schema):
+            checks.append(name)
+            return check(name, schema)
 
         monkeypatch.setattr(cli, "_load_schema", counting_load)
-        monkeypatch.setattr(cls, "check_schema", counting_check)
-        cfg = tmp_path / "s.json"
-        write_json(cfg, purity_config("once", constant_scalar_symbol(2, 0.5)))
+        monkeypatch.setattr(cli, "_check_keywords", counting_check)
+        write_json(tmp_path / "s.json", purity_config("once", constant_scalar_symbol(2, 0.5)))
+        manifest = tmp_path / "manifest.json"
+        write_json(manifest, {"schema_version": "1", "scenarios": [{"path": "s.json", "expected_exit": 0}]})
         cli._validator.cache_clear()
         try:
             for k in range(5):
-                assert cli.main(["purity", "--config", str(cfg), "--out", str(tmp_path / f"{k}.json")]) == 0
+                assert cli.main(["suite", "--config", str(manifest), "--out", str(tmp_path / str(k))]) == 0
         finally:
             cli._validator.cache_clear()
-        assert loads == ["config.schema.json"]
-        assert checks == ["gradedshift/config/1"]
+        assert loads == checks == ["manifest.schema.json", "config.schema.json"]
+
+    @pytest.mark.parametrize(
+        "schema, named",
+        [
+            ({"oneOf": [{"type": "string"}, {"type": "integer"}]}, "oneOf"),
+            ({"type": "object", "properties": {"a": {"patternProperties": {}}}}, "patternProperties"),
+            ({"items": [{"type": "string"}]}, "a list of items"),
+            ({"type": "decimal"}, "type 'decimal'"),
+            ({"type": ["string", "null"]}, "type ['string', 'null']"),
+            ({"$ref": "other.json#/definitions/a"}, "$ref 'other.json#/definitions/a'"),
+            ({"$ref": "#/definitions/missing", "definitions": {}}, "$ref '#/definitions/missing'"),
+            ({"$ref": "a", "definitions": {"a": {}}}, "$ref 'a'"),
+            ({"enum": [[1, 0]]}, "[1, 0] in const or enum"),
+        ],
+    )
+    def test_keyword_outside_the_subset_is_refused(self, monkeypatch, schema, named):
+        monkeypatch.setattr(cli, "_load_schema", lambda name: schema)
+        cli._validator.cache_clear()
+        try:
+            with pytest.raises(NotImplementedError, match="^x.schema.json: outside the schema checker's subset: ") as exc:
+                cli._validator("x.schema.json")
+        finally:
+            cli._validator.cache_clear()
+        assert named in str(exc.value)
+
+    def test_report_schema_still_loads(self):
+        # the report schema is checked with jsonschema in the tests, never by the runtime checker
+        schema = cli._load_schema("report.schema.json")
+        assert schema["$id"] == "gradedshift/report/2"
+        with pytest.raises(NotImplementedError, match="^report.schema.json: outside the schema checker's subset: "):
+            cli._check_keywords("report.schema.json", schema)
 
     @pytest.mark.parametrize("instance", INVALID_CONFIGS)
     def test_refusal_is_what_jsonschema_picks(self, tmp_path, instance):
         with pytest.raises(jsonschema.ValidationError) as expected:
             jsonschema.validate(instance, cli._load_schema("config.schema.json"))
-        with pytest.raises(jsonschema.ValidationError) as actual:
+        with pytest.raises(errors.ValidationError) as actual:
             cli._validate(instance, "config.schema.json")
         picked = (expected.value.json_path, expected.value.message)
         assert (actual.value.json_path, actual.value.message) == picked
+        assert str(actual.value) == "%s: %s" % picked
         cfg = tmp_path / "s.json"
         out = tmp_path / "r.json"
         write_json(cfg, instance)
         assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 2
         assert read_report(out)["error"] == {"type": "ValidationError", "message": "%s: %s" % picked}
+
+    @pytest.mark.parametrize("instance", INVALID_MANIFESTS)
+    def test_manifest_refusal_is_what_jsonschema_picks(self, tmp_path, capsys, instance):
+        picked = assert_same_refusal(instance, "manifest.schema.json")
+        manifest = tmp_path / "manifest.json"
+        write_json(manifest, instance)
+        assert cli.main(["suite", "--config", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: %s: %s\n" % picked
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["config.schema.json", "manifest.schema.json"])
+    def test_mutated_corpus_refusals_are_what_jsonschema_picks(self, name):
+        # 1-3 random drops, retypes, nulls, negatives, bools, nested values or extra keys each
+        rng = random.Random(16)
+        bases = [MANIFEST] if name == "manifest.schema.json" else ACCEPTANCE_CONFIGS
+        refused = 0
+        for _ in range(400):
+            instance = json.loads(rng.choice(bases).read_text(encoding="utf-8"))
+            for _ in range(rng.randint(1, 3)):
+                _mutate_anywhere(rng, instance)
+            refused += assert_same_refusal(instance, name) is not None
+        assert refused > 300
 
     def test_manifest_refusal_names_the_field(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
@@ -1064,6 +1223,7 @@ MUTATIONS = {
     "negative": lambda v: -1,
     "string": lambda v: "x",
     "null": lambda v: None,
+    "bool": lambda v: True,
 }
 
 
@@ -1154,6 +1314,7 @@ class TestConfigFuzz:
     @given(case=mutated_configs())
     def test_mutated_config_ends_in_a_report(self, tmp_path_factory, case):
         task, config = case
+        assert_same_refusal(config, "config.schema.json")
         tmp = tmp_path_factory.mktemp("fuzz")
         cfg = tmp / "s.json"
         out = tmp / "r.json"
@@ -1187,24 +1348,29 @@ import json, sys
 from pathlib import Path
 import gradedshift, gradedshift.cli
 
-def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("numpy.f2py"))
+HEAVY = ("scipy", "jsonschema", "referencing", "rpds", "attrs", "attr")
 
-def run(name):
-    cfg = configs / (name + ".json")
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] in HEAVY or m.startswith("numpy.f2py"))
+
+def run(cfg):
     task = json.loads(cfg.read_text(encoding="utf-8"))["task"]
-    return gradedshift.cli.main([task, "--config", str(cfg), "--out", str(out / (name + ".json"))])
+    return gradedshift.cli.main([task, "--config", str(cfg), "--out", str(out / (cfg.stem + ".report.json"))])
 
 configs, out = Path(sys.argv[1]), Path(sys.argv[2])
 steps = [["import", None, heavy()]]
 for name in ("purity-hardy-monomial", "identity-defect-h2b2", "witness-axis-orbit"):
-    steps.append([name, run(name), heavy()])
+    steps.append([name, run(configs / (name + ".json")), heavy()])
+refused = out / "refused.json"
+refused.write_text(json.dumps({"schema_version": "1", "task": "purity", "seed": 2.0}), encoding="utf-8")
+steps.append(["refused", run(refused), heavy()])
 print(json.dumps(steps))
 """
 
 
 def test_no_scipy_module_loads(tmp_path):
-    # no timing threshold: which modules a fresh interpreter holds is exact
+    # nor jsonschema and what it brings; no timing threshold: which modules
+    # a fresh interpreter holds is exact
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_FOOTPRINT, str(ACCEPTANCE_DIR), str(tmp_path)],
         env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent)),
@@ -1219,4 +1385,16 @@ def test_no_scipy_module_loads(tmp_path):
         ["purity-hardy-monomial", 0, []],
         ["identity-defect-h2b2", 0, []],
         ["witness-axis-orbit", 0, []],
+        ["refused", 2, []],
     ]
+    assert json.loads((tmp_path / "refused.report.json").read_text(encoding="utf-8"))["error"] == {
+        "type": "ValidationError",
+        "message": "$: 'scenario_id' is a required property",
+    }
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["dependencies"] == ["numpy>=1.24"]
+    assert any(dep.startswith("jsonschema") for dep in project["project"]["optional-dependencies"]["test"])
