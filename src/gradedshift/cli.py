@@ -85,7 +85,7 @@ from .spaces import BallDomain, Domain, MultiplierSymbol, PolydiscDomain, Trunca
 
 __all__ = ["ScenarioConfig", "RunReport", "run_scenario", "run_suite", "main"]
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 OUT_DIR_ENV = "GRADEDSHIFT_OUT_DIR"
 
 DEFAULT_TOLERANCES: Dict[str, Dict[str, float]] = {
@@ -447,7 +447,7 @@ def _run_purity(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
                 "forced_unitary": k >= count,
                 "verdict": rep.verdict,
                 "phi0_rho": rep.phi0_rho,
-                "padded_norm": rep.padded_norm,
+                "contractivity": rep.contractivity._asdict(),
                 "near_boundary": rep.near_boundary,
             }
             for k, rep in enumerate(_purity_verdicts(symbols, domain, d_max, tol))
@@ -460,7 +460,7 @@ def _run_purity(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
         "verdict": rep.verdict,
         "phi0_rho": rep.phi0_rho,
         "per_degree_rho": [rep.per_degree_rho[d] for d in range(d_max + 1)],
-        "padded_norm": rep.padded_norm,
+        "contractivity": rep.contractivity._asdict(),
         "near_boundary": rep.near_boundary,
     }
     return payload, True

@@ -25,30 +25,68 @@ non-normal block-triangular matrices they are evidence, not proof.
 The certificate reads only a symbol's support and the basis, never its
 coefficients, so a call that takes a stack of symbols on one space (a
 sweep) certifies each distinct support once per call; no outcome is
-cached across calls.  Such a call draws, assembles and norms the padded
-matrices as stacks and takes every rho(Phi(0)) from one batched
-``eigvals``; its results equal those of one-symbol calls bit for bit.
+cached across calls.  Such a call draws its colligations, or its padded
+matrices, and norms them as stacks, and takes every rho(Phi(0)) from one
+batched ``eigvals``; its results equal those of one-symbol calls bit for
+bit.
 
-Contractivity of a symbol is certified on a padded truncation (degree
-D_max + deg Phi) as a surrogate for the multiplier norm; random sweep
-symbols are rescaled by f = 0.99 / padded-norm, which bounds every
-compression norm by 0.99 since compressions nest inside the padded matrix.
-Such a symbol records the norm f * ||A_raw|| it was certified with, and a
-verdict on the same padded truncation reports that as ``padded_norm``
-instead of taking the SVD again.  A forced (non-pure) sweep symbol
-blockdiag(u, Phi_inner) with |u| = 1 records max(|u|, r), r the record of
-Phi_inner: the beta = 0 shift map is the identity with weight exactly 1.0,
-so on every truncation M_Phi is a permutation of u I (+) M_inner; for
+A verdict needs ||M_Phi|| <= 1, and takes it from a contractivity
+certificate of one of two kinds.
+
+Realization.  A sweep symbol of degree d on a covered space (see
+:func:`_realization_covers`) is a product Phi_1 ... Phi_d of transfer
+functions Phi_k(z) = A + B E(z) C of colligations U_k = [[A, B], [C, 0]]
+with ||U_k|| = r_k <= 1.  On a polydisc E(z) = (+)_i z_i I_h maps H^n
+to itself; on a ball the row E(z) = [z_1 I_h ... z_n I_h] maps H^n to H,
+so U_k maps E (+) H to E (+) H^n.  With K(z) = [I, B E(z)], K(z) U_k =
+[Phi_k(z), B], and comparing K(z) (r_k^2 I - U_k U_k^*) K(w)^* with
+K(z) K(w)^* gives
+
+    r_k^2 I - Phi_k(z) Phi_k(w)^* = B (I - r_k^2 E(z) E(w)^*) B^*
+                                    + K(z) (r_k^2 I - U_k U_k^*) K(w)^*.
+
+The second term is a positive kernel.  I - r^2 E(z) E(w)^* is (+)_i (1 -
+r^2 z_i w_i~) I_h on a polydisc and (1 - r^2 <z, w>) I_h on a ball, and
+(1 - r^2 x) / (1 - x) = 1 + (1 - r^2) x / (1 - x) has nonnegative
+coefficients.  So k (r_k^2 - Phi_k Phi_k^*) is a positive kernel, which is
+||M_Phi_k|| <= r_k, whenever k is the Szego kernel prod_i (1 - z_i
+w_i~)^-1 (Agler 1990) or the Drury-Arveson kernel (1 - <z, w>)^-1
+(Ball-Trent-Vinnikov 2001) times a positive kernel g, by Schur products
+with g.  The Bergman and weighted Bergman factors (1 - z w~)^(alpha - 2),
+alpha <= 1, are (1 - z w~)^-1 times (1 - z w~)^(alpha - 1), which has
+nonnegative coefficients; H_m(B_n) has k = k_DA^m, m >= 1.  This is the
+Schur-Agler (polydisc) or BTV (ball) statement for a contractive
+colligation, whose unitary dilation need not be formed.  M_(Phi Psi) =
+M_Phi M_Psi, so ||M_Phi|| <= prod_k r_k, the bound the symbol records.
+Degree 0 is the constant A of one colligation, ||A|| <= r.  The verdict
+honours the record only on a covered space of the same geometry (a ball
+realization need not be contractive on a polydisc); it then certifies on
+V_D with no padded basis and no norm.
+
+Padded truncation.  Everywhere else (Dirichlet, weighted Bergman with
+alpha in (1, 2), custom kernels, config-given symbols) contractivity is
+certified on a padded truncation (degree D_max + deg Phi) as a surrogate
+for the multiplier norm: the SVD of the padded matrix.  A random sweep
+symbol there is rescaled by f = 0.99 / padded-norm, which bounds every
+compression norm by 0.99 since compressions nest inside the padded
+matrix, and records f * ||A_raw||; a verdict on the same padded
+truncation reports that instead of taking the SVD again.
+
+Either bound meets the ``NotContractiveError`` refusal.  A forced
+(non-pure) sweep symbol blockdiag(u, Phi_inner) with |u| = 1 records
+max(|u|, r), r the record of Phi_inner, of the same kind: the beta = 0
+shift map is the identity with weight exactly 1.0, so on every truncation
+(and on the whole space) M_Phi is a permutation of u I (+) M_inner; for
 coeff_dim = 1 it is the constant u and records |u|.  No forced symbol is
-assembled or normed at full size.  The jet of a transfer function need not
-be contractive; it is certified on V_D itself, with no padded norm.
+assembled or normed at full size.  The jet of a transfer function need
+not be contractive; it is certified on V_D itself, with no norm.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -63,6 +101,7 @@ from .operators import (
     opnorm,
 )
 from .spaces import (
+    MAX_DIM,
     BallDomain,
     Domain,
     MultiIndex,
@@ -75,6 +114,7 @@ from .spaces import (
     lift_scalar_symbol,
     polydisc_basis,
     slice_symbol,
+    symbol_product,
 )
 
 __all__ = [
@@ -125,6 +165,19 @@ def decay_curve(
     return curve
 
 
+# The kinds of contractivity certificate (see the module docstring)
+REALIZATION = "realization"
+PADDED = "padded_truncation"
+_BOUND_NAMES = {REALIZATION: "realization norm bound", PADDED: "padded multiplier norm"}
+
+
+class Contractivity(NamedTuple):
+    """A bound on ||M_Phi|| and the kind of certificate it comes from."""
+
+    kind: str
+    bound: float
+
+
 @dataclass
 class PurityReport:
     """Spectral radii of the adjoint compression at every degree vs rho(Phi(0)).
@@ -133,19 +186,46 @@ class PurityReport:
     certificate (see the module docstring).  verdict is "pure" iff phi0_rho
     < 1 - tol and "not_pure" otherwise.  ``near_boundary``
     flags spectra within tol of 1 (indeterminate at tolerance) without
-    reclassifying them.  ``padded_norm`` is the SVD of the padded matrix,
-    or, for a symbol from :func:`random_contractive_symbol` on the same
-    padded truncation, the norm it recorded: f * ||A_raw|| for a plain
-    symbol, the exact direct-sum norm max(|u|, r) for a forced one; None
-    for a jet.
+    reclassifying them.  ``contractivity`` is the bound the verdict
+    checked: a realization's recorded product bound on a covered space, a
+    padded-truncation norm (recorded by :func:`random_contractive_symbol`
+    on the same padded truncation, else the SVD of the padded matrix), or
+    None for a jet.
     """
 
     per_degree_rho: Dict[int, float]
     phi0_rho: float
     verdict: str
     tol: float
-    padded_norm: Optional[float]
+    contractivity: Optional[Contractivity]
     near_boundary: bool
+
+
+def _realization_covers(domain: Domain) -> bool:
+    """Whether every realization of the domain's geometry is a contractive
+    multiplier of its space: a polydisc whose factors are Hardy, Bergman or
+    weighted Bergman with alpha <= 1, or an H_m ball (integer m >= 1), whose
+    kernels are the Szego or Drury-Arveson kernel times a positive kernel."""
+    if isinstance(domain, PolydiscDomain):
+        return all(
+            f.family in ("hardy", "bergman") or (f.family == "weighted_bergman" and f.alpha <= 1.0)
+            for f in domain.factors
+        )
+    return domain.spec.family == "hm"
+
+
+def _recorded(phi: MultiplierSymbol, domain: Domain, padded_cap: int) -> Optional[Contractivity]:
+    """The certificate ``phi`` recorded, where it holds on ``domain``: a
+    realization on a covered domain of its geometry, or a padded norm on
+    the truncation V_padded_cap of this domain; else None."""
+    if phi.contractivity_record is None:
+        return None
+    key, cert = phi.contractivity_record
+    if cert.kind == REALIZATION:
+        holds = key == domain.kind and _realization_covers(domain)
+    else:
+        holds = key == (domain, padded_cap, phi.coeff_dim)
+    return cert if holds else None
 
 
 def _certify_degree_structure(basis: TruncatedBasis, support: Sequence[MultiIndex]) -> None:
@@ -205,14 +285,17 @@ def _purity_verdicts(
     """Purity verdicts of symbols on one space (one n and coeff_dim), each
     equal to its own :func:`multiplier_purity_verdict` bit for bit.
 
-    The symbols without a usable norm record are assembled and normed as
-    stacks, one per padded truncation and support.  In symbol order, each
-    norm meets the ``NotContractiveError`` refusal and each support not yet
-    seen in this call is certified on the shift maps; nothing is cached
-    across calls.  The Phi(0) spectra come from one batched ``eigvals``.
+    A symbol whose recorded realization holds here is certified on V_D_max
+    with its recorded bound.  The others take a padded-truncation norm: the
+    recorded one where its key is this padded truncation, else the SVD, and
+    those are assembled and normed as stacks, one per padded truncation and
+    support.  In symbol order, each bound meets the ``NotContractiveError``
+    refusal and each (basis, support) not yet seen in this call is
+    certified on the shift maps; nothing is cached across calls.  The
+    Phi(0) spectra come from one batched ``eigvals``.
 
     ``check_contractive=False`` certifies on V_D_max and takes no norm;
-    ``padded_norm`` is then None.  Its callers are
+    ``contractivity`` is then None.  Its callers are
     :func:`gradedshift.dilation.schur_agler_purity`, whose jets need not be
     contractive, and :func:`gradedshift.dilation._bcl_certificates`, whose
     isometry-defect bound certifies contractivity.
@@ -220,37 +303,36 @@ def _purity_verdicts(
     if not phis:
         return []
     c = phis[0].coeff_dim
-    # (degree, support) of each symbol; the degree names its basis
-    keys = [(phi.degree, tuple(phi.terms)) for phi in phis]
-    bases: Dict[int, TruncatedBasis] = {}
-    norms: List[Optional[float]] = [None] * len(phis)
+    # (degree cap of the certifying basis, support) of each symbol
+    keys: List[Tuple[int, Tuple[MultiIndex, ...]]] = []
+    certs: List[Optional[Contractivity]] = [None] * len(phis)
     stacks: Dict[Tuple[int, Tuple[MultiIndex, ...]], List[int]] = {}
-    for i, (phi, (deg, _)) in enumerate(zip(phis, keys)):
+    for i, phi in enumerate(phis):
         if phi.n != domain.n:
             raise InvalidInputError(f"symbol has n={phi.n}, basis has n={domain.n}")
-        if deg not in bases:
-            bases[deg] = basis_for(domain, d_max + (deg if check_contractive else 0), c)
-        if not check_contractive:
-            continue
-        record = phi.padded_norm_record
-        if record is not None and record[0] == (domain, d_max + deg, c):
-            norms[i] = record[1]
-        else:
+        cap = d_max
+        if check_contractive:
+            certs[i] = _recorded(phi, domain, d_max + phi.degree)
+            if certs[i] is None or certs[i].kind == PADDED:
+                cap = d_max + phi.degree
+        keys.append((cap, tuple(phi.terms)))
+        if check_contractive and certs[i] is None:
             stacks.setdefault(keys[i], []).append(i)
-    for (deg, support), members in stacks.items():
+    for (cap, support), members in stacks.items():
         coeffs = np.array([[phis[i].terms[b] for b in support] for i in members])
         coeffs = coeffs.reshape(len(members), len(support), c, c)
-        for i, norm in zip(members, _padded_norms(bases[deg], support, coeffs)):
-            norms[i] = float(norm)
+        for i, norm in zip(members, _padded_norms(basis_for(domain, cap, c), support, coeffs)):
+            certs[i] = Contractivity(PADDED, float(norm))
     certified = set()
-    for norm, key in zip(norms, keys):
-        if norm is not None and norm > 1.0 + tol:
-            raise NotContractiveError(f"padded multiplier norm {norm:.12f} exceeds 1 + {tol}")
+    for cert, key in zip(certs, keys):
+        if cert is not None and cert.bound > 1.0 + tol:
+            name = _BOUND_NAMES[cert.kind]
+            raise NotContractiveError(f"{name} {cert.bound:.12f} exceeds 1 + {tol}")
         if key not in certified:
-            _certify_degree_structure(bases[key[0]], key[1])
+            _certify_degree_structure(basis_for(domain, key[0], c), key[1])
             certified.add(key)
     reports = []
-    for norm, rho in zip(norms, _phi0_radii(phis)):
+    for cert, rho in zip(certs, _phi0_radii(phis)):
         rho = float(rho)
         reports.append(
             PurityReport(
@@ -258,7 +340,7 @@ def _purity_verdicts(
                 phi0_rho=rho,
                 verdict="pure" if rho < 1.0 - tol else "not_pure",
                 tol=tol,
-                padded_norm=norm,
+                contractivity=cert,
                 near_boundary=abs(rho - 1.0) <= tol,
             )
         )
@@ -270,11 +352,14 @@ def multiplier_purity_verdict(
 ) -> PurityReport:
     """Purity verdict for a contractive polynomial symbol on a graded family.
 
-    The norm check runs on the padded truncation V_(D_max + deg Phi): the
-    norm recorded by :func:`random_contractive_symbol` when its key is this
-    truncation's, else the SVD of the matrix assembled there.  The spectra
-    come from the structural certificate and one eig of Phi(0).  This is
-    the one-symbol case of the stacked verdict of a sweep.
+    The norm check takes the bound of a realization recorded by
+    :func:`random_contractive_symbol` where it holds on ``domain``, and
+    then certifies on V_D_max alone.  Otherwise it runs on the padded
+    truncation V_(D_max + deg Phi): the norm the generator recorded when
+    its key is this truncation's, else the SVD of the matrix assembled
+    there.  The spectra come from the structural certificate and one eig
+    of Phi(0).  This is the one-symbol case of the stacked verdict of a
+    sweep.
     """
     (report,) = _purity_verdicts([phi], domain, d_max, tol)
     return report
@@ -434,7 +519,58 @@ def _scaled_symbols(
     symbols = []
     for mats, recorded in zip(scaled, factors * norms):
         phi = MultiplierSymbol(domain.n, c, dict(zip(support, mats)))
-        phi.padded_norm_record = (key, float(recorded))
+        phi.contractivity_record = (key, Contractivity(PADDED, float(recorded)))
+        symbols.append(phi)
+    return symbols
+
+
+def _colligation_shape(domain: Domain, c: int) -> Tuple[int, int]:
+    """The shape of a colligation [[A, B], [C, 0]] with h = c: E (+) H^n
+    to itself on a polydisc, E (+) H to E (+) H^n on a ball."""
+    inputs = domain.n if isinstance(domain, PolydiscDomain) else 1
+    return c + domain.n * c, c + inputs * c
+
+
+def _realized_symbols(
+    domain: Domain, c: int, degree: int, gauss: np.ndarray
+) -> List[MultiplierSymbol]:
+    """One symbol per row of a ``(k, f, 2, rows, cols)`` stack, f =
+    max(degree, 1): the product of the transfer functions A + B E(z) C of
+    its f colligations ``gauss[:, j, 0] + 1j gauss[:, j, 1]`` with the lower
+    right block set to 0, each scaled to norm 0.99 (one batched SVD per
+    chunk).  At degree 0 it is the A of its one colligation.  Each records
+    the product of its colligations' norms."""
+    k, f, _, rows, cols = gauss.shape
+    if k == 0:
+        return []
+    n = domain.n
+    u = (gauss[:, :, 0] + 1j * gauss[:, :, 1]).reshape(k * f, rows, cols)
+    u[:, c:, c:] = 0.0
+    norms = np.empty(k * f)
+    for part in _stack_chunks(k * f, 16 * rows * cols):
+        norms[part] = _opnorms(u[part])
+    if np.any(norms == 0.0):
+        raise InvalidInputError("degenerate zero random colligation")
+    factors = 0.99 / norms
+    u = factors[:, None, None] * u
+    bounds = (factors * norms).reshape(k, f)
+    # the z_i coefficient B_i C_i: B_i is the i-th column block of B on a
+    # polydisc and all of B on a ball, C_i the i-th row block of C
+    b = u[:, :c, c:].reshape(k * f, c, -1, c).transpose(0, 2, 1, 3)
+    lin = b @ u[:, c:, :c].reshape(k * f, n, c, c)
+    zero = (0,) * n
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    symbols = []
+    for s in range(k):
+        phi = None
+        for t in range(s * f, (s + 1) * f):
+            terms = {zero: u[t, :c, :c]}
+            if degree:
+                terms.update(zip(units, lin[t]))
+            factor = MultiplierSymbol(n, c, terms)
+            phi = factor if phi is None else symbol_product(phi, factor)
+        bound = math.prod(bounds[s].tolist())
+        phi.contractivity_record = (domain.kind, Contractivity(REALIZATION, bound))
         symbols.append(phi)
     return symbols
 
@@ -443,10 +579,11 @@ def _with_unitary_constant(u: complex, inner: MultiplierSymbol) -> MultiplierSym
     """blockdiag(u, inner): the unimodular constant u on the first
     coefficient direction, ``inner`` on the others.
 
-    It records max(|u|, r) on the key of the norm r that ``inner`` records,
-    with the coefficient dimension one larger: the beta = 0 shift map is the
-    identity with weight 1.0 (:func:`_certify_degree_structure`), so on
-    every truncation M_Phi is a permutation of u I (+) M_inner.
+    It records max(|u|, r), r the bound that ``inner`` records, of the
+    same kind; a padded key gets the coefficient dimension one larger.
+    The beta = 0 shift map is the identity with weight 1.0
+    (:func:`_certify_degree_structure`), so on every truncation M_Phi is a
+    permutation of u I (+) M_inner.
     """
     c = inner.coeff_dim + 1
     terms: Dict[MultiIndex, np.ndarray] = {}
@@ -459,15 +596,23 @@ def _with_unitary_constant(u: complex, inner: MultiplierSymbol) -> MultiplierSym
     base[0, 0] = u
     terms[zero] = base
     phi = MultiplierSymbol(inner.n, c, terms)
-    (domain, cap, _), norm = inner.padded_norm_record
-    phi.padded_norm_record = ((domain, cap, c), max(abs(u), norm))
+    key, cert = inner.contractivity_record
+    if cert.kind == PADDED:
+        key = key[:2] + (c,)
+    phi.contractivity_record = (key, Contractivity(cert.kind, max(abs(u), cert.bound)))
     return phi
 
 
-def _unimodular_constant(u: complex, domain: Domain, d_max: int) -> MultiplierSymbol:
-    """The 1x1 constant symbol u, recording |u|: M_u = u I on V_d_max."""
+def _unimodular_constant(
+    u: complex, domain: Domain, d_max: int, realized: bool
+) -> MultiplierSymbol:
+    """The 1x1 constant symbol u, recording |u|, as a realization (the
+    colligation [[u, 0], [0, 0]]) or on the padded V_d_max: M_u = u I."""
     phi = MultiplierSymbol(domain.n, 1, {(0,) * domain.n: np.array([[u]])})
-    phi.padded_norm_record = ((domain, d_max, 1), abs(u))
+    if realized:
+        phi.contractivity_record = (domain.kind, Contractivity(REALIZATION, abs(u)))
+    else:
+        phi.contractivity_record = ((domain, d_max, 1), Contractivity(PADDED, abs(u)))
     return phi
 
 
@@ -484,27 +629,48 @@ def _random_symbols(
     for bit to as many :func:`random_contractive_symbol` calls on ``rng``,
     which is left in the same state.
 
-    One ``standard_normal((count, T, 2, c, c))`` draws the plain symbols
-    (T terms, real and imaginary parts); then each forced symbol draws its
-    phase and its inner symbol's coefficients.  The padded matrices of each
-    stack are assembled and normed together (see :func:`_padded_norms`);
-    a forced symbol records its direct-sum norm without a matrix of its
-    own (see :func:`_with_unitary_constant`).
+    One ``standard_normal`` call draws the plain symbols: on a covered
+    domain (:func:`_realization_covers`) a ``(count, f, 2, rows, cols)``
+    stack of colligations, f = max(degree, 1), else a ``(count, T, 2, c,
+    c)`` stack of coefficients on the T multi-indices of degree <= degree.
+    Then each forced symbol draws its phase and its inner symbol's stack of
+    size c - 1.  A stack's colligations, or its padded matrices, are normed
+    together (see :func:`_realized_symbols` and :func:`_padded_norms`); a
+    forced symbol records its direct-sum bound without a matrix of its own
+    (see :func:`_with_unitary_constant`).
     """
     n = domain.n
-    support = enumerate_indices(n, degree)
-    shape = (len(support), 2, coeff_dim - 1, coeff_dim - 1)
-    gauss = rng.standard_normal((count, len(support), 2, coeff_dim, coeff_dim))
+    if degree < 0 or coeff_dim < 1:
+        raise InvalidInputError(f"need degree >= 0 and coeff_dim >= 1, got {degree}, {coeff_dim}")
+    if coeff_dim * math.comb(degree + n, n) > MAX_DIM:
+        raise InvalidInputError(
+            f"a degree-{degree} symbol in {n} variables with coeff_dim {coeff_dim} has more "
+            f"than MAX_DIM = {MAX_DIM} coefficient rows"
+        )
+    realized = _realization_covers(domain)
+    support = () if realized else enumerate_indices(n, degree)
+
+    def shape(c: int) -> Tuple[int, ...]:
+        if realized:
+            return (max(degree, 1), 2) + _colligation_shape(domain, c)
+        return (len(support), 2, c, c)
+
+    def build(gauss: np.ndarray, c: int) -> List[MultiplierSymbol]:
+        if realized:
+            return _realized_symbols(domain, c, degree, gauss)
+        return _scaled_symbols(domain, support, gauss, d_max + degree)
+
+    gauss = rng.standard_normal((count,) + shape(coeff_dim))
     phases, inner = [], []
     for _ in range(forced):
         phases.append(complex(np.exp(2j * math.pi * rng.uniform())))
         if coeff_dim > 1:
-            inner.append(rng.standard_normal(shape))
-    symbols = _scaled_symbols(domain, support, gauss, d_max + degree)
+            inner.append(rng.standard_normal(shape(coeff_dim - 1)))
+    symbols = build(gauss, coeff_dim)
     if coeff_dim == 1:
-        return symbols + [_unimodular_constant(u, domain, d_max) for u in phases]
-    inner_gauss = np.array(inner).reshape((forced,) + shape)
-    inner_symbols = _scaled_symbols(domain, support, inner_gauss, d_max + degree)
+        return symbols + [_unimodular_constant(u, domain, d_max, realized) for u in phases]
+    inner_gauss = np.array(inner).reshape((forced,) + shape(coeff_dim - 1))
+    inner_symbols = build(inner_gauss, coeff_dim - 1)
     return symbols + [_with_unitary_constant(u, phi) for u, phi in zip(phases, inner_symbols)]
 
 
@@ -516,19 +682,26 @@ def random_contractive_symbol(
     d_max: int,
     unitary_constant: bool = False,
 ) -> MultiplierSymbol:
-    """Seeded random polynomial symbol, certified on the padded truncation.
+    """Seeded random contractive polynomial symbol.
 
-    Plain branch: iid complex Gaussian coefficient matrices rescaled by
-    f = 0.99 / padded-norm, so every compression at degrees <= d_max has
-    norm <= 0.99; the symbol records f * ||A_raw|| as its
-    ``padded_norm_record``.  ``unitary_constant=True`` populates the
-    non-pure branch: a contractive multiplier with unitary constant term is
-    constant in the unitary directions, so the symbol is
-    blockdiag(unimodular constant u, random contractive symbol on the
-    remaining dims), and it records the exact norm max(|u|, r) of the
-    direct sum u I (+) M_inner, r the inner symbol's record; for
-    coeff_dim = 1 it is the constant u and records |u| on V_d_max.  This
-    is the one-symbol case of a sweep's stacked generator.
+    Plain branch, on a space where realizations are contractive
+    (:func:`_realization_covers`: Hardy, Bergman and weighted Bergman
+    alpha <= 1 polydiscs, H_m balls): the product of ``degree`` transfer
+    functions A + B E(z) C of complex Gaussian colligations [[A, B], [C,
+    0]] with h = coeff_dim, each scaled to norm 0.99, so ||M_Phi|| <=
+    0.99^degree; degree 0 gives one colligation's A.  It records the
+    product of the colligation norms as a realization.  On other spaces:
+    iid complex Gaussian coefficient matrices rescaled by f = 0.99 /
+    padded-norm on V_(d_max + degree), recording f * ||A_raw||.
+
+    ``unitary_constant=True`` populates the non-pure branch: a contractive
+    multiplier with unitary constant term is constant in the unitary
+    directions, so the symbol is blockdiag(unimodular constant u, random
+    contractive symbol on the remaining dims), drawn by the same rule, and
+    it records the exact norm max(|u|, r) of the direct sum u I (+)
+    M_inner, r the inner symbol's record; for coeff_dim = 1 it is the
+    constant u and records |u|.  This is the one-symbol case of a sweep's
+    stacked generator.
     """
     count, forced = (0, 1) if unitary_constant else (1, 0)
     (phi,) = _random_symbols(rng, domain, coeff_dim, degree, d_max, count, forced)

@@ -356,14 +356,14 @@ class MultiplierSymbol:
     ``terms`` maps multi-indices (length ``n``) to square complex matrices of
     size ``coeff_dim``; the matrices are read-only copies of the inputs.
 
-    ``padded_norm_record`` is ``None`` or ``(key, norm)``: the multiplier
-    norm already certified on the padded truncation with key
-    ``(domain, degree_cap, coeff_dim)``.  Only
+    ``contractivity_record`` is ``None`` or ``(key, certificate)``: a bound
+    on the multiplier norm that the symbol was built with, and where it
+    holds (see :mod:`gradedshift.purity`).  Only
     :func:`gradedshift.purity.random_contractive_symbol` and the sweeps'
-    generator set it: the rescaled norm of a plain symbol, or the exact
-    direct-sum norm max(|u|, r) of a unitary-constant one.  Scaling,
-    slicing, lifting and decoding build symbols without one.  The read-only
-    coefficients keep it from going stale.
+    generator set it: a realization's product bound, keyed by the domain
+    kind, or a padded-truncation norm, keyed by ``(domain, degree_cap,
+    coeff_dim)``.  Scaling, slicing, lifting and decoding build symbols
+    without one.  The read-only coefficients keep it from going stale.
     """
 
     def __init__(self, n: int, coeff_dim: int, terms: Dict[MultiIndex, np.ndarray]):
@@ -388,7 +388,7 @@ class MultiplierSymbol:
                 mat.flags.writeable = False
                 canon[alpha] = mat
         self.terms = canon
-        self.padded_norm_record: Optional[Tuple[Tuple[Domain, int, int], float]] = None
+        self.contractivity_record: Optional[Tuple[object, Tuple[str, float]]] = None
 
     @property
     def degree(self) -> int:

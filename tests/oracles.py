@@ -229,6 +229,106 @@ def random_symbol_oracle(
     return {alpha: factor * mat for alpha, mat in terms.items()}, factor * norm
 
 
+def realized_symbol_oracle(
+    rng: np.random.Generator,
+    geometry: str,
+    n: int,
+    coeff_dim: int,
+    degree: int,
+    forced: bool = False,
+) -> Tuple[Dict[MultiIndex, np.ndarray], float]:
+    """The terms and the recorded bound of one seeded realized symbol,
+    drawn one colligation at a time.
+
+    Each of max(degree, 1) colligations U = [[A, B], [C, 0]] with h = c is
+    ``standard_normal((rows, cols)) + 1j * standard_normal((rows, cols))``
+    with its lower right block set to 0, scaled by 0.99 over its dense SVD
+    norm: rows = c + n h, and cols = rows on a ``"polydisc"``, where E(z) =
+    diag(z_1 I_h, ..., z_n I_h), or c + h on a ``"ball"``, where E(z) =
+    [z_1 I_h ... z_n I_h].  A factor's terms are A and B E(e_i) C at z_i,
+    with E(e_i) written out as a 0/1 matrix; the symbol is the product of
+    the factors (only A at degree 0) and records the product of the
+    scaled norms.  A forced symbol draws its phase u first and is
+    blockdiag(u, realized symbol of size c - 1), recording max(|u|, r); for
+    c = 1 it is the constant u and records |u|.
+    """
+    zero = (0,) * n
+    if forced:
+        u = complex(np.exp(2j * np.pi * rng.uniform()))
+        if coeff_dim == 1:
+            return {zero: np.array([[u]])}, abs(u)
+        inner, r = realized_symbol_oracle(rng, geometry, n, coeff_dim - 1, degree)
+        terms = {}
+        for alpha, mat in inner.items():
+            terms[alpha] = np.zeros((coeff_dim, coeff_dim), dtype=complex)
+            terms[alpha][1:, 1:] = mat
+        terms.setdefault(zero, np.zeros((coeff_dim, coeff_dim), dtype=complex))[0, 0] = u
+        return terms, max(abs(u), r)
+    c = h = coeff_dim
+    rows = c + n * h
+    cols = rows if geometry == "polydisc" else c + h
+    symbol: Optional[Dict[MultiIndex, np.ndarray]] = None
+    bounds = []
+    for _ in range(max(degree, 1)):
+        u = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        u[c:, c:] = 0.0
+        norm = _top_singular_value(u)
+        u = (0.99 / norm) * u
+        bounds.append(0.99 / norm * norm)
+        factor = {zero: u[:c, :c]}
+        for i in range(n if degree else 0):
+            e = np.zeros((cols - c, rows - c))
+            if geometry == "polydisc":
+                e[i * h : (i + 1) * h, i * h : (i + 1) * h] = np.eye(h)
+            else:
+                e[:, i * h : (i + 1) * h] = np.eye(h)
+            factor[tuple(int(j == i) for j in range(n))] = u[:c, c:] @ e @ u[c:, :c]
+        symbol = factor if symbol is None else _dict_product(symbol, factor)
+    return symbol, math.prod(bounds)
+
+
+def sampled_sup_norm(terms: Dict[MultiIndex, np.ndarray], points: np.ndarray) -> float:
+    """max ||Phi(z)|| over the rows of a ``(P, n)`` array of points, with
+    Phi(z) = sum_alpha z^alpha Phi_alpha and the norm the largest singular
+    value: |Phi| for c = 1, the root of (F + sqrt(F^2 - 4 |det|^2)) / 2
+    with F the squared Frobenius norm for c = 2, an SVD above.  A
+    polynomial's sup over the closed polydisc or ball is its max on the
+    torus or the sphere, and ||M_Phi|| >= sup ||Phi||."""
+    alphas = list(terms)
+    c = len(terms[alphas[0]])
+    powers = [np.ones(points.shape, dtype=complex)]
+    for _ in range(max(max(alpha) for alpha in alphas)):
+        powers.append(powers[-1] * points)
+    mono = np.ones((len(points), len(alphas)), dtype=complex)
+    for t, alpha in enumerate(alphas):
+        for i, a in enumerate(alpha):
+            if a:
+                mono[:, t] *= powers[a][:, i]
+    coeffs = np.array([terms[a] for a in alphas]).reshape(len(alphas), c * c)
+    values = (mono @ coeffs).reshape(-1, c, c)
+    if c == 1:
+        return float(np.abs(values).max())
+    if c == 2:
+        frob = (np.abs(values) ** 2).sum(axis=(1, 2))
+        det = values[:, 0, 0] * values[:, 1, 1] - values[:, 0, 1] * values[:, 1, 0]
+        gap = np.sqrt(np.maximum(frob**2 - 4 * np.abs(det) ** 2, 0.0))
+        return float(np.sqrt((frob + gap) / 2).max())
+    return float(np.linalg.svd(values, compute_uv=False)[:, 0].max())
+
+
+def torus_grid(size: int, n: int) -> np.ndarray:
+    """The ``size^n`` points of the n-torus with equally spaced angles."""
+    t = np.exp(2j * np.pi * np.arange(size) / size)
+    return np.stack(np.meshgrid(*[t] * n, indexing="ij"), axis=-1).reshape(-1, n)
+
+
+def sphere_points(rng: np.random.Generator, count: int, n: int) -> np.ndarray:
+    """``count`` uniform points of the unit sphere of C^n: normalised
+    complex Gaussians."""
+    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def bcl_triple_oracle(
     rng: np.random.Generator, e_dim: int, rank: Optional[int] = None
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -55,7 +55,13 @@ from gradedshift.operators import (
     wandering_span_dimension,
 )
 
-from oracles import brute_force_feasible, witness_index_oracle
+from oracles import (
+    brute_force_feasible,
+    sampled_sup_norm,
+    sphere_points,
+    torus_grid,
+    witness_index_oracle,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -108,6 +114,28 @@ def test_criterion_01_purity_equivalence_sweep():
                     assert all_small == (rep.phi0_rho < 1 - tol)
         assert total == 720
         assert time.monotonic() - start < 300.0
+
+
+def test_criterion_01_symbols_are_bounded_on_the_boundary():
+    # ||M_Phi|| >= sup ||Phi||, so one sample above 1 proves a symbol is not a
+    # contractive multiplier; the padded-truncation generator failed this
+    # for 490 of these 720 symbols.  Dirichlet keeps that generator.
+    torus = torus_grid(96, 2)
+    sphere = sphere_points(np.random.default_rng(0), 20_000, 2)
+    checked = 0
+    for space_idx, (name, domain) in enumerate(six_spaces()):
+        if name == "dirichlet-bidisc":
+            continue
+        points = torus if isinstance(domain, PolydiscDomain) else sphere
+        for coeff_dim in (1, 2):
+            rng = np.random.default_rng(10_000 + space_idx * 10 + coeff_dim)
+            for k in range(60):
+                phi = random_contractive_symbol(
+                    rng, domain, coeff_dim, 2, 8, unitary_constant=k >= 50
+                )
+                assert sampled_sup_norm(phi.terms, points) <= 1.0 + 1e-12, (name, coeff_dim, k)
+                checked += 1
+    assert checked == 600
 
 
 def test_criterion_02_defect_identity():

@@ -19,6 +19,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -247,10 +248,10 @@ class TestExitCodes:
         config = str(ACCEPTANCE_DIR / "purity-sweep-bergman.json")
         out = tmp_path / "s.report.json"
         assert cli.main(["purity", "--config", config, "--out", str(out)]) == 0
-        # the sweep's padded basis: Bergman bidisc at D = 4 + symbol degree 2
+        # the sweep's realizations are certified on the Bergman bidisc's V_4 itself
         space = json.loads(Path(config).read_text(encoding="utf-8"))["space"]
-        padded = purity.basis_for(cli.build_domain(space), 6, 2)
-        assert (1, 1) in padded._shift_maps and "successors" in vars(padded)
+        basis = purity.basis_for(cli.build_domain(space), 4, 2)
+        assert (1, 1) in basis._shift_maps and "successors" in vars(basis)
         real = purity._shift_map
 
         def keeps_degree(basis, beta):
@@ -665,6 +666,101 @@ class TestTaskPayloads:
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
+# The payload of the Dirichlet sweep below under report schema 2, before
+# realizations: Dirichlet keeps the padded route, so only the field name moves
+_DIRICHLET_SWEEP_SCHEMA_2 = [
+    (False, False, 0.99, 0.1680110141123701, "pure"),
+    (False, False, 0.99, 0.15906860694539926, "pure"),
+    (False, False, 0.9900000000000001, 0.11054901345573291, "pure"),
+    (True, True, 1.0, 1.0000000000000002, "not_pure"),
+    (True, True, 1.0, 1.0, "not_pure"),
+]
+
+
+def sweep_config(path, space, sweep, seed=11):
+    write_json(
+        path,
+        {
+            "schema_version": "1",
+            "scenario_id": "sweep",
+            "task": "purity",
+            "seed": seed,
+            "space": space,
+            "sweep": sweep,
+        },
+    )
+
+
+class TestPuritySweeps:
+    def test_manifest_sweep_is_realized(self, tmp_path):
+        out = tmp_path / "r.json"
+        config = str(ACCEPTANCE_DIR / "purity-sweep-bergman.json")
+        assert cli.main(["purity", "--config", config, "--out", str(out)]) == 0
+        symbols = read_report(out)["payload"]["symbols"]
+        assert len(symbols) == 15
+        for entry in symbols:
+            assert entry["contractivity"]["kind"] == "realization"
+            if entry["forced_unitary"]:
+                assert entry["verdict"] == "not_pure"
+                assert abs(entry["contractivity"]["bound"] - 1.0) <= 1e-15
+            else:
+                assert entry["verdict"] == "pure"
+                assert abs(entry["contractivity"]["bound"] - 0.99**2) <= 1e-15
+
+    def test_dirichlet_sweep_equals_schema_2_but_for_the_rename(self, tmp_path):
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        space = {"family": "dirichlet", "n": 2, "degree_cap": 4, "coeff_dim": 2}
+        sweep_config(cfg, space, {"count": 3, "forced_unitary": 2})
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = read_report(out)["payload"]
+        assert payload["count"] == 5
+        want = [
+            {
+                "index": k,
+                "forced_unitary": forced,
+                "near_boundary": near,
+                "contractivity": {"kind": "padded_truncation", "bound": norm},
+                "phi0_rho": rho,
+                "verdict": verdict,
+            }
+            for k, (forced, near, norm, rho, verdict) in enumerate(_DIRICHLET_SWEEP_SCHEMA_2)
+        ]
+        assert payload["symbols"] == want
+
+    @pytest.mark.parametrize("family", ("hardy", "dirichlet"))
+    def test_degree_zero_gives_pure_constants(self, tmp_path, family):
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        space = {"family": family, "n": 2, "degree_cap": 3, "coeff_dim": 2}
+        sweep_config(cfg, space, {"count": 4, "symbol_degree": 0})
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 0
+        for entry in read_report(out)["payload"]["symbols"]:
+            assert entry["verdict"] == "pure"
+            assert entry["contractivity"]["bound"] <= 0.99 + 1e-15
+        domain = cli.build_domain(space)
+        for phi in purity._random_symbols(np.random.default_rng(11), domain, 2, 0, 3, 4, 0):
+            assert list(phi.terms) == [(0, 0)]
+
+    def test_single_symbol_reports_its_padded_norm(self, tmp_path):
+        out = tmp_path / "r.json"
+        config = str(ACCEPTANCE_DIR / "purity-hardy-monomial.json")
+        assert cli.main(["purity", "--config", config, "--out", str(out)]) == 0
+        contractivity = read_report(out)["payload"]["contractivity"]
+        assert contractivity["kind"] == "padded_truncation"
+        assert abs(contractivity["bound"] - 0.9) <= 1e-15
+
+    def test_drury_arveson_sweep_at_dim_1938_is_fast(self, tmp_path):
+        # the padded route took about 20 s per symbol here (padded dim 2,660)
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        space = {"family": "drury_arveson", "n": 3, "degree_cap": 16, "coeff_dim": 2}
+        sweep_config(cfg, space, {"count": 18, "forced_unitary": 2})
+        start = time.perf_counter()
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 2.0
+        symbols = read_report(out)["payload"]["symbols"]
+        assert [e["verdict"] for e in symbols] == ["pure"] * 18 + ["not_pure"] * 2
+        assert {e["contractivity"]["kind"] for e in symbols} == {"realization"}
+
+
 class TestReportWriter:
     def test_shorter_text_leaves_exactly_the_new_bytes(self, tmp_path):
         path = tmp_path / "r.json"
@@ -1060,7 +1156,7 @@ class TestDecoders:
         assert (sym.n, sym.coeff_dim) == (2, 1)
         assert set(sym.terms) == {(0, 0), (1, 2)}
         assert sym.terms[(1, 2)][0, 0] == -0.5j
-        assert sym.padded_norm_record is None
+        assert sym.contractivity_record is None
 
     def test_triple_axis_defaults_to_zero(self):
         obj = {"e_dim": 1, "u": [[[0, 1]]], "p": [[[1, 0]]]}
@@ -1148,7 +1244,7 @@ class TestSchemaValidation:
     def test_report_schema_still_loads(self):
         # the report schema is checked with jsonschema in the tests, never by the runtime checker
         schema = cli._load_schema("report.schema.json")
-        assert schema["$id"] == "gradedshift/report/2"
+        assert schema["$id"] == "gradedshift/report/3"
         with pytest.raises(NotImplementedError, match="^report.schema.json: outside the schema checker's subset: "):
             cli._check_keywords("report.schema.json", schema)
 
@@ -1283,7 +1379,7 @@ class TestReportSchema:
         reports = _manifest_reports(tmp_path, seed)
         assert len(reports) == 11
         for rep in reports:
-            assert rep["schema_version"] == cli.SCHEMA_VERSION == "2"
+            assert rep["schema_version"] == cli.SCHEMA_VERSION == "3"
             REPORT_VALIDATOR.validate(rep)
 
     @pytest.mark.parametrize("seed", (0, 5))

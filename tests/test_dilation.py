@@ -505,7 +505,7 @@ class TestSchurAglerPurity:
         for c in (random_colligation(700 + degree_cap, 1, h_dims), unitary_a):
             rep = schur_agler_purity(c, degree_cap, tol)
             assert rep.report.verdict == ("pure" if rep.rho_a < 1.0 - tol else "not_pure")
-            assert rep.report.padded_norm is None
+            assert rep.report.contractivity is None
             verdicts.append(rep.report.verdict)
         assert verdicts == ["pure", "not_pure"]
 
@@ -515,7 +515,7 @@ class TestSchurAglerPurity:
 
         monkeypatch.setattr(purity_module, "_opnorms", refuse)
         rep = schur_agler_purity(random_colligation(7, 2, (2, 2)), 5)
-        assert rep.report.padded_norm is None
+        assert rep.report.contractivity is None
         # a checked verdict does reach the patched norm
         with pytest.raises(AssertionError, match="a norm was taken"):
             multiplier_purity_verdict(scalar_symbol(1, {(1,): 0.5}), PolydiscDomain((hardy(),)), 4)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gradedshift import (
+    BallKernelSpec,
     CertificationError,
     InvalidInputError,
     NotContractiveError,
@@ -23,18 +24,25 @@ from gradedshift import (
     hardy,
     hm_ball,
     invariant_restriction_test,
+    KernelSpec1D,
     multiplier_matrix,
     multiplier_purity_verdict,
     random_contractive_symbol,
     scalar_symbol,
     slice_purity_consistency,
+    weighted_bergman,
 )
 from gradedshift import purity as purity_module
 from gradedshift import spaces as spaces_module
 from gradedshift.operators import spectral_radius
 from gradedshift.spaces import BallDomain, MultiplierSymbol, lift_scalar_symbol, slice_symbol
 
-from oracles import dense_multiplier, dense_per_degree_rho, random_symbol_oracle
+from oracles import (
+    dense_multiplier,
+    dense_per_degree_rho,
+    random_symbol_oracle,
+    realized_symbol_oracle,
+)
 
 EPS = np.finfo(float).eps
 HARDY2 = PolydiscDomain((hardy(), hardy()))
@@ -247,80 +255,227 @@ class TestStructuralCertificate:
             multiplier_purity_verdict(scalar_symbol(2, {(0, 0): 0.3}), HARDY2, 4)
 
 
+# Spaces where realizations are contractive multipliers, and spaces that
+# keep the padded-truncation route
+COVERED_SPACES = (
+    HARDY2,
+    PolydiscDomain((bergman(), bergman())),
+    PolydiscDomain((weighted_bergman(0.5),) * 2),
+    BallDomain(drury_arveson(2)),
+    BallDomain(hm_ball(2, 2)),
+    BallDomain(hm_ball(2, 3)),
+)
+CUSTOM_1D = KernelSpec1D("custom", custom_coeffs=tuple(1.0 / (m + 1) ** 2 for m in range(20)))
+CUSTOM_BALL = BallDomain(
+    BallKernelSpec(
+        2, "unitarily_invariant_custom", a_coeffs=tuple(1.0 / (j + 1) for j in range(20))
+    )
+)
+PADDED_SPACES = (
+    PolydiscDomain((dirichlet(), dirichlet())),
+    PolydiscDomain((weighted_bergman(1.5),) * 2),
+    PolydiscDomain((CUSTOM_1D,) * 2),
+    CUSTOM_BALL,
+)
+DIRICHLET2 = PADDED_SPACES[0]
+
+
+def _geometry(domain):
+    return "polydisc" if isinstance(domain, PolydiscDomain) else "ball"
+
+
 class TestPaddedNormRecord:
     def test_verdict_reuses_the_generator_norm(self, monkeypatch):
-        domain, d_max = BallDomain(hm_ball(2, 2)), 5
+        domain, d_max = CUSTOM_BALL, 5
         phi = random_contractive_symbol(np.random.default_rng(3), domain, 2, 2, d_max)
-        key, norm = phi.padded_norm_record
-        assert key == (domain, d_max + 2, 2)
+        key, cert = phi.contractivity_record
+        assert key == (domain, d_max + 2, 2) and cert.kind == "padded_truncation"
         rebuilt = MultiplierSymbol(phi.n, phi.coeff_dim, phi.terms)
-        assert rebuilt.padded_norm_record is None
-        svd_norm = multiplier_purity_verdict(rebuilt, domain, d_max).padded_norm
-        assert abs(norm - svd_norm) <= 1e-15
+        assert rebuilt.contractivity_record is None
+        svd_norm = multiplier_purity_verdict(rebuilt, domain, d_max).contractivity.bound
+        assert abs(cert.bound - svd_norm) <= 1e-15
         monkeypatch.setattr(purity_module, "_opnorms", pytest.fail)
-        assert multiplier_purity_verdict(phi, domain, d_max).padded_norm == norm
+        assert multiplier_purity_verdict(phi, domain, d_max).contractivity == cert
 
     def test_other_truncations_take_the_svd(self):
-        phi = random_contractive_symbol(np.random.default_rng(4), HARDY2, 1, 2, 5)
-        rep = multiplier_purity_verdict(phi, HARDY2, 4)
-        want = np.linalg.norm(multiplier_matrix(basis_for(HARDY2, 6, 1), phi).data, 2)
-        assert rep.padded_norm == want
-        other = PolydiscDomain((hardy(), bergman()))
+        phi = random_contractive_symbol(np.random.default_rng(4), DIRICHLET2, 1, 2, 5)
+        rep = multiplier_purity_verdict(phi, DIRICHLET2, 4)
+        want = np.linalg.norm(multiplier_matrix(basis_for(DIRICHLET2, 6, 1), phi).data, 2)
+        assert rep.contractivity == ("padded_truncation", want)
+        other = PolydiscDomain((dirichlet(), hardy()))
         rep = multiplier_purity_verdict(phi, other, 5)
         want = np.linalg.norm(multiplier_matrix(basis_for(other, 7, 1), phi).data, 2)
-        assert rep.padded_norm == want
+        assert rep.contractivity == ("padded_truncation", want)
 
     def test_recorded_norm_is_still_refused(self):
-        phi = random_contractive_symbol(np.random.default_rng(5), HARDY2, 1, 2, 5)
-        key, _ = phi.padded_norm_record
-        phi.padded_norm_record = (key, 1.5)
-        with pytest.raises(NotContractiveError):
-            multiplier_purity_verdict(phi, HARDY2, 5)
+        phi = random_contractive_symbol(np.random.default_rng(5), DIRICHLET2, 1, 2, 5)
+        key, cert = phi.contractivity_record
+        phi.contractivity_record = (key, cert._replace(bound=1.5))
+        with pytest.raises(NotContractiveError, match="padded multiplier norm"):
+            multiplier_purity_verdict(phi, DIRICHLET2, 5)
 
-    def test_derived_symbols_carry_no_record(self):
-        phi = random_contractive_symbol(np.random.default_rng(6), HARDY2, 1, 2, 5)
-        assert phi.padded_norm_record is not None
+    @pytest.mark.parametrize("domain", (HARDY2, DIRICHLET2), ids=_geometry)
+    def test_derived_symbols_carry_no_record(self, domain):
+        phi = random_contractive_symbol(np.random.default_rng(6), domain, 1, 2, 5)
+        assert phi.contractivity_record is not None
         for other in (phi.scaled(1.0), slice_symbol(phi, 0), lift_scalar_symbol(phi, 2)):
-            assert other.padded_norm_record is None
+            assert other.contractivity_record is None
 
     def test_forced_symbols_carry_the_direct_sum_record(self):
         # a forced symbol draws its phase, then an inner symbol of size c - 1
-        rng = np.random.default_rng(6)
-        u = complex(np.exp(2j * np.pi * rng.uniform()))
-        inner = random_contractive_symbol(rng, HARDY2, 1, 2, 5)
-        _, r = inner.padded_norm_record
-        forced, constant = (
-            random_contractive_symbol(np.random.default_rng(6), HARDY2, c, 2, 5, unitary_constant=True)
-            for c in (2, 1)
-        )
-        assert forced.padded_norm_record == ((HARDY2, 7, 2), max(abs(u), r))
-        assert constant.padded_norm_record == ((HARDY2, 5, 1), abs(u))
+        for domain, key, constant_key, kind in (
+            (DIRICHLET2, (DIRICHLET2, 7, 2), (DIRICHLET2, 5, 1), "padded_truncation"),
+            (HARDY2, "polydisc", "polydisc", "realization"),
+        ):
+            rng = np.random.default_rng(6)
+            u = complex(np.exp(2j * np.pi * rng.uniform()))
+            inner = random_contractive_symbol(rng, domain, 1, 2, 5)
+            r = inner.contractivity_record[1].bound
+            forced, constant = (
+                random_contractive_symbol(
+                    np.random.default_rng(6), domain, c, 2, 5, unitary_constant=True
+                )
+                for c in (2, 1)
+            )
+            assert forced.contractivity_record == (key, (kind, max(abs(u), r)))
+            assert constant.contractivity_record == (constant_key, (kind, abs(u)))
 
-    @pytest.mark.parametrize("domain", SIX_SPACES, ids=lambda d: repr(d)[:40])
+    @pytest.mark.parametrize("domain", PADDED_SPACES + COVERED_SPACES, ids=lambda d: repr(d)[:40])
     @pytest.mark.parametrize("c", (1, 2, 3))
-    def test_forced_records_equal_the_dense_norm(self, monkeypatch, domain, c):
+    def test_forced_records_bound_the_dense_norm(self, monkeypatch, domain, c):
+        # the padded record is the dense norm; a realization's is a bound of it
         d_max = 3
         phis = purity_module._random_symbols(np.random.default_rng(c), domain, c, 2, d_max, 0, 4)
         for phi in phis:
-            key, norm = phi.padded_norm_record
-            assert key == (domain, d_max + phi.degree, c)
-            padded = basis_for(*key)
+            padded = basis_for(domain, d_max + phi.degree, c)
             dense = dense_multiplier(padded.index_table, padded.norms, c, phi.terms)
+            norm = np.linalg.svd(dense, compute_uv=False)[0]
+            key, cert = phi.contractivity_record
             # the record is exact; the dense SVD carries its rounding, of order dim * eps
-            assert abs(norm - np.linalg.svd(dense, compute_uv=False)[0]) <= padded.dim * EPS
+            if domain in PADDED_SPACES:
+                assert key == (domain, d_max + phi.degree, c) and cert.kind == "padded_truncation"
+                assert abs(cert.bound - norm) <= padded.dim * EPS
+            else:
+                assert key == _geometry(domain) and cert.kind == "realization"
+                assert norm <= cert.bound + padded.dim * EPS
         monkeypatch.setattr(purity_module, "_opnorms", pytest.fail)
         monkeypatch.setattr(purity_module, "_weighted_shift", pytest.fail)
         stacked = purity_module._purity_verdicts(phis, domain, d_max)
         for phi, rep in zip(phis, stacked):
             assert rep == multiplier_purity_verdict(phi, domain, d_max)
-            assert rep.padded_norm == phi.padded_norm_record[1]
+            assert rep.contractivity == phi.contractivity_record[1]
             assert rep.verdict == "not_pure"
 
 
-# (domain, symbol degree, d_max): the six criterion-01 spaces, a constant
-# symbol, and a symbol of degree above the cap on one variable
-STACK_CASES = [(domain, 2, 3) for domain in SIX_SPACES] + [
+class TestRealizationRecord:
+    @pytest.mark.parametrize("domain", COVERED_SPACES, ids=lambda d: repr(d)[:40])
+    def test_verdict_on_v_d_with_no_norm(self, monkeypatch, domain):
+        d_max = 4
+        phis = purity_module._random_symbols(np.random.default_rng(1), domain, 2, 2, d_max, 3, 2)
+        real = purity_module.basis_for
+        caps = []
+
+        def recording(dom, cap, c):
+            caps.append(cap)
+            return real(dom, cap, c)
+
+        monkeypatch.setattr(purity_module, "basis_for", recording)
+        monkeypatch.setattr(purity_module, "_opnorms", pytest.fail)
+        monkeypatch.setattr(purity_module, "_weighted_shift", pytest.fail)
+        for phi, rep in zip(phis, purity_module._purity_verdicts(phis, domain, d_max)):
+            assert rep.contractivity == phi.contractivity_record[1]
+            assert rep.contractivity.kind == "realization"
+        assert set(caps) == {d_max}
+
+    @pytest.mark.parametrize(
+        "source, domain",
+        [(HARDY2, d) for d in PADDED_SPACES[:3]]
+        + [(BallDomain(drury_arveson(2)), CUSTOM_BALL), (HARDY2, BallDomain(drury_arveson(2)))]
+        + [(BallDomain(drury_arveson(2)), HARDY2)],
+        ids=lambda d: repr(d)[:40],
+    )
+    def test_record_is_ignored_where_it_does_not_hold(self, monkeypatch, source, domain):
+        # uncovered kernels, and a realization of the other geometry
+        phi = random_contractive_symbol(np.random.default_rng(2), source, 1, 2, 4)
+        calls = []
+        real = purity_module._opnorms
+
+        def counting(stack):
+            calls.append(len(stack))
+            return real(stack)
+
+        monkeypatch.setattr(purity_module, "_opnorms", counting)
+        try:
+            rep = multiplier_purity_verdict(phi, domain, 4)
+        except NotContractiveError as exc:
+            assert "padded multiplier norm" in str(exc)
+        else:
+            padded = basis_for(domain, 6, 1)
+            want = np.linalg.norm(multiplier_matrix(padded, phi).data, 2)
+            assert rep.contractivity == ("padded_truncation", want)
+        assert calls == [1]
+
+    def test_realization_bound_is_refused(self):
+        phis = purity_module._random_symbols(np.random.default_rng(5), HARDY2, 1, 2, 5, 3, 0)
+        key, cert = phis[1].contractivity_record
+        phis[1].contractivity_record = (key, cert._replace(bound=1.5))
+        with pytest.raises(NotContractiveError, match="realization norm bound") as single:
+            multiplier_purity_verdict(phis[1], HARDY2, 5)
+        with pytest.raises(NotContractiveError) as stacked:
+            purity_module._purity_verdicts(phis, HARDY2, 5)
+        assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("domain", COVERED_SPACES[:1] + COVERED_SPACES[3:4], ids=_geometry)
+    @pytest.mark.parametrize("c", (1, 3))
+    def test_degree_zero_is_one_colligations_a(self, domain, c):
+        for seed in range(5):
+            phi = random_contractive_symbol(np.random.default_rng(seed), domain, c, 0, 4)
+            assert list(phi.terms) == [(0,) * domain.n]
+            a = phi.phi0
+            assert np.linalg.norm(a, 2) <= 0.99 + 1e-15
+            assert not np.allclose(a, np.eye(c))
+            rep = multiplier_purity_verdict(phi, domain, 4)
+            assert rep.verdict == "pure" and rep.contractivity.kind == "realization"
+
+
+# the covered families of the dense gate: Hardy, Bergman and weighted Bergman
+# alpha = 1/2 polydiscs and the H_1, H_2, H_3 balls, at n = 2 and n = 3
+DENSE_GATE = [
+    (PolydiscDomain((spec,) * n), d_max)
+    for n, d_max in ((2, 8), (3, 5))
+    for spec in (hardy(), bergman(), weighted_bergman(0.5))
+] + [(BallDomain(hm_ball(n, m)), d_max) for n, d_max in ((2, 8), (3, 5)) for m in (1, 2, 3)]
+
+
+class TestRealizedSymbols:
+    @pytest.mark.parametrize("domain, d_max", DENSE_GATE, ids=lambda v: repr(v)[:48])
+    def test_oracle_terms_and_contractive_compressions(self, domain, d_max):
+        for seed in range(20):
+            c = 1 + seed % 3
+            forced = seed % 5 == 4
+            phi = random_contractive_symbol(
+                np.random.default_rng(seed), domain, c, 2, d_max, unitary_constant=forced
+            )
+            terms, bound = realized_symbol_oracle(
+                np.random.default_rng(seed), _geometry(domain), domain.n, c, 2, forced
+            )
+            assert set(phi.terms) == set(terms)
+            for alpha, mat in terms.items():
+                np.testing.assert_allclose(phi.terms[alpha], mat, rtol=0, atol=1e-14)
+            assert phi.contractivity_record == (_geometry(domain), ("realization", bound))
+            basis = basis_for(domain, d_max, c)
+            dense = dense_multiplier(basis.index_table, basis.norms, c, phi.terms)
+            norm = np.linalg.svd(dense, compute_uv=False)[0]
+            assert norm <= 1.0 + basis.dim * EPS
+            assert norm <= bound + basis.dim * EPS
+
+
+# (domain, symbol degree, d_max): the covered and the padded spaces at
+# degree 2, constant symbols on both routes, and a symbol of degree above
+# the cap on one variable
+STACK_CASES = [(domain, 2, 3) for domain in COVERED_SPACES + PADDED_SPACES] + [
     (HARDY2, 0, 3),
+    (DIRICHLET2, 0, 3),
     (HARDY1, 4, 2),
 ]
 
@@ -348,26 +503,38 @@ class TestStackedSweep:
         padded = basis_for(domain, d_max + degree, 1)
         reports = purity_module._purity_verdicts(stacked, domain, d_max)
         for k, (phi, single, rep) in enumerate(zip(stacked, singles, reports)):
-            terms, record = random_symbol_oracle(
-                rngs[2], padded.index_table, padded.norms, c, degree, forced=k >= count
-            )
-            for other in (single.terms, terms):
-                assert list(phi.terms) == list(other)
+            assert list(phi.terms) == list(single.terms)
+            for beta, mat in phi.terms.items():
+                assert mat.tobytes() == single.terms[beta].tobytes()
+            if domain in PADDED_SPACES:
+                # the oracle assembles the same entries, so it agrees bit for bit
+                terms, record = random_symbol_oracle(
+                    rngs[2], padded.index_table, padded.norms, c, degree, forced=k >= count
+                )
+                assert list(phi.terms) == list(terms)
                 for beta, mat in phi.terms.items():
-                    assert mat.tobytes() == other[beta].tobytes()
-            assert phi.padded_norm_record == single.padded_norm_record
-            assert phi.padded_norm_record[1] == record
+                    assert mat.tobytes() == terms[beta].tobytes()
+            else:
+                # the oracle writes E(e_i) out, so its products round differently
+                terms, record = realized_symbol_oracle(
+                    rngs[2], _geometry(domain), domain.n, c, degree, forced=k >= count
+                )
+                assert set(phi.terms) == set(terms)
+                for beta, mat in terms.items():
+                    np.testing.assert_allclose(phi.terms[beta], mat, rtol=0, atol=1e-14)
+            assert phi.contractivity_record == single.contractivity_record
+            assert phi.contractivity_record[1].bound == record
             assert rep == multiplier_purity_verdict(single, domain, d_max)
         assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
 
     def test_recorded_norm_is_refused_inside_a_stack(self):
-        phis = purity_module._random_symbols(np.random.default_rng(5), HARDY2, 1, 2, 5, 3, 0)
-        key, _ = phis[1].padded_norm_record
-        phis[1].padded_norm_record = (key, 1.5)
+        phis = purity_module._random_symbols(np.random.default_rng(5), DIRICHLET2, 1, 2, 5, 3, 0)
+        key, cert = phis[1].contractivity_record
+        phis[1].contractivity_record = (key, cert._replace(bound=1.5))
         with pytest.raises(NotContractiveError) as single:
-            multiplier_purity_verdict(phis[1], HARDY2, 5)
+            multiplier_purity_verdict(phis[1], DIRICHLET2, 5)
         with pytest.raises(NotContractiveError) as stacked:
-            purity_module._purity_verdicts(phis, HARDY2, 5)
+            purity_module._purity_verdicts(phis, DIRICHLET2, 5)
         assert str(stacked.value) == str(single.value)
 
     def test_computed_norm_is_refused_inside_a_stack(self):
@@ -378,8 +545,11 @@ class TestStackedSweep:
             purity_module._purity_verdicts(phis, HARDY2, 4)
         assert str(stacked.value) == str(single.value)
 
-    def test_every_call_certifies_each_support_once(self, monkeypatch):
-        phis = purity_module._random_symbols(np.random.default_rng(8), HARDY2, 2, 2, 4, 3, 2)
+    @pytest.mark.parametrize(
+        "domain, cap", ((DIRICHLET2, 6), (HARDY2, 4)), ids=("padded", "realization")
+    )
+    def test_every_call_certifies_each_support_once(self, monkeypatch, domain, cap):
+        phis = purity_module._random_symbols(np.random.default_rng(8), domain, 2, 2, 4, 3, 2)
         real = purity_module._shift_map
         seen = []
 
@@ -388,11 +558,12 @@ class TestStackedSweep:
             return real(basis, beta)
 
         monkeypatch.setattr(purity_module, "_shift_map", counting)
-        # plain and forced symbols share one support on the padded V_6
-        support = [(6, beta) for beta in phis[0].terms]
+        # plain and forced symbols share one support, on the padded V_6 for
+        # Dirichlet and on V_4 itself for the Hardy realizations
+        support = [(cap, beta) for beta in phis[0].terms]
         for _ in range(2):
             seen.clear()
-            purity_module._purity_verdicts(phis, HARDY2, 4)
+            purity_module._purity_verdicts(phis, domain, 4)
             assert seen == support
 
 
@@ -478,12 +649,13 @@ class TestSliceConsistency:
 
 
 class TestRandomSymbolGenerator:
-    def test_padded_norm_bounded(self):
+    @pytest.mark.parametrize("domain", (HARDY2, DIRICHLET2), ids=_geometry)
+    def test_contractivity_bounded(self, domain):
         rng = np.random.default_rng(9)
         for _ in range(5):
-            phi = random_contractive_symbol(rng, HARDY2, 2, 2, 5)
-            rep = multiplier_purity_verdict(phi, HARDY2, 5)
-            assert rep.padded_norm <= 1.0 + 1e-10
+            phi = random_contractive_symbol(rng, domain, 2, 2, 5)
+            rep = multiplier_purity_verdict(phi, domain, 5)
+            assert rep.contractivity.bound <= 1.0 + 1e-10
 
     def test_unitary_constant_branch_unimodular(self):
         rng = np.random.default_rng(10)
