@@ -568,7 +568,13 @@ def _run_colligation(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     if config.colligation is None:
         raise InvalidInputError("colligation task needs a colligation literal")
     coll = decode_colligation(config.colligation)
-    d_max = config.space["degree_cap"]
+    space = config.space
+    if (space["family"], space["n"], space.get("coeff_dim", coll.e_dim)) != ("hardy", coll.n_vars, coll.e_dim):
+        raise InvalidInputError(
+            f"colligation task runs on the Hardy polydisc with n = len(h_dims) = {coll.n_vars} "
+            f"and coeff_dim = e_dim = {coll.e_dim}"
+        )
+    d_max = space["degree_cap"]
     transfer_tol = config.tol("transfer_tol")
     purity_tol = config.tol("purity_tol")
     points = _polydisc_points(np.random.default_rng(config.seed), 200, coll.n_vars)

@@ -18,9 +18,12 @@ certified property check downstream restricts itself to that sub-block.
 A practical consequence of compression: a truncated shift or multiplier has
 exactly-zero (or truncation-damaged) columns above its exactness degree, so
 left-invertibility is only meaningful on the restriction to exact columns.
-:func:`cauchy_dual` and :func:`range_projection` therefore restrict to the
-columns of degrees <= d*, demand sigma_min > tol there, and re-embed the
-remaining columns as zero.
+There a coordinate shift, its Cauchy dual and the identity are monomial: at
+most one nonzero entry per column, no two columns sharing a row.  So T*T is
+diag(|w|^2) and sigma_min is min |w|; :func:`cauchy_dual` writes 1/conj(w)
+in the same places, :func:`range_projection` is the 0/1 diagonal on the rows
+hit, and :func:`wandering_subspace` is spanned by the coordinate vectors of
+the rows no member hits.  They refuse an operator that is not monomial.
 """
 
 from __future__ import annotations
@@ -53,15 +56,11 @@ __all__ = [
     "multiplier_matrix",
     "opnorm",
     "spectral_radius",
-    "null_space_frame",
     "cauchy_dual",
     "range_projection",
     "wandering_subspace",
-    "principal_angles",
-    "frames_match",
     "union_projection",
     "orbit_frame",
-    "wandering_span_dimension",
     "WitnessResult",
     "wandering_witness",
 ]
@@ -180,16 +179,6 @@ class SubspaceFrame:
         return SubspaceFrame(u[:, :rank])
 
 
-def null_space_frame(a: np.ndarray, tol: float = SVD_THRESHOLD) -> SubspaceFrame:
-    """Orthonormal basis of the null space, singular values <= tol treated as 0."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape[0] == 0:
-        return SubspaceFrame(np.eye(a.shape[1], dtype=complex))
-    _, s, vh = np.linalg.svd(a)
-    rank = int(np.sum(s > tol))
-    return SubspaceFrame(vh[rank:].conj().T)
-
-
 def _shift_map(
     basis: TruncatedBasis, beta: MultiIndex
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,84 +270,69 @@ def multiplier_matrix(basis: TruncatedBasis, phi: MultiplierSymbol) -> OperatorM
     return OperatorMatrix(data, basis, basis, basis.degree_cap - phi.degree, phi.degree)
 
 
-def _left_inverse(t: OperatorMatrix, tol: float) -> Tuple[np.ndarray, np.ndarray]:
-    """``(T_r, (T_r* T_r)^(-1) T_r* = V S^(-1) U*)`` for the exact-column
-    block T_r = U S V* of t, from one thin SVD.
+def _monomial_entries(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, w)`` with a = sum_k w_k e_rows_k e_cols_k^T, for an a
+    with at most one nonzero entry per column and no two columns sharing a
+    row; any other a is refused with :class:`InvalidInputError`."""
+    nonzero = a != 0
+    if (nonzero.sum(axis=0) > 1).any() or (nonzero.sum(axis=1) > 1).any():
+        raise InvalidInputError("operator is not monomial: two nonzero entries share a row or a column")
+    rows, cols = np.nonzero(nonzero)
+    return rows, cols, a[rows, cols]
 
-    Raises :class:`NotLeftInvertibleError` if T_r is empty or not bounded
-    below by ``tol``.
-    """
+
+def _exact_entries(t: OperatorMatrix, tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_monomial_entries` of the exact-column block T_r of t, refused
+    with :class:`NotLeftInvertibleError` if T_r is empty or its sigma_min
+    (min |w|, or 0 for a zero column or a wide T_r) is <= ``tol``."""
     tr = t.data[:, : t.exact_column_count()]
-    if tr.shape[1] == 0:
+    k = tr.shape[1]
+    if k == 0:
         raise NotLeftInvertibleError("no exact columns to invert on", 0.0)
-    u, s, vh = np.linalg.svd(tr, full_matrices=False)
-    smin = float(s[-1]) if len(s) == tr.shape[1] else 0.0  # wide T_r has a kernel
+    # a wide T_r has a kernel whatever its entries
+    rows, cols, w = _monomial_entries(tr) if k <= tr.shape[0] else ((), (), ())
+    smin = float(np.abs(w).min()) if len(w) == k else 0.0
     if smin <= tol:
         raise NotLeftInvertibleError(
             f"operator not bounded below at truncation scale (sigma_min={smin:.3e})", smin
         )
-    return tr, (vh.conj().T / s) @ u.conj().T
+    return rows, cols, w
 
 
 def cauchy_dual(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
-    """T' = T (T*T)^(-1) on the exact-column block, zero columns re-embedded.
+    """T' = T (T*T)^(-1) on the exact-column block, zero columns re-embedded:
+    T*T is diag(|w|^2), so T' has 1/conj(w) where T has w.
 
     Raises :class:`NotLeftInvertibleError` if the restriction is not bounded
     below by ``tol``.  Involution: the dual of the dual reproduces T.
     """
-    tr, left = _left_inverse(t, tol)
+    rows, cols, w = _exact_entries(t, tol)
     data = np.zeros_like(t.data)
-    data[:, : tr.shape[1]] = left.conj().T
+    data[rows, cols] = 1.0 / w.conj()
     return OperatorMatrix(data, t.domain, t.codomain, t.exactness_degree, t.lift)
 
 
 def range_projection(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
     """Orthogonal projection onto the column span of the exact columns,
-    P = T (T*T)^(-1) T*."""
-    tr, left = _left_inverse(t, tol)
-    return OperatorMatrix(tr @ left, t.codomain, t.codomain, t.exactness_degree, 0)
+    P = T (T*T)^(-1) T*: the 0/1 diagonal on the rows they hit."""
+    rows, _, _ = _exact_entries(t, tol)
+    diag = np.zeros(t.codomain.dim)
+    diag[rows] = 1.0
+    return OperatorMatrix(np.diag(diag), t.codomain, t.codomain, t.exactness_degree, 0)
 
 
-def wandering_subspace(
-    x: Sequence[OperatorMatrix], tol: float = SVD_THRESHOLD
-) -> SubspaceFrame:
-    """Joint kernel of the adjoints, from the null space of the stacked adjoints."""
+def wandering_subspace(x: Sequence[OperatorMatrix]) -> SubspaceFrame:
+    """Joint kernel of the adjoints: the coordinate vectors of the rows that
+    no member's nonzero entry hits, each member read whole."""
     if not x:
         raise InvalidInputError("empty tuple")
-    dim = x[0].domain.dim
+    shape = x[0].shape
+    hit = np.zeros(shape[0], dtype=bool)
     for t in x:
-        if t.domain.dim != dim:
+        if t.shape != shape:
             raise InvalidInputError("tuple members live on different spaces")
-    stacked = np.vstack([t.data.conj().T for t in x])
-    return null_space_frame(stacked, tol)
-
-
-def principal_angles(f1: SubspaceFrame, f2: SubspaceFrame) -> np.ndarray:
-    """Principal angles between two frames (radians, descending).
-
-    With Q1 the wider frame: cosines from the SVD of Q1* Q2, sines from that
-    of Q2 - Q1 Q1* Q2.  An angle with cos^2 >= 1/2 is the arcsin of its own
-    sine, since arccos cannot resolve angles below about 1e-8 (Bjorck &
-    Golub 1973; Knyazev & Argentati 2002).
-    """
-    if f1.dim == 0 or f2.dim == 0:
-        return np.zeros(0)
-    if f1.dim < f2.dim:
-        f1, f2 = f2, f1
-    cross = f1.columns.conj().T @ f2.columns
-    # both lists descend, so reversing the cosines pairs them by angle
-    cos = np.minimum(np.linalg.svd(cross, compute_uv=False)[::-1], 1.0)
-    sin = np.minimum(np.linalg.svd(f2.columns - f1.columns @ cross, compute_uv=False), 1.0)
-    return np.where(cos**2 >= 0.5, np.arcsin(sin), np.arccos(cos))
-
-
-def frames_match(f1: SubspaceFrame, f2: SubspaceFrame, tol: float = SVD_THRESHOLD) -> bool:
-    """Equal dimension and all principal angles <= tol (empty == empty)."""
-    if f1.dim != f2.dim:
-        return False
-    if f1.dim == 0:
-        return True
-    return float(np.max(principal_angles(f1, f2))) <= tol
+        hit[_monomial_entries(t.data)[0]] = True
+    return SubspaceFrame(np.eye(shape[0], dtype=complex)[:, ~hit])
 
 
 def union_projection(
@@ -443,21 +417,6 @@ def orbit_frame(
     powers = _apply_powers(x, seed, budget)
     big = np.hstack([powers[m] for m in sorted(powers, key=lambda a: (sum(a), a))])
     return SubspaceFrame.from_columns(big, tol)
-
-
-def wandering_span_dimension(
-    x: Sequence[OperatorMatrix],
-    w: SubspaceFrame,
-    budget: int,
-    tol: float = SVD_THRESHOLD,
-) -> int:
-    """Rank of span{X^m W : |m| <= budget}."""
-    if w.dim == 0:
-        return 0
-    powers = _apply_powers(x, w.columns, budget)
-    big = np.hstack([powers[m] for m in sorted(powers, key=lambda a: (sum(a), a))])
-    s = np.linalg.svd(big, compute_uv=False)
-    return int(np.sum(s > tol))
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (no calls into
 the library's own series or operator code paths) so that test expectations
-are derived, not echoed.
+are derived, not echoed.  The dense subspace routines return the library's
+``SubspaceFrame``, a plain container of orthonormal columns, so that tests
+can compare them with the library's frames.
 """
 
 import math
@@ -11,6 +13,8 @@ from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from gradedshift.operators import SubspaceFrame
 
 MultiIndex = Tuple[int, ...]
 
@@ -476,3 +480,73 @@ def polydisc_points_oracle(rng: np.random.Generator, count: int, n_vars: int) ->
             z.append(r * complex(math.cos(theta), math.sin(theta)))
         points.append(z)
     return points
+
+
+SVD_THRESHOLD = 1e-10
+
+
+def dense_dual_and_projection(a: np.ndarray, cols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The Cauchy dual T (T*T)^(-1) of the block T of a's first ``cols``
+    columns, re-embedded in a's shape with zero columns, and the range
+    projection T (T*T)^(-1) T*, from one thin SVD T = U S V*: the dual is
+    U S^(-1) V* and the projection U U*.  T must be bounded below."""
+    u, s, vh = np.linalg.svd(a[:, :cols], full_matrices=False)
+    assert len(s) == cols and s[-1] > 1e-8, "block not bounded below"
+    dual = np.zeros(a.shape, dtype=complex)
+    dual[:, :cols] = (u / s) @ vh
+    return dual, u @ u.conj().T
+
+
+def null_space_frame(a: np.ndarray, tol: float = SVD_THRESHOLD) -> SubspaceFrame:
+    """Orthonormal basis of the null space, singular values <= tol treated as 0."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape[0] == 0:
+        return SubspaceFrame(np.eye(a.shape[1], dtype=complex))
+    _, s, vh = np.linalg.svd(a)
+    rank = int(np.sum(s > tol))
+    return SubspaceFrame(vh[rank:].conj().T)
+
+
+def principal_angles(f1: SubspaceFrame, f2: SubspaceFrame) -> np.ndarray:
+    """Principal angles between two frames (radians, descending).
+
+    With Q1 the wider frame: cosines from the SVD of Q1* Q2, sines from that
+    of Q2 - Q1 Q1* Q2.  An angle with cos^2 >= 1/2 is the arcsin of its own
+    sine, since arccos cannot resolve angles below about 1e-8 (Bjorck &
+    Golub 1973; Knyazev & Argentati 2002).
+    """
+    if f1.dim == 0 or f2.dim == 0:
+        return np.zeros(0)
+    if f1.dim < f2.dim:
+        f1, f2 = f2, f1
+    cross = f1.columns.conj().T @ f2.columns
+    # both lists descend, so reversing the cosines pairs them by angle
+    cos = np.minimum(np.linalg.svd(cross, compute_uv=False)[::-1], 1.0)
+    sin = np.minimum(np.linalg.svd(f2.columns - f1.columns @ cross, compute_uv=False), 1.0)
+    return np.where(cos**2 >= 0.5, np.arcsin(sin), np.arccos(cos))
+
+
+def frames_match(f1: SubspaceFrame, f2: SubspaceFrame, tol: float = SVD_THRESHOLD) -> bool:
+    """Equal dimension and all principal angles <= tol (empty == empty)."""
+    if f1.dim != f2.dim:
+        return False
+    if f1.dim == 0:
+        return True
+    return float(np.max(principal_angles(f1, f2))) <= tol
+
+
+def wandering_span_dimension(x: Sequence, w: SubspaceFrame, budget: int, tol: float = SVD_THRESHOLD) -> int:
+    """Rank of span{X^m W : |m| <= budget}, by direct powering of the
+    matrices of the tuple (arrays or objects with a ``data`` array)."""
+    if w.dim == 0:
+        return 0
+    mats = [getattr(t, "data", t) for t in x]
+    blocks = []
+    for m in all_indices(len(mats), budget):
+        v = w.columns
+        for i, e in enumerate(m):
+            for _ in range(e):
+                v = mats[i] @ v
+        blocks.append(v)
+    s = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    return int(np.sum(s > tol))

@@ -21,6 +21,7 @@ from gradedshift import (
     SubspaceFrame,
     ball_basis,
     ball_series,
+    basis_for,
     bcl_dilation_certify,
     bergman,
     cauchy_dual,
@@ -48,18 +49,18 @@ from gradedshift import (
     wandering_witness,
 )
 from gradedshift.dilation import random_bcl_triple
-from gradedshift.operators import (
-    frames_match,
-    null_space_frame,
-    principal_angles,
-    wandering_span_dimension,
-)
 
 from oracles import (
     brute_force_feasible,
+    dense_dual_and_projection,
+    dense_per_degree_rho,
+    frames_match,
+    null_space_frame,
+    principal_angles,
     sampled_sup_norm,
     sphere_points,
     torus_grid,
+    wandering_span_dimension,
     witness_index_oracle,
 )
 
@@ -93,7 +94,7 @@ def test_criterion_01_purity_equivalence_sweep():
         start = time.monotonic()
         tol = 1e-8
         d_max = 8
-        total = 0
+        total = crossed = 0
         for space_idx, (_, domain) in enumerate(six_spaces()):
             for coeff_dim in (1, 2):
                 rng = np.random.default_rng(10_000 + space_idx * 10 + coeff_dim)
@@ -112,7 +113,18 @@ def test_criterion_01_purity_equivalence_sweep():
                         rep.per_degree_rho[d] < 1 - tol for d in range(d_max + 1)
                     )
                     assert all_small == (rep.phi0_rho < 1 - tol)
+                    # per_degree_rho copies phi0_rho, so check it against
+                    # dense eigvals of each compression of M_Phi^* to V_d
+                    if k in (0, 50):
+                        basis = basis_for(domain, d_max, coeff_dim)
+                        dense = dense_per_degree_rho(
+                            basis.index_table, basis.norm_array, coeff_dim, phi.terms, d_max
+                        )
+                        assert max(abs(rho - rep.phi0_rho) for rho in dense) <= 1e-12
+                        assert all(rho < 1 - tol for rho in dense) == (rep.verdict == "pure")
+                        crossed += 1
         assert total == 720
+        assert crossed == 24
         assert time.monotonic() - start < 300.0
 
 
@@ -215,6 +227,9 @@ def test_criterion_06_cauchy_dual_structure():
             for m in range(d_cap):
                 got = dual.data[basis.coord_index((m + 1,), 0), basis.coord_index((m,), 0)]
                 assert abs(got - dual_weight(m)) <= 1e-12
+            # the closed form against the dense T (T*T)^(-1)
+            dense_dual, _ = dense_dual_and_projection(t.data, t.exact_column_count())
+            assert np.max(np.abs(dual.data - dense_dual)) <= 1e-15
             # shared kernel of adjoints
             k1 = null_space_frame(t.data.conj().T)
             k2 = null_space_frame(dual.data.conj().T)

@@ -656,6 +656,25 @@ class TestTaskPayloads:
         assert rep["payload"]["transfer_max_norm"] <= 1.0 + 1e-10
         assert rep["payload"]["verdict"] == "pure"
 
+    @pytest.mark.parametrize(
+        "space",
+        [
+            {"family": "dirichlet", "n": 3, "degree_cap": 5},
+            {"family": "drury_arveson", "n": 1, "coeff_dim": 7, "degree_cap": 5},
+            {"family": "hardy", "n": 2, "degree_cap": 5},
+            {"family": "hardy", "n": 1, "coeff_dim": 2, "degree_cap": 5},
+        ],
+    )
+    def test_colligation_space_must_be_its_hardy_polydisc(self, tmp_path, space):
+        # the colligation fixes the space: n = len(h_dims), coeff_dim = e_dim
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "r.json"
+        write_json(cfg, {**acceptance_config("colligation-coordinate-flip"), "space": space})
+        assert cli.main(["colligation", "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["error"]["type"] == "InvalidInputError"
+        assert "Hardy polydisc with n = len(h_dims) = 1 and coeff_dim = e_dim = 1" in rep["error"]["message"]
+
     @pytest.mark.parametrize("n_vars", (1, 2, 3))
     def test_colligation_points_equal_scalar_draws(self, n_vars):
         # bit for bit only where np.sqrt, np.cos and np.sin round as math does

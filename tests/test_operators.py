@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from gradedshift import (
+    BallKernelSpec,
     InvalidInputError,
+    KernelSpec1D,
     NotLeftInvertibleError,
     SubspaceFrame,
     ball_basis,
@@ -22,6 +24,7 @@ from gradedshift import (
     dirichlet,
     drury_arveson,
     hardy,
+    hm_ball,
     multiplier_matrix,
     orbit_frame,
     polydisc_basis,
@@ -34,18 +37,18 @@ from gradedshift import (
     wandering_witness,
     weighted_bergman,
 )
-from gradedshift.operators import (
-    OperatorMatrix,
-    frames_match,
-    null_space_frame,
-    opnorm,
-    principal_angles,
-    spectral_radius,
-    wandering_span_dimension,
-)
+from gradedshift.operators import OperatorMatrix, opnorm, spectral_radius
 from gradedshift.spaces import MultiplierSymbol, ball_basis
 
-from oracles import brute_force_feasible, witness_index_oracle
+from oracles import (
+    brute_force_feasible,
+    dense_dual_and_projection,
+    frames_match,
+    null_space_frame,
+    principal_angles,
+    wandering_span_dimension,
+    witness_index_oracle,
+)
 
 
 def one_var_basis(spec, cap, coeff_dim=1):
@@ -224,6 +227,83 @@ class TestCauchyDual:
                 inverse(beyond)
             with pytest.raises(NotLeftInvertibleError, match="sigma_min=0"):
                 inverse(wide)
+
+
+# every space family, as bidiscs and as balls in C^2, at D = 5
+CUSTOM_1D = KernelSpec1D("custom", custom_coeffs=tuple(1.0 / (m + 1) ** 2 for m in range(20)))
+CUSTOM_BALL = BallKernelSpec(
+    n=2, family="unitarily_invariant_custom", a_coeffs=tuple(1.0 / (j + 1) for j in range(10))
+)
+GATE_BASES = {
+    "hardy": lambda c: polydisc_basis((hardy(),) * 2, 5, c),
+    "bergman": lambda c: polydisc_basis((bergman(),) * 2, 5, c),
+    "dirichlet": lambda c: polydisc_basis((dirichlet(),) * 2, 5, c),
+    "weighted-bergman-(-0.5)": lambda c: polydisc_basis((weighted_bergman(-0.5),) * 2, 5, c),
+    "weighted-bergman-1.5": lambda c: polydisc_basis((weighted_bergman(1.5),) * 2, 5, c),
+    "custom-1d": lambda c: polydisc_basis((CUSTOM_1D,) * 2, 5, c),
+    "drury-arveson": lambda c: ball_basis(drury_arveson(2), 5, c),
+    "h2-ball": lambda c: ball_basis(hm_ball(2, 2), 5, c),
+    "h3-ball": lambda c: ball_basis(hm_ball(2, 3), 5, c),
+    "custom-ball": lambda c: ball_basis(CUSTOM_BALL, 5, c),
+}
+
+
+def shift_tuples(basis):
+    """The shift tuple, its Cauchy duals and the duals of those."""
+    x = shift_tuple(basis)
+    xd = [cauchy_dual(t) for t in x]
+    return x, xd, [cauchy_dual(t) for t in xd]
+
+
+class TestMonomialClosedForms:
+    @pytest.mark.parametrize("coeff_dim", (1, 2))
+    @pytest.mark.parametrize("space", sorted(GATE_BASES))
+    def test_match_dense_oracles(self, space, coeff_dim):
+        basis = GATE_BASES[space](coeff_dim)
+        for tup in shift_tuples(basis):
+            for t in tup:
+                dual, proj = dense_dual_and_projection(t.data, t.exact_column_count())
+                assert np.max(np.abs(cauchy_dual(t).data - dual)) <= 1e-15
+                assert np.max(np.abs(range_projection(t).data - proj)) <= 1e-15
+            w = wandering_subspace(tup)
+            assert w.dim == coeff_dim
+            assert all(not np.any(t.data.conj().T @ w.columns) for t in tup)
+            # the SVD null space itself is only good to about 2.3e-15 here
+            dense = null_space_frame(np.vstack([t.data.conj().T for t in tup]))
+            assert frames_match(w, dense, 1e-14)
+
+    @pytest.mark.parametrize("beta, c", [((0, 0), 0.5j), ((1, 0), 0.6 - 0.8j), ((1, 2), -2.0 + 1j)])
+    def test_complex_monomial_multiplier(self, beta, c):
+        # c z^beta is monomial; its dual has 1/conj(c w), not 1/(c w)
+        basis = GATE_BASES["bergman"](2)
+        t = multiplier_matrix(basis, MultiplierSymbol(2, 2, {beta: c * np.eye(2)}))
+        dual, proj = dense_dual_and_projection(t.data, t.exact_column_count())
+        assert np.max(np.abs(cauchy_dual(t).data - dual)) <= 1e-15
+        assert np.max(np.abs(range_projection(t).data - proj)) <= 1e-15
+
+    def test_no_dense_linear_algebra(self, monkeypatch):
+        bases = [GATE_BASES["bergman"](2), GATE_BASES["drury-arveson"](2), GATE_BASES["custom-1d"](1)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense linear algebra on a shift tuple")
+
+        for name in ("svd", "qr", "eig", "eigvals", "solve"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for basis in bases:
+            for tup in shift_tuples(basis):
+                assert wandering_subspace(tup).dim == basis.coeff_dim
+                for t in tup:
+                    range_projection(t)
+
+    def test_non_monomial_refused(self):
+        # 1 + z/2 is bounded below by 1/2 but sends e_0 to two monomials
+        basis = one_var_basis(hardy(), 4)
+        m = multiplier_matrix(basis, scalar_symbol(1, {(0,): 1.0, (1,): 0.5}))
+        assert np.linalg.svd(m.data[:, : m.exact_column_count()], compute_uv=False)[-1] > 0.4
+        for call in (cauchy_dual, range_projection, lambda t: wandering_subspace([shift_matrix(basis, 0), t])):
+            with pytest.raises(InvalidInputError, match="not monomial") as refusal:
+                call(m)
+            assert refusal.type is InvalidInputError
 
 
 class TestRangeProjection:
@@ -466,6 +546,18 @@ class TestWanderingWitness:
             )
             feas = [m for m in feas if sum(m) > 0]
             assert witness_index_oracle(feas) == res.m_tilde
+
+    def test_h_index_names_the_coefficient_direction(self):
+        # W is the constants e_0 (x) xi_j in the order j = 0, 1, so M =
+        # orbit(z_1 (x) xi_1) is first met by the dual orbit of xi_1
+        basis = polydisc_basis((hardy(), hardy()), 5, coeff_dim=2)
+        x = shift_tuple(basis)
+        np.testing.assert_array_equal(wandering_subspace(x).columns, np.eye(basis.dim)[:, :2])
+        seed = np.zeros(basis.dim, dtype=complex)
+        seed[basis.coord_index((1, 0), 1)] = 1.0
+        res = wandering_witness(x, orbit_frame(x, seed, 5), budget=5)
+        assert res.found and res.certificate_ok
+        assert (res.h_index, res.m_tilde) == (1, (1, 0))
 
     def test_whole_space_rejected(self):
         basis = polydisc_basis((hardy(), hardy()), 3)
