@@ -16,7 +16,8 @@ memory), and a residual is the largest absolute entry of a diagonal.
 The powers follow the prefix recursion of
 :func:`gradedshift.operators._apply_powers`: M^m = M_i M^prev, with i the
 first nonzero coordinate of m.  It runs one degree at a time, as whole-array
-operations on the basis's successor table: M^m keeps exactly the monomials
+operations on the basis's prefix table (i and prev for each m) and
+successor table: M^m keeps exactly the monomials
 e_beta with |beta| <= D - |m|, a leading run of the graded layout, so all
 powers of degree k are two ``(#m, run)`` arrays, positions and values,
 indexed from those of degree k - 1.  Each value is the step weight
@@ -39,7 +40,6 @@ import numpy as np
 
 from .errors import CertificationError, InvalidInputError, NotCnpError
 from .kernels import chen_coeffs
-from .operators import _prefix_steps
 from .spaces import (
     _BASIS_MEMO_SIZE,
     BallDomain,
@@ -103,33 +103,8 @@ def _degree_zero_projection(basis: TruncatedBasis) -> np.ndarray:
     return p
 
 
-@lru_cache(maxsize=_BASIS_MEMO_SIZE)
-def _degree_steps(
-    n: int, budget: int
-) -> Tuple[Tuple[Tuple[MultiIndex, ...], np.ndarray, np.ndarray], ...]:
-    """:func:`~gradedshift.operators._prefix_steps` grouped by degree: for
-    k = 1..budget, the monomials m of degree k in graded-lex order, the row
-    of each prev among the monomials of degree k - 1, and the axis i of
-    m = prev + e_i (read-only arrays, memoised)."""
-    pos = {alpha: j for j, alpha in enumerate(enumerate_indices(n, budget))}
-    groups = [([], [], []) for _ in range(budget)]
-    for m, i, prev in _prefix_steps(n, budget):
-        k = sum(m)
-        monos, rows, axes = groups[k - 1]
-        monos.append(m)
-        # degree k - 1 starts at position C(k - 2 + n, n)
-        rows.append(pos[prev] - math.comb(k - 2 + n, n))
-        axes.append(i)
-    out = []
-    for monos, rows, axes in groups:
-        rows, axes = np.array(rows, dtype=np.int64), np.array(axes, dtype=np.int64)
-        rows.flags.writeable = axes.flags.writeable = False
-        out.append((tuple(monos), rows, axes))
-    return tuple(out)
-
-
 def _power_grams(basis: TruncatedBasis, budget: int) -> Tuple[Tuple[MultiIndex, ...], np.ndarray]:
-    """Diagonals of M^alpha M^{*alpha} for all |alpha| <= budget, exact on V_D:
+    """Diagonals of M^alpha M^{*alpha} for all |alpha| <= budget <= D, exact on V_D:
     the multi-indices in graded-lex order and the ``(#alpha, dim)`` array of
     their diagonals, degree k in rows ``C(k - 1 + n, n) : C(k + n, n)``.
 
@@ -138,29 +113,27 @@ def _power_grams(basis: TruncatedBasis, budget: int) -> Tuple[Tuple[MultiIndex, 
     to ``value e_(beta+alpha) (x) xi``, and ``dst`` is the position of
     beta + alpha.  The values follow the prefix recursion of
     :func:`~gradedshift.operators._apply_powers`, one degree at a time on
-    the basis's successor table (see the module docstring).
+    the basis's prefix and successor tables (see the module docstring).
     """
-    c, count = basis.coeff_dim, len(basis.index_table)
+    n, c, count = basis.n, basis.coeff_dim, len(basis.index_table)
     succ, norms = basis.successors, basis.norm_array
-    steps = _degree_steps(basis.n, budget)
-    monos = [(0,) * basis.n]
+    axes, prevs = basis.prefix[0], basis.prefix[1]
     dst = np.arange(count)[None, :]
     value = np.ones((1, count), dtype=complex)
-    diags = np.zeros((math.comb(budget + basis.n, basis.n), basis.dim), dtype=complex)
-    lo = 0
+    diags = np.zeros((math.comb(budget + n, n), basis.dim), dtype=complex)
     for k in range(budget + 1):
+        lo, hi = math.comb(k - 1 + n, n), math.comb(k + n, n)
         if k > 0:
-            monos_k, prev, axis = steps[k - 1]
-            monos.extend(monos_k)
+            # the row of each prev among the monomials of degree k - 1
+            prev = prevs[lo:hi] - math.comb(k - 2 + n, n)
             kept = basis.dim_upto(basis.degree_cap - k) // c
             at = dst[prev, :kept]
-            dst = succ[axis[:, None], at]
+            dst = succ[axes[lo:hi, None], at]
             value = (norms[dst] / norms[at]) * value[prev, :kept]
-        rows, gram = np.arange(lo, lo + len(value))[:, None], value * value.conj()
+        rows, gram = np.arange(lo, hi)[:, None], value * value.conj()
         for j in range(c):
             diags[rows, c * dst + j] = gram
-        lo += len(value)
-    return tuple(monos), diags
+    return basis.index_table[: len(diags)], diags
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:

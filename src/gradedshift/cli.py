@@ -70,6 +70,7 @@ from .kernels import (
     KernelSpec1D,
     ball_series,
     cnp_certificate,
+    hardy,
     series_1d,
 )
 from .operators import multiplier_matrix, opnorm, orbit_frame, shift_tuple, wandering_witness
@@ -305,38 +306,23 @@ def decode_colligation(obj: Dict[str, Any]) -> Colligation:
     )
 
 
+# The field of a config's ``space`` that each family reads besides family,
+# n, degree_cap and coeff_dim; no other family may give it.
+_FAMILY_FIELDS = {"weighted_bergman": "alpha", "custom": "coeffs", "hm": "m", "custom_ball": "a_coeffs"}
+
+
 def build_domain(space: Dict[str, Any]) -> Domain:
-    family = space["family"]
-    n = space["n"]
-    if family in ("hardy", "bergman", "dirichlet", "weighted_bergman", "custom"):
-        kwargs: Dict[str, Any] = {}
-        if family == "weighted_bergman":
-            if "alpha" not in space:
-                raise InvalidInputError("weighted_bergman space needs alpha")
-            kwargs["alpha"] = space["alpha"]
-        if family == "custom":
-            if "coeffs" not in space:
-                raise InvalidInputError("custom space needs coeffs")
-            kwargs["custom_coeffs"] = tuple(space["coeffs"])
-        factor = KernelSpec1D(family, **kwargs)
-        return PolydiscDomain((factor,) * n)
-    if family == "drury_arveson":
-        return BallDomain(BallKernelSpec(n=n, family="hm", m=1))
-    if family == "hm":
-        if "m" not in space:
-            raise InvalidInputError("hm space needs m")
-        return BallDomain(BallKernelSpec(n=n, family="hm", m=space["m"]))
+    family, n = space["family"], space["n"]
+    for name in _FAMILY_FIELDS.values():
+        if (name in space) != (_FAMILY_FIELDS.get(family) == name):
+            verb = "reads no" if name in space else "needs"
+            raise InvalidInputError(f"$.space.{name}: family {family} {verb} {name}")
+    if family in ("drury_arveson", "hm"):
+        return BallDomain(BallKernelSpec(n=n, family="hm", m=space.get("m", 1)))
     if family == "custom_ball":
-        if "a_coeffs" not in space:
-            raise InvalidInputError("custom_ball space needs a_coeffs")
-        return BallDomain(
-            BallKernelSpec(
-                n=n,
-                family="unitarily_invariant_custom",
-                a_coeffs=tuple(space["a_coeffs"]),
-            )
-        )
-    raise InvalidInputError(f"unknown space family {family!r}")
+        return BallDomain(BallKernelSpec(n, "unitarily_invariant_custom", a_coeffs=tuple(space["a_coeffs"])))
+    factor = KernelSpec1D(family, space.get("alpha", 0.0), tuple(space.get("coeffs", ())) or None)
+    return PolydiscDomain((factor,) * n)
 
 
 @dataclass
@@ -360,20 +346,9 @@ class ScenarioConfig:
     def from_file(path: str) -> "ScenarioConfig":
         raw = _load_json(path)
         _validate(raw, "config.schema.json")
-        return ScenarioConfig(
-            scenario_id=raw["scenario_id"],
-            task=raw["task"],
-            space=raw["space"],
-            seed=raw["seed"],
-            symbol=raw.get("symbol"),
-            triple=raw.get("triple"),
-            colligation=raw.get("colligation"),
-            tolerances=dict(raw.get("tolerances", {})),
-            sweep=raw.get("sweep"),
-            expected=raw.get("expected"),
-            identity_kind=raw.get("identity_kind"),
-            m_max=raw.get("m_max", 25),
-        )
+        # the schema admits exactly the fields above, plus schema_version
+        del raw["schema_version"]
+        return ScenarioConfig(**raw)
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[self.task][name]))
@@ -436,6 +411,8 @@ def _run_purity(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     coeff_dim = config.space.get("coeff_dim", 1)
     tol = config.tol("tol")
     if config.sweep is not None:
+        if config.symbol is not None:
+            raise InvalidInputError("$.symbol: a purity sweep draws its symbols; give a symbol or a sweep")
         rng = np.random.default_rng(config.seed)
         count = config.sweep["count"]
         degree = config.sweep.get("symbol_degree", 2)
@@ -537,6 +514,8 @@ def _run_bcl(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
         }
 
     if config.sweep is not None:
+        if config.triple is not None:
+            raise InvalidInputError("$.triple: a bcl sweep draws its triples; give a triple or a sweep")
         rng = np.random.default_rng(config.seed)
         count = config.sweep["count"]
         u, p = _random_bcl_stacks(rng, config.space.get("coeff_dim", 2), count)
@@ -568,24 +547,25 @@ def _run_colligation(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     if config.colligation is None:
         raise InvalidInputError("colligation task needs a colligation literal")
     coll = decode_colligation(config.colligation)
-    space = config.space
-    if (space["family"], space["n"], space.get("coeff_dim", coll.e_dim)) != ("hardy", coll.n_vars, coll.e_dim):
+    domain = build_domain(config.space)
+    hardy_n = PolydiscDomain((hardy(),) * coll.n_vars)
+    if (domain, config.space.get("coeff_dim", coll.e_dim)) != (hardy_n, coll.e_dim):
         raise InvalidInputError(
             f"colligation task runs on the Hardy polydisc with n = len(h_dims) = {coll.n_vars} "
             f"and coeff_dim = e_dim = {coll.e_dim}"
         )
-    d_max = space["degree_cap"]
+    d_max = config.space["degree_cap"]
     transfer_tol = config.tol("transfer_tol")
     purity_tol = config.tol("purity_tol")
     points = _polydisc_points(np.random.default_rng(config.seed), 200, coll.n_vars)
     max_norm = opnorm(_transfer_values(coll, points))
-    jet = schur_agler_purity(coll, d_max, purity_tol)
+    rep = schur_agler_purity(coll, d_max, purity_tol)
     payload = {
         "transfer_max_norm": max_norm,
-        "jet_degree": jet.jet_degree,
-        "rho_a": jet.rho_a,
-        "verdict": jet.report.verdict,
-        "per_degree_rho": [jet.report.per_degree_rho[d] for d in range(d_max + 1)],
+        "jet_degree": d_max,
+        "rho_a": rep.phi0_rho,
+        "verdict": rep.verdict,
+        "per_degree_rho": [rep.per_degree_rho[d] for d in range(d_max + 1)],
     }
     ok = max_norm <= 1.0 + transfer_tol
     return payload, ok

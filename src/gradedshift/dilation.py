@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import CertificationError, InvalidInputError
 from .kernels import hardy
-from .operators import _opnorms, opnorm, spectral_radius
+from .operators import _opnorms, opnorm
 from .purity import PurityReport, _purity_verdicts, basis_for
 from .spaces import MultiIndex, MultiplierSymbol, PolydiscDomain, enumerate_indices
 
@@ -58,7 +58,6 @@ __all__ = [
     "bcl_pair",
     "BCLCertificate",
     "bcl_dilation_certify",
-    "JetPurityReport",
     "schur_agler_purity",
     "haar_unitary",
     "random_bcl_triple",
@@ -373,27 +372,19 @@ def bcl_dilation_certify(
     return _bcl_certificates(t.u[None], t.p[None], t.axis, n, degree_cap, tol, purity_tol)[0]
 
 
-@dataclass
-class JetPurityReport:
-    """Purity verdict of the degree-D Taylor jet of a transfer function.
+def schur_agler_purity(c: Colligation, degree_cap: int, tol: float = 1e-8) -> PurityReport:
+    """Purity verdict of the transfer function via its degree-D Taylor jet.
 
     The verdict is jet-certified to the stated degree: compression spectra
     at degrees <= D depend only on coefficients <= D, so they are exact for
-    the rational symbol; the jet polynomial itself need not be a
-    contractive multiplier, so it is certified on V_D with no padded norm.
+    the rational symbol.  The jet polynomial itself need not be a
+    contractive multiplier, so it is certified on V_D with no padded norm,
+    and ``phi0_rho`` is rho(A), the jet's constant term being A.
     """
-
-    report: PurityReport
-    jet_degree: int
-    rho_a: float
-
-
-def schur_agler_purity(c: Colligation, degree_cap: int, tol: float = 1e-8) -> JetPurityReport:
-    """Purity verdict of the transfer function via its degree-D jet."""
     jet = transfer_jet(c, degree_cap)
     domain = PolydiscDomain((hardy(),) * c.n_vars)
     (report,) = _purity_verdicts([jet], domain, degree_cap, tol, check_contractive=False)
-    return JetPurityReport(report=report, jet_degree=degree_cap, rho_a=spectral_radius(c.a))
+    return report
 
 
 def _gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:

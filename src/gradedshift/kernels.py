@@ -58,7 +58,7 @@ class KernelSpec1D:
     ``(1 - z w~)^(alpha - 2)``, i.e. ``(1 - z w~)^(-s)`` with ``s = 2 - alpha``,
     so ``alpha = 1`` is Hardy and ``alpha = 0`` is Bergman.  Coefficient
     positivity restricts alpha to (-1, 2).  For which s the paper's
-    wandering-subspace hypothesis holds, see ROADMAP.md item 2.
+    wandering-subspace hypothesis holds, see ROADMAP.md item 7.
     """
 
     family: str

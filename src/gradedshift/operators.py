@@ -29,7 +29,6 @@ the rows no member hits.  They refuse an operator that is not monomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -40,7 +39,6 @@ from .errors import (
     NotLeftInvertibleError,
 )
 from .spaces import (
-    _BASIS_MEMO_SIZE,
     _SHIFT_MAP_MEMO_SIZE,
     MultiIndex,
     MultiplierSymbol,
@@ -374,28 +372,17 @@ def union_projection(
     return out
 
 
-@lru_cache(maxsize=_BASIS_MEMO_SIZE)
-def _prefix_steps(n: int, budget: int) -> Tuple[Tuple[MultiIndex, int, MultiIndex], ...]:
-    """``(m, i, prev)`` with m = prev + e_i for every 0 < |m| <= budget, in
-    graded-lex order, i being the first nonzero coordinate of m; each prev
-    comes before its m.  Memoised: the tuple is shared."""
-    steps = []
-    for m in enumerate_indices(n, budget):
-        if sum(m) == 0:
-            continue
-        i = next(k for k, mk in enumerate(m) if mk > 0)
-        steps.append((m, i, m[:i] + (m[i] - 1,) + m[i + 1 :]))
-    return tuple(steps)
-
-
 def _apply_powers(
     x: Sequence[OperatorMatrix], seed: np.ndarray, budget: int
 ) -> Dict[MultiIndex, np.ndarray]:
-    """X^m applied to the seed columns for all |m| <= budget, reusing prefixes."""
-    n = x[0].domain.n
-    out: Dict[MultiIndex, np.ndarray] = {(0,) * n: seed}
-    for m, i, prev in _prefix_steps(n, budget):
-        out[m] = x[i].data @ out[prev]
+    """X^m applied to the seed columns for all |m| <= budget, in graded-lex
+    order: X^m = X_i X^(m - e_i), i the first nonzero coordinate of m.  The
+    budget may pass the degree cap, so the steps are not read off the basis."""
+    out: Dict[MultiIndex, np.ndarray] = {}
+    for m in enumerate_indices(x[0].domain.n, budget):
+        first = next(filter(None, m), 0)  # m's first nonzero entry, at axis i
+        i = m.index(first)
+        out[m] = x[i].data @ out[m[:i] + (first - 1,) + m[i + 1 :]] if first else seed
     return out
 
 

@@ -29,9 +29,10 @@ compute ``dim = c C(D + n, n)`` first and refuse anything above
 
 A basis also carries the index structure every shift-built operator
 needs, built on first use and read-only: the per-axis successor table
-(:attr:`TruncatedBasis.successors`) and a memo of the weighted-shift maps
-of :func:`gradedshift.operators._shift_map`, at most
-:data:`_SHIFT_MAP_MEMO_SIZE` of them.  Neither depends on a symbol, so
+(:attr:`TruncatedBasis.successors`), the prefix table of the powers M^alpha
+(:attr:`TruncatedBasis.prefix`) and a memo of the weighted-shift maps of
+:func:`gradedshift.operators._shift_map`, at most
+:data:`_SHIFT_MAP_MEMO_SIZE` of them.  None depends on a symbol, so
 certificates on one basis share them; certificate outcomes are never
 cached.
 """
@@ -231,6 +232,19 @@ class TruncatedBasis:
         out = np.full((self.n, len(self.index_table)), -1, dtype=np.int64)
         for i, e_i in enumerate(np.eye(self.n, dtype=np.int64)):
             out[i, :kept] = self.rank(self.index_array[:kept] + e_i)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        """Read-only ``(2, count)`` int64 table of the prefix recursion
+        M^alpha = M_i M^(alpha - e_i): ``[0, k]`` is the axis i, the first
+        nonzero coordinate of alpha_k, and ``[1, k]`` the position of
+        alpha_k - e_i, which comes before k; both are -1 at k = 0."""
+        alphas = self.index_array[1:]
+        axis = np.argmax(alphas > 0, axis=1)
+        out = np.full((2, len(self.index_table)), -1, dtype=np.int64)
+        out[0, 1:], out[1, 1:] = axis, self.rank(alphas - np.eye(self.n, dtype=np.int64)[axis])
         out.flags.writeable = False
         return out
 

@@ -1,8 +1,11 @@
 """Pin BLAS to one thread before numpy is imported by any test module.
 
-The padded SVDs of the purity sweeps (dims <= 330) run slower with two
-OpenBLAS threads than with one, and their times spread more; variables
-already set in the environment win.
+One thread keeps test times from depending on the host's core count.  The
+dense linear algebra left in the tests is small: the padded SVDs of
+Dirichlet and custom-kernel sweeps and of config symbols, and the dense
+oracles of tests/oracles.py.  On a 2-vCPU host the whole suite took about
+as long with two OpenBLAS threads as with one (14.3-17.2 s against
+15.9-17.5 s, two runs each).  Variables already set in the environment win.
 """
 
 import os
@@ -15,16 +18,18 @@ import pytest  # noqa: E402
 
 @pytest.fixture
 def cold_memos():
-    """Start from empty memos: no basis, index table or shift map is cached."""
-    from gradedshift import ball_identities, operators, spaces
+    """Start from empty memos: no basis, index table, multinomial table,
+    schema or parser is cached (tests/test_surface.py checks that these are
+    all of the package's memos)."""
+    from gradedshift import ball_identities, cli, spaces
 
     for memo in (
         spaces._polydisc_basis,
         spaces._ball_basis,
         spaces.enumerate_indices,
-        operators._prefix_steps,
-        ball_identities._degree_steps,
         ball_identities.gamma_coeffs,
+        cli._validator,
+        cli._parser,
     ):
         memo.cache_clear()
 

@@ -29,7 +29,7 @@ from gradedshift import (
     shift_tuple,
     hardy,
 )
-from gradedshift.ball_identities import _degree_steps, _ordered_sum, _power_grams
+from gradedshift.ball_identities import _ordered_sum, _power_grams
 
 from oracles import dense_power_grams
 
@@ -74,11 +74,6 @@ class TestGammaCoeffs:
             del table.values[(1, 0, 0)]
         assert table.values[(1, 0, 0)] == 1
 
-    def test_degree_steps_are_read_only(self):
-        for monos, prev, axis in _degree_steps(3, 4):
-            for arr in (prev, axis):
-                with pytest.raises(ValueError):
-                    arr[0] = 0
 
 
 class TestDefectIdentity:

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 from jsonschema.validators import extend, validator_for
 
-from gradedshift import cli, dilation, errors, purity, spaces
+from gradedshift import cli, dilation, errors, kernels, purity, spaces
 
 from oracles import polydisc_points_oracle
 
@@ -934,6 +934,87 @@ def acceptance_config(stem):
 
 def json_path(path):
     return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+class TestSpaceFields:
+    """A ``space`` gives exactly the field its family reads (``alpha``,
+    ``coeffs``, ``m`` or ``a_coeffs``), and no family's field is ignored."""
+
+    @pytest.mark.parametrize(
+        "space, domain",
+        [
+            ({"family": "hardy"}, spaces.PolydiscDomain((kernels.hardy(),) * 2)),
+            ({"family": "bergman"}, spaces.PolydiscDomain((kernels.bergman(),) * 2)),
+            ({"family": "dirichlet"}, spaces.PolydiscDomain((kernels.dirichlet(),) * 2)),
+            (
+                {"family": "weighted_bergman", "alpha": 0.5},
+                spaces.PolydiscDomain((kernels.weighted_bergman(0.5),) * 2),
+            ),
+            (
+                {"family": "custom", "coeffs": [1, 0.5, 0.25]},
+                spaces.PolydiscDomain((kernels.KernelSpec1D("custom", custom_coeffs=(1.0, 0.5, 0.25)),) * 2),
+            ),
+            ({"family": "drury_arveson"}, spaces.BallDomain(kernels.drury_arveson(2))),
+            ({"family": "hm", "m": 3}, spaces.BallDomain(kernels.hm_ball(2, 3))),
+            (
+                {"family": "custom_ball", "a_coeffs": [1, 2, 3]},
+                spaces.BallDomain(kernels.BallKernelSpec(2, "unitarily_invariant_custom", a_coeffs=(1.0, 2.0, 3.0))),
+            ),
+        ],
+    )
+    def test_every_family_builds_its_kernels_domain(self, space, domain):
+        space = {**space, "n": 2, "degree_cap": 3}
+        cli._validate({**acceptance_config("cnp-bergman"), "space": space}, "config.schema.json")
+        assert cli.build_domain(space) == domain
+
+    @pytest.mark.parametrize(
+        "stem, edit, field, verb",
+        [
+            ("purity-hardy-monomial", {"alpha": 0.5}, "alpha", "reads no"),
+            ("purity-hardy-monomial", {"coeffs": [1.0, 0.5]}, "coeffs", "reads no"),
+            ("identity-chen-da", {"m": 4}, "m", "reads no"),
+            ("colligation-coordinate-flip", {"alpha": 0.5, "m": 2}, "alpha", "reads no"),
+            ("identity-defect-h2b2", {"a_coeffs": [1.0, 2.0]}, "a_coeffs", "reads no"),
+            ("identity-defect-h2b2", {"m": None}, "m", "needs"),
+            ("purity-hardy-monomial", {"family": "weighted_bergman"}, "alpha", "needs"),
+            ("cnp-bergman", {"family": "custom_ball", "coeffs": [1.0]}, "coeffs", "reads no"),
+        ],
+    )
+    def test_missing_or_foreign_field_is_two(self, tmp_path, stem, edit, field, verb):
+        config = acceptance_config(stem)
+        space = {**config["space"], **edit}
+        config["space"] = {k: v for k, v in space.items() if v is not None}
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        write_json(cfg, config)
+        assert cli.main([config["task"], "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["error"]["type"] == "InvalidInputError"
+        assert rep["error"]["message"] == f"$.space.{field}: family {config['space']['family']} {verb} {field}"
+
+    @pytest.mark.parametrize(
+        "stem, field, literal",
+        [
+            ("purity-sweep-bergman", "symbol", constant_scalar_symbol(2, 0.5)),
+            (
+                "bcl-sweep",
+                "triple",
+                {
+                    "e_dim": 2,
+                    "u": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                    "p": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                },
+            ),
+        ],
+    )
+    def test_literal_beside_a_sweep_is_two(self, tmp_path, stem, field, literal):
+        # the sweep would run and the literal would go unread
+        config = {**acceptance_config(stem), field: literal}
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        write_json(cfg, config)
+        assert cli.main([config["task"], "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["error"]["type"] == "InvalidInputError"
+        assert rep["error"]["message"].startswith(f"$.{field}: a {config['task']} sweep draws")
 
 
 class TestStrictIntegers:

@@ -475,15 +475,16 @@ class TestSchurAglerPurity:
             a=a, b=np.zeros((2, 2)), c=np.zeros((2, 2)), d=d, h_dims=(1, 1), e_dim=2
         )
         rep = schur_agler_purity(c, 5)
-        assert rep.report.verdict == "not_pure"
-        assert rep.rho_a == pytest.approx(1.0, abs=1e-12)
+        assert rep.verdict == "not_pure"
+        assert rep.phi0_rho == spectral_radius(a) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_sweep_never_inconsistent(self, seed):
         c = random_colligation(600 + seed, 2, (2, 2))
         rep = schur_agler_purity(c, 5)
-        assert rep.report.verdict in ("pure", "not_pure")
-        assert rep.jet_degree == 5
+        assert rep.verdict in ("pure", "not_pure")
+        assert rep.phi0_rho == spectral_radius(c.a)
+        assert sorted(rep.per_degree_rho) == list(range(6))
 
     # A jet is certified on V_D itself.  Its padded truncation V_2D would be
     # past the Hardy series cap for n=1 at D >= 33 and past MAX_DIM for n=2
@@ -504,9 +505,10 @@ class TestSchurAglerPurity:
         verdicts = []
         for c in (random_colligation(700 + degree_cap, 1, h_dims), unitary_a):
             rep = schur_agler_purity(c, degree_cap, tol)
-            assert rep.report.verdict == ("pure" if rep.rho_a < 1.0 - tol else "not_pure")
-            assert rep.report.contractivity is None
-            verdicts.append(rep.report.verdict)
+            assert rep.phi0_rho == spectral_radius(c.a)
+            assert rep.verdict == ("pure" if rep.phi0_rho < 1.0 - tol else "not_pure")
+            assert rep.contractivity is None
+            verdicts.append(rep.verdict)
         assert verdicts == ["pure", "not_pure"]
 
     def test_jet_takes_no_norm(self, monkeypatch):
@@ -515,7 +517,7 @@ class TestSchurAglerPurity:
 
         monkeypatch.setattr(purity_module, "_opnorms", refuse)
         rep = schur_agler_purity(random_colligation(7, 2, (2, 2)), 5)
-        assert rep.report.contractivity is None
+        assert rep.contractivity is None
         # a checked verdict does reach the patched norm
         with pytest.raises(AssertionError, match="a norm was taken"):
             multiplier_purity_verdict(scalar_symbol(1, {(1,): 0.5}), PolydiscDomain((hardy(),)), 4)

@@ -37,8 +37,8 @@ from gradedshift import (
     wandering_witness,
     weighted_bergman,
 )
-from gradedshift.operators import OperatorMatrix, opnorm, spectral_radius
-from gradedshift.spaces import MultiplierSymbol, ball_basis
+from gradedshift.operators import OperatorMatrix, _apply_powers, opnorm, spectral_radius
+from gradedshift.spaces import MultiplierSymbol, ball_basis, enumerate_indices
 
 from oracles import (
     brute_force_feasible,
@@ -476,6 +476,26 @@ class TestFrames:
 
 
 class TestOrbitFrame:
+    @pytest.mark.parametrize("n, budget", [(1, 0), (2, 4), (3, 3)])
+    def test_powers_apply_the_last_axis_first(self, n, budget):
+        # X^m = X_0^m_0 ... X_(n-1)^m_(n-1), here on a tuple that neither
+        # commutes nor is nilpotent, past the basis's degree cap of 1
+        rng = np.random.default_rng(n)
+        basis = polydisc_basis((hardy(),) * n, 1)
+        x = [
+            OperatorMatrix(rng.standard_normal((basis.dim,) * 2) + 0j, basis, basis, 1, 1)
+            for _ in range(n)
+        ]
+        seed = rng.standard_normal((basis.dim, 2)) + 1j * rng.standard_normal((basis.dim, 2))
+        powers = _apply_powers(x, seed, budget)
+        assert list(powers) == list(enumerate_indices(n, budget))
+        for m, got in powers.items():
+            want = seed
+            for i in reversed(range(n)):
+                for _ in range(m[i]):
+                    want = x[i].data @ want
+            assert np.array_equal(got, want)
+
     def test_invariance_by_construction(self):
         rng = np.random.default_rng(0)
         basis = polydisc_basis((hardy(), bergman()), 5)

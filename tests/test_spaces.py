@@ -217,6 +217,8 @@ class TestBasisMemo:
             basis.norm_array[0] = 2.0
         with pytest.raises(ValueError):
             basis.successors[0, 0] = 0
+        with pytest.raises(ValueError):
+            basis.prefix[0, 0] = 0
         for arr in _shift_map(basis, (1,)):
             with pytest.raises(ValueError):
                 arr[0] = 0
@@ -228,6 +230,17 @@ class TestBasisMemo:
                 up = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
                 want = basis.position(up) if sum(up) <= 5 else -1
                 assert basis.successors[i, k] == want
+
+    @pytest.mark.parametrize("n, degree_cap", [(1, 0), (1, 4), (2, 0), (3, 5)])
+    def test_prefix_table(self, n, degree_cap):
+        basis = ball_basis(hm_ball(n, 2), degree_cap)
+        assert basis.prefix.shape == (2, len(basis.index_table))
+        assert list(basis.prefix[:, 0]) == [-1, -1]
+        for k, alpha in enumerate(basis.index_table[1:], start=1):
+            i = next(j for j, a in enumerate(alpha) if a > 0)
+            prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
+            assert list(basis.prefix[:, k]) == [i, basis.position(prev)]
+            assert basis.prefix[1, k] < k
 
     def test_shift_map_memo_is_bounded(self, cold_memos):
         # 91 multi-indices |beta| <= 12 on two variables, more than the bound

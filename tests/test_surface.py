@@ -75,3 +75,18 @@ def test_benchmark_workload_calls_resolve():
     }
     assert calls
     assert sorted((name, attr) for name, attr in calls if not hasattr(bound[name], attr)) == []
+
+
+def test_cold_memos_clears_every_memo(request):
+    # every functools cache bound at module level anywhere in the package
+    memos = {v for name in MODULES for v in vars(_module(name)).values() if hasattr(v, "cache_clear")}
+    gradedshift.polydisc_basis((gradedshift.hardy(),), 2)
+    gradedshift.ball_basis(gradedshift.drury_arveson(2), 2)
+    gradedshift.gamma_coeffs(2, 2)
+    cli = _module("cli")
+    cli._validator("config.schema.json")
+    cli._parser()
+    # a memo not warmed above fails here: warm it, so the check below bites
+    assert [m.__wrapped__.__qualname__ for m in memos if not m.cache_info().currsize] == []
+    request.getfixturevalue("cold_memos")
+    assert [m.__wrapped__.__qualname__ for m in memos if m.cache_info().currsize] == []
