@@ -311,6 +311,29 @@ def decode_colligation(obj: Dict[str, Any]) -> Colligation:
 _FAMILY_FIELDS = {"weighted_bergman": "alpha", "custom": "coeffs", "hm": "m", "custom_ball": "a_coeffs"}
 
 
+# The optional fields of a config file that each task reads; ``sweep.count``
+# comes with ``sweep``.  A file that gives another is refused.
+_TASK_FIELDS = {
+    "purity": ("symbol", "sweep", "sweep.symbol_degree", "sweep.forced_unitary", "space.coeff_dim"),
+    "identity": ("identity_kind", "space.coeff_dim"),
+    "cnp": (),
+    "bcl": ("triple", "sweep", "space.coeff_dim"),
+    "colligation": ("colligation", "space.coeff_dim"),
+    "decay": ("symbol", "m_max", "space.coeff_dim"),
+    "witness": ("symbol", "space.coeff_dim"),
+}
+_OPTIONAL_FIELDS = tuple(dict.fromkeys(f for fields in _TASK_FIELDS.values() for f in fields))
+
+
+def _refuse_unread_fields(raw: Dict[str, Any]) -> None:
+    """Refuse a field of a schema-valid config file that its task never reads."""
+    task = raw["task"]
+    for name in _OPTIONAL_FIELDS:
+        head, _, tail = name.partition(".")
+        if head in raw and (not tail or tail in raw[head]) and name not in _TASK_FIELDS[task]:
+            raise InvalidInputError(f"$.{name}: task {task} reads no {name}")
+
+
 def build_domain(space: Dict[str, Any]) -> Domain:
     family, n = space["family"], space["n"]
     for name in _FAMILY_FIELDS.values():
@@ -346,6 +369,7 @@ class ScenarioConfig:
     def from_file(path: str) -> "ScenarioConfig":
         raw = _load_json(path)
         _validate(raw, "config.schema.json")
+        _refuse_unread_fields(raw)
         # the schema admits exactly the fields above, plus schema_version
         del raw["schema_version"]
         return ScenarioConfig(**raw)
@@ -417,7 +441,7 @@ def _run_purity(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
         count = config.sweep["count"]
         degree = config.sweep.get("symbol_degree", 2)
         forced = config.sweep.get("forced_unitary", 0)
-        symbols = _random_symbols(rng, domain, coeff_dim, degree, d_max, count, forced)
+        symbols = _random_symbols(rng, domain, coeff_dim, degree, count, forced)
         entries = [
             {
                 "index": k,

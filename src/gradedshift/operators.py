@@ -211,26 +211,23 @@ def _shift_map(
     return maps
 
 
-def _weighted_shift(
-    basis: TruncatedBasis, terms: Dict[MultiIndex, np.ndarray], count: int
-) -> np.ndarray:
-    """The ``(count, dim, dim)`` stack of the matrices of sum_beta (weighted
-    shift by beta) (x) Phi_beta on V_D, one per symbol; ``terms`` maps each
-    beta to the ``(count, c, c)`` stack of the symbols' coefficients there.
+def _weighted_shift(basis: TruncatedBasis, terms: Dict[MultiIndex, np.ndarray]) -> np.ndarray:
+    """The matrix of sum_beta (weighted shift by beta) (x) Phi_beta on V_D;
+    ``terms`` maps each beta to its ``(c, c)`` coefficient.
 
     Maps ``e_alpha (x) xi`` to ``sum_beta (||z^(alpha+beta)|| / ||z^alpha||)
     e_(alpha+beta) (x) Phi_beta xi``, dropping every alpha + beta outside the
     truncation.  Distinct betas send alpha to distinct blocks, so each block
-    is written once, by one scatter per beta for the whole stack, and the
-    entries equal ``w * Phi_beta`` exactly.
+    is written once, by one scatter per beta, and the entries equal
+    ``w * Phi_beta`` exactly.
     """
     c = basis.coeff_dim
     monomials = len(basis.index_table)
-    blocks = np.zeros((count, monomials, c, monomials, c), dtype=complex)
-    for beta, mats in terms.items():
+    blocks = np.zeros((monomials, c, monomials, c), dtype=complex)
+    for beta, mat in terms.items():
         src, dst, w = _shift_map(basis, beta)
-        blocks[:, dst, :, src, :] += w[:, None, None, None] * mats
-    return blocks.reshape(count, basis.dim, basis.dim)
+        blocks[dst, :, src, :] += w[:, None, None] * mat
+    return blocks.reshape(basis.dim, basis.dim)
 
 
 def shift_matrix(basis: TruncatedBasis, axis: int) -> OperatorMatrix:
@@ -242,7 +239,7 @@ def shift_matrix(basis: TruncatedBasis, axis: int) -> OperatorMatrix:
     if not 0 <= axis < basis.n:
         raise InvalidInputError(f"axis {axis} out of range for n={basis.n}")
     e_axis = tuple(int(i == axis) for i in range(basis.n))
-    data = _weighted_shift(basis, {e_axis: np.eye(basis.coeff_dim, dtype=complex)[None]}, 1)[0]
+    data = _weighted_shift(basis, {e_axis: np.eye(basis.coeff_dim, dtype=complex)})
     return OperatorMatrix(data, basis, basis, basis.degree_cap - 1, 1)
 
 
@@ -264,7 +261,7 @@ def multiplier_matrix(basis: TruncatedBasis, phi: MultiplierSymbol) -> OperatorM
         raise InvalidInputError(
             f"symbol coeff_dim {phi.coeff_dim} != basis coeff_dim {basis.coeff_dim}"
         )
-    data = _weighted_shift(basis, {beta: mat[None] for beta, mat in phi.terms.items()}, 1)[0]
+    data = _weighted_shift(basis, phi.terms)
     return OperatorMatrix(data, basis, basis, basis.degree_cap - phi.degree, phi.degree)
 
 

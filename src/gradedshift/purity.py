@@ -25,78 +25,81 @@ non-normal block-triangular matrices they are evidence, not proof.
 The certificate reads only a symbol's support and the basis, never its
 coefficients, so a call that takes a stack of symbols on one space (a
 sweep) certifies each distinct support once per call; no outcome is
-cached across calls.  Such a call draws its colligations, or its padded
-matrices, and norms them as stacks, and takes every rho(Phi(0)) from one
+cached across calls.  A sweep draws its colligations as one stack and
+norms them with one batched SVD, and takes every rho(Phi(0)) from one
 batched ``eigvals``; its results equal those of one-symbol calls bit for
 bit.
 
 A verdict needs ||M_Phi|| <= 1, and takes it from a contractivity
 certificate of one of two kinds.
 
-Realization.  A sweep symbol of degree d on a covered space (see
-:func:`_realization_covers`) is a product Phi_1 ... Phi_d of transfer
-functions Phi_k(z) = A + B E(z) C of colligations U_k = [[A, B], [C, 0]]
-with ||U_k|| = r_k <= 1.  On a polydisc E(z) = (+)_i z_i I_h maps H^n
-to itself; on a ball the row E(z) = [z_1 I_h ... z_n I_h] maps H^n to H,
-so U_k maps E (+) H to E (+) H^n.  With K(z) = [I, B E(z)], K(z) U_k =
-[Phi_k(z), B], and comparing K(z) (r_k^2 I - U_k U_k^*) K(w)^* with
-K(z) K(w)^* gives
+Realization.  Every sweep symbol of degree d is a product Phi_1 ... Phi_d
+of transfer functions Phi_k(z) = A + B E(z) C of colligations U_k =
+[[A, B], [C, 0]] with ||U_k|| = r_k <= 1.  On a polydisc E(z) = (+)_i
+sqrt(q_i) z_i I_h maps H^n to itself; on a ball the row E(z) = sqrt(q)
+[z_1 I_h ... z_n I_h] maps H^n to H, so U_k maps E (+) H to E (+) H^n.
+The scales q_i come from the kernel (:func:`_realization_scales`): on a
+polydisc factor with k_i = sum_m c_m x^m, q_i = min(1, inf_m c_m /
+c_(m-1)); on a ball with k = sum_j a_j x^j, q = min(1, inf_j a_j /
+a_(j-1)) on every axis.  With K(z) = [I, B E(z)], K(z) U_k = [Phi_k(z),
+B], and comparing K(z) (r_k^2 I - U_k U_k^*) K(w)^* with K(z) K(w)^*
+gives
 
     r_k^2 I - Phi_k(z) Phi_k(w)^* = B (I - r_k^2 E(z) E(w)^*) B^*
                                     + K(z) (r_k^2 I - U_k U_k^*) K(w)^*.
 
 The second term is a positive kernel.  I - r^2 E(z) E(w)^* is (+)_i (1 -
-r^2 z_i w_i~) I_h on a polydisc and (1 - r^2 <z, w>) I_h on a ball, and
-(1 - r^2 x) / (1 - x) = 1 + (1 - r^2) x / (1 - x) has nonnegative
-coefficients.  So k (r_k^2 - Phi_k Phi_k^*) is a positive kernel, which is
-||M_Phi_k|| <= r_k, whenever k is the Szego kernel prod_i (1 - z_i
-w_i~)^-1 (Agler 1990) or the Drury-Arveson kernel (1 - <z, w>)^-1
-(Ball-Trent-Vinnikov 2001) times a positive kernel g, by Schur products
-with g.  The Bergman and weighted Bergman factors (1 - z w~)^(alpha - 2),
-alpha <= 1, are (1 - z w~)^-1 times (1 - z w~)^(alpha - 1), which has
-nonnegative coefficients; H_m(B_n) has k = k_DA^m, m >= 1.  This is the
-Schur-Agler (polydisc) or BTV (ball) statement for a contractive
-colligation, whose unitary dilation need not be formed.  M_(Phi Psi) =
-M_Phi M_Psi, so ||M_Phi|| <= prod_k r_k, the bound the symbol records.
-Degree 0 is the constant A of one colligation, ||A|| <= r.  The verdict
-honours the record only on a covered space of the same geometry (a ball
-realization need not be contractive on a polydisc); it then certifies on
-V_D with no padded basis and no norm.
+r^2 q_i z_i w_i~) I_h on a polydisc and (1 - r^2 q <z, w>) I_h on a ball.
+k (1 - q_i z_i w_i~) has the coefficients c_m - q_i c_(m-1) >= 0 in z_i
+w_i~ times the other factors, so it is a positive kernel, and so is k (1 -
+r^2 q_i x) = k (1 - q_i x) + (1 - r^2) q_i x k; on a ball likewise with
+a_j - q a_(j-1) >= 0.  So k (r_k^2 - Phi_k Phi_k^*) is a positive kernel,
+which is ||M_Phi_k|| <= r_k.  With every q = 1 this is the statement for
+the Szego kernel (Agler 1990) or the Drury-Arveson kernel
+(Ball-Trent-Vinnikov 2001) times a positive kernel: Hardy, Bergman,
+weighted Bergman with alpha <= 1 and H_m(B_n) have q = 1, Dirichlet has q
+= 1/2 and weighted Bergman with alpha in (1, 2) has q = 2 - alpha.  A
+custom kernel's q is read off its given coefficients, so the argument
+holds for the kernel continued past them at a ratio >= q.  The unitary
+dilation of U_k need not be formed.  M_(Phi Psi) = M_Phi M_Psi, so
+||M_Phi|| <= prod_k r_k, the bound the symbol records together with its
+geometry and scales.  Degree 0 is the constant A of one colligation, ||A||
+<= r.  The record holds on a space of the same geometry whose q is at
+least the recorded one on every axis (a ball realization need not be
+contractive on a polydisc); the verdict then certifies on V_D with no
+padded basis and no norm.
 
-Padded truncation.  Everywhere else (Dirichlet, weighted Bergman with
-alpha in (1, 2), custom kernels, config-given symbols) contractivity is
-certified on a padded truncation (degree D_max + deg Phi) as a surrogate
-for the multiplier norm: the SVD of the padded matrix.  A random sweep
-symbol there is rescaled by f = 0.99 / padded-norm, which bounds every
-compression norm by 0.99 since compressions nest inside the padded
-matrix, and records f * ||A_raw||; a verdict on the same padded
-truncation reports that instead of taking the SVD again.
+Padded truncation.  A symbol with no record that holds (config-given
+symbols, and symbols derived by slicing, lifting or scaling) is checked on
+a padded truncation (degree D_max + deg Phi) as a surrogate for the
+multiplier norm: the SVD of the padded matrix.
 
 Either bound meets the ``NotContractiveError`` refusal.  A forced
 (non-pure) sweep symbol blockdiag(u, Phi_inner) with |u| = 1 records
-max(|u|, r), r the record of Phi_inner, of the same kind: the beta = 0
-shift map is the identity with weight exactly 1.0, so on every truncation
-(and on the whole space) M_Phi is a permutation of u I (+) M_inner; for
-coeff_dim = 1 it is the constant u and records |u|.  No forced symbol is
-assembled or normed at full size.  The jet of a transfer function need
-not be contractive; it is certified on V_D itself, with no norm.
+max(|u|, r), r the record of Phi_inner: the beta = 0 shift map is the
+identity with weight exactly 1.0, so on every truncation (and on the whole
+space) M_Phi is a permutation of u I (+) M_inner; for coeff_dim = 1 it is
+the constant u and records |u|.  No forced symbol is assembled or normed
+at full size.  The jet of a transfer function need not be contractive; it
+is certified on V_D itself, with no norm.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import CertificationError, InvalidInputError, NotContractiveError
+from .kernels import KernelSpec1D
 from .operators import (
     OperatorMatrix,
     SubspaceFrame,
     _opnorms,
     _shift_map,
-    _weighted_shift,
     multiplier_matrix,
     opnorm,
 )
@@ -110,7 +113,6 @@ from .spaces import (
     TruncatedBasis,
     _stack_chunks,
     ball_basis,
-    enumerate_indices,
     lift_scalar_symbol,
     polydisc_basis,
     slice_symbol,
@@ -187,10 +189,9 @@ class PurityReport:
     < 1 - tol and "not_pure" otherwise.  ``near_boundary``
     flags spectra within tol of 1 (indeterminate at tolerance) without
     reclassifying them.  ``contractivity`` is the bound the verdict
-    checked: a realization's recorded product bound on a covered space, a
-    padded-truncation norm (recorded by :func:`random_contractive_symbol`
-    on the same padded truncation, else the SVD of the padded matrix), or
-    None for a jet.
+    checked: a realization's recorded product bound where it holds, else
+    the padded-truncation norm (the SVD of the padded matrix), or None for
+    a jet.
     """
 
     per_degree_rho: Dict[int, float]
@@ -201,30 +202,43 @@ class PurityReport:
     near_boundary: bool
 
 
-def _realization_covers(domain: Domain) -> bool:
-    """Whether every realization of the domain's geometry is a contractive
-    multiplier of its space: a polydisc whose factors are Hardy, Bergman or
-    weighted Bergman with alpha <= 1, or an H_m ball (integer m >= 1), whose
-    kernels are the Szego or Drury-Arveson kernel times a positive kernel."""
+def _ratio_floor(coeffs: Sequence[float]) -> float:
+    """min(1, the smallest ratio of consecutive coefficients)."""
+    return min([1.0] + [b / a for a, b in zip(coeffs, coeffs[1:])])
+
+
+def _factor_scale(spec: KernelSpec1D) -> float:
+    """q = min(1, inf_m c_m / c_(m-1)) of a one-variable kernel, in closed
+    form for the named families: (m + 1 - alpha) / m is least at m = 1."""
+    if spec.family == "dirichlet":
+        return 0.5
+    if spec.family == "weighted_bergman":
+        return min(1.0, 2.0 - spec.alpha)
+    if spec.family == "custom":
+        return _ratio_floor(spec.custom_coeffs)
+    return 1.0
+
+
+def _realization_scales(domain: Domain) -> Tuple[float, ...]:
+    """One q_i in (0, 1] per axis such that every realization with E(z)
+    scaled by sqrt(q_i) on axis i is a contractive multiplier of the
+    domain's space (see the module docstring): per factor on a polydisc,
+    and min(1, inf_j a_j / a_(j-1)) on every axis of a ball."""
     if isinstance(domain, PolydiscDomain):
-        return all(
-            f.family in ("hardy", "bergman") or (f.family == "weighted_bergman" and f.alpha <= 1.0)
-            for f in domain.factors
-        )
-    return domain.spec.family == "hm"
+        return tuple(_factor_scale(f) for f in domain.factors)
+    spec = domain.spec
+    q = 1.0 if spec.family == "hm" else _ratio_floor(spec.a_coeffs)
+    return (q,) * domain.n
 
 
-def _recorded(phi: MultiplierSymbol, domain: Domain, padded_cap: int) -> Optional[Contractivity]:
-    """The certificate ``phi`` recorded, where it holds on ``domain``: a
-    realization on a covered domain of its geometry, or a padded norm on
-    the truncation V_padded_cap of this domain; else None."""
+def _recorded(phi: MultiplierSymbol, domain: Domain) -> Optional[Contractivity]:
+    """The realization bound ``phi`` recorded, where it holds on ``domain``:
+    the same geometry, with scales at least the recorded ones on every
+    axis; else None."""
     if phi.contractivity_record is None:
         return None
-    key, cert = phi.contractivity_record
-    if cert.kind == REALIZATION:
-        holds = key == domain.kind and _realization_covers(domain)
-    else:
-        holds = key == (domain, padded_cap, phi.coeff_dim)
+    (kind, scales), cert = phi.contractivity_record
+    holds = kind == domain.kind and all(map(operator.ge, _realization_scales(domain), scales))
     return cert if holds else None
 
 
@@ -250,20 +264,6 @@ def _certify_degree_structure(basis: TruncatedBasis, support: Sequence[MultiInde
             )
 
 
-def _padded_norms(
-    basis: TruncatedBasis, support: Sequence[MultiIndex], coeffs: np.ndarray
-) -> np.ndarray:
-    """The norms on ``basis`` of the multipliers with a ``(k, len(support),
-    c, c)`` coefficient stack: one scatter per beta and one batched SVD per
-    chunk of the stack (see ``spaces._STACK_BYTES``)."""
-    norms = np.empty(len(coeffs))
-    for part in _stack_chunks(len(coeffs), 16 * basis.dim**2):
-        chunk = coeffs[part]
-        terms = {beta: chunk[:, t] for t, beta in enumerate(support)}
-        norms[part] = _opnorms(_weighted_shift(basis, terms, len(chunk)))
-    return norms
-
-
 def _phi0_radii(phis: Sequence[MultiplierSymbol]) -> np.ndarray:
     """rho(Phi(0)) of every symbol, from one batched ``eigvals`` per chunk:
     LAPACK runs the same geev on each matrix as on that matrix alone."""
@@ -286,13 +286,12 @@ def _purity_verdicts(
     equal to its own :func:`multiplier_purity_verdict` bit for bit.
 
     A symbol whose recorded realization holds here is certified on V_D_max
-    with its recorded bound.  The others take a padded-truncation norm: the
-    recorded one where its key is this padded truncation, else the SVD, and
-    those are assembled and normed as stacks, one per padded truncation and
-    support.  In symbol order, each bound meets the ``NotContractiveError``
-    refusal and each (basis, support) not yet seen in this call is
-    certified on the shift maps; nothing is cached across calls.  The
-    Phi(0) spectra come from one batched ``eigvals``.
+    with its recorded bound.  Each other symbol takes the SVD norm of its
+    own matrix on the padded truncation V_(D_max + deg Phi).  In symbol
+    order, each bound meets the ``NotContractiveError`` refusal and each
+    (basis, support) not yet seen in this call is certified on the shift
+    maps; nothing is cached across calls.  The Phi(0) spectra come from one
+    batched ``eigvals``.
 
     ``check_contractive=False`` certifies on V_D_max and takes no norm;
     ``contractivity`` is then None.  Its callers are
@@ -305,24 +304,19 @@ def _purity_verdicts(
     c = phis[0].coeff_dim
     # (degree cap of the certifying basis, support) of each symbol
     keys: List[Tuple[int, Tuple[MultiIndex, ...]]] = []
-    certs: List[Optional[Contractivity]] = [None] * len(phis)
-    stacks: Dict[Tuple[int, Tuple[MultiIndex, ...]], List[int]] = {}
-    for i, phi in enumerate(phis):
+    certs: List[Optional[Contractivity]] = []
+    for phi in phis:
         if phi.n != domain.n:
             raise InvalidInputError(f"symbol has n={phi.n}, basis has n={domain.n}")
-        cap = d_max
+        cap, cert = d_max, None
         if check_contractive:
-            certs[i] = _recorded(phi, domain, d_max + phi.degree)
-            if certs[i] is None or certs[i].kind == PADDED:
+            cert = _recorded(phi, domain)
+            if cert is None:
                 cap = d_max + phi.degree
+                norm = opnorm(multiplier_matrix(basis_for(domain, cap, c), phi))
+                cert = Contractivity(PADDED, norm)
         keys.append((cap, tuple(phi.terms)))
-        if check_contractive and certs[i] is None:
-            stacks.setdefault(keys[i], []).append(i)
-    for (cap, support), members in stacks.items():
-        coeffs = np.array([[phis[i].terms[b] for b in support] for i in members])
-        coeffs = coeffs.reshape(len(members), len(support), c, c)
-        for i, norm in zip(members, _padded_norms(basis_for(domain, cap, c), support, coeffs)):
-            certs[i] = Contractivity(PADDED, float(norm))
+        certs.append(cert)
     certified = set()
     for cert, key in zip(certs, keys):
         if cert is not None and cert.bound > 1.0 + tol:
@@ -354,11 +348,9 @@ def multiplier_purity_verdict(
 
     The norm check takes the bound of a realization recorded by
     :func:`random_contractive_symbol` where it holds on ``domain``, and
-    then certifies on V_D_max alone.  Otherwise it runs on the padded
-    truncation V_(D_max + deg Phi): the norm the generator recorded when
-    its key is this truncation's, else the SVD of the matrix assembled
-    there.  The spectra come from the structural certificate and one eig
-    of Phi(0).  This is the one-symbol case of the stacked verdict of a
+    then certifies on V_D_max alone.  Otherwise it takes the SVD of the
+    matrix assembled on the padded truncation V_(D_max + deg Phi).  The
+    spectra come from the structural certificate and one eig of Phi(0).  This is the one-symbol case of the stacked verdict of a
     sweep.
     """
     (report,) = _purity_verdicts([phi], domain, d_max, tol)
@@ -476,10 +468,11 @@ def slice_purity_consistency(
 ) -> SliceConsistencyReport:
     """Purity verdict must be invariant under slicing an axis to zero.
 
-    ``axis=None`` checks every axis.  Slices of a symbol certified on the
-    padded full-space truncation stay certified: the sliced multiplier
-    matrix is a compression of the full one, so the padded-norm
-    precondition cannot fail on a slice.
+    ``axis=None`` checks every axis.  A slice carries no record, so it
+    takes the padded-truncation norm.  That norm cannot refuse a slice of a
+    symbol whose full-space norm passed: the sliced multiplier matrix is a
+    compression of the full one on the padded truncation, and a recorded
+    realization bound is at least the full-space norm.
     """
     if any(f.family != "hardy" for f in domain.factors):
         raise InvalidInputError("slice consistency is stated on Hardy polydiscs")
@@ -499,31 +492,6 @@ def slice_purity_consistency(
     )
 
 
-def _scaled_symbols(
-    domain: Domain, support: Tuple[MultiIndex, ...], gauss: np.ndarray, padded_cap: int
-) -> List[MultiplierSymbol]:
-    """The symbols with coefficients ``gauss[:, :, 0] + 1j gauss[:, :, 1]``
-    on ``support``, each scaled to norm 0.99 on the padded truncation
-    V_padded_cap and recording it."""
-    k, _, _, c, _ = gauss.shape
-    if k == 0:
-        return []
-    coeffs = gauss[:, :, 0] + 1j * gauss[:, :, 1]
-    padded = basis_for(domain, padded_cap, c)
-    norms = _padded_norms(padded, support, coeffs)
-    if np.any(norms == 0.0):
-        raise InvalidInputError("degenerate zero random symbol")
-    factors = 0.99 / norms
-    scaled = factors[:, None, None, None] * coeffs
-    key = (domain, padded.degree_cap, c)
-    symbols = []
-    for mats, recorded in zip(scaled, factors * norms):
-        phi = MultiplierSymbol(domain.n, c, dict(zip(support, mats)))
-        phi.contractivity_record = (key, Contractivity(PADDED, float(recorded)))
-        symbols.append(phi)
-    return symbols
-
-
 def _colligation_shape(domain: Domain, c: int) -> Tuple[int, int]:
     """The shape of a colligation [[A, B], [C, 0]] with h = c: E (+) H^n
     to itself on a polydisc, E (+) H to E (+) H^n on a ball."""
@@ -538,8 +506,10 @@ def _realized_symbols(
     max(degree, 1): the product of the transfer functions A + B E(z) C of
     its f colligations ``gauss[:, j, 0] + 1j gauss[:, j, 1]`` with the lower
     right block set to 0, each scaled to norm 0.99 (one batched SVD per
-    chunk).  At degree 0 it is the A of its one colligation.  Each records
-    the product of its colligations' norms."""
+    chunk), and E(z) scaled by sqrt(q_i) on axis i
+    (:func:`_realization_scales`; an axis with q_i = 1 is left as it is).
+    At degree 0 it is the A of its one colligation.  Each records its
+    geometry and scales with the product of its colligations' norms."""
     k, f, _, rows, cols = gauss.shape
     if k == 0:
         return []
@@ -558,6 +528,10 @@ def _realized_symbols(
     # polydisc and all of B on a ball, C_i the i-th row block of C
     b = u[:, :c, c:].reshape(k * f, c, -1, c).transpose(0, 2, 1, 3)
     lin = b @ u[:, c:, :c].reshape(k * f, n, c, c)
+    scales = _realization_scales(domain)
+    for i, q in enumerate(scales):
+        if q != 1.0:
+            lin[:, i] *= math.sqrt(q)
     zero = (0,) * n
     units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
     symbols = []
@@ -570,7 +544,7 @@ def _realized_symbols(
             factor = MultiplierSymbol(n, c, terms)
             phi = factor if phi is None else symbol_product(phi, factor)
         bound = math.prod(bounds[s].tolist())
-        phi.contractivity_record = (domain.kind, Contractivity(REALIZATION, bound))
+        phi.contractivity_record = ((domain.kind, scales), Contractivity(REALIZATION, bound))
         symbols.append(phi)
     return symbols
 
@@ -579,8 +553,7 @@ def _with_unitary_constant(u: complex, inner: MultiplierSymbol) -> MultiplierSym
     """blockdiag(u, inner): the unimodular constant u on the first
     coefficient direction, ``inner`` on the others.
 
-    It records max(|u|, r), r the bound that ``inner`` records, of the
-    same kind; a padded key gets the coefficient dimension one larger.
+    It records max(|u|, r) where ``inner`` records r, under the same key.
     The beta = 0 shift map is the identity with weight 1.0
     (:func:`_certify_degree_structure`), so on every truncation M_Phi is a
     permutation of u I (+) M_inner.
@@ -597,22 +570,16 @@ def _with_unitary_constant(u: complex, inner: MultiplierSymbol) -> MultiplierSym
     terms[zero] = base
     phi = MultiplierSymbol(inner.n, c, terms)
     key, cert = inner.contractivity_record
-    if cert.kind == PADDED:
-        key = key[:2] + (c,)
-    phi.contractivity_record = (key, Contractivity(cert.kind, max(abs(u), cert.bound)))
+    phi.contractivity_record = (key, cert._replace(bound=max(abs(u), cert.bound)))
     return phi
 
 
-def _unimodular_constant(
-    u: complex, domain: Domain, d_max: int, realized: bool
-) -> MultiplierSymbol:
-    """The 1x1 constant symbol u, recording |u|, as a realization (the
-    colligation [[u, 0], [0, 0]]) or on the padded V_d_max: M_u = u I."""
+def _unimodular_constant(u: complex, domain: Domain) -> MultiplierSymbol:
+    """The 1x1 constant symbol u, recording |u| as the realization of the
+    colligation [[u, 0], [0, 0]]: M_u = u I."""
     phi = MultiplierSymbol(domain.n, 1, {(0,) * domain.n: np.array([[u]])})
-    if realized:
-        phi.contractivity_record = (domain.kind, Contractivity(REALIZATION, abs(u)))
-    else:
-        phi.contractivity_record = ((domain, d_max, 1), Contractivity(PADDED, abs(u)))
+    key = (domain.kind, _realization_scales(domain))
+    phi.contractivity_record = (key, Contractivity(REALIZATION, abs(u)))
     return phi
 
 
@@ -621,7 +588,6 @@ def _random_symbols(
     domain: Domain,
     coeff_dim: int,
     degree: int,
-    d_max: int,
     count: int,
     forced: int,
 ) -> List[MultiplierSymbol]:
@@ -629,15 +595,12 @@ def _random_symbols(
     for bit to as many :func:`random_contractive_symbol` calls on ``rng``,
     which is left in the same state.
 
-    One ``standard_normal`` call draws the plain symbols: on a covered
-    domain (:func:`_realization_covers`) a ``(count, f, 2, rows, cols)``
-    stack of colligations, f = max(degree, 1), else a ``(count, T, 2, c,
-    c)`` stack of coefficients on the T multi-indices of degree <= degree.
-    Then each forced symbol draws its phase and its inner symbol's stack of
-    size c - 1.  A stack's colligations, or its padded matrices, are normed
-    together (see :func:`_realized_symbols` and :func:`_padded_norms`); a
-    forced symbol records its direct-sum bound without a matrix of its own
-    (see :func:`_with_unitary_constant`).
+    One ``standard_normal`` call draws the plain symbols' ``(count, f, 2,
+    rows, cols)`` stack of colligations, f = max(degree, 1).  Then each
+    forced symbol draws its phase and its inner symbol's stack of size c -
+    1.  A stack's colligations are normed together (see
+    :func:`_realized_symbols`); a forced symbol records its direct-sum
+    bound without a matrix of its own (see :func:`_with_unitary_constant`).
     """
     n = domain.n
     if degree < 0 or coeff_dim < 1:
@@ -647,18 +610,9 @@ def _random_symbols(
             f"a degree-{degree} symbol in {n} variables with coeff_dim {coeff_dim} has more "
             f"than MAX_DIM = {MAX_DIM} coefficient rows"
         )
-    realized = _realization_covers(domain)
-    support = () if realized else enumerate_indices(n, degree)
 
     def shape(c: int) -> Tuple[int, ...]:
-        if realized:
-            return (max(degree, 1), 2) + _colligation_shape(domain, c)
-        return (len(support), 2, c, c)
-
-    def build(gauss: np.ndarray, c: int) -> List[MultiplierSymbol]:
-        if realized:
-            return _realized_symbols(domain, c, degree, gauss)
-        return _scaled_symbols(domain, support, gauss, d_max + degree)
+        return (max(degree, 1), 2) + _colligation_shape(domain, c)
 
     gauss = rng.standard_normal((count,) + shape(coeff_dim))
     phases, inner = [], []
@@ -666,11 +620,11 @@ def _random_symbols(
         phases.append(complex(np.exp(2j * math.pi * rng.uniform())))
         if coeff_dim > 1:
             inner.append(rng.standard_normal(shape(coeff_dim - 1)))
-    symbols = build(gauss, coeff_dim)
+    symbols = _realized_symbols(domain, coeff_dim, degree, gauss)
     if coeff_dim == 1:
-        return symbols + [_unimodular_constant(u, domain, d_max, realized) for u in phases]
+        return symbols + [_unimodular_constant(u, domain) for u in phases]
     inner_gauss = np.array(inner).reshape((forced,) + shape(coeff_dim - 1))
-    inner_symbols = build(inner_gauss, coeff_dim - 1)
+    inner_symbols = _realized_symbols(domain, coeff_dim - 1, degree, inner_gauss)
     return symbols + [_with_unitary_constant(u, phi) for u, phi in zip(phases, inner_symbols)]
 
 
@@ -682,17 +636,17 @@ def random_contractive_symbol(
     d_max: int,
     unitary_constant: bool = False,
 ) -> MultiplierSymbol:
-    """Seeded random contractive polynomial symbol.
+    """Seeded random contractive polynomial symbol, on every kernel family.
 
-    Plain branch, on a space where realizations are contractive
-    (:func:`_realization_covers`: Hardy, Bergman and weighted Bergman
-    alpha <= 1 polydiscs, H_m balls): the product of ``degree`` transfer
-    functions A + B E(z) C of complex Gaussian colligations [[A, B], [C,
-    0]] with h = coeff_dim, each scaled to norm 0.99, so ||M_Phi|| <=
-    0.99^degree; degree 0 gives one colligation's A.  It records the
-    product of the colligation norms as a realization.  On other spaces:
-    iid complex Gaussian coefficient matrices rescaled by f = 0.99 /
-    padded-norm on V_(d_max + degree), recording f * ||A_raw||.
+    Plain branch: the product of ``degree`` transfer functions A + B E(z) C
+    of complex Gaussian colligations [[A, B], [C, 0]] with h = coeff_dim,
+    each scaled to norm 0.99, and E(z) scaled on each axis by the root of
+    the space's ratio bound q_i (:func:`_realization_scales`; 1 on Hardy,
+    Bergman, weighted Bergman alpha <= 1 and H_m, 1/2 on Dirichlet), so
+    ||M_Phi|| <= 0.99^degree; degree 0 gives one colligation's A.  It
+    records the product of the colligation norms as a realization, keyed by
+    the geometry and the scales.  ``d_max`` is not read: a realization
+    needs no truncation, and the argument stays for its callers.
 
     ``unitary_constant=True`` populates the non-pure branch: a contractive
     multiplier with unitary constant term is constant in the unitary
@@ -704,5 +658,5 @@ def random_contractive_symbol(
     stacked generator.
     """
     count, forced = (0, 1) if unitary_constant else (1, 0)
-    (phi,) = _random_symbols(rng, domain, coeff_dim, degree, d_max, count, forced)
+    (phi,) = _random_symbols(rng, domain, coeff_dim, degree, count, forced)
     return phi

@@ -74,11 +74,10 @@ MultiIndex = Tuple[int, ...]
 # are dense dim x dim complex matrices, 256 MiB each at this size.
 MAX_DIM = 4096
 
-# Byte budget of one chunk of a stack of dense matrices (the padded
-# multipliers of a purity sweep, assembled and normed together; their Phi(0)
-# blocks).  A stack is split into chunks of at most this many bytes and never
-# less than one matrix, so its peak memory does not grow with the number of
-# symbols; at MAX_DIM a chunk is one matrix.
+# Byte budget of one chunk of a stack of dense matrices (the colligations of
+# a purity sweep, normed together; their symbols' Phi(0) blocks).  A stack
+# is split into chunks of at most this many bytes and never less than one
+# matrix, so its peak memory does not grow with the number of symbols.
 _STACK_BYTES = 8 * 2**20
 
 # Distinct bases kept by the memo of polydisc_basis / ball_basis.
@@ -370,14 +369,15 @@ class MultiplierSymbol:
     ``terms`` maps multi-indices (length ``n``) to square complex matrices of
     size ``coeff_dim``; the matrices are read-only copies of the inputs.
 
-    ``contractivity_record`` is ``None`` or ``(key, certificate)``: a bound
-    on the multiplier norm that the symbol was built with, and where it
-    holds (see :mod:`gradedshift.purity`).  Only
-    :func:`gradedshift.purity.random_contractive_symbol` and the sweeps'
-    generator set it: a realization's product bound, keyed by the domain
-    kind, or a padded-truncation norm, keyed by ``(domain, degree_cap,
-    coeff_dim)``.  Scaling, slicing, lifting and decoding build symbols
-    without one.  The read-only coefficients keep it from going stale.
+    ``contractivity_record`` is ``None`` or ``((kind, scales), certificate)``:
+    the product bound of the realization the symbol was built as, keyed by
+    the domain kind (``"polydisc"`` or ``"ball"``) and the per-axis scales
+    q_i its E(z) was drawn with; it holds on a domain of that kind whose
+    scales are at least these on every axis (see :mod:`gradedshift.purity`).
+    Only :func:`gradedshift.purity.random_contractive_symbol` and the
+    sweeps' generator set it.  Scaling, slicing, lifting and decoding build
+    symbols without one.  The read-only coefficients keep it from going
+    stale.
     """
 
     def __init__(self, n: int, coeff_dim: int, terms: Dict[MultiIndex, np.ndarray]):

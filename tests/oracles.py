@@ -189,50 +189,6 @@ def dense_per_degree_rho(
     return out
 
 
-def random_symbol_oracle(
-    rng: np.random.Generator,
-    index_table: Sequence[MultiIndex],
-    norms: Sequence[float],
-    coeff_dim: int,
-    degree: int,
-    forced: bool = False,
-) -> Tuple[Dict[MultiIndex, np.ndarray], float]:
-    """The terms and the recorded padded norm of one seeded random symbol,
-    drawn one coefficient at a time.
-
-    Each term over ``all_indices(n, degree)`` is ``standard_normal((c, c)) +
-    1j * standard_normal((c, c))``; the symbol is scaled by 0.99 over the
-    dense SVD norm of :func:`dense_multiplier` on the padded table, and
-    records that factor times the norm.  A forced symbol draws its phase u
-    first and is blockdiag(u, plain symbol of size c - 1); it records
-    max(|u|, r), r the plain symbol's record, because its multiplier is
-    u I (+) M_inner up to a permutation of coordinates, whose norm is the
-    larger of the two blocks' norms.  For c = 1 it is the constant u and
-    records |u|.
-    """
-    n = len(index_table[0])
-    if forced:
-        u = complex(np.exp(2j * np.pi * rng.uniform()))
-        if coeff_dim == 1:
-            return {(0,) * n: np.array([[u]])}, abs(u)
-        inner, r = random_symbol_oracle(rng, index_table, norms, coeff_dim - 1, degree)
-        terms = {}
-        for alpha, mat in inner.items():
-            terms[alpha] = np.zeros((coeff_dim, coeff_dim), dtype=complex)
-            terms[alpha][1:, 1:] = mat
-        terms[(0,) * n][0, 0] = u
-        return terms, max(abs(u), r)
-    terms = {
-        alpha: rng.standard_normal((coeff_dim, coeff_dim))
-        + 1j * rng.standard_normal((coeff_dim, coeff_dim))
-        for alpha in all_indices(n, degree)
-    }
-    m = dense_multiplier(index_table, norms, coeff_dim, terms)
-    norm = float(np.linalg.svd(m, compute_uv=False)[0])
-    factor = 0.99 / norm
-    return {alpha: factor * mat for alpha, mat in terms.items()}, factor * norm
-
-
 def realized_symbol_oracle(
     rng: np.random.Generator,
     geometry: str,
@@ -240,6 +196,7 @@ def realized_symbol_oracle(
     coeff_dim: int,
     degree: int,
     forced: bool = False,
+    scales: Optional[Sequence[float]] = None,
 ) -> Tuple[Dict[MultiIndex, np.ndarray], float]:
     """The terms and the recorded bound of one seeded realized symbol,
     drawn one colligation at a time.
@@ -250,8 +207,9 @@ def realized_symbol_oracle(
     norm: rows = c + n h, and cols = rows on a ``"polydisc"``, where E(z) =
     diag(z_1 I_h, ..., z_n I_h), or c + h on a ``"ball"``, where E(z) =
     [z_1 I_h ... z_n I_h].  A factor's terms are A and B E(e_i) C at z_i,
-    with E(e_i) written out as a 0/1 matrix; the symbol is the product of
-    the factors (only A at degree 0) and records the product of the
+    with E(e_i) written out as sqrt(q_i) times a 0/1 matrix, q_i =
+    ``scales[i]`` (1 on every axis by default); the symbol is the product
+    of the factors (only A at degree 0) and records the product of the
     scaled norms.  A forced symbol draws its phase u first and is
     blockdiag(u, realized symbol of size c - 1), recording max(|u|, r); for
     c = 1 it is the constant u and records |u|.
@@ -261,13 +219,14 @@ def realized_symbol_oracle(
         u = complex(np.exp(2j * np.pi * rng.uniform()))
         if coeff_dim == 1:
             return {zero: np.array([[u]])}, abs(u)
-        inner, r = realized_symbol_oracle(rng, geometry, n, coeff_dim - 1, degree)
+        inner, r = realized_symbol_oracle(rng, geometry, n, coeff_dim - 1, degree, scales=scales)
         terms = {}
         for alpha, mat in inner.items():
             terms[alpha] = np.zeros((coeff_dim, coeff_dim), dtype=complex)
             terms[alpha][1:, 1:] = mat
         terms.setdefault(zero, np.zeros((coeff_dim, coeff_dim), dtype=complex))[0, 0] = u
         return terms, max(abs(u), r)
+    scales = [1.0] * n if scales is None else scales
     c = h = coeff_dim
     rows = c + n * h
     cols = rows if geometry == "polydisc" else c + h
@@ -283,9 +242,9 @@ def realized_symbol_oracle(
         for i in range(n if degree else 0):
             e = np.zeros((cols - c, rows - c))
             if geometry == "polydisc":
-                e[i * h : (i + 1) * h, i * h : (i + 1) * h] = np.eye(h)
+                e[i * h : (i + 1) * h, i * h : (i + 1) * h] = math.sqrt(scales[i]) * np.eye(h)
             else:
-                e[:, i * h : (i + 1) * h] = np.eye(h)
+                e[:, i * h : (i + 1) * h] = math.sqrt(scales[i]) * np.eye(h)
             factor[tuple(int(j == i) for j in range(n))] = u[:c, c:] @ e @ u[c:, :c]
         symbol = factor if symbol is None else _dict_product(symbol, factor)
     return symbol, math.prod(bounds)

@@ -5,6 +5,7 @@ Each test prints one ``[acceptance] criterion NN <name>: PASS/FAIL`` line
 documented tolerance and runtime budget.  Oracles live in tests/oracles.py.
 """
 
+import hashlib
 import json
 import time
 from contextlib import contextmanager
@@ -131,13 +132,11 @@ def test_criterion_01_purity_equivalence_sweep():
 def test_criterion_01_symbols_are_bounded_on_the_boundary():
     # ||M_Phi|| >= sup ||Phi||, so one sample above 1 proves a symbol is not a
     # contractive multiplier; the padded-truncation generator failed this
-    # for 490 of these 720 symbols.  Dirichlet keeps that generator.
+    # for 490 of these 720 symbols
     torus = torus_grid(96, 2)
     sphere = sphere_points(np.random.default_rng(0), 20_000, 2)
     checked = 0
     for space_idx, (name, domain) in enumerate(six_spaces()):
-        if name == "dirichlet-bidisc":
-            continue
         points = torus if isinstance(domain, PolydiscDomain) else sphere
         for coeff_dim in (1, 2):
             rng = np.random.default_rng(10_000 + space_idx * 10 + coeff_dim)
@@ -147,7 +146,7 @@ def test_criterion_01_symbols_are_bounded_on_the_boundary():
                 )
                 assert sampled_sup_norm(phi.terms, points) <= 1.0 + 1e-12, (name, coeff_dim, k)
                 checked += 1
-    assert checked == 600
+    assert checked == 720
 
 
 def test_criterion_02_defect_identity():
@@ -375,3 +374,49 @@ def test_rerun_overwrites_every_file_exactly(tmp_path):
             assert old.count(b'\n  "timing": ') == 1
             old, new = _without_timing(old), _without_timing(new)
         assert old == new, name
+
+# SHA-256 of every JSON file ``suite`` writes for the acceptance manifest,
+# with ``timing`` removed, as sorted-key JSON.  Criterion 11 compares two runs
+# of one tree; these pin the contract across changes to the package.
+FROZEN_REPORTS = {
+    0: {
+        "bcl-sweep.report.json": "f1d2e5a9b85aaccd8972fba038ebd97dbc6c8ffaac9052eb43b09659bd9d2a6e",
+        "chen-refusal-h2b2.report.json": "df61b0e5756be81cb41d8d35576ea1ad5fa76b2ab82db204e5ea79050e0bd0d7",
+        "cnp-bergman.report.json": "3320f2eaf03a03189bcfe05a7ef13519da4071f23fd953af3f841b33e974bb96",
+        "cnp-dirichlet-order40.report.json": "248f2dafe2085161900ac2527b2f1439d5d8ff9bd3a02b0f6f4331e0ce09cf80",
+        "colligation-coordinate-flip.report.json": "9341aaa18c85b10ddf86af9d1239e12b1db3921595d10acd91c2111020064946",
+        "decay-averaging-symbol.report.json": "ab1c05073641ade06269426d1e217b4d62e083a5a617d857a5a51b380280635b",
+        "identity-chen-da.report.json": "964a647d1d990ed7552ca46ca5ce51c8a5634c39c1f6e778fee25aaac10040a2",
+        "identity-defect-h2b2.report.json": "673207e418862e555fe71f866d8ade6d62786e6ba86fea61ea3dce0476125590",
+        "purity-hardy-monomial.report.json": "5ce7d451b58a9b82fa3e03cfab4c36461ca608ce4e75495c2fa844f3706cbbd7",
+        "purity-sweep-bergman.report.json": "b4faebe12021b0686fb4ec7cd97956075d34d787ac32bf29e803f4abe89ce56e",
+        "suite_report.json": "e5cfc1b0baae923f971709f45e73925f1713a36f084369678970ea0aedcbe329",
+        "witness-axis-orbit.report.json": "5ce78a0cb017a06c6db1a4261d87bca61fe4717ff6cdfad624bb5a7cc95d36d2",
+    },
+    5: {
+        "bcl-sweep.report.json": "e351345477fdbdf47e9c28733d45024a71f1a3303d66123a75056a7ff852a495",
+        "chen-refusal-h2b2.report.json": "fd378b91d43fc26a964445826ba9ed4f097f04a111d21342a7ff63e22dd08c7f",
+        "cnp-bergman.report.json": "5aec92425edee87b6cb13b2753f26b73ced6878e095c6acb8917be42ae90f06e",
+        "cnp-dirichlet-order40.report.json": "273bfac2d95d57fb13121ffb00e003c28cf1cbf5952e783f8060ac6f40624a02",
+        "colligation-coordinate-flip.report.json": "7a39c77b4b9843beeaab0e63704bb0731331a91ac171398c90164e805e00f61f",
+        "decay-averaging-symbol.report.json": "8a03bb16380228e6ffdfc45a544b15b8757af6da3d738a35e4caef0e8863be28",
+        "identity-chen-da.report.json": "1d9792dc93a2d20633340f7eb5a8786c74d31e2edb0f89d47231cf89df50b960",
+        "identity-defect-h2b2.report.json": "ecae3cc3548614d78fb1064da6ec207821dba6d473d44f6c98216d36030308b9",
+        "purity-hardy-monomial.report.json": "36da3339baf2e1c36c710b2c9a1959c0b665e6432b412ad327a9b4f39a4f7a16",
+        "purity-sweep-bergman.report.json": "025c2bc4dda1e8f519829d0d5aebce2ba40cc59d984dca3e437fc85f603853e3",
+        "suite_report.json": "e5cfc1b0baae923f971709f45e73925f1713a36f084369678970ea0aedcbe329",
+        "witness-axis-orbit.report.json": "5a63eabbab775de4f6715291a7fa3fea944fa321526b6cae0745d40ef6ba0277",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_REPORTS))
+def test_manifest_reports_are_frozen(tmp_path, seed):
+    manifest = CONFIG_DIR / "acceptance_manifest.json"
+    assert cli.main(["suite", "--config", str(manifest), "--out", str(tmp_path), "--seed", str(seed)]) == 0
+    digests = {}
+    for path in sorted(tmp_path.glob("*.json")):
+        report = json.loads(path.read_text())
+        report.pop("timing", None)
+        digests[path.name] = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digests == FROZEN_REPORTS[seed]

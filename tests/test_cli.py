@@ -685,13 +685,13 @@ class TestTaskPayloads:
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
-# The payload of the Dirichlet sweep below under report schema 2, before
-# realizations: Dirichlet keeps the padded route, so only the field name moves
-_DIRICHLET_SWEEP_SCHEMA_2 = [
-    (False, False, 0.99, 0.1680110141123701, "pure"),
-    (False, False, 0.99, 0.15906860694539926, "pure"),
-    (False, False, 0.9900000000000001, 0.11054901345573291, "pure"),
-    (True, True, 1.0, 1.0000000000000002, "not_pure"),
+# The payload of the Dirichlet sweep below, frozen when Dirichlet sweeps
+# became realizations: (forced, near_boundary, bound, phi0_rho, verdict)
+_DIRICHLET_SWEEP = [
+    (False, False, 0.9801, 0.08259549970279408, "pure"),
+    (False, False, 0.9800999999999999, 0.18836281332330654, "pure"),
+    (False, False, 0.9801, 0.3878452900863813, "pure"),
+    (True, True, 1.0, 1.0, "not_pure"),
     (True, True, 1.0, 1.0, "not_pure"),
 ]
 
@@ -726,7 +726,7 @@ class TestPuritySweeps:
                 assert entry["verdict"] == "pure"
                 assert abs(entry["contractivity"]["bound"] - 0.99**2) <= 1e-15
 
-    def test_dirichlet_sweep_equals_schema_2_but_for_the_rename(self, tmp_path):
+    def test_dirichlet_sweep_is_realized(self, tmp_path):
         cfg, out = tmp_path / "s.json", tmp_path / "r.json"
         space = {"family": "dirichlet", "n": 2, "degree_cap": 4, "coeff_dim": 2}
         sweep_config(cfg, space, {"count": 3, "forced_unitary": 2})
@@ -738,11 +738,11 @@ class TestPuritySweeps:
                 "index": k,
                 "forced_unitary": forced,
                 "near_boundary": near,
-                "contractivity": {"kind": "padded_truncation", "bound": norm},
+                "contractivity": {"kind": "realization", "bound": bound},
                 "phi0_rho": rho,
                 "verdict": verdict,
             }
-            for k, (forced, near, norm, rho, verdict) in enumerate(_DIRICHLET_SWEEP_SCHEMA_2)
+            for k, (forced, near, bound, rho, verdict) in enumerate(_DIRICHLET_SWEEP)
         ]
         assert payload["symbols"] == want
 
@@ -756,7 +756,7 @@ class TestPuritySweeps:
             assert entry["verdict"] == "pure"
             assert entry["contractivity"]["bound"] <= 0.99 + 1e-15
         domain = cli.build_domain(space)
-        for phi in purity._random_symbols(np.random.default_rng(11), domain, 2, 0, 3, 4, 0):
+        for phi in purity._random_symbols(np.random.default_rng(11), domain, 2, 0, 4, 0):
             assert list(phi.terms) == [(0, 0)]
 
     def test_single_symbol_reports_its_padded_norm(self, tmp_path):
@@ -1015,6 +1015,54 @@ class TestSpaceFields:
         rep = read_report(out)
         assert rep["error"]["type"] == "InvalidInputError"
         assert rep["error"]["message"].startswith(f"$.{field}: a {config['task']} sweep draws")
+
+
+def _with(config, field, value):
+    # a dotted field sets one key of its object
+    head, _, tail = field.partition(".")
+    if tail:
+        return {**config, head: {**config.get(head, {}), tail: value}}
+    return {**config, field: value}
+
+
+class TestTaskFields:
+    @pytest.mark.parametrize(
+        "stem, field, value",
+        [
+            ("decay-averaging-symbol", "sweep", {"count": 3}),
+            ("identity-chen-da", "sweep", {"count": 3}),
+            ("cnp-bergman", "sweep", {"count": 3}),
+            ("colligation-coordinate-flip", "sweep", {"count": 3}),
+            ("witness-axis-orbit", "sweep", {"count": 3}),
+            ("bcl-sweep", "sweep.symbol_degree", 2),
+            ("bcl-sweep", "sweep.forced_unitary", 1),
+            ("cnp-bergman", "space.coeff_dim", 3),
+            ("cnp-bergman", "m_max", 7),
+            ("decay-averaging-symbol", "identity_kind", "both"),
+            ("purity-sweep-bergman", "m_max", 7),
+            ("identity-chen-da", "symbol", constant_scalar_symbol(2, 0.5)),
+            ("bcl-sweep", "symbol", constant_scalar_symbol(2, 0.5)),
+            ("purity-hardy-monomial", "colligation", acceptance_config("colligation-coordinate-flip")["colligation"]),
+            ("witness-axis-orbit", "triple", {"e_dim": 1, "u": [[[1.0, 0.0]]], "p": [[[1.0, 0.0]]]}),
+        ],
+    )
+    def test_field_the_task_never_reads_is_two(self, tmp_path, stem, field, value):
+        # each config runs and passes without the field
+        config = _with(acceptance_config(stem), field, value)
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        write_json(cfg, config)
+        cli._validate(config, "config.schema.json")
+        assert cli.main([config["task"], "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["error"]["type"] == "InvalidInputError"
+        assert rep["error"]["message"] == f"$.{field}: task {config['task']} reads no {field}"
+
+    def test_the_table_names_every_optional_field(self):
+        schema = json.loads((Path(cli.__file__).parent / "schemas" / "config.schema.json").read_text())
+        required = set(schema["required"]) | {"tolerances", "expected"}
+        optional = {f for f in schema["properties"] if f not in required}
+        optional |= {f"sweep.{k}" for k in schema["properties"]["sweep"]["properties"] if k != "count"}
+        assert set(cli._OPTIONAL_FIELDS) == optional | {"space.coeff_dim"}
 
 
 class TestStrictIntegers:

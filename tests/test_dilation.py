@@ -516,6 +516,7 @@ class TestSchurAglerPurity:
             raise AssertionError("a norm was taken")
 
         monkeypatch.setattr(purity_module, "_opnorms", refuse)
+        monkeypatch.setattr(purity_module, "opnorm", refuse)
         rep = schur_agler_purity(random_colligation(7, 2, (2, 2)), 5)
         assert rep.contractivity is None
         # a checked verdict does reach the patched norm

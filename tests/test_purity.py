@@ -25,6 +25,8 @@ from gradedshift import (
     hm_ball,
     invariant_restriction_test,
     KernelSpec1D,
+    ball_coeff,
+    coeff_1d,
     multiplier_matrix,
     multiplier_purity_verdict,
     random_contractive_symbol,
@@ -40,8 +42,10 @@ from gradedshift.spaces import BallDomain, MultiplierSymbol, lift_scalar_symbol,
 from oracles import (
     dense_multiplier,
     dense_per_degree_rho,
-    random_symbol_oracle,
     realized_symbol_oracle,
+    sampled_sup_norm,
+    sphere_points,
+    torus_grid,
 )
 
 EPS = np.finfo(float).eps
@@ -255,123 +259,144 @@ class TestStructuralCertificate:
             multiplier_purity_verdict(scalar_symbol(2, {(0, 0): 0.3}), HARDY2, 4)
 
 
-# Spaces where realizations are contractive multipliers, and spaces that
-# keep the padded-truncation route
-COVERED_SPACES = (
-    HARDY2,
-    PolydiscDomain((bergman(), bergman())),
-    PolydiscDomain((weighted_bergman(0.5),) * 2),
-    BallDomain(drury_arveson(2)),
-    BallDomain(hm_ball(2, 2)),
-    BallDomain(hm_ball(2, 3)),
-)
 CUSTOM_1D = KernelSpec1D("custom", custom_coeffs=tuple(1.0 / (m + 1) ** 2 for m in range(20)))
 CUSTOM_BALL = BallDomain(
     BallKernelSpec(
         2, "unitarily_invariant_custom", a_coeffs=tuple(1.0 / (j + 1) for j in range(20))
     )
 )
-PADDED_SPACES = (
-    PolydiscDomain((dirichlet(), dirichlet())),
-    PolydiscDomain((weighted_bergman(1.5),) * 2),
-    PolydiscDomain((CUSTOM_1D,) * 2),
-    CUSTOM_BALL,
-)
-DIRICHLET2 = PADDED_SPACES[0]
+DIRICHLET2 = PolydiscDomain((dirichlet(), dirichlet()))
+# Every kernel family the generator draws on, with the ratio bound q_i =
+# min(1, inf_m c_m / c_(m-1)) of each axis, worked out by hand: 1 where the
+# kernel is Szego or Drury-Arveson times a positive kernel, 1/2 for
+# Dirichlet, 2 - alpha for weighted Bergman with alpha in (1, 2), and the
+# first ratio of the two custom kernels (1/4 and 1/2)
+SCALED_SPACES = {
+    "hardy2": (HARDY2, (1.0, 1.0)),
+    "bergman2": (PolydiscDomain((bergman(), bergman())), (1.0, 1.0)),
+    "wbergman0.5": (PolydiscDomain((weighted_bergman(0.5),) * 2), (1.0, 1.0)),
+    "da2": (BallDomain(drury_arveson(2)), (1.0, 1.0)),
+    "h2b2": (BallDomain(hm_ball(2, 2)), (1.0, 1.0)),
+    "h3b2": (BallDomain(hm_ball(2, 3)), (1.0, 1.0)),
+    "dirichlet2": (DIRICHLET2, (0.5, 0.5)),
+    "dirichlet-hardy": (PolydiscDomain((dirichlet(), hardy())), (0.5, 1.0)),
+    "wbergman1.5": (PolydiscDomain((weighted_bergman(1.5),) * 2), (0.5, 0.5)),
+    "wbergman1.9": (PolydiscDomain((weighted_bergman(1.9),) * 2), (2 - 1.9, 2 - 1.9)),
+    "custom1d": (PolydiscDomain((CUSTOM_1D,) * 2), (0.25, 0.25)),
+    "custom-ball": (CUSTOM_BALL, (0.5, 0.5)),
+}
 
 
 def _geometry(domain):
     return "polydisc" if isinstance(domain, PolydiscDomain) else "ball"
 
 
-class TestPaddedNormRecord:
-    def test_verdict_reuses_the_generator_norm(self, monkeypatch):
-        domain, d_max = CUSTOM_BALL, 5
-        phi = random_contractive_symbol(np.random.default_rng(3), domain, 2, 2, d_max)
-        key, cert = phi.contractivity_record
-        assert key == (domain, d_max + 2, 2) and cert.kind == "padded_truncation"
+def _key(name):
+    domain, scales = SCALED_SPACES[name]
+    return (_geometry(domain), scales)
+
+
+def _take_no_norm(monkeypatch):
+    # the generator norms colligations with _opnorms; a padded norm would
+    # assemble with multiplier_matrix and take opnorm
+    for name in ("_opnorms", "opnorm", "multiplier_matrix"):
+        monkeypatch.setattr(purity_module, name, pytest.fail)
+
+
+class TestRealizationScales:
+    @pytest.mark.parametrize("name", SCALED_SPACES)
+    def test_scale_table(self, name):
+        domain, scales = SCALED_SPACES[name]
+        assert purity_module._realization_scales(domain) == scales
+
+    @pytest.mark.parametrize(
+        "spec",
+        [hardy(), bergman(), dirichlet(), CUSTOM_1D]
+        + [weighted_bergman(a) for a in (-0.5, 0.0, 0.5, 1.0, 1.25, 1.5, 1.9)],
+        ids=repr,
+    )
+    def test_closed_forms_are_the_ratio_floor(self, spec):
+        ratios = [coeff_1d(spec, m) / coeff_1d(spec, m - 1) for m in range(1, 20)]
+        got = purity_module._realization_scales(PolydiscDomain((spec, hardy())))
+        assert got == (min([1.0] + ratios), 1.0)
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_hm_balls_take_one(self, m):
+        spec = hm_ball(3, m)
+        assert min(ball_coeff(spec, j) / ball_coeff(spec, j - 1) for j in range(1, 20)) >= 1.0
+        assert purity_module._realization_scales(BallDomain(spec)) == (1.0,) * 3
+
+    def test_custom_scale_is_the_least_ratio_capped_at_one(self):
+        # ratios 2, 0.75 and 4/3; a kernel whose coefficients grow takes 1
+        spec = KernelSpec1D("custom", custom_coeffs=(1.0, 2.0, 1.5, 2.0))
+        assert purity_module._realization_scales(PolydiscDomain((spec, hardy()))) == (0.75, 1.0)
+        ball = BallKernelSpec(3, "unitarily_invariant_custom", a_coeffs=(1.0, 2.0, 3.0))
+        assert purity_module._realization_scales(BallDomain(ball)) == (1.0,) * 3
+
+
+class TestPaddedNorm:
+    def test_config_symbols_take_the_padded_svd(self):
+        phi = random_contractive_symbol(np.random.default_rng(4), DIRICHLET2, 1, 2, 5)
         rebuilt = MultiplierSymbol(phi.n, phi.coeff_dim, phi.terms)
         assert rebuilt.contractivity_record is None
-        svd_norm = multiplier_purity_verdict(rebuilt, domain, d_max).contractivity.bound
-        assert abs(cert.bound - svd_norm) <= 1e-15
-        monkeypatch.setattr(purity_module, "_opnorms", pytest.fail)
-        assert multiplier_purity_verdict(phi, domain, d_max).contractivity == cert
+        for domain, d_max in ((DIRICHLET2, 4), (SCALED_SPACES["dirichlet-hardy"][0], 5)):
+            rep = multiplier_purity_verdict(rebuilt, domain, d_max)
+            padded = basis_for(domain, d_max + rebuilt.degree, 1)
+            want = np.linalg.norm(multiplier_matrix(padded, rebuilt).data, 2)
+            assert rep.contractivity == ("padded_truncation", want)
 
-    def test_other_truncations_take_the_svd(self):
-        phi = random_contractive_symbol(np.random.default_rng(4), DIRICHLET2, 1, 2, 5)
-        rep = multiplier_purity_verdict(phi, DIRICHLET2, 4)
-        want = np.linalg.norm(multiplier_matrix(basis_for(DIRICHLET2, 6, 1), phi).data, 2)
-        assert rep.contractivity == ("padded_truncation", want)
-        other = PolydiscDomain((dirichlet(), hardy()))
-        rep = multiplier_purity_verdict(phi, other, 5)
-        want = np.linalg.norm(multiplier_matrix(basis_for(other, 7, 1), phi).data, 2)
-        assert rep.contractivity == ("padded_truncation", want)
-
-    def test_recorded_norm_is_still_refused(self):
-        phi = random_contractive_symbol(np.random.default_rng(5), DIRICHLET2, 1, 2, 5)
-        key, cert = phi.contractivity_record
-        phi.contractivity_record = (key, cert._replace(bound=1.5))
-        with pytest.raises(NotContractiveError, match="padded multiplier norm"):
-            multiplier_purity_verdict(phi, DIRICHLET2, 5)
-
-    @pytest.mark.parametrize("domain", (HARDY2, DIRICHLET2), ids=_geometry)
-    def test_derived_symbols_carry_no_record(self, domain):
+    @pytest.mark.parametrize("name", ("hardy2", "dirichlet2"))
+    def test_derived_symbols_carry_no_record(self, name):
+        domain = SCALED_SPACES[name][0]
         phi = random_contractive_symbol(np.random.default_rng(6), domain, 1, 2, 5)
         assert phi.contractivity_record is not None
         for other in (phi.scaled(1.0), slice_symbol(phi, 0), lift_scalar_symbol(phi, 2)):
             assert other.contractivity_record is None
 
-    def test_forced_symbols_carry_the_direct_sum_record(self):
-        # a forced symbol draws its phase, then an inner symbol of size c - 1
-        for domain, key, constant_key, kind in (
-            (DIRICHLET2, (DIRICHLET2, 7, 2), (DIRICHLET2, 5, 1), "padded_truncation"),
-            (HARDY2, "polydisc", "polydisc", "realization"),
-        ):
-            rng = np.random.default_rng(6)
-            u = complex(np.exp(2j * np.pi * rng.uniform()))
-            inner = random_contractive_symbol(rng, domain, 1, 2, 5)
-            r = inner.contractivity_record[1].bound
-            forced, constant = (
-                random_contractive_symbol(
-                    np.random.default_rng(6), domain, c, 2, 5, unitary_constant=True
-                )
-                for c in (2, 1)
-            )
-            assert forced.contractivity_record == (key, (kind, max(abs(u), r)))
-            assert constant.contractivity_record == (constant_key, (kind, abs(u)))
 
-    @pytest.mark.parametrize("domain", PADDED_SPACES + COVERED_SPACES, ids=lambda d: repr(d)[:40])
+class TestRealizationRecord:
+    @pytest.mark.parametrize("name", ("hardy2", "dirichlet2", "custom-ball"))
+    def test_forced_symbols_carry_the_direct_sum_record(self, name):
+        # a forced symbol draws its phase, then an inner symbol of size c - 1
+        domain = SCALED_SPACES[name][0]
+        rng = np.random.default_rng(6)
+        u = complex(np.exp(2j * np.pi * rng.uniform()))
+        inner = random_contractive_symbol(rng, domain, 1, 2, 5)
+        r = inner.contractivity_record[1].bound
+        forced, constant = (
+            random_contractive_symbol(np.random.default_rng(6), domain, c, 2, 5, unitary_constant=True)
+            for c in (2, 1)
+        )
+        assert inner.contractivity_record[0] == _key(name)
+        assert forced.contractivity_record == (_key(name), ("realization", max(abs(u), r)))
+        assert constant.contractivity_record == (_key(name), ("realization", abs(u)))
+
+    @pytest.mark.parametrize("name", SCALED_SPACES)
     @pytest.mark.parametrize("c", (1, 2, 3))
-    def test_forced_records_bound_the_dense_norm(self, monkeypatch, domain, c):
-        # the padded record is the dense norm; a realization's is a bound of it
+    def test_forced_records_bound_the_dense_norm(self, monkeypatch, name, c):
+        domain = SCALED_SPACES[name][0]
         d_max = 3
-        phis = purity_module._random_symbols(np.random.default_rng(c), domain, c, 2, d_max, 0, 4)
+        phis = purity_module._random_symbols(np.random.default_rng(c), domain, c, 2, 0, 4)
         for phi in phis:
             padded = basis_for(domain, d_max + phi.degree, c)
             dense = dense_multiplier(padded.index_table, padded.norms, c, phi.terms)
             norm = np.linalg.svd(dense, compute_uv=False)[0]
             key, cert = phi.contractivity_record
-            # the record is exact; the dense SVD carries its rounding, of order dim * eps
-            if domain in PADDED_SPACES:
-                assert key == (domain, d_max + phi.degree, c) and cert.kind == "padded_truncation"
-                assert abs(cert.bound - norm) <= padded.dim * EPS
-            else:
-                assert key == _geometry(domain) and cert.kind == "realization"
-                assert norm <= cert.bound + padded.dim * EPS
-        monkeypatch.setattr(purity_module, "_opnorms", pytest.fail)
-        monkeypatch.setattr(purity_module, "_weighted_shift", pytest.fail)
+            # the dense SVD carries its rounding, of order dim * eps
+            assert key == _key(name) and cert.kind == "realization"
+            assert norm <= cert.bound + padded.dim * EPS
+        _take_no_norm(monkeypatch)
         stacked = purity_module._purity_verdicts(phis, domain, d_max)
         for phi, rep in zip(phis, stacked):
             assert rep == multiplier_purity_verdict(phi, domain, d_max)
             assert rep.contractivity == phi.contractivity_record[1]
             assert rep.verdict == "not_pure"
 
-
-class TestRealizationRecord:
-    @pytest.mark.parametrize("domain", COVERED_SPACES, ids=lambda d: repr(d)[:40])
-    def test_verdict_on_v_d_with_no_norm(self, monkeypatch, domain):
+    @pytest.mark.parametrize("name", SCALED_SPACES)
+    def test_verdict_on_v_d_with_no_norm(self, monkeypatch, name):
+        domain = SCALED_SPACES[name][0]
         d_max = 4
-        phis = purity_module._random_symbols(np.random.default_rng(1), domain, 2, 2, d_max, 3, 2)
+        phis = purity_module._random_symbols(np.random.default_rng(1), domain, 2, 2, 3, 2)
         real = purity_module.basis_for
         caps = []
 
@@ -380,54 +405,84 @@ class TestRealizationRecord:
             return real(dom, cap, c)
 
         monkeypatch.setattr(purity_module, "basis_for", recording)
-        monkeypatch.setattr(purity_module, "_opnorms", pytest.fail)
-        monkeypatch.setattr(purity_module, "_weighted_shift", pytest.fail)
+        _take_no_norm(monkeypatch)
         for phi, rep in zip(phis, purity_module._purity_verdicts(phis, domain, d_max)):
             assert rep.contractivity == phi.contractivity_record[1]
             assert rep.contractivity.kind == "realization"
         assert set(caps) == {d_max}
 
     @pytest.mark.parametrize(
-        "source, domain",
-        [(HARDY2, d) for d in PADDED_SPACES[:3]]
-        + [(BallDomain(drury_arveson(2)), CUSTOM_BALL), (HARDY2, BallDomain(drury_arveson(2)))]
-        + [(BallDomain(drury_arveson(2)), HARDY2)],
-        ids=lambda d: repr(d)[:40],
+        "source, target",
+        [
+            ("hardy2", "dirichlet2"),
+            ("hardy2", "dirichlet-hardy"),
+            ("hardy2", "wbergman1.5"),
+            ("wbergman1.5", "wbergman1.9"),
+            ("dirichlet2", "custom1d"),
+            ("da2", "custom-ball"),
+            ("hardy2", "da2"),
+            ("da2", "hardy2"),
+            ("custom-ball", "dirichlet2"),
+        ],
     )
-    def test_record_is_ignored_where_it_does_not_hold(self, monkeypatch, source, domain):
-        # uncovered kernels, and a realization of the other geometry
-        phi = random_contractive_symbol(np.random.default_rng(2), source, 1, 2, 4)
+    def test_record_is_ignored_where_it_does_not_hold(self, monkeypatch, source, target):
+        # a smaller scale on some axis, or the other geometry
+        phi = random_contractive_symbol(np.random.default_rng(2), SCALED_SPACES[source][0], 1, 2, 4)
+        domain = SCALED_SPACES[target][0]
         calls = []
-        real = purity_module._opnorms
+        real = purity_module.opnorm
 
-        def counting(stack):
-            calls.append(len(stack))
-            return real(stack)
+        def counting(op):
+            calls.append(op.shape)
+            return real(op)
 
-        monkeypatch.setattr(purity_module, "_opnorms", counting)
+        monkeypatch.setattr(purity_module, "opnorm", counting)
+        padded = basis_for(domain, 6, 1)
         try:
             rep = multiplier_purity_verdict(phi, domain, 4)
         except NotContractiveError as exc:
             assert "padded multiplier norm" in str(exc)
         else:
-            padded = basis_for(domain, 6, 1)
             want = np.linalg.norm(multiplier_matrix(padded, phi).data, 2)
             assert rep.contractivity == ("padded_truncation", want)
-        assert calls == [1]
+        assert calls == [(padded.dim, padded.dim)]
 
-    def test_realization_bound_is_refused(self):
-        phis = purity_module._random_symbols(np.random.default_rng(5), HARDY2, 1, 2, 5, 3, 0)
+    @pytest.mark.parametrize(
+        "source, target",
+        [
+            ("dirichlet2", "hardy2"),
+            ("dirichlet2", "dirichlet-hardy"),
+            ("dirichlet-hardy", "hardy2"),
+            ("custom1d", "dirichlet2"),
+            ("wbergman1.9", "wbergman1.5"),
+            ("wbergman1.5", "bergman2"),
+            ("custom-ball", "h3b2"),
+        ],
+    )
+    def test_record_holds_where_every_scale_is_at_least_the_recorded_one(
+        self, monkeypatch, source, target
+    ):
+        phi = random_contractive_symbol(np.random.default_rng(2), SCALED_SPACES[source][0], 2, 2, 4)
+        _take_no_norm(monkeypatch)
+        rep = multiplier_purity_verdict(phi, SCALED_SPACES[target][0], 4)
+        assert rep.contractivity == phi.contractivity_record[1]
+
+    @pytest.mark.parametrize("name", ("hardy2", "dirichlet2"))
+    def test_realization_bound_is_refused(self, name):
+        domain = SCALED_SPACES[name][0]
+        phis = purity_module._random_symbols(np.random.default_rng(5), domain, 1, 2, 3, 0)
         key, cert = phis[1].contractivity_record
         phis[1].contractivity_record = (key, cert._replace(bound=1.5))
         with pytest.raises(NotContractiveError, match="realization norm bound") as single:
-            multiplier_purity_verdict(phis[1], HARDY2, 5)
+            multiplier_purity_verdict(phis[1], domain, 5)
         with pytest.raises(NotContractiveError) as stacked:
-            purity_module._purity_verdicts(phis, HARDY2, 5)
+            purity_module._purity_verdicts(phis, domain, 5)
         assert str(stacked.value) == str(single.value)
 
-    @pytest.mark.parametrize("domain", COVERED_SPACES[:1] + COVERED_SPACES[3:4], ids=_geometry)
+    @pytest.mark.parametrize("name", ("hardy2", "da2", "dirichlet2"))
     @pytest.mark.parametrize("c", (1, 3))
-    def test_degree_zero_is_one_colligations_a(self, domain, c):
+    def test_degree_zero_is_one_colligations_a(self, name, c):
+        domain = SCALED_SPACES[name][0]
         for seed in range(5):
             phi = random_contractive_symbol(np.random.default_rng(seed), domain, c, 0, 4)
             assert list(phi.terms) == [(0,) * domain.n]
@@ -438,18 +493,40 @@ class TestRealizationRecord:
             assert rep.verdict == "pure" and rep.contractivity.kind == "realization"
 
 
-# the covered families of the dense gate: Hardy, Bergman and weighted Bergman
-# alpha = 1/2 polydiscs and the H_1, H_2, H_3 balls, at n = 2 and n = 3
-DENSE_GATE = [
-    (PolydiscDomain((spec,) * n), d_max)
-    for n, d_max in ((2, 8), (3, 5))
-    for spec in (hardy(), bergman(), weighted_bergman(0.5))
-] + [(BallDomain(hm_ball(n, m)), d_max) for n, d_max in ((2, 8), (3, 5)) for m in (1, 2, 3)]
+# The dense gate, (domain, D, q per axis): every one-variable family at n = 2,
+# D = 8 and n = 3, D = 5, Dirichlet x Hardy, the H_1, H_2, H_3 balls at both
+# sizes, and the custom ball
+DENSE_GATE = (
+    [
+        (PolydiscDomain((spec,) * n), d_max, (q,) * n)
+        for n, d_max in ((2, 8), (3, 5))
+        for spec, q in (
+            (hardy(), 1.0),
+            (bergman(), 1.0),
+            (weighted_bergman(0.5), 1.0),
+            (dirichlet(), 0.5),
+            (weighted_bergman(1.5), 0.5),
+            (weighted_bergman(1.9), 2 - 1.9),
+            (CUSTOM_1D, 0.25),
+        )
+    ]
+    + [(SCALED_SPACES["dirichlet-hardy"][0], 8, (0.5, 1.0))]
+    + [(BallDomain(hm_ball(n, m)), d_max, (1.0,) * n) for n, d_max in ((2, 8), (3, 5)) for m in (1, 2, 3)]
+    + [(CUSTOM_BALL, 8, (0.5, 0.5))]
+)
+
+
+def _boundary_points(domain):
+    # ||M_Phi|| >= sup ||Phi||, the max over the torus or the sphere
+    if isinstance(domain, PolydiscDomain):
+        return torus_grid(64 if domain.n == 2 else 16, domain.n)
+    return sphere_points(np.random.default_rng(0), 4096, domain.n)
 
 
 class TestRealizedSymbols:
-    @pytest.mark.parametrize("domain, d_max", DENSE_GATE, ids=lambda v: repr(v)[:48])
-    def test_oracle_terms_and_contractive_compressions(self, domain, d_max):
+    @pytest.mark.parametrize("domain, d_max, scales", DENSE_GATE, ids=lambda v: repr(v)[:48])
+    def test_oracle_terms_and_contractive_compressions(self, domain, d_max, scales):
+        points = _boundary_points(domain)
         for seed in range(20):
             c = 1 + seed % 3
             forced = seed % 5 == 4
@@ -457,26 +534,26 @@ class TestRealizedSymbols:
                 np.random.default_rng(seed), domain, c, 2, d_max, unitary_constant=forced
             )
             terms, bound = realized_symbol_oracle(
-                np.random.default_rng(seed), _geometry(domain), domain.n, c, 2, forced
+                np.random.default_rng(seed), _geometry(domain), domain.n, c, 2, forced, scales
             )
             assert set(phi.terms) == set(terms)
             for alpha, mat in terms.items():
                 np.testing.assert_allclose(phi.terms[alpha], mat, rtol=0, atol=1e-14)
-            assert phi.contractivity_record == (_geometry(domain), ("realization", bound))
+            assert phi.contractivity_record == ((_geometry(domain), scales), ("realization", bound))
             basis = basis_for(domain, d_max, c)
             dense = dense_multiplier(basis.index_table, basis.norms, c, phi.terms)
             norm = np.linalg.svd(dense, compute_uv=False)[0]
             assert norm <= 1.0 + basis.dim * EPS
             assert norm <= bound + basis.dim * EPS
+            assert sampled_sup_norm(phi.terms, points) <= 1.0 + 1e-12
 
 
-# (domain, symbol degree, d_max): the covered and the padded spaces at
-# degree 2, constant symbols on both routes, and a symbol of degree above
-# the cap on one variable
-STACK_CASES = [(domain, 2, 3) for domain in COVERED_SPACES + PADDED_SPACES] + [
-    (HARDY2, 0, 3),
-    (DIRICHLET2, 0, 3),
-    (HARDY1, 4, 2),
+# (space, symbol degree, d_max): every family at degree 2, constant symbols,
+# and a symbol of degree above the cap on one variable
+STACK_CASES = [(SCALED_SPACES[name], 2, 3) for name in SCALED_SPACES] + [
+    (SCALED_SPACES["hardy2"], 0, 3),
+    (SCALED_SPACES["dirichlet2"], 0, 3),
+    ((HARDY1, (1.0,)), 4, 2),
 ]
 
 
@@ -485,57 +562,38 @@ class TestStackedSweep:
     @pytest.mark.parametrize("count, forced", ((4, 0), (2, 3)), ids=("plain", "plain+forced"))
     @pytest.mark.parametrize("c", (1, 2, 3))
     @pytest.mark.parametrize(
-        "domain, degree, d_max", STACK_CASES, ids=lambda v: repr(v)[:40]
+        "space, degree, d_max", STACK_CASES, ids=lambda v: repr(v)[:40]
     )
     def test_stack_equals_single_calls_bit_for_bit(
-        self, monkeypatch, domain, degree, d_max, c, count, forced, one_matrix_chunks
+        self, monkeypatch, space, degree, d_max, c, count, forced, one_matrix_chunks
     ):
+        domain, scales = space
         if one_matrix_chunks:
             monkeypatch.setattr(spaces_module, "_STACK_BYTES", 1)
         rngs = [np.random.default_rng(77) for _ in range(3)]
-        stacked = purity_module._random_symbols(rngs[0], domain, c, degree, d_max, count, forced)
+        stacked = purity_module._random_symbols(rngs[0], domain, c, degree, count, forced)
         singles = [
             random_contractive_symbol(rngs[1], domain, c, degree, d_max, unitary_constant=k >= count)
             for k in range(count + forced)
         ]
         assert len(stacked) == count + forced
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
-        padded = basis_for(domain, d_max + degree, 1)
         reports = purity_module._purity_verdicts(stacked, domain, d_max)
         for k, (phi, single, rep) in enumerate(zip(stacked, singles, reports)):
             assert list(phi.terms) == list(single.terms)
             for beta, mat in phi.terms.items():
                 assert mat.tobytes() == single.terms[beta].tobytes()
-            if domain in PADDED_SPACES:
-                # the oracle assembles the same entries, so it agrees bit for bit
-                terms, record = random_symbol_oracle(
-                    rngs[2], padded.index_table, padded.norms, c, degree, forced=k >= count
-                )
-                assert list(phi.terms) == list(terms)
-                for beta, mat in phi.terms.items():
-                    assert mat.tobytes() == terms[beta].tobytes()
-            else:
-                # the oracle writes E(e_i) out, so its products round differently
-                terms, record = realized_symbol_oracle(
-                    rngs[2], _geometry(domain), domain.n, c, degree, forced=k >= count
-                )
-                assert set(phi.terms) == set(terms)
-                for beta, mat in terms.items():
-                    np.testing.assert_allclose(phi.terms[beta], mat, rtol=0, atol=1e-14)
+            # the oracle writes E(e_i) out, so its products round differently
+            terms, record = realized_symbol_oracle(
+                rngs[2], _geometry(domain), domain.n, c, degree, k >= count, scales
+            )
+            assert set(phi.terms) == set(terms)
+            for beta, mat in terms.items():
+                np.testing.assert_allclose(phi.terms[beta], mat, rtol=0, atol=1e-14)
             assert phi.contractivity_record == single.contractivity_record
-            assert phi.contractivity_record[1].bound == record
+            assert phi.contractivity_record == ((_geometry(domain), scales), ("realization", record))
             assert rep == multiplier_purity_verdict(single, domain, d_max)
         assert rngs[0].bit_generator.state == rngs[2].bit_generator.state
-
-    def test_recorded_norm_is_refused_inside_a_stack(self):
-        phis = purity_module._random_symbols(np.random.default_rng(5), DIRICHLET2, 1, 2, 5, 3, 0)
-        key, cert = phis[1].contractivity_record
-        phis[1].contractivity_record = (key, cert._replace(bound=1.5))
-        with pytest.raises(NotContractiveError) as single:
-            multiplier_purity_verdict(phis[1], DIRICHLET2, 5)
-        with pytest.raises(NotContractiveError) as stacked:
-            purity_module._purity_verdicts(phis, DIRICHLET2, 5)
-        assert str(stacked.value) == str(single.value)
 
     def test_computed_norm_is_refused_inside_a_stack(self):
         phis = [scalar_symbol(2, {(0, 0): v, (1, 0): 0.1}) for v in (0.3, 1.5, 0.2)]
@@ -546,10 +604,15 @@ class TestStackedSweep:
         assert str(stacked.value) == str(single.value)
 
     @pytest.mark.parametrize(
-        "domain, cap", ((DIRICHLET2, 6), (HARDY2, 4)), ids=("padded", "realization")
+        "name, recorded, cap",
+        (("dirichlet2", True, 4), ("hardy2", True, 4), ("dirichlet2", False, 6)),
+        ids=("dirichlet", "hardy", "config-symbols"),
     )
-    def test_every_call_certifies_each_support_once(self, monkeypatch, domain, cap):
-        phis = purity_module._random_symbols(np.random.default_rng(8), domain, 2, 2, 4, 3, 2)
+    def test_every_call_certifies_each_support_once(self, monkeypatch, name, recorded, cap):
+        domain = SCALED_SPACES[name][0]
+        phis = purity_module._random_symbols(np.random.default_rng(8), domain, 2, 2, 3, 2)
+        if not recorded:
+            phis = [MultiplierSymbol(phi.n, phi.coeff_dim, phi.terms) for phi in phis]
         real = purity_module._shift_map
         seen = []
 
@@ -558,8 +621,8 @@ class TestStackedSweep:
             return real(basis, beta)
 
         monkeypatch.setattr(purity_module, "_shift_map", counting)
-        # plain and forced symbols share one support, on the padded V_6 for
-        # Dirichlet and on V_4 itself for the Hardy realizations
+        # plain and forced symbols share one support, on V_4 itself for
+        # realizations and on the padded V_6 for symbols with no record
         support = [(cap, beta) for beta in phis[0].terms]
         for _ in range(2):
             seen.clear()

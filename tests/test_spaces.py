@@ -415,6 +415,6 @@ class TestSymbols:
     def test_symbol_from_equal_terms_carries_no_record(self):
         phi = MultiplierSymbol(1, 1, {(0,): [[0.5]]})
         assert phi.contractivity_record is None
-        phi.contractivity_record = ("polydisc", ("realization", 0.5))
+        phi.contractivity_record = (("polydisc", (1.0,)), ("realization", 0.5))
         assert MultiplierSymbol(phi.n, phi.coeff_dim, phi.terms).contractivity_record is None
         assert phi.scaled(1.0).contractivity_record is None
