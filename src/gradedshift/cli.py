@@ -6,11 +6,12 @@ scenarios with expected exit codes and writes per-scenario reports plus an
 aggregate JSON and a CSV summary.
 
 Exit codes: 0 all properties pass, 1 a certified property was violated,
-2 invalid input (including typed refusals).  Reports are deterministic for a
-fixed config, seed, and version; the top-level ``timing`` key is the only
-field excluded from golden comparisons.  Configs give complex numbers as
-``[re, im]`` pairs and matrices as row-major nested arrays of such pairs;
-no report serialises a matrix.
+2 invalid input (including typed refusals, and a ``MemoryError`` for a size
+numpy cannot allocate, which ends in an error report too).  Reports are
+deterministic for a fixed config, seed, and version; the top-level
+``timing`` key is the only field excluded from golden comparisons.  Configs
+give complex numbers as ``[re, im]`` pairs and matrices as row-major nested
+arrays of such pairs; no report serialises a matrix.
 
 Reports, ``suite_report.json`` and ``suite_summary.csv`` are overwritten in
 place and then cut to the length of what was written; missing parent
@@ -77,7 +78,6 @@ from .operators import multiplier_matrix, opnorm, orbit_frame, shift_tuple, wand
 from .purity import (
     _purity_verdicts,
     _random_symbols,
-    adjoint_compression,
     basis_for,
     decay_curve,
     multiplier_purity_verdict,
@@ -86,7 +86,7 @@ from .spaces import BallDomain, Domain, MultiplierSymbol, PolydiscDomain, Trunca
 
 __all__ = ["ScenarioConfig", "RunReport", "run_scenario", "run_suite", "main"]
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 OUT_DIR_ENV = "GRADEDSHIFT_OUT_DIR"
 
 DEFAULT_TOLERANCES: Dict[str, Dict[str, float]] = {
@@ -460,7 +460,6 @@ def _run_purity(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
         "mode": "single",
         "verdict": rep.verdict,
         "phi0_rho": rep.phi0_rho,
-        "per_degree_rho": [rep.per_degree_rho[d] for d in range(d_max + 1)],
         "contractivity": rep.contractivity._asdict(),
         "near_boundary": rep.near_boundary,
     }
@@ -589,7 +588,6 @@ def _run_colligation(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
         "jet_degree": d_max,
         "rho_a": rep.phi0_rho,
         "verdict": rep.verdict,
-        "per_degree_rho": [rep.per_degree_rho[d] for d in range(d_max + 1)],
     }
     ok = max_norm <= 1.0 + transfer_tol
     return payload, ok
@@ -599,8 +597,7 @@ def _run_decay(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     domain = build_domain(config.space)
     basis = basis_for(domain, config.space["degree_cap"], config.space.get("coeff_dim", 1))
     phi = _require_symbol(config)
-    comp = adjoint_compression(phi, basis)
-    curve = decay_curve(comp, _default_vector(basis), config.m_max, config.tol("contraction_tol"))
+    curve = decay_curve(phi, basis, _default_vector(basis), config.m_max, config.tol("contraction_tol"))
     slack = config.tol("monotone_tol")
     nonincreasing = all(curve[i + 1] <= curve[i] + slack for i in range(len(curve) - 1))
     return {"curve": curve, "nonincreasing": nonincreasing}, nonincreasing
@@ -750,6 +747,8 @@ def _run_config_file(
     report carries the config's task and the code is 2.  Numerical
     breakdowns (``LinAlgError``, ``FloatingPointError``, e.g. after a finite
     symbol entry overflows during assembly) give an error report and 1.
+    A ``MemoryError`` (a schema-valid size whose arrays numpy cannot
+    allocate, e.g. a sweep ``count`` of 10**15) gives an error report and 2.
     """
     start = time.perf_counter()
     scenario_id = Path(path).stem
@@ -769,7 +768,7 @@ def _run_config_file(
     except (CertificationError, np.linalg.LinAlgError, FloatingPointError) as exc:
         report = _error_report(scenario_id, task, seed, exc, time.perf_counter() - start)
         return report, 1
-    except (InvalidInputError, json.JSONDecodeError, OSError, KeyError) as exc:
+    except (InvalidInputError, json.JSONDecodeError, OSError, KeyError, MemoryError) as exc:
         report = _error_report(scenario_id, task, seed, exc, time.perf_counter() - start)
         return report, 2
 

@@ -24,7 +24,7 @@ J_beta (x) Phi_beta.  Write Phi = Phi_0 + z_p Phi_1.
   T (x) Phi_1^* Phi_0 + T^* (x) Phi_0^* Phi_1, with T a compressed shift
   of norm <= 1, so its norm is at most ||Phi_0^* Phi_0 + Phi_1^* Phi_1 -
   I|| + 2 ||Phi_0^* Phi_1||.  On the full space the same sum gives
-  ||M_Phi||^2 <= 1 + that bound, so contractivity needs no padded norm.
+  ||M_Phi||^2 <= 1 + that bound, so contractivity needs no other bound.
 - A coordinate shift is J_(e_i) (x) I: it commutes with every M_Phi and is
   isometric on its exact columns, so it adds exactly 0.
 
@@ -307,7 +307,7 @@ def _bcl_certificates(
     needs every Hardy norm to be exactly 1.0 (else ``CertificationError``).
     A z_p coefficient that is exactly 0 (U P at P = 0) makes that symbol
     constant.  The defect bound certifies contractivity, so the 2k purity
-    verdicts come from one stacked call that takes no padded norm.
+    verdicts come from one stacked call that checks no other bound.
     """
     if n < 2:
         raise InvalidInputError("dilation tuple needs n >= 2")
@@ -378,8 +378,8 @@ def schur_agler_purity(c: Colligation, degree_cap: int, tol: float = 1e-8) -> Pu
     The verdict is jet-certified to the stated degree: compression spectra
     at degrees <= D depend only on coefficients <= D, so they are exact for
     the rational symbol.  The jet polynomial itself need not be a
-    contractive multiplier, so it is certified on V_D with no padded norm,
-    and ``phi0_rho`` is rho(A), the jet's constant term being A.
+    contractive multiplier, so it is certified on V_D with no contractivity
+    bound, and ``phi0_rho`` is rho(A), the jet's constant term being A.
     """
     jet = transfer_jet(c, degree_cap)
     domain = PolydiscDomain((hardy(),) * c.n_vars)

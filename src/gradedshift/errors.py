@@ -56,7 +56,9 @@ class NotLeftInvertibleError(InvalidInputError):
 
 
 class NotContractiveError(InvalidInputError):
-    """Symbol or operator fails its contractivity precondition."""
+    """A symbol fails its contractivity precondition, a certified upper bound
+    ||M_Phi|| <= 1 + tol (a realization record, or the block coefficient
+    bound of :mod:`gradedshift.purity`)."""
 
 
 class NotCnpError(InvalidInputError):

@@ -22,16 +22,14 @@ the paper's (i) <=> (ii).  A map that breaks the structure raises
 per-degree ``eigvals`` run only as a cross-check (``tests/oracles.py``): on
 non-normal block-triangular matrices they are evidence, not proof.
 
-The certificate reads only a symbol's support and the basis, never its
-coefficients, so a call that takes a stack of symbols on one space (a
-sweep) certifies each distinct support once per call; no outcome is
-cached across calls.  A sweep draws its colligations as one stack and
-norms them with one batched SVD, and takes every rho(Phi(0)) from one
-batched ``eigvals``; its results equal those of one-symbol calls bit for
-bit.
+The certificate reads only a symbol's support and the basis, so a sweep
+certifies each distinct support once per call; nothing is cached across
+calls.  A sweep norms its colligations with one batched SVD and takes
+every rho(Phi(0)) from one batched ``eigvals``; its results equal those of
+one-symbol calls bit for bit.
 
 A verdict needs ||M_Phi|| <= 1, and takes it from a contractivity
-certificate of one of two kinds.
+certificate of one of two kinds, with no norm of a matrix on V_D.
 
 Realization.  Every sweep symbol of degree d is a product Phi_1 ... Phi_d
 of transfer functions Phi_k(z) = A + B E(z) C of colligations U_k =
@@ -60,27 +58,33 @@ the Szego kernel (Agler 1990) or the Drury-Arveson kernel
 weighted Bergman with alpha <= 1 and H_m(B_n) have q = 1, Dirichlet has q
 = 1/2 and weighted Bergman with alpha in (1, 2) has q = 2 - alpha.  A
 custom kernel's q is read off its given coefficients, so the argument
-holds for the kernel continued past them at a ratio >= q.  The unitary
-dilation of U_k need not be formed.  M_(Phi Psi) = M_Phi M_Psi, so
-||M_Phi|| <= prod_k r_k, the bound the symbol records together with its
-geometry and scales.  Degree 0 is the constant A of one colligation, ||A||
-<= r.  The record holds on a space of the same geometry whose q is at
-least the recorded one on every axis (a ball realization need not be
-contractive on a polydisc); the verdict then certifies on V_D with no
-padded basis and no norm.
+holds for the kernel continued past them at a ratio >= q.  M_(Phi Psi) =
+M_Phi M_Psi, so ||M_Phi|| <= prod_k r_k, the bound the symbol records with
+its geometry and scales.  Degree 0 is the constant A of one colligation.
+The record holds on a space of the same geometry whose q is at least the
+recorded one on every axis (a ball realization need not be contractive on
+a polydisc).  A slice z_i := 0 keeps the record with q_i dropped: it is the
+transfer function of U_k with the blocks of axis i (on a ball, of
+coordinate i) cut out, a compression of norm <= r_k.
 
-Padded truncation.  A symbol with no record that holds (config-given
-symbols, and symbols derived by slicing, lifting or scaling) is checked on
-a padded truncation (degree D_max + deg Phi) as a surrogate for the
-multiplier norm: the SVD of the padded matrix.
+Coefficient bound.  A symbol with no record that holds (from a config, or
+scaled or lifted) is bounded through its coefficients.  ||z_i^m||^2 = 1/c_m
+on a polydisc factor, so ||M_(z_i)||^2 = sup_m c_m / c_(m+1) <= 1/q_i; on
+a ball ||z^(alpha+e_i)||^2 / ||z^alpha||^2 = (alpha_i + 1) / (|alpha| + 1)
+a_j / a_(j+1) <= 1/q, j = |alpha|.  The M_(z_i) commute, so ||M_Phi|| <=
+sum_alpha ||Phi_alpha|| prod_i q_i^(-alpha_i / 2).  If the coefficients
+vanish off the diagonal blocks of a partition of the coefficient
+directions, M_Phi is a permutation of the direct sum of the blocks'
+multipliers, whose norm is the largest block norm.  So ``coefficient_sum``
+is the largest such sum over the connected components of Phi's
+coefficient pattern: diag(1, z) gets 1, not 2.  It needs no basis and no
+SVD larger than a block.  A norm on a truncation could not serve: it is a
+compression norm, a lower bound on ||M_Phi||.
 
-Either bound meets the ``NotContractiveError`` refusal.  A forced
-(non-pure) sweep symbol blockdiag(u, Phi_inner) with |u| = 1 records
-max(|u|, r), r the record of Phi_inner: the beta = 0 shift map is the
-identity with weight exactly 1.0, so on every truncation (and on the whole
-space) M_Phi is a permutation of u I (+) M_inner; for coeff_dim = 1 it is
-the constant u and records |u|.  No forced symbol is assembled or normed
-at full size.  The jet of a transfer function need not be contractive; it
+Either bound meets the ``NotContractiveError`` refusal.  A forced sweep
+symbol u (+) Phi_inner with |u| = 1 records max(|u|, r), r the record of
+Phi_inner, by the direct-sum argument (for coeff_dim = 1, the constant u
+records |u|).  The jet of a transfer function need not be contractive; it
 is certified on V_D itself, with no norm.
 """
 
@@ -89,7 +93,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -149,16 +153,18 @@ def adjoint_compression(phi: MultiplierSymbol, basis: TruncatedBasis) -> Operato
 
 
 def decay_curve(
-    t: Union[OperatorMatrix, np.ndarray],
+    phi: MultiplierSymbol,
+    basis: TruncatedBasis,
     h: np.ndarray,
     m_max: int,
     tol: float = 1e-10,
 ) -> List[float]:
-    """(||T^m h||)_{m=0..m_max} for a contraction T; nonincreasing by construction."""
-    a = t.data if isinstance(t, OperatorMatrix) else np.asarray(t, dtype=complex)
-    norm = opnorm(a)
-    if norm > 1.0 + tol:
-        raise NotContractiveError(f"operator norm {norm:.12f} exceeds 1 + {tol}")
+    """(||A^m h||)_{m=0..m_max}, A the compression of M_Phi^* to V_D, with
+    Phi certified as a purity verdict certifies it.  A restricts M_Phi^* (V_D
+    is invariant), so ||A|| <= ||M_Phi|| <= 1 + tol and the curve does not
+    rise beyond that slack."""
+    _contractivity(phi, basis.domain, tol)
+    a = adjoint_compression(phi, basis).data
     v = np.asarray(h, dtype=complex).reshape(-1)
     curve = [float(np.linalg.norm(v))]
     for _ in range(m_max):
@@ -169,8 +175,8 @@ def decay_curve(
 
 # The kinds of contractivity certificate (see the module docstring)
 REALIZATION = "realization"
-PADDED = "padded_truncation"
-_BOUND_NAMES = {REALIZATION: "realization norm bound", PADDED: "padded multiplier norm"}
+COEFFICIENT_SUM = "coefficient_sum"
+_BOUND_NAMES = {REALIZATION: "realization norm bound", COEFFICIENT_SUM: "coefficient bound"}
 
 
 class Contractivity(NamedTuple):
@@ -182,19 +188,16 @@ class Contractivity(NamedTuple):
 
 @dataclass
 class PurityReport:
-    """Spectral radii of the adjoint compression at every degree vs rho(Phi(0)).
+    """The purity verdict of a symbol on V_D.
 
-    Every ``per_degree_rho[d]`` is ``phi0_rho``, by the structural
-    certificate (see the module docstring).  verdict is "pure" iff phi0_rho
-    < 1 - tol and "not_pure" otherwise.  ``near_boundary``
-    flags spectra within tol of 1 (indeterminate at tolerance) without
-    reclassifying them.  ``contractivity`` is the bound the verdict
-    checked: a realization's recorded product bound where it holds, else
-    the padded-truncation norm (the SVD of the padded matrix), or None for
-    a jet.
+    ``phi0_rho`` is rho(Phi(0)), by the structural certificate the spectral
+    radius of the adjoint compression at every degree <= D; verdict is
+    "pure" iff phi0_rho < 1 - tol.  ``near_boundary`` flags spectra within
+    tol of 1 without reclassifying them.  ``contractivity`` is the upper
+    bound on ||M_Phi|| the verdict checked (a realization record where it
+    holds, else the block coefficient bound), or None for a jet.
     """
 
-    per_degree_rho: Dict[int, float]
     phi0_rho: float
     verdict: str
     tol: float
@@ -231,15 +234,36 @@ def _realization_scales(domain: Domain) -> Tuple[float, ...]:
     return (q,) * domain.n
 
 
-def _recorded(phi: MultiplierSymbol, domain: Domain) -> Optional[Contractivity]:
-    """The realization bound ``phi`` recorded, where it holds on ``domain``:
-    the same geometry, with scales at least the recorded ones on every
-    axis; else None."""
-    if phi.contractivity_record is None:
-        return None
-    (kind, scales), cert = phi.contractivity_record
-    holds = kind == domain.kind and all(map(operator.ge, _realization_scales(domain), scales))
-    return cert if holds else None
+def _coefficient_bound(phi: MultiplierSymbol, domain: Domain) -> float:
+    """The largest sum_alpha ||Phi_alpha|| prod_i q_i^(-alpha_i / 2) over
+    the blocks of Phi's coefficient pattern (see the module docstring):
+    one batched SVD of each block's weighted coefficients."""
+    if not phi.terms:
+        return 0.0
+    scales = _realization_scales(domain)
+    weights = [math.prod(q ** (-a / 2) for q, a in zip(scales, alpha)) for alpha in phi.terms]
+    stack = np.array(weights)[:, None, None] * np.array(list(phi.terms.values()))
+    # i ~ j where some coefficient links them, closed by repeated squaring
+    linked = np.any(stack != 0, axis=0) | np.eye(phi.coeff_dim, dtype=bool)
+    linked |= linked.T
+    while not np.array_equal(wider := linked @ linked, linked):
+        linked = wider
+    # each block once, as the row of its first direction
+    blocks = (np.flatnonzero(row) for i, row in enumerate(linked) if row.argmax() == i)
+    return max(float(_opnorms(stack[:, idx[:, None], idx]).sum()) for idx in blocks)
+
+
+def _contractivity(phi: MultiplierSymbol, domain: Domain, tol: float) -> Contractivity:
+    """The bound on ||M_Phi|| that a verdict or a decay curve checks: the
+    realization ``phi`` recorded, where it holds on ``domain`` (the same
+    geometry, with scales at least the recorded ones on every axis), else
+    the coefficient bound.  ``NotContractiveError`` if it is above 1 + tol."""
+    (kind, scales), cert = phi.contractivity_record or ((None, ()), None)
+    if kind != domain.kind or not all(map(operator.ge, _realization_scales(domain), scales)):
+        cert = Contractivity(COEFFICIENT_SUM, _coefficient_bound(phi, domain))
+    if cert.bound > 1.0 + tol:
+        raise NotContractiveError(f"{_BOUND_NAMES[cert.kind]} {cert.bound:.12f} exceeds 1 + {tol}")
+    return cert
 
 
 def _certify_degree_structure(basis: TruncatedBasis, support: Sequence[MultiIndex]) -> None:
@@ -285,13 +309,10 @@ def _purity_verdicts(
     """Purity verdicts of symbols on one space (one n and coeff_dim), each
     equal to its own :func:`multiplier_purity_verdict` bit for bit.
 
-    A symbol whose recorded realization holds here is certified on V_D_max
-    with its recorded bound.  Each other symbol takes the SVD norm of its
-    own matrix on the padded truncation V_(D_max + deg Phi).  In symbol
-    order, each bound meets the ``NotContractiveError`` refusal and each
-    (basis, support) not yet seen in this call is certified on the shift
-    maps; nothing is cached across calls.  The Phi(0) spectra come from one
-    batched ``eigvals``.
+    In symbol order, each symbol's bound (:func:`_contractivity`) meets
+    the refusal, and each support not yet seen in this call is certified on
+    the shift maps of V_D_max.  The Phi(0) spectra come from one batched
+    ``eigvals``.
 
     ``check_contractive=False`` certifies on V_D_max and takes no norm;
     ``contractivity`` is then None.  Its callers are
@@ -301,44 +322,27 @@ def _purity_verdicts(
     """
     if not phis:
         return []
-    c = phis[0].coeff_dim
-    # (degree cap of the certifying basis, support) of each symbol
-    keys: List[Tuple[int, Tuple[MultiIndex, ...]]] = []
-    certs: List[Optional[Contractivity]] = []
     for phi in phis:
         if phi.n != domain.n:
             raise InvalidInputError(f"symbol has n={phi.n}, basis has n={domain.n}")
-        cap, cert = d_max, None
-        if check_contractive:
-            cert = _recorded(phi, domain)
-            if cert is None:
-                cap = d_max + phi.degree
-                norm = opnorm(multiplier_matrix(basis_for(domain, cap, c), phi))
-                cert = Contractivity(PADDED, norm)
-        keys.append((cap, tuple(phi.terms)))
-        certs.append(cert)
+    basis = basis_for(domain, d_max, phis[0].coeff_dim)
+    certs: List[Optional[Contractivity]] = []
     certified = set()
-    for cert, key in zip(certs, keys):
-        if cert is not None and cert.bound > 1.0 + tol:
-            name = _BOUND_NAMES[cert.kind]
-            raise NotContractiveError(f"{name} {cert.bound:.12f} exceeds 1 + {tol}")
-        if key not in certified:
-            _certify_degree_structure(basis_for(domain, key[0], c), key[1])
-            certified.add(key)
-    reports = []
-    for cert, rho in zip(certs, _phi0_radii(phis)):
-        rho = float(rho)
-        reports.append(
-            PurityReport(
-                per_degree_rho=dict.fromkeys(range(d_max + 1), rho),
-                phi0_rho=rho,
-                verdict="pure" if rho < 1.0 - tol else "not_pure",
-                tol=tol,
-                contractivity=cert,
-                near_boundary=abs(rho - 1.0) <= tol,
-            )
+    for phi in phis:
+        certs.append(_contractivity(phi, domain, tol) if check_contractive else None)
+        if tuple(phi.terms) not in certified:
+            _certify_degree_structure(basis, tuple(phi.terms))
+            certified.add(tuple(phi.terms))
+    return [
+        PurityReport(
+            phi0_rho=rho,
+            verdict="pure" if rho < 1.0 - tol else "not_pure",
+            tol=tol,
+            contractivity=cert,
+            near_boundary=abs(rho - 1.0) <= tol,
         )
-    return reports
+        for cert, rho in zip(certs, _phi0_radii(phis).tolist())
+    ]
 
 
 def multiplier_purity_verdict(
@@ -346,12 +350,11 @@ def multiplier_purity_verdict(
 ) -> PurityReport:
     """Purity verdict for a contractive polynomial symbol on a graded family.
 
-    The norm check takes the bound of a realization recorded by
-    :func:`random_contractive_symbol` where it holds on ``domain``, and
-    then certifies on V_D_max alone.  Otherwise it takes the SVD of the
-    matrix assembled on the padded truncation V_(D_max + deg Phi).  The
-    spectra come from the structural certificate and one eig of Phi(0).  This is the one-symbol case of the stacked verdict of a
-    sweep.
+    Contractivity is the realization recorded by
+    :func:`random_contractive_symbol` where it holds on ``domain``, else
+    the block coefficient bound: upper bounds on ||M_Phi|| that assemble no
+    matrix.  The spectra come from the structural certificate on V_D_max
+    and one eig of Phi(0).  This is the one-symbol case of a sweep.
     """
     (report,) = _purity_verdicts([phi], domain, d_max, tol)
     return report
@@ -468,11 +471,9 @@ def slice_purity_consistency(
 ) -> SliceConsistencyReport:
     """Purity verdict must be invariant under slicing an axis to zero.
 
-    ``axis=None`` checks every axis.  A slice carries no record, so it
-    takes the padded-truncation norm.  That norm cannot refuse a slice of a
-    symbol whose full-space norm passed: the sliced multiplier matrix is a
-    compression of the full one on the padded truncation, and a recorded
-    realization bound is at least the full-space norm.
+    ``axis=None`` checks every axis.  A slice keeps the realization record,
+    and its coefficient bound is at most the full symbol's (it drops
+    terms), so no slice of a symbol whose bound passed is refused.
     """
     if any(f.family != "hardy" for f in domain.factors):
         raise InvalidInputError("slice consistency is stated on Hardy polydiscs")
@@ -550,14 +551,8 @@ def _realized_symbols(
 
 
 def _with_unitary_constant(u: complex, inner: MultiplierSymbol) -> MultiplierSymbol:
-    """blockdiag(u, inner): the unimodular constant u on the first
-    coefficient direction, ``inner`` on the others.
-
-    It records max(|u|, r) where ``inner`` records r, under the same key.
-    The beta = 0 shift map is the identity with weight 1.0
-    (:func:`_certify_degree_structure`), so on every truncation M_Phi is a
-    permutation of u I (+) M_inner.
-    """
+    """blockdiag(u, inner), recording max(|u|, r) under the key of the
+    record r of ``inner``: M_Phi is a permutation of u I (+) M_inner."""
     c = inner.coeff_dim + 1
     terms: Dict[MultiIndex, np.ndarray] = {}
     for alpha, mat in inner.terms.items():
@@ -598,9 +593,8 @@ def _random_symbols(
     One ``standard_normal`` call draws the plain symbols' ``(count, f, 2,
     rows, cols)`` stack of colligations, f = max(degree, 1).  Then each
     forced symbol draws its phase and its inner symbol's stack of size c -
-    1.  A stack's colligations are normed together (see
-    :func:`_realized_symbols`); a forced symbol records its direct-sum
-    bound without a matrix of its own (see :func:`_with_unitary_constant`).
+    1.  A stack's colligations are normed together
+    (:func:`_realized_symbols`).
     """
     n = domain.n
     if degree < 0 or coeff_dim < 1:
@@ -650,12 +644,9 @@ def random_contractive_symbol(
 
     ``unitary_constant=True`` populates the non-pure branch: a contractive
     multiplier with unitary constant term is constant in the unitary
-    directions, so the symbol is blockdiag(unimodular constant u, random
-    contractive symbol on the remaining dims), drawn by the same rule, and
-    it records the exact norm max(|u|, r) of the direct sum u I (+)
-    M_inner, r the inner symbol's record; for coeff_dim = 1 it is the
-    constant u and records |u|.  This is the one-symbol case of a sweep's
-    stacked generator.
+    directions, so the symbol is blockdiag(unimodular u, a symbol drawn by
+    the same rule on the other dims), recording max(|u|, r); for coeff_dim
+    = 1 it is u.  This is the one-symbol case of a sweep's generator.
     """
     count, forced = (0, 1) if unitary_constant else (1, 0)
     (phi,) = _random_symbols(rng, domain, coeff_dim, degree, count, forced)

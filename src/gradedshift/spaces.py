@@ -375,7 +375,8 @@ class MultiplierSymbol:
     q_i its E(z) was drawn with; it holds on a domain of that kind whose
     scales are at least these on every axis (see :mod:`gradedshift.purity`).
     Only :func:`gradedshift.purity.random_contractive_symbol` and the
-    sweeps' generator set it.  Scaling, slicing, lifting and decoding build
+    sweeps' generator set it, and :func:`slice_symbol` keeps it with the
+    sliced axis's scale dropped.  Scaling, lifting and decoding build
     symbols without one.  The read-only coefficients keep it from going
     stale.
     """
@@ -469,7 +470,8 @@ def symbol_product(a: MultiplierSymbol, b: MultiplierSymbol) -> MultiplierSymbol
 
 
 def slice_symbol(phi: MultiplierSymbol, axis: int) -> MultiplierSymbol:
-    """The symbol with z_axis := 0, re-indexed on the remaining variables."""
+    """The symbol with z_axis := 0, re-indexed on the remaining variables; a
+    realization record is kept with that axis's scale dropped."""
     if not 0 <= axis < phi.n:
         raise InvalidInputError(f"axis {axis} out of range for n={phi.n}")
     if phi.n < 2:
@@ -480,4 +482,8 @@ def slice_symbol(phi: MultiplierSymbol, axis: int) -> MultiplierSymbol:
             continue
         beta = alpha[:axis] + alpha[axis + 1 :]
         terms[beta] = mat
-    return MultiplierSymbol(phi.n - 1, phi.coeff_dim, terms)
+    out = MultiplierSymbol(phi.n - 1, phi.coeff_dim, terms)
+    if phi.contractivity_record is not None:
+        (kind, scales), cert = phi.contractivity_record
+        out.contractivity_record = ((kind, scales[:axis] + scales[axis + 1 :]), cert)
+    return out

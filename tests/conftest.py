@@ -1,8 +1,8 @@
 """Pin BLAS to one thread before numpy is imported by any test module.
 
 One thread keeps test times from depending on the host's core count.  The
-dense linear algebra left in the tests is small: the padded SVDs of config
-symbols, and the dense oracles of tests/oracles.py.  On a 2-vCPU host the whole suite took about
+dense linear algebra left in the tests is small: the dense oracles of
+tests/oracles.py and the decay curves' compressions.  On a 2-vCPU host the whole suite took about
 as long with two OpenBLAS threads as with one (14.3-17.2 s against
 15.9-17.5 s, two runs each).  Variables already set in the environment win.
 """

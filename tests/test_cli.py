@@ -184,6 +184,22 @@ class TestExitCodes:
         assert "DLASCL" not in proc.stdout + proc.stderr
         assert read_report(tmp_path / "r.json")["error"]["type"] == "FloatingPointError"
 
+    @pytest.mark.parametrize("name, task", (("purity-sweep-bergman", "purity"), ("bcl-sweep", "bcl")))
+    def test_unallocatable_sweep_is_two(self, tmp_path, name, task):
+        # a schema-valid count whose draws numpy refuses before it allocates
+        # anything (1023 PiB for purity, 256 PiB for bcl)
+        cfg, out = tmp_path / "s.json", tmp_path / "s.report.json"
+        config = json.loads((ACCEPTANCE_DIR / f"{name}.json").read_text(encoding="utf-8"))
+        config["sweep"]["count"] = 10**15
+        config.pop("expected", None)
+        write_json(cfg, config)
+        assert cli.main([task, "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["pass"] is False and rep["payload"] == {}
+        assert rep["error"]["type"].endswith("MemoryError")
+        assert "PiB" in rep["error"]["message"]
+        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+
     def test_ragged_matrix_rows_are_two(self, tmp_path):
         cfg = tmp_path / "s.json"
         out = tmp_path / "s.report.json"
@@ -218,10 +234,10 @@ class TestExitCodes:
         config = str(ACCEPTANCE_DIR / "purity-hardy-monomial.json")
         domain = cli.build_domain(json.loads(Path(config).read_text(encoding="utf-8"))["space"])
         phi = spaces.scalar_symbol(2, {(1, 1): 0.9})
-        # build the padded basis's tables: Hardy bidisc at D = 6 + deg Phi
+        # build the certifying basis's tables: the Hardy bidisc at D = 6
         assert purity.multiplier_purity_verdict(phi, domain, 6).verdict == "pure"
-        padded = purity.basis_for(domain, 8, 1)
-        assert (1, 1) in padded._shift_maps and "successors" in vars(padded)
+        warm = purity.basis_for(domain, 6, 1)
+        assert (1, 1) in warm._shift_maps and "successors" in vars(warm)
         real = purity._shift_map
 
         def keeps_degree(basis, beta):
@@ -237,12 +253,12 @@ class TestExitCodes:
         assert rep["pass"] is False
         assert rep["error"]["type"] == "CertificationError"
         jsonschema.validate(rep, cli._load_schema("report.schema.json"))
-        cached = [padded.index_array, padded.norm_array, padded.successors]
-        cached += [arr for maps in padded._shift_maps.values() for arr in maps]
+        cached = [warm.index_array, warm.norm_array, warm.successors]
+        cached += [arr for maps in warm._shift_maps.values() for arr in maps]
         for arr in cached:
             with pytest.raises(ValueError):
                 arr[...] = 0
-        assert isinstance(padded.index_table, tuple) and isinstance(padded.norms, tuple)
+        assert isinstance(warm.index_table, tuple) and isinstance(warm.norms, tuple)
 
     def test_broken_grading_on_a_warm_basis_is_one_for_a_sweep(self, tmp_path, monkeypatch):
         config = str(ACCEPTANCE_DIR / "purity-sweep-bergman.json")
@@ -759,13 +775,13 @@ class TestPuritySweeps:
         for phi in purity._random_symbols(np.random.default_rng(11), domain, 2, 0, 4, 0):
             assert list(phi.terms) == [(0, 0)]
 
-    def test_single_symbol_reports_its_padded_norm(self, tmp_path):
+    def test_single_symbol_reports_its_coefficient_bound(self, tmp_path):
+        # 0.9 z_1 z_2 on the Hardy bidisc: ||M_(z_i)|| = 1, so the bound is 0.9
         out = tmp_path / "r.json"
         config = str(ACCEPTANCE_DIR / "purity-hardy-monomial.json")
         assert cli.main(["purity", "--config", config, "--out", str(out)]) == 0
         contractivity = read_report(out)["payload"]["contractivity"]
-        assert contractivity["kind"] == "padded_truncation"
-        assert abs(contractivity["bound"] - 0.9) <= 1e-15
+        assert contractivity == {"kind": "coefficient_sum", "bound": 0.9}
 
     def test_drury_arveson_sweep_at_dim_1938_is_fast(self, tmp_path):
         # the padded route took about 20 s per symbol here (padded dim 2,660)
@@ -778,6 +794,45 @@ class TestPuritySweeps:
         symbols = read_report(out)["payload"]["symbols"]
         assert [e["verdict"] for e in symbols] == ["pure"] * 18 + ["not_pure"] * 2
         assert {e["contractivity"]["kind"] for e in symbols} == {"realization"}
+
+
+def _refuse_large_svds(monkeypatch):
+    real = np.linalg.svd
+
+    def small_only(a, *args, **kwargs):
+        assert np.shape(a)[-2] <= 64, f"SVD of a matrix with {np.shape(a)[-2]} rows"
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", small_only)
+
+
+class TestScale:
+    """A config symbol is certified by its coefficient bound, so a large
+    space takes no large SVD."""
+
+    def test_purity_at_dim_3276(self, tmp_path, monkeypatch):
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        config = purity_config("da3-d25", constant_scalar_symbol(3, 0.3))
+        config["symbol"]["terms"].append({"alpha": [1, 0, 0], "matrix": [[[0.5, 0.0]]]})
+        config["space"] = {"family": "drury_arveson", "n": 3, "degree_cap": 25}
+        write_json(cfg, config)
+        _refuse_large_svds(monkeypatch)
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = read_report(out)["payload"]
+        assert payload["verdict"] == "pure"
+        assert payload["contractivity"] == {"kind": "coefficient_sum", "bound": 0.8}
+
+    def test_decay_at_dim_455(self, tmp_path, monkeypatch):
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        config = json.loads((ACCEPTANCE_DIR / "decay-averaging-symbol.json").read_text(encoding="utf-8"))
+        config["space"] = {"family": "drury_arveson", "n": 3, "degree_cap": 12}
+        config["symbol"]["n"] = 3
+        for term in config["symbol"]["terms"]:
+            term["alpha"] += [0, 0]
+        write_json(cfg, config)
+        _refuse_large_svds(monkeypatch)
+        assert cli.main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_report(out)["payload"]["nonincreasing"] is True
 
 
 class TestReportWriter:
@@ -1392,7 +1447,7 @@ class TestSchemaValidation:
     def test_report_schema_still_loads(self):
         # the report schema is checked with jsonschema in the tests, never by the runtime checker
         schema = cli._load_schema("report.schema.json")
-        assert schema["$id"] == "gradedshift/report/3"
+        assert schema["$id"] == "gradedshift/report/4"
         with pytest.raises(NotImplementedError, match="^report.schema.json: outside the schema checker's subset: "):
             cli._check_keywords("report.schema.json", schema)
 
@@ -1527,7 +1582,7 @@ class TestReportSchema:
         reports = _manifest_reports(tmp_path, seed)
         assert len(reports) == 11
         for rep in reports:
-            assert rep["schema_version"] == cli.SCHEMA_VERSION == "3"
+            assert rep["schema_version"] == cli.SCHEMA_VERSION == "4"
             REPORT_VALIDATOR.validate(rep)
 
     @pytest.mark.parametrize("seed", (0, 5))

@@ -6,6 +6,9 @@ expectations come from hand-computable symbols (constants, monomials,
 block-diagonal mixes).
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from gradedshift import (
     adjoint_compression,
     basis_for,
     bergman,
+    cli,
     decay_curve,
     dirichlet,
     drury_arveson,
@@ -27,7 +31,6 @@ from gradedshift import (
     KernelSpec1D,
     ball_coeff,
     coeff_1d,
-    multiplier_matrix,
     multiplier_purity_verdict,
     random_contractive_symbol,
     scalar_symbol,
@@ -49,8 +52,12 @@ from oracles import (
 )
 
 EPS = np.finfo(float).eps
+ACCEPTANCE_DIR = Path(__file__).resolve().parent.parent / "configs" / "acceptance"
 HARDY2 = PolydiscDomain((hardy(), hardy()))
 HARDY1 = PolydiscDomain((hardy(),))
+DIAG_ONE_Z = MultiplierSymbol(
+    1, 2, {(0,): np.diag([1.0, 0.0]).astype(complex), (1,): np.diag([0.0, 1.0]).astype(complex)}
+)
 
 
 class TestAdjointCompression:
@@ -85,18 +92,16 @@ class TestAdjointCompression:
 class TestDecayCurve:
     def test_constant_one(self):
         basis = basis_for(HARDY1, 4, 1)
-        adj = adjoint_compression(scalar_symbol(1, {(0,): 1.0}), basis)
         h = np.zeros(basis.dim, dtype=complex)
         h[0] = 2.0
-        curve = decay_curve(adj, h, 5)
+        curve = decay_curve(scalar_symbol(1, {(0,): 1.0}), basis, h, 5)
         np.testing.assert_allclose(curve, [2.0] * 6, atol=1e-14)
 
     def test_shift_kills_constants(self):
         basis = basis_for(HARDY1, 4, 1)
-        adj = adjoint_compression(scalar_symbol(1, {(1,): 1.0}), basis)
         h = np.zeros(basis.dim, dtype=complex)
         h[0] = 1.0
-        curve = decay_curve(adj, h, 3)
+        curve = decay_curve(scalar_symbol(1, {(1,): 1.0}), basis, h, 3)
         np.testing.assert_allclose(curve, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_half_one_plus_z_matches_power_oracle(self):
@@ -105,7 +110,7 @@ class TestDecayCurve:
         adj = adjoint_compression(phi, basis)
         h = np.zeros(basis.dim, dtype=complex)
         h[0] = 1.0
-        curve = decay_curve(adj, h, 8)
+        curve = decay_curve(phi, basis, h, 8)
         acc = h.copy()
         for m in range(9):
             assert curve[m] == pytest.approx(float(np.linalg.norm(acc)), abs=1e-13)
@@ -114,17 +119,17 @@ class TestDecayCurve:
 
     def test_noncontraction_rejected(self):
         basis = basis_for(HARDY1, 3, 1)
-        mat = multiplier_matrix(basis, scalar_symbol(1, {(0,): 2.0}))
-        with pytest.raises(NotContractiveError):
-            decay_curve(mat, np.ones(basis.dim, dtype=complex), 3)
+        with pytest.raises(NotContractiveError, match=r"coefficient bound 2\.0+ exceeds"):
+            decay_curve(scalar_symbol(1, {(0,): 2.0}), basis, np.ones(basis.dim, dtype=complex), 3)
 
-    def test_monotone_within_slack(self):
+    def test_monotone_within_slack(self, monkeypatch):
         rng = np.random.default_rng(5)
         basis = basis_for(HARDY2, 5, 2)
         phi = random_contractive_symbol(rng, HARDY2, 2, 2, 5)
-        adj = adjoint_compression(phi, basis)
         h = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        curve = decay_curve(adj, h, 12)
+        # the realization record certifies the curve: no norm is taken
+        monkeypatch.setattr(purity_module, "_opnorms", pytest.fail)
+        curve = decay_curve(phi, basis, h, 12)
         for a, b in zip(curve, curve[1:]):
             assert b <= a + 1e-12
 
@@ -140,27 +145,19 @@ class TestPurityVerdict:
         domain = PolydiscDomain((bergman(), bergman()))
         rep = multiplier_purity_verdict(scalar_symbol(2, {(0, 0): 1.0}), domain, 4)
         assert rep.verdict == "not_pure"
-        assert all(r == pytest.approx(1.0, abs=1e-12) for r in rep.per_degree_rho.values())
+        assert rep.phi0_rho == pytest.approx(1.0, abs=1e-12)
 
     def test_inner_monomial_pure_all_zero(self):
         rep = multiplier_purity_verdict(scalar_symbol(2, {(1, 1): 1.0}), HARDY2, 6)
         assert rep.verdict == "pure"
-        assert all(r == pytest.approx(0.0, abs=1e-14) for r in rep.per_degree_rho.values())
+        assert rep.phi0_rho == pytest.approx(0.0, abs=1e-14)
 
     def test_block_diag_one_and_shift(self):
-        phi = MultiplierSymbol(
-            1,
-            2,
-            {
-                (0,): np.diag([1.0, 0.0]).astype(complex),
-                (1,): np.diag([0.0, 1.0]).astype(complex),
-            },
-        )
-        rep = multiplier_purity_verdict(phi, HARDY1, 4)
+        # the coefficient sum of diag(1, z) is 2, its largest block bound 1
+        rep = multiplier_purity_verdict(DIAG_ONE_Z, HARDY1, 4)
         assert rep.verdict == "not_pure"
         assert rep.phi0_rho == pytest.approx(1.0, abs=1e-14)
-        for rho in rep.per_degree_rho.values():
-            assert rho == pytest.approx(1.0, abs=1e-12)
+        assert rep.contractivity == ("coefficient_sum", 1.0)
 
     def test_noncontractive_rejected(self):
         with pytest.raises(NotContractiveError):
@@ -180,7 +177,6 @@ class TestPurityVerdict:
             rep = multiplier_purity_verdict(phi, domain, d_max)
             for d in range(d_max + 1):
                 fresh = adjoint_compression(phi, basis_for(domain, d, c))
-                assert rep.per_degree_rho[d] == rep.phi0_rho
                 assert abs(spectral_radius(fresh) - rep.phi0_rho) <= 1e-12
 
     def test_ball_space_sweep_no_inconsistency(self):
@@ -224,8 +220,6 @@ class TestStructuralCertificate:
                     rng, domain, c, 2, d_max, unitary_constant=forced
                 )
                 rep = multiplier_purity_verdict(phi, domain, d_max)
-                assert sorted(rep.per_degree_rho) == list(range(d_max + 1))
-                assert all(r == rep.phi0_rho for r in rep.per_degree_rho.values())
                 basis = basis_for(domain, d_max, c)
                 dense = dense_per_degree_rho(basis.index_table, basis.norms, c, phi.terms, d_max)
                 assert max(abs(r - rep.phi0_rho) for r in dense) <= 1e-12
@@ -287,6 +281,12 @@ SCALED_SPACES = {
 }
 
 
+# Drawn on the first space, the symbols of these two cases are contractive
+# on the second one only by norms on a truncation (0.88 and 0.51), which are
+# lower bounds; their coefficient bounds are 1.56 and 1.25
+REFUSED_WITHOUT_RECORD = {("wbergman1.5", "wbergman1.9"), ("da2", "custom-ball")}
+
+
 def _geometry(domain):
     return "polydisc" if isinstance(domain, PolydiscDomain) else "ball"
 
@@ -297,8 +297,8 @@ def _key(name):
 
 
 def _take_no_norm(monkeypatch):
-    # the generator norms colligations with _opnorms; a padded norm would
-    # assemble with multiplier_matrix and take opnorm
+    # the generator and the coefficient bound norm with _opnorms; a dense
+    # norm would assemble with multiplier_matrix and take opnorm
     for name in ("_opnorms", "opnorm", "multiplier_matrix"):
         monkeypatch.setattr(purity_module, name, pytest.fail)
 
@@ -334,24 +334,70 @@ class TestRealizationScales:
         assert purity_module._realization_scales(BallDomain(ball)) == (1.0,) * 3
 
 
-class TestPaddedNorm:
-    def test_config_symbols_take_the_padded_svd(self):
+class TestCoefficientBound:
+    def test_config_symbols_take_the_coefficient_bound(self, monkeypatch):
         phi = random_contractive_symbol(np.random.default_rng(4), DIRICHLET2, 1, 2, 5)
         rebuilt = MultiplierSymbol(phi.n, phi.coeff_dim, phi.terms)
         assert rebuilt.contractivity_record is None
-        for domain, d_max in ((DIRICHLET2, 4), (SCALED_SPACES["dirichlet-hardy"][0], 5)):
-            rep = multiplier_purity_verdict(rebuilt, domain, d_max)
-            padded = basis_for(domain, d_max + rebuilt.degree, 1)
-            want = np.linalg.norm(multiplier_matrix(padded, rebuilt).data, 2)
-            assert rep.contractivity == ("padded_truncation", want)
+        monkeypatch.setattr(purity_module, "multiplier_matrix", pytest.fail)
+        monkeypatch.setattr(purity_module, "opnorm", pytest.fail)
+        for name, d_max in (("dirichlet2", 4), ("dirichlet-hardy", 5)):
+            domain, scales = SCALED_SPACES[name]
+            # sum_alpha |Phi_alpha| prod_i q_i^(-alpha_i / 2), by hand
+            want = sum(
+                abs(mat[0, 0]) * np.prod([q ** (-a / 2) for q, a in zip(scales, alpha)])
+                for alpha, mat in rebuilt.terms.items()
+            )
+            kind, bound = multiplier_purity_verdict(rebuilt, domain, d_max).contractivity
+            assert kind == "coefficient_sum" and abs(bound - want) <= 8 * EPS
+
+    def test_blocks_take_the_largest_block_bound(self):
+        # directions {0, 2} are linked by the z_1 coefficient, {1} is alone
+        phi = MultiplierSymbol(
+            2,
+            3,
+            {
+                (0, 0): np.array([[0.2, 0, 0], [0, 0.9, 0], [0, 0, 0.1]]),
+                (1, 0): np.array([[0, 0, 0.3], [0, 0, 0], [0, 0, 0]]),
+                (0, 2): np.array([[0, 0, 0], [0, 0, 0], [0, 0, -0.4j]]),
+            },
+        )
+        # on Dirichlet x Hardy: the block {0, 2} gets 0.2 + 0.3 sqrt(2) + 0.4
+        domain = SCALED_SPACES["dirichlet-hardy"][0]
+        want = 0.2 + 0.3 * np.sqrt(2.0) + 0.4
+        assert abs(purity_module._coefficient_bound(phi, domain) - want) <= 4 * EPS
+        assert abs(purity_module._coefficient_bound(phi, HARDY2) - 0.9) <= 4 * EPS
+        with pytest.raises(NotContractiveError, match="coefficient bound"):
+            multiplier_purity_verdict(phi.scaled(1.2), domain, 3)
+
+    @pytest.mark.parametrize("name", ("hardy2", "dirichlet2", "custom-ball"))
+    def test_forced_symbols_need_no_record(self, name):
+        # u (+) Phi_inner with the records dropped: the blocks give max(1, b_inner)
+        domain = SCALED_SPACES[name][0]
+        inner = random_contractive_symbol(np.random.default_rng(3), domain, 2, 2, 4)
+        forced = purity_module._with_unitary_constant(-1.0, inner)
+        inner, forced = (MultiplierSymbol(p.n, p.coeff_dim, p.terms) for p in (inner, forced))
+        b_inner = purity_module._coefficient_bound(inner, domain)
+        assert purity_module._coefficient_bound(forced, domain) == max(1.0, b_inner)
 
     @pytest.mark.parametrize("name", ("hardy2", "dirichlet2"))
-    def test_derived_symbols_carry_no_record(self, name):
-        domain = SCALED_SPACES[name][0]
+    def test_slices_keep_the_record_and_other_derived_symbols_carry_none(self, monkeypatch, name):
+        domain, scales = SCALED_SPACES[name]
         phi = random_contractive_symbol(np.random.default_rng(6), domain, 1, 2, 5)
-        assert phi.contractivity_record is not None
-        for other in (phi.scaled(1.0), slice_symbol(phi, 0), lift_scalar_symbol(phi, 2)):
+        key, cert = phi.contractivity_record
+        for other in (phi.scaled(1.0), lift_scalar_symbol(phi, 2)):
             assert other.contractivity_record is None
+        for axis in (0, 1):
+            sliced = slice_symbol(phi, axis)
+            kept = scales[1 - axis : 2 - axis]
+            assert sliced.contractivity_record == ((key[0], kept), cert)
+            # the compressed colligation bounds the dense norm of the slice
+            sub = PolydiscDomain(domain.factors[1 - axis : 2 - axis])
+            padded = basis_for(sub, 6 + sliced.degree, 1)
+            dense = dense_multiplier(padded.index_table, padded.norms, 1, sliced.terms)
+            assert np.linalg.svd(dense, compute_uv=False)[0] <= cert.bound + padded.dim * EPS
+        _take_no_norm(monkeypatch)
+        assert multiplier_purity_verdict(slice_symbol(phi, 1), sub, 6).contractivity == cert
 
 
 class TestRealizationRecord:
@@ -426,26 +472,19 @@ class TestRealizationRecord:
         ],
     )
     def test_record_is_ignored_where_it_does_not_hold(self, monkeypatch, source, target):
-        # a smaller scale on some axis, or the other geometry
+        # a smaller scale on some axis, or the other geometry: the symbol
+        # takes its coefficient bound and no matrix is assembled or normed
         phi = random_contractive_symbol(np.random.default_rng(2), SCALED_SPACES[source][0], 1, 2, 4)
         domain = SCALED_SPACES[target][0]
-        calls = []
-        real = purity_module.opnorm
-
-        def counting(op):
-            calls.append(op.shape)
-            return real(op)
-
-        monkeypatch.setattr(purity_module, "opnorm", counting)
-        padded = basis_for(domain, 6, 1)
-        try:
-            rep = multiplier_purity_verdict(phi, domain, 4)
-        except NotContractiveError as exc:
-            assert "padded multiplier norm" in str(exc)
+        bound = purity_module._coefficient_bound(phi, domain)
+        monkeypatch.setattr(purity_module, "multiplier_matrix", pytest.fail)
+        monkeypatch.setattr(purity_module, "opnorm", pytest.fail)
+        if (source, target) in REFUSED_WITHOUT_RECORD:
+            assert bound > 1.0
+            with pytest.raises(NotContractiveError, match="coefficient bound"):
+                multiplier_purity_verdict(phi, domain, 4)
         else:
-            want = np.linalg.norm(multiplier_matrix(padded, phi).data, 2)
-            assert rep.contractivity == ("padded_truncation", want)
-        assert calls == [(padded.dim, padded.dim)]
+            assert multiplier_purity_verdict(phi, domain, 4).contractivity == ("coefficient_sum", bound)
 
     @pytest.mark.parametrize(
         "source, target",
@@ -495,7 +534,7 @@ class TestRealizationRecord:
 
 # The dense gate, (domain, D, q per axis): every one-variable family at n = 2,
 # D = 8 and n = 3, D = 5, Dirichlet x Hardy, the H_1, H_2, H_3 balls at both
-# sizes, and the custom ball
+# sizes, the custom ball and the Hardy disc
 DENSE_GATE = (
     [
         (PolydiscDomain((spec,) * n), d_max, (q,) * n)
@@ -513,20 +552,59 @@ DENSE_GATE = (
     + [(SCALED_SPACES["dirichlet-hardy"][0], 8, (0.5, 1.0))]
     + [(BallDomain(hm_ball(n, m)), d_max, (1.0,) * n) for n, d_max in ((2, 8), (3, 5)) for m in (1, 2, 3)]
     + [(CUSTOM_BALL, 8, (0.5, 0.5))]
+    + [(HARDY1, 8, (1.0,))]
 )
+
+
+def _config_symbols():
+    # (domain, symbol) of every acceptance config that gives a symbol
+    out = []
+    for path in sorted(ACCEPTANCE_DIR.glob("*.json")):
+        config = json.loads(path.read_text(encoding="utf-8"))
+        if "symbol" in config:
+            out.append((cli.build_domain(config["space"]), cli.decode_symbol(config["symbol"])))
+    return out
+
+
+# Symbols with no record that the dense gate also checks, each on its own
+# space: the acceptance configs' and those of TestPurityVerdict
+UNRECORDED_SYMBOLS = _config_symbols() + [
+    (PolydiscDomain((bergman(), bergman())), scalar_symbol(2, {(0, 0): 0.9})),
+    (PolydiscDomain((bergman(), bergman())), scalar_symbol(2, {(0, 0): 1.0})),
+    (HARDY2, scalar_symbol(2, {(1, 1): 1.0})),
+    (HARDY2, scalar_symbol(2, {(0, 0): 1.5})),
+    (HARDY1, DIAG_ONE_Z),
+]
 
 
 def _boundary_points(domain):
     # ||M_Phi|| >= sup ||Phi||, the max over the torus or the sphere
     if isinstance(domain, PolydiscDomain):
-        return torus_grid(64 if domain.n == 2 else 16, domain.n)
+        return torus_grid(64 if domain.n <= 2 else 16, domain.n)
     return sphere_points(np.random.default_rng(0), 4096, domain.n)
+
+
+def _padded_norm(domain, d_max, phi):
+    """The dense norm of Phi's matrix on V_(D + deg Phi), and that size."""
+    padded = basis_for(domain, d_max + phi.degree, phi.coeff_dim)
+    dense = dense_multiplier(padded.index_table, padded.norms, phi.coeff_dim, phi.terms)
+    return np.linalg.svd(dense, compute_uv=False)[0], padded.dim
 
 
 class TestRealizedSymbols:
     @pytest.mark.parametrize("domain, d_max, scales", DENSE_GATE, ids=lambda v: repr(v)[:48])
     def test_oracle_terms_and_contractive_compressions(self, domain, d_max, scales):
+        # Both certificates are upper bounds on ||M_Phi||, so each is at
+        # least the dense padded norm (a compression norm) and the sampled
+        # sup; a realization is at most 1 as well.  The coefficient bound is
+        # checked on the realized symbols with their records dropped, and on
+        # the unrecorded symbols of this space.
         points = _boundary_points(domain)
+        for phi in [phi for space, phi in UNRECORDED_SYMBOLS if space == domain]:
+            norm, dim = _padded_norm(domain, d_max, phi)
+            bound = purity_module._coefficient_bound(phi, domain)
+            assert norm <= bound + dim * EPS
+            assert sampled_sup_norm(phi.terms, points) <= bound + 1e-12
         for seed in range(20):
             c = 1 + seed % 3
             forced = seed % 5 == 4
@@ -540,12 +618,15 @@ class TestRealizedSymbols:
             for alpha, mat in terms.items():
                 np.testing.assert_allclose(phi.terms[alpha], mat, rtol=0, atol=1e-14)
             assert phi.contractivity_record == ((_geometry(domain), scales), ("realization", bound))
-            basis = basis_for(domain, d_max, c)
-            dense = dense_multiplier(basis.index_table, basis.norms, c, phi.terms)
-            norm = np.linalg.svd(dense, compute_uv=False)[0]
-            assert norm <= 1.0 + basis.dim * EPS
-            assert norm <= bound + basis.dim * EPS
-            assert sampled_sup_norm(phi.terms, points) <= 1.0 + 1e-12
+            norm, dim = _padded_norm(domain, d_max, phi)
+            sup = sampled_sup_norm(phi.terms, points)
+            assert norm <= 1.0 + dim * EPS
+            assert norm <= bound + dim * EPS
+            assert sup <= 1.0 + 1e-12
+            unrecorded = MultiplierSymbol(phi.n, c, phi.terms)
+            coefficient_bound = purity_module._coefficient_bound(unrecorded, domain)
+            assert norm <= coefficient_bound + dim * EPS
+            assert sup <= coefficient_bound + 1e-12
 
 
 # (space, symbol degree, d_max): every family at degree 2, constant symbols,
@@ -604,11 +685,11 @@ class TestStackedSweep:
         assert str(stacked.value) == str(single.value)
 
     @pytest.mark.parametrize(
-        "name, recorded, cap",
-        (("dirichlet2", True, 4), ("hardy2", True, 4), ("dirichlet2", False, 6)),
+        "name, recorded",
+        (("dirichlet2", True), ("hardy2", True), ("dirichlet2", False)),
         ids=("dirichlet", "hardy", "config-symbols"),
     )
-    def test_every_call_certifies_each_support_once(self, monkeypatch, name, recorded, cap):
+    def test_every_call_certifies_each_support_once(self, monkeypatch, name, recorded):
         domain = SCALED_SPACES[name][0]
         phis = purity_module._random_symbols(np.random.default_rng(8), domain, 2, 2, 3, 2)
         if not recorded:
@@ -621,9 +702,9 @@ class TestStackedSweep:
             return real(basis, beta)
 
         monkeypatch.setattr(purity_module, "_shift_map", counting)
-        # plain and forced symbols share one support, on V_4 itself for
-        # realizations and on the padded V_6 for symbols with no record
-        support = [(cap, beta) for beta in phis[0].terms]
+        # plain and forced symbols share one support, certified on V_4
+        # itself, with or without a record
+        support = [(4, beta) for beta in phis[0].terms]
         for _ in range(2):
             seen.clear()
             purity_module._purity_verdicts(phis, domain, 4)
@@ -703,10 +784,11 @@ class TestSliceConsistency:
         with pytest.raises(InvalidInputError):
             slice_purity_consistency(scalar_symbol(2, {(1, 1): 1.0}), domain, 4)
 
-    def test_seeded_sweep(self):
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            phi = random_contractive_symbol(rng, HARDY2, 2, 2, 5)
+    def test_seeded_sweep(self, monkeypatch):
+        phis = [random_contractive_symbol(np.random.default_rng(seed), HARDY2, 2, 2, 5) for seed in range(10)]
+        # the symbols and their slices are certified by their records
+        _take_no_norm(monkeypatch)
+        for phi in phis:
             rep = slice_purity_consistency(phi, HARDY2, 5)
             assert rep.consistent
 
