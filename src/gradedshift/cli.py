@@ -675,6 +675,12 @@ def run_scenario(config: ScenarioConfig) -> Tuple[RunReport, int]:
     return report, 0 if passed else 1
 
 
+def _public_name(cls: type) -> str:
+    """The name of the nearest public class of an exception type: numpy
+    raises ``_ArrayMemoryError``, a private subclass of ``MemoryError``."""
+    return next(c.__name__ for c in cls.__mro__ if not c.__name__.startswith("_"))
+
+
 def _error_report(
     scenario_id: str, task: str, seed: Optional[int], exc: Exception, timing: float
 ) -> RunReport:
@@ -685,7 +691,7 @@ def _error_report(
         seed=seed,
         payload={},
         timing=timing,
-        error={"type": type(exc).__name__, "message": str(exc)},
+        error={"type": _public_name(type(exc)), "message": str(exc)},
     )
 
 

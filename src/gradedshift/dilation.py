@@ -228,20 +228,13 @@ def _pair_coefficients(u: np.ndarray, p: np.ndarray) -> _PairCoefficients:
     return (p @ uh, p_perp @ uh), (u @ p_perp, u @ p)
 
 
-def _pair_symbols(
-    n: int, axis: int, coeffs: _PairCoefficients
-) -> List[Tuple[MultiplierSymbol, MultiplierSymbol]]:
-    """The pair (Phi_p, Phi_q) in n variables of every triple of a stack."""
-    e = coeffs[0][0].shape[-1]
+def _pair_symbols(n: int, axis: int, coeffs: _PairCoefficients) -> List[MultiplierSymbol]:
+    """Phi_p, Phi_q, Phi_p, ... in n variables, the pair of every triple of
+    a stack in turn, from one ``(2k, 2, e, e)`` coefficient stack."""
     zero, ep = (0,) * n, tuple(int(i == axis) for i in range(n))
-    (p0, p1), (q0, q1) = coeffs
-    return [
-        (
-            MultiplierSymbol(n, e, {zero: p0[i], ep: p1[i]}),
-            MultiplierSymbol(n, e, {zero: q0[i], ep: q1[i]}),
-        )
-        for i in range(len(p0))
-    ]
+    stack = np.moveaxis(np.array(coeffs), 2, 0)  # (k, 2, 2, e, e): triple, symbol, term
+    e = stack.shape[-1]
+    return MultiplierSymbol.stack(n, e, [zero, ep], stack.reshape(-1, 2, e, e))
 
 
 def bcl_pair(t: BCLTriple, n_vars: Optional[int] = None) -> Tuple[MultiplierSymbol, MultiplierSymbol]:
@@ -253,7 +246,8 @@ def bcl_pair(t: BCLTriple, n_vars: Optional[int] = None) -> Tuple[MultiplierSymb
     n = n_vars if n_vars is not None else t.axis + 1
     if n < t.axis + 1:
         raise InvalidInputError(f"n_vars {n} too small for axis {t.axis}")
-    return _pair_symbols(n, t.axis, _pair_coefficients(t.u[None], t.p[None]))[0]
+    phi_p, phi_q = _pair_symbols(n, t.axis, _pair_coefficients(t.u[None], t.p[None]))
+    return phi_p, phi_q
 
 
 @dataclass
@@ -333,7 +327,7 @@ def _bcl_certificates(
     comm = np.where(degree_cap >= 2 * (deg_p | deg_q), norms[:, 0] + norms[:, 1] + norms[:, 2], 0.0)
     iso_p = np.where(degree_cap >= deg_p, norms[:, 3] + 2 * norms[:, 4], 0.0)
     iso_q = np.where(degree_cap >= deg_q, norms[:, 5] + 2 * norms[:, 6], 0.0)
-    symbols = [phi for pair in _pair_symbols(n - 1, axis, coeffs) for phi in pair]
+    symbols = _pair_symbols(n - 1, axis, coeffs)
     # Phi_p(0) is P U* and Phi_q(0) is U P_perp, so these are rho(P U*), rho(U P_perp)
     reports = _purity_verdicts(symbols, domain, degree_cap, purity_tol, check_contractive=False)
     return [

@@ -23,10 +23,20 @@ per-degree ``eigvals`` run only as a cross-check (``tests/oracles.py``): on
 non-normal block-triangular matrices they are evidence, not proof.
 
 The certificate reads only a symbol's support and the basis, so a sweep
-certifies each distinct support once per call; nothing is cached across
-calls.  A sweep norms its colligations with one batched SVD and takes
-every rho(Phi(0)) from one batched ``eigvals``; its results equal those of
+certifies each distinct support once per call, checking the degree shift
+of all its maps in one comparison; nothing is cached across calls.  A
+sweep norms its colligations with one batched SVD and takes every
+rho(Phi(0)) from one batched ``eigvals``; its results equal those of
 one-symbol calls bit for bit.
+
+A sweep builds its symbols as one (k, M, c, c) coefficient stack.  A
+product plan (:func:`_product_plan`), worked out once per (n, f, linear)
+from the multi-indices alone, lists the M terms of a product of f pencils
+A + sum_i z_i sqrt(q_i) B_i C_i and, step by step, which pairs of terms sum
+into each; a step is one batched matmul of every pair, summed in the order
+of :func:`gradedshift.spaces.symbol_product` chained one factor at a time,
+so every coefficient equals that route's to the last bit.  Each stack is
+validated once (:meth:`gradedshift.spaces.MultiplierSymbol.stack`).
 
 A verdict needs ||M_Phi|| <= 1, and takes it from a contractivity
 certificate of one of two kinds, with no norm of a matrix on V_D.
@@ -93,6 +103,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,6 +119,7 @@ from .operators import (
     opnorm,
 )
 from .spaces import (
+    _BASIS_MEMO_SIZE,
     MAX_DIM,
     BallDomain,
     Domain,
@@ -120,7 +132,6 @@ from .spaces import (
     lift_scalar_symbol,
     polydisc_basis,
     slice_symbol,
-    symbol_product,
 )
 
 __all__ = [
@@ -269,23 +280,36 @@ def _contractivity(phi: MultiplierSymbol, domain: Domain, tol: float) -> Contrac
 def _certify_degree_structure(basis: TruncatedBasis, support: Sequence[MultiIndex]) -> None:
     """Certify on the shift maps that M_Phi on V_D, for any Phi with this
     support, is block lower-triangular by degree with diagonal blocks
-    I (x) Phi(0); raise ``CertificationError`` otherwise."""
-    degrees = basis.index_array.sum(axis=1)
-    for beta in support:
-        src, dst, w = _shift_map(basis, beta)
-        lift = sum(beta)
-        if lift == 0:
-            ok = (
-                np.array_equal(src, np.arange(len(degrees)))
-                and np.array_equal(dst, src)
-                and bool(np.all(w == 1.0))
-            )
-        else:
-            ok = np.array_equal(degrees[dst], degrees[src] + lift)
-        if not ok:
-            raise CertificationError(
-                f"shift map of term {beta} breaks the degree grading of V_{basis.degree_cap}"
-            )
+    I (x) Phi(0); raise ``CertificationError`` naming the first term of
+    ``support`` whose map breaks it.  beta = 0 must map every position to
+    itself with weight 1.0; the maps of all beta != 0 are checked to raise
+    degree by |beta| in one comparison."""
+    degrees = basis.degree_array
+    maps = [_shift_map(basis, beta) for beta in support]
+    broken, lifted = [], []
+    for j, (beta, (src, dst, w)) in enumerate(zip(support, maps)):
+        if len(dst) != len(src):
+            broken.append(j)
+        elif sum(beta):
+            lifted.append(j)
+        elif (
+            len(src) != len(degrees)
+            or (src != np.arange(len(src))).any()
+            or (dst != src).any()
+            or (w != 1.0).any()
+        ):
+            broken.append(j)
+    if lifted:
+        sizes = [len(maps[j][0]) for j in lifted]
+        src, dst = (np.concatenate([maps[j][i] for j in lifted]) for i in (0, 1))
+        lifts = np.repeat(np.array([sum(support[j]) for j in lifted]), sizes)
+        bad = degrees[dst] - degrees[src] != lifts
+        if bad.any():
+            broken.append(lifted[np.searchsorted(np.cumsum(sizes), bad.argmax(), side="right")])
+    if broken:
+        raise CertificationError(
+            f"shift map of term {support[min(broken)]} breaks the degree grading of V_{basis.degree_cap}"
+        )
 
 
 def _phi0_radii(phis: Sequence[MultiplierSymbol]) -> np.ndarray:
@@ -500,8 +524,86 @@ def _colligation_shape(domain: Domain, c: int) -> Tuple[int, int]:
     return c + domain.n * c, c + inputs * c
 
 
+def _frozen(values: Sequence[int]) -> np.ndarray:
+    out = np.array(values)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=_BASIS_MEMO_SIZE)
+def _product_plan(n: int, f: int, linear: bool) -> Tuple[Tuple[MultiIndex, ...], Tuple]:
+    """The support of a product of f pencils with the terms 1 and, if
+    ``linear``, z_1, ..., z_n, and the steps that sum it, worked out from
+    the multi-indices alone.  The support is in the order in which
+    :func:`gradedshift.spaces.symbol_product`, chained left to right, first
+    meets each term.  Step s multiplies by pencil s + 1, whose F terms pair
+    with the M terms of the partial product as pairs a F + b, and is
+    ``(first, rounds)``: new term j starts as pair ``first[j]``, and each
+    round ``(g, p)`` adds the next pair to every new term ``g`` that has
+    one, in that function's order, so the sums round as they do there."""
+    factor = [(0,) * n] + ([tuple(int(j == i) for j in range(n)) for i in range(n)] if linear else [])
+    support, steps = factor, []
+    for _ in range(f - 1):
+        pairs: Dict[MultiIndex, List[int]] = {}
+        for a, alpha in enumerate(support):
+            for b, beta in enumerate(factor):
+                pairs.setdefault(tuple(map(operator.add, alpha, beta)), []).append(a * len(factor) + b)
+        rounds = [
+            [(g, terms[r]) for g, terms in enumerate(pairs.values()) if len(terms) > r]
+            for r in range(max(map(len, pairs.values())))
+        ]
+        (_, first), *rest = (tuple(map(_frozen, zip(*pairs_r))) for pairs_r in rounds)
+        steps.append((first, tuple(rest)))
+        support = list(pairs)
+    return tuple(support), tuple(steps)
+
+
+def _expand(pencils: np.ndarray, steps: Tuple) -> np.ndarray:
+    """The ``(k, M, c, c)`` coefficients of the products of a ``(k, f, F,
+    c, c)`` stack of pencils, along the steps of :func:`_product_plan`: one
+    batched matmul of every pair of terms per step."""
+    coeffs = pencils[:, 0]
+    for s, (first, rounds) in enumerate(steps, start=1):
+        pairs = coeffs[:, :, None] @ pencils[:, s, None]
+        pairs = pairs.reshape((len(pairs), -1) + pairs.shape[-2:])
+        coeffs = pairs[:, first]
+        for g, p in rounds:
+            coeffs[:, g] += pairs[:, p]
+    return coeffs
+
+
+def _recorded(
+    domain: Domain, support: Sequence[MultiIndex], coeffs: np.ndarray, bounds: Sequence[float]
+) -> List[MultiplierSymbol]:
+    """The symbols of a coefficient stack, each recording its realization
+    bound under the domain's geometry and scales."""
+    key = (domain.kind, _realization_scales(domain))
+    symbols = MultiplierSymbol.stack(domain.n, coeffs.shape[-1], support, coeffs)
+    for phi, bound in zip(symbols, bounds):
+        phi.contractivity_record = (key, Contractivity(REALIZATION, bound))
+    return symbols
+
+
+def _with_unitary_constants(
+    domain: Domain,
+    phases: Sequence[complex],
+    support: Sequence[MultiIndex],
+    inner: np.ndarray,
+    bounds: Sequence[float],
+) -> List[MultiplierSymbol]:
+    """blockdiag(u, Phi_inner) for each phase u and ``(M, h, h)`` inner
+    stack of a ``(k, M, h, h)`` stack whose support starts with 0,
+    recording max(|u|, r), r the inner bound: M_Phi is a permutation of u I
+    (+) M_inner.  With h = 0 it is the constant u, recording |u|."""
+    k, m, h, _ = inner.shape
+    coeffs = np.zeros((k, m, h + 1, h + 1), dtype=complex)
+    coeffs[:, :, 1:, 1:] = inner
+    coeffs[:, 0, 0, 0] = phases
+    return _recorded(domain, support, coeffs, [max(abs(u), r) for u, r in zip(phases, bounds)])
+
+
 def _realized_symbols(
-    domain: Domain, c: int, degree: int, gauss: np.ndarray
+    domain: Domain, c: int, degree: int, gauss: np.ndarray, phases: Optional[List[complex]] = None
 ) -> List[MultiplierSymbol]:
     """One symbol per row of a ``(k, f, 2, rows, cols)`` stack, f =
     max(degree, 1): the product of the transfer functions A + B E(z) C of
@@ -510,7 +612,14 @@ def _realized_symbols(
     chunk), and E(z) scaled by sqrt(q_i) on axis i
     (:func:`_realization_scales`; an axis with q_i = 1 is left as it is).
     At degree 0 it is the A of its one colligation.  Each records its
-    geometry and scales with the product of its colligations' norms."""
+    geometry and scales with the product of its colligations' norms.  With
+    ``phases``, row s gives blockdiag(phases[s], that product)
+    (:func:`_with_unitary_constants`).
+
+    The products of all rows are expanded together along one
+    :func:`_product_plan`, with batched matmuls, in chunks of at most
+    ``_STACK_BYTES`` of coefficients; each chunk is validated once
+    (:meth:`MultiplierSymbol.stack`)."""
     k, f, _, rows, cols = gauss.shape
     if k == 0:
         return []
@@ -520,62 +629,33 @@ def _realized_symbols(
     norms = np.empty(k * f)
     for part in _stack_chunks(k * f, 16 * rows * cols):
         norms[part] = _opnorms(u[part])
-    if np.any(norms == 0.0):
+    if not norms.all():
         raise InvalidInputError("degenerate zero random colligation")
     factors = 0.99 / norms
     u = factors[:, None, None] * u
-    bounds = (factors * norms).reshape(k, f)
-    # the z_i coefficient B_i C_i: B_i is the i-th column block of B on a
-    # polydisc and all of B on a ball, C_i the i-th row block of C
-    b = u[:, :c, c:].reshape(k * f, c, -1, c).transpose(0, 2, 1, 3)
-    lin = b @ u[:, c:, :c].reshape(k * f, n, c, c)
-    scales = _realization_scales(domain)
-    for i, q in enumerate(scales):
-        if q != 1.0:
-            lin[:, i] *= math.sqrt(q)
-    zero = (0,) * n
-    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    bounds = [math.prod(row) for row in (factors * norms).reshape(k, f).tolist()]
+    # each pencil's terms: A, then the z_i coefficient B_i C_i, where B_i is
+    # the i-th column block of B on a polydisc and all of B on a ball, C_i
+    # the i-th row block of C
+    pencils = u[:, None, :c, :c]
+    if degree:
+        b = u[:, :c, c:].reshape(k * f, c, -1, c).transpose(0, 2, 1, 3)
+        lin = b @ u[:, c:, :c].reshape(k * f, n, c, c)
+        for i, q in enumerate(_realization_scales(domain)):
+            if q != 1.0:
+                lin[:, i] *= math.sqrt(q)
+        pencils = np.concatenate((pencils, lin), axis=1)
+    pencils = pencils.reshape((k, f) + pencils.shape[1:])
+    support, steps = _product_plan(n, f, degree > 0)
+    h = c if phases is None else c + 1
     symbols = []
-    for s in range(k):
-        phi = None
-        for t in range(s * f, (s + 1) * f):
-            terms = {zero: u[t, :c, :c]}
-            if degree:
-                terms.update(zip(units, lin[t]))
-            factor = MultiplierSymbol(n, c, terms)
-            phi = factor if phi is None else symbol_product(phi, factor)
-        bound = math.prod(bounds[s].tolist())
-        phi.contractivity_record = ((domain.kind, scales), Contractivity(REALIZATION, bound))
-        symbols.append(phi)
+    for part in _stack_chunks(k, 16 * h * h * len(support)):
+        coeffs = _expand(pencils[part], steps)
+        if phases is None:
+            symbols += _recorded(domain, support, coeffs, bounds[part])
+        else:
+            symbols += _with_unitary_constants(domain, phases[part], support, coeffs, bounds[part])
     return symbols
-
-
-def _with_unitary_constant(u: complex, inner: MultiplierSymbol) -> MultiplierSymbol:
-    """blockdiag(u, inner), recording max(|u|, r) under the key of the
-    record r of ``inner``: M_Phi is a permutation of u I (+) M_inner."""
-    c = inner.coeff_dim + 1
-    terms: Dict[MultiIndex, np.ndarray] = {}
-    for alpha, mat in inner.terms.items():
-        big = np.zeros((c, c), dtype=complex)
-        big[1:, 1:] = mat
-        terms[alpha] = big
-    zero = (0,) * inner.n
-    base = terms.get(zero, np.zeros((c, c), dtype=complex))
-    base[0, 0] = u
-    terms[zero] = base
-    phi = MultiplierSymbol(inner.n, c, terms)
-    key, cert = inner.contractivity_record
-    phi.contractivity_record = (key, cert._replace(bound=max(abs(u), cert.bound)))
-    return phi
-
-
-def _unimodular_constant(u: complex, domain: Domain) -> MultiplierSymbol:
-    """The 1x1 constant symbol u, recording |u| as the realization of the
-    colligation [[u, 0], [0, 0]]: M_u = u I."""
-    phi = MultiplierSymbol(domain.n, 1, {(0,) * domain.n: np.array([[u]])})
-    key = (domain.kind, _realization_scales(domain))
-    phi.contractivity_record = (key, Contractivity(REALIZATION, abs(u)))
-    return phi
 
 
 def _random_symbols(
@@ -615,11 +695,13 @@ def _random_symbols(
         if coeff_dim > 1:
             inner.append(rng.standard_normal(shape(coeff_dim - 1)))
     symbols = _realized_symbols(domain, coeff_dim, degree, gauss)
+    if not forced:
+        return symbols
     if coeff_dim == 1:
-        return symbols + [_unimodular_constant(u, domain) for u in phases]
+        constants = np.zeros((forced, 1, 0, 0))
+        return symbols + _with_unitary_constants(domain, phases, [(0,) * n], constants, [0.0] * forced)
     inner_gauss = np.array(inner).reshape((forced,) + shape(coeff_dim - 1))
-    inner_symbols = _realized_symbols(domain, coeff_dim - 1, degree, inner_gauss)
-    return symbols + [_with_unitary_constant(u, phi) for u, phi in zip(phases, inner_symbols)]
+    return symbols + _realized_symbols(domain, coeff_dim - 1, degree, inner_gauss, phases)
 
 
 def random_contractive_symbol(

@@ -28,7 +28,8 @@ compute ``dim = c C(D + n, n)`` first and refuse anything above
 :data:`MAX_DIM` before enumerating a single index.
 
 A basis also carries the index structure every shift-built operator
-needs, built on first use and read-only: the per-axis successor table
+needs, built on first use and read-only: the degree of every monomial
+(:attr:`TruncatedBasis.degree_array`), the per-axis successor table
 (:attr:`TruncatedBasis.successors`), the prefix table of the powers M^alpha
 (:attr:`TruncatedBasis.prefix`) and a memo of the weighted-shift maps of
 :func:`gradedshift.operators._shift_map`, at most
@@ -43,7 +44,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,9 +76,10 @@ MultiIndex = Tuple[int, ...]
 MAX_DIM = 4096
 
 # Byte budget of one chunk of a stack of dense matrices (the colligations of
-# a purity sweep, normed together; their symbols' Phi(0) blocks).  A stack
-# is split into chunks of at most this many bytes and never less than one
-# matrix, so its peak memory does not grow with the number of symbols.
+# a purity sweep, normed together; its symbols' coefficients and Phi(0)
+# blocks).  A stack is split into chunks of at most this many bytes and never
+# less than one matrix, so its peak memory does not grow with the number of
+# symbols.
 _STACK_BYTES = 8 * 2**20
 
 # Distinct bases kept by the memo of polydisc_basis / ball_basis.
@@ -187,6 +189,13 @@ class TruncatedBasis:
     def index_array(self) -> np.ndarray:
         """``index_table`` as a read-only ``(count, n)`` int64 array."""
         out = np.array(self.index_table, dtype=np.int64).reshape(-1, self.n)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def degree_array(self) -> np.ndarray:
+        """The degree of every monomial, as a read-only ``(count,)`` int64 array."""
+        out = self.index_array.sum(axis=1)
         out.flags.writeable = False
         return out
 
@@ -363,11 +372,48 @@ def _ball_basis(spec: BallKernelSpec, degree_cap: int, coeff_dim: int) -> Trunca
     )
 
 
+def _canonical_terms(
+    n: int, coeff_dim: int, k: int, support: Sequence[MultiIndex], coeffs: Sequence
+) -> List[Dict[MultiIndex, np.ndarray]]:
+    """The terms of k symbols, ``coeffs[j][s]`` the coefficient of the s-th
+    at ``support[j]``.  Each multi-index and coefficient shape is checked
+    once, the coefficients are copied into one read-only complex stack, and
+    each symbol's terms are views into it at its nonzero coefficients (one
+    ``any`` over the stack), in support order (at a repeated multi-index the
+    last nonzero coefficient wins)."""
+    if n < 1:
+        raise InvalidInputError("symbol needs n >= 1 variables")
+    if coeff_dim < 1:
+        raise InvalidInputError("symbol needs coeff_dim >= 1")
+    n, coeff_dim = int(n), int(coeff_dim)
+    if len(coeffs) != len(support):
+        raise InvalidInputError(f"{len(coeffs)} coefficients for {len(support)} multi-indices")
+    alphas, mats = [], []
+    for alpha, mat in zip(support, coeffs):
+        alpha = tuple(map(int, alpha))
+        if len(alpha) != n or min(alpha) < 0:
+            raise InvalidInputError(f"bad multi-index {alpha} for n={n}")
+        mat = np.asarray(mat, dtype=complex)
+        if mat.shape[1:] != (coeff_dim, coeff_dim):
+            raise InvalidInputError(
+                f"coefficient at {alpha} has shape {mat.shape[1:]}, expected square dim {coeff_dim}"
+            )
+        alphas.append(alpha)
+        mats.append(mat)
+    stack = np.array(mats) if mats else np.zeros((0, k, coeff_dim, coeff_dim), complex)
+    stack.flags.writeable = False
+    return [
+        {alpha: mat for alpha, mat, kept in zip(alphas, row, keep) if kept}
+        for row, keep in zip(stack.swapaxes(0, 1), stack.any(axis=(2, 3)).T.tolist())
+    ]
+
+
 class MultiplierSymbol:
     """An operator-valued polynomial ``Phi(z) = sum_alpha Phi_alpha z^alpha``.
 
     ``terms`` maps multi-indices (length ``n``) to square complex matrices of
-    size ``coeff_dim``; the matrices are read-only copies of the inputs.
+    size ``coeff_dim``; the matrices are read-only copies of the inputs, views
+    into one stack (:meth:`stack` builds many symbols from one).
 
     ``contractivity_record`` is ``None`` or ``((kind, scales), certificate)``:
     the product bound of the realization the symbol was built as, keyed by
@@ -382,28 +428,28 @@ class MultiplierSymbol:
     """
 
     def __init__(self, n: int, coeff_dim: int, terms: Dict[MultiIndex, np.ndarray]):
-        if n < 1:
-            raise InvalidInputError("symbol needs n >= 1 variables")
-        if coeff_dim < 1:
-            raise InvalidInputError("symbol needs coeff_dim >= 1")
+        (canon,) = _canonical_terms(n, coeff_dim, 1, list(terms), [[mat] for mat in terms.values()])
+        self._set(n, coeff_dim, canon)
+
+    def _set(self, n: int, coeff_dim: int, terms: Dict[MultiIndex, np.ndarray]) -> None:
         self.n = int(n)
         self.coeff_dim = int(coeff_dim)
-        canon: Dict[MultiIndex, np.ndarray] = {}
-        for alpha, mat in terms.items():
-            alpha = tuple(map(int, alpha))
-            if len(alpha) != self.n or min(alpha) < 0:
-                raise InvalidInputError(f"bad multi-index {alpha} for n={self.n}")
-            mat = np.asarray(mat, dtype=complex)
-            if mat.shape != (self.coeff_dim, self.coeff_dim):
-                raise InvalidInputError(
-                    f"coefficient at {alpha} has shape {mat.shape}, expected square dim {self.coeff_dim}"
-                )
-            if mat.any():
-                mat = mat.copy()
-                mat.flags.writeable = False
-                canon[alpha] = mat
-        self.terms = canon
+        self.terms = terms
         self.contractivity_record: Optional[Tuple[object, Tuple[str, float]]] = None
+
+    @classmethod
+    def stack(
+        cls, n: int, coeff_dim: int, support: Sequence[MultiIndex], coeffs: np.ndarray
+    ) -> List["MultiplierSymbol"]:
+        """The k symbols of a ``(k, M, c, c)`` coefficient stack, the s-th
+        with the coefficient ``coeffs[s, j]`` at ``support[j]``, validated
+        once per stack; ``__init__`` is the case k = 1.  The terms of all k
+        are views into one read-only copy of the stack."""
+        symbols = [cls.__new__(cls) for _ in range(len(coeffs))]
+        canon = _canonical_terms(n, coeff_dim, len(coeffs), support, np.swapaxes(coeffs, 0, 1))
+        for phi, terms in zip(symbols, canon):
+            phi._set(n, coeff_dim, terms)
+        return symbols
 
     @property
     def degree(self) -> int:

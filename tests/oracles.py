@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from first principles (no calls into
 the library's own series or operator code paths) so that test expectations
-are derived, not echoed.  The dense subspace routines return the library's
+are derived, not echoed.  The one exception is ``symbol_product_chain``, the
+per-symbol route that the sweeps' coefficient stacks must equal byte for
+byte, built from the library's ``MultiplierSymbol`` and ``symbol_product``
+on purpose.  The dense subspace routines return the library's
 ``SubspaceFrame``, a plain container of orthonormal columns, so that tests
 can compare them with the library's frames.
 """
@@ -248,6 +251,85 @@ def realized_symbol_oracle(
             factor[tuple(int(j == i) for j in range(n))] = u[:c, c:] @ e @ u[c:, :c]
         symbol = factor if symbol is None else _dict_product(symbol, factor)
     return symbol, math.prod(bounds)
+
+
+def symbol_product_chain(
+    rng: np.random.Generator,
+    geometry: str,
+    n: int,
+    coeff_dim: int,
+    degree: int,
+    count: int,
+    forced: int,
+    scales: Sequence[float],
+) -> list:
+    """``count`` plain then ``forced`` unitary-constant realized symbols,
+    each with its recorded bound, by the per-symbol route: every factor is
+    its own ``MultiplierSymbol`` and the factors are chained through
+    ``symbol_product``.
+
+    The draws, the colligation norms and the z_i coefficients B_i C_i are
+    those of ``purity._random_symbols``, batched as there (a batched SVD
+    gives each matrix the norm it gets alone), so the symbols must equal
+    the sweep generator's byte for byte.  A forced symbol is blockdiag(u,
+    inner), recording max(|u|, r); for coeff_dim = 1 it is the constant u,
+    recording |u|.
+    """
+    from gradedshift.spaces import MultiplierSymbol, symbol_product
+
+    f = max(degree, 1)
+    zero = (0,) * n
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+
+    def shape(c: int) -> Tuple[int, ...]:
+        rows = c + n * c
+        return (f, 2, rows, rows if geometry == "polydisc" else 2 * c)
+
+    def chains(c: int, gauss: np.ndarray) -> list:
+        k = len(gauss)
+        if k == 0:
+            return []
+        u = (gauss[:, :, 0] + 1j * gauss[:, :, 1]).reshape((k * f,) + gauss.shape[3:])
+        u[:, c:, c:] = 0.0
+        norms = np.linalg.svd(u, compute_uv=False)[..., 0]
+        factors = 0.99 / norms
+        u = factors[:, None, None] * u
+        bounds = (factors * norms).reshape(k, f)
+        b = u[:, :c, c:].reshape(k * f, c, -1, c).transpose(0, 2, 1, 3)
+        lin = b @ u[:, c:, :c].reshape(k * f, n, c, c)
+        for i, q in enumerate(scales):
+            if q != 1.0:
+                lin[:, i] *= math.sqrt(q)
+        out = []
+        for s in range(k):
+            phi = None
+            for t in range(s * f, (s + 1) * f):
+                terms = {zero: u[t, :c, :c]}
+                if degree:
+                    terms.update(zip(units, lin[t]))
+                factor = MultiplierSymbol(n, c, terms)
+                phi = factor if phi is None else symbol_product(phi, factor)
+            out.append((phi, math.prod(bounds[s].tolist())))
+        return out
+
+    gauss = rng.standard_normal((count,) + shape(coeff_dim))
+    phases, inner = [], []
+    for _ in range(forced):
+        phases.append(complex(np.exp(2j * math.pi * rng.uniform())))
+        if coeff_dim > 1:
+            inner.append(rng.standard_normal(shape(coeff_dim - 1)))
+    symbols = chains(coeff_dim, gauss)
+    if coeff_dim == 1:
+        return symbols + [(MultiplierSymbol(n, 1, {zero: np.array([[u]])}), abs(u)) for u in phases]
+    inner_gauss = np.array(inner).reshape((forced,) + shape(coeff_dim - 1))
+    for u, (phi, r) in zip(phases, chains(coeff_dim - 1, inner_gauss)):
+        terms = {}
+        for alpha, mat in phi.terms.items():
+            terms[alpha] = np.zeros((coeff_dim, coeff_dim), dtype=complex)
+            terms[alpha][1:, 1:] = mat
+        terms.setdefault(zero, np.zeros((coeff_dim, coeff_dim), dtype=complex))[0, 0] = u
+        symbols.append((MultiplierSymbol(n, coeff_dim, terms), max(abs(u), r)))
+    return symbols
 
 
 def sampled_sup_norm(terms: Dict[MultiIndex, np.ndarray], points: np.ndarray) -> float:

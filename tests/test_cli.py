@@ -196,7 +196,7 @@ class TestExitCodes:
         assert cli.main([task, "--config", str(cfg), "--out", str(out)]) == 2
         rep = read_report(out)
         assert rep["pass"] is False and rep["payload"] == {}
-        assert rep["error"]["type"].endswith("MemoryError")
+        assert rep["error"]["type"] == "MemoryError"
         assert "PiB" in rep["error"]["message"]
         jsonschema.validate(rep, cli._load_schema("report.schema.json"))
 
@@ -253,7 +253,7 @@ class TestExitCodes:
         assert rep["pass"] is False
         assert rep["error"]["type"] == "CertificationError"
         jsonschema.validate(rep, cli._load_schema("report.schema.json"))
-        cached = [warm.index_array, warm.norm_array, warm.successors]
+        cached = [warm.index_array, warm.degree_array, warm.norm_array, warm.successors]
         cached += [arr for maps in warm._shift_maps.values() for arr in maps]
         for arr in cached:
             with pytest.raises(ValueError):

@@ -48,6 +48,7 @@ from oracles import (
     realized_symbol_oracle,
     sampled_sup_norm,
     sphere_points,
+    symbol_product_chain,
     torus_grid,
 )
 
@@ -241,6 +242,39 @@ class TestStructuralCertificate:
         with pytest.raises(CertificationError, match=r"\(1, 0\)"):
             multiplier_purity_verdict(phi, HARDY2, 4)
 
+    @pytest.mark.parametrize(
+        "support, broken, named",
+        (
+            ([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)], [(1, 1)], (1, 1)),
+            ([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)], [(1, 1), (0, 1)], (0, 1)),
+            ([(1, 0), (0, 1), (0, 0)], [(0, 0), (1, 0)], (1, 0)),
+            ([(1, 0), (0, 1), (0, 0)], [(0, 0)], (0, 0)),
+        ),
+    )
+    def test_the_first_broken_term_of_the_support_is_named(self, monkeypatch, support, broken, named):
+        # the lifted maps are checked in one comparison; the error still
+        # names the first broken term in support order, down to the last
+        # entry of the last map
+        real = purity_module._shift_map
+
+        def patched(basis, beta):
+            src, dst, w = real(basis, beta)
+            if tuple(beta) in broken and sum(beta):
+                # the last entry stays in its own degree
+                dst = dst.copy()
+                dst[-1] = src[-1]
+            elif tuple(beta) in broken:
+                w = w.copy()
+                w[-1] = 0.5
+            return src, dst, w
+
+        phi = scalar_symbol(2, {beta: 0.1 for beta in support})
+        assert list(phi.terms) == support
+        monkeypatch.setattr(purity_module, "_shift_map", patched)
+        with pytest.raises(CertificationError) as exc:
+            multiplier_purity_verdict(phi, HARDY2, 4)
+        assert str(exc.value) == f"shift map of term {named} breaks the degree grading of V_4"
+
     def test_broken_constant_term_raises(self, monkeypatch):
         real = purity_module._shift_map
 
@@ -375,7 +409,10 @@ class TestCoefficientBound:
         # u (+) Phi_inner with the records dropped: the blocks give max(1, b_inner)
         domain = SCALED_SPACES[name][0]
         inner = random_contractive_symbol(np.random.default_rng(3), domain, 2, 2, 4)
-        forced = purity_module._with_unitary_constant(-1.0, inner)
+        r = inner.contractivity_record[1].bound
+        stack = np.array([list(inner.terms.values())])
+        (forced,) = purity_module._with_unitary_constants(domain, [-1.0], list(inner.terms), stack, [r])
+        assert forced.contractivity_record == (inner.contractivity_record[0], ("realization", 1.0))
         inner, forced = (MultiplierSymbol(p.n, p.coeff_dim, p.terms) for p in (inner, forced))
         b_inner = purity_module._coefficient_bound(inner, domain)
         assert purity_module._coefficient_bound(forced, domain) == max(1.0, b_inner)
@@ -636,6 +673,54 @@ STACK_CASES = [(SCALED_SPACES[name], 2, 3) for name in SCALED_SPACES] + [
     (SCALED_SPACES["dirichlet2"], 0, 3),
     ((HARDY1, (1.0,)), 4, 2),
 ]
+
+
+def _chain_domain(geometry, n):
+    # a polydisc mixing scales 0.5 and 1, or a ball with q = 1 or q = 0.5
+    if geometry == "polydisc":
+        return PolydiscDomain((dirichlet(), hardy(), weighted_bergman(1.5))[:n])
+    if geometry == "ball-da":
+        return BallDomain(drury_arveson(n))
+    return BallDomain(BallKernelSpec(n, "unitarily_invariant_custom", a_coeffs=CUSTOM_BALL.spec.a_coeffs))
+
+
+class TestProductPlan:
+    @pytest.mark.parametrize("one_matrix_chunks", (False, True), ids=("budget", "one-matrix"))
+    @pytest.mark.parametrize("geometry", ("polydisc", "ball-da", "ball-custom"))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_stack_equals_the_symbol_product_chain_byte_for_byte(
+        self, monkeypatch, n, geometry, one_matrix_chunks
+    ):
+        # the product plan replays symbol_product's term order and sums
+        domain = _chain_domain(geometry, n)
+        scales = purity_module._realization_scales(domain)
+        if one_matrix_chunks:
+            monkeypatch.setattr(spaces_module, "_STACK_BYTES", 1)
+        for c in (1, 2, 3):
+            for degree in range(5):
+                rngs = [np.random.default_rng((n, c, degree)) for _ in range(2)]
+                stacked = purity_module._random_symbols(rngs[0], domain, c, degree, 3, 2)
+                chained = symbol_product_chain(rngs[1], domain.kind, n, c, degree, 3, 2, scales)
+                assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+                assert len(stacked) == len(chained) == 5
+                for phi, (chain, bound) in zip(stacked, chained):
+                    assert list(phi.terms) == list(chain.terms)
+                    assert [m.tobytes() for m in phi.terms.values()] == [
+                        m.tobytes() for m in chain.terms.values()
+                    ]
+                    assert phi.contractivity_record == ((domain.kind, scales), ("realization", bound))
+
+    def test_plan_is_memoised_per_shape(self, cold_memos):
+        support, steps = purity_module._product_plan(2, 2, True)
+        assert support == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+        assert purity_module._product_plan(2, 2, True)[1] is steps
+        ((first, rounds),) = steps
+        # (1, 0) and (0, 1) sum 1 z_i and z_i 1, (1, 1) sums z_1 z_2 and z_2 z_1
+        assert first.tolist() == [0, 1, 2, 4, 5, 8] and len(rounds) == 1
+        assert [a.tolist() for a in rounds[0]] == [[1, 2, 4], [3, 6, 7]]
+        assert not any(a.flags.writeable for a in (first, *rounds[0]))
+        assert purity_module._product_plan(2, 1, False) == (((0, 0),), ())
+        assert purity_module._product_plan.cache_info().currsize == 2
 
 
 class TestStackedSweep:

@@ -338,6 +338,26 @@ class TestSymbols:
             assert np.array_equal(mat, [[want[alpha]]], equal_nan=True)
             assert not np.shares_memory(mat, given)
 
+    def test_stack_equals_one_symbol_per_row(self):
+        # a zero coefficient is dropped from its own symbol only
+        coeffs = np.arange(1, 25, dtype=complex).reshape(3, 2, 2, 2)
+        coeffs[1, 0] = 0.0
+        support = [(0, 1), (1.0, 0)]
+        stacked = MultiplierSymbol.stack(2, 2, support, coeffs)
+        assert [list(phi.terms) for phi in stacked] == [[(0, 1), (1, 0)], [(1, 0)], [(0, 1), (1, 0)]]
+        for phi, row in zip(stacked, coeffs):
+            single = MultiplierSymbol(2, 2, dict(zip(support, row)))
+            assert list(phi.terms) == list(single.terms) and phi.contractivity_record is None
+            for alpha, mat in phi.terms.items():
+                assert mat.tobytes() == single.terms[alpha].tobytes()
+                assert not mat.flags.writeable and not np.shares_memory(mat, coeffs)
+        with pytest.raises(InvalidInputError, match="^bad multi-index \\(0, -1\\) for n=2$"):
+            MultiplierSymbol.stack(2, 2, [(0, 1), (0, -1)], coeffs)
+        with pytest.raises(InvalidInputError, match="^1 coefficients for 2 multi-indices$"):
+            MultiplierSymbol.stack(2, 2, support, coeffs[:, :1])
+        with pytest.raises(InvalidInputError, match=r"^coefficient at \(0, 1\) has shape \(2, 1\)"):
+            MultiplierSymbol.stack(2, 2, support, coeffs[..., :1])
+
     def test_slice_drops_variable(self):
         phi = scalar_symbol(2, {(1, 1): 1.0, (0, 1): 1.0})
         sliced = slice_symbol(phi, 0)
