@@ -68,7 +68,6 @@ from .operators import (
 )
 from .purity import (
     PurityReport,
-    adjoint_compression,
     basis_for,
     decay_curve,
     invariant_restriction_test,

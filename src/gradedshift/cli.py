@@ -74,7 +74,7 @@ from .kernels import (
     hardy,
     series_1d,
 )
-from .operators import multiplier_matrix, opnorm, orbit_frame, shift_tuple, wandering_witness
+from .operators import SubspaceFrame, multiplier_matrix, opnorm, shift_tuple, wandering_witness
 from .purity import (
     _purity_verdicts,
     _random_symbols,
@@ -612,14 +612,12 @@ def _run_witness(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
             "witness subspaces are orbit spans of a vanishing-at-0 symbol "
             "(constant term would meet the wandering subspace)"
         )
-    x = shift_tuple(basis)
     pi = multiplier_matrix(basis, theta)
-    seeds = pi.data[:, : basis.coeff_dim]
-    if not np.any(seeds):
+    if not np.any(pi.data):
         raise InvalidInputError("degree cap too small for the subspace symbol")
-    frame = orbit_frame(x, seeds, basis.degree_cap)
-    tol = config.tol("tol")
-    result = wandering_witness(x, frame, basis.degree_cap, tol)
+    # X^m P_D theta xi = P_D z^m theta xi: the orbit span is the range of P_D M_theta
+    frame = SubspaceFrame.from_columns(pi.data)
+    result = wandering_witness(shift_tuple(basis), frame, basis.degree_cap, config.tol("tol"))
     payload = {
         "found": result.found,
         "h_index": result.h_index,

@@ -91,17 +91,6 @@ class OperatorMatrix:
     def exact_column_count(self) -> int:
         return self.domain.dim_upto(self.exactness_degree)
 
-    def adjoint(self, exactness_degree: Optional[int] = None, lift: int = 0) -> "OperatorMatrix":
-        """Conjugate transpose; exactness must be supplied by the caller
-        because it is operation-specific (adjoints of multipliers are exact
-        on the whole truncation, see :func:`gradedshift.purity.adjoint_compression`).
-        """
-        if exactness_degree is None:
-            exactness_degree = self.codomain.degree_cap
-        return OperatorMatrix(
-            self.data.conj().T, self.codomain, self.domain, exactness_degree, lift
-        )
-
 
 def _as_array(op: Union[OperatorMatrix, np.ndarray]) -> np.ndarray:
     if isinstance(op, OperatorMatrix):
@@ -247,6 +236,16 @@ def shift_tuple(basis: TruncatedBasis) -> List[OperatorMatrix]:
     return [shift_matrix(basis, i) for i in range(basis.n)]
 
 
+def _check_symbol(basis: TruncatedBasis, phi: MultiplierSymbol) -> None:
+    """Refuse a symbol whose n or coeff_dim differs from the basis's."""
+    if phi.n != basis.n:
+        raise InvalidInputError(f"symbol has n={phi.n}, basis has n={basis.n}")
+    if phi.coeff_dim != basis.coeff_dim:
+        raise InvalidInputError(
+            f"symbol coeff_dim {phi.coeff_dim} != basis coeff_dim {basis.coeff_dim}"
+        )
+
+
 def multiplier_matrix(basis: TruncatedBasis, phi: MultiplierSymbol) -> OperatorMatrix:
     """The matrix of P_D M_Phi |_{V_D}.
 
@@ -255,12 +254,7 @@ def multiplier_matrix(basis: TruncatedBasis, phi: MultiplierSymbol) -> OperatorM
     restriction of M_Phi^* to V_D with no truncation error, since V_D is
     invariant under M_Phi^*.
     """
-    if phi.n != basis.n:
-        raise InvalidInputError(f"symbol has n={phi.n}, basis has n={basis.n}")
-    if phi.coeff_dim != basis.coeff_dim:
-        raise InvalidInputError(
-            f"symbol coeff_dim {phi.coeff_dim} != basis coeff_dim {basis.coeff_dim}"
-        )
+    _check_symbol(basis, phi)
     data = _weighted_shift(basis, phi.terms)
     return OperatorMatrix(data, basis, basis, basis.degree_cap - phi.degree, phi.degree)
 
@@ -435,13 +429,14 @@ def wandering_witness(
     certificate lists ||P_M X_i* eta|| for every i.
     """
     q = m_frame.columns
+    qh = q.conj().T
     dim = x[0].domain.dim
     if m_frame.dim == 0:
         raise InvalidInputError("witness search requires a nonzero subspace")
     if m_frame.dim >= dim:
         raise InvalidInputError("witness search requires a proper subspace")
     for i, t in enumerate(x):
-        leak = opnorm(t.data @ q - q @ (q.conj().T @ t.data @ q))
+        leak = opnorm(t.data @ q - q @ (qh @ t.data @ q))
         if leak > tol:
             raise InvalidInputError(
                 f"subspace not invariant under operator {i} (residual {leak:.3e})"
@@ -449,7 +444,7 @@ def wandering_witness(
     w = wandering_subspace(x)
     if w.dim == 0:
         raise InvalidInputError("tuple has trivial wandering subspace")
-    overlap = opnorm(q.conj().T @ w.columns)
+    overlap = opnorm(qh @ w.columns)
     if overlap > tol:
         raise InvalidInputError(
             f"wandering subspace not contained in the orthocomplement (overlap {overlap:.3e})"
@@ -461,15 +456,15 @@ def wandering_witness(
         feasible = [
             m
             for m, vec in orbit.items()
-            if sum(m) > 0 and float(np.linalg.norm(q.conj().T @ vec)) > tol
+            if sum(m) > 0 and float(np.linalg.norm(qh @ vec)) > tol
         ]
         if not feasible:
             continue
         m_tilde = min(feasible)  # plain lexicographic minimum
         vec = orbit[m_tilde][:, 0]
-        eta = q @ (q.conj().T @ vec)
+        eta = q @ (qh @ vec)
         residuals = tuple(
-            float(np.linalg.norm(q.conj().T @ (t.data.conj().T @ eta))) for t in x
+            float(np.linalg.norm(qh @ (t.data.conj().T @ eta))) for t in x
         )
         return WitnessResult(
             found=True,

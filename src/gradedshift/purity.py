@@ -104,15 +104,15 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CertificationError, InvalidInputError, NotContractiveError
 from .kernels import KernelSpec1D
 from .operators import (
-    OperatorMatrix,
     SubspaceFrame,
+    _check_symbol,
     _opnorms,
     _shift_map,
     multiplier_matrix,
@@ -136,7 +136,6 @@ from .spaces import (
 
 __all__ = [
     "basis_for",
-    "adjoint_compression",
     "decay_curve",
     "PurityReport",
     "multiplier_purity_verdict",
@@ -157,10 +156,32 @@ def basis_for(domain: Domain, degree_cap: int, coeff_dim: int) -> TruncatedBasis
     raise InvalidInputError(f"unknown domain {domain!r}")
 
 
-def adjoint_compression(phi: MultiplierSymbol, basis: TruncatedBasis) -> OperatorMatrix:
-    """The matrix of M_Phi^* restricted to V_D -- exact, with d* = D."""
-    fwd = multiplier_matrix(basis, phi)
-    return fwd.adjoint(exactness_degree=basis.degree_cap, lift=0)
+def _adjoint_orbit(
+    phi: MultiplierSymbol, basis: TruncatedBasis, h: np.ndarray, m_max: int
+) -> Iterator[np.ndarray]:
+    """Yield h, A h, ..., A^m_max h, A the compression of M_Phi^* to V_D, off
+    the shift maps: (A v)_alpha = sum_beta w Phi_beta^* v_(alpha+beta).  A
+    table with a row per monomial and a column per term holds the coordinates
+    of alpha + beta and w Phi_beta^* (zero where alpha + beta leaves V_D), so a
+    step is one gather and one batched matmul at any term count, and no dim x
+    dim matrix is formed.  An h without ``basis.dim`` entries is refused."""
+    _check_symbol(basis, phi)
+    v = np.asarray(h, dtype=complex).reshape(-1)
+    if v.size != basis.dim:
+        raise InvalidInputError(f"vector has {v.size} entries, V_D has dim {basis.dim}")
+    c = basis.coeff_dim
+    monomials = basis.dim // c
+    reads = np.zeros((monomials, len(phi.terms), c), dtype=int)
+    coeffs = np.zeros((monomials, len(phi.terms), c, c), dtype=complex)
+    for t, (beta, mat) in enumerate(phi.terms.items()):
+        src, dst, w = _shift_map(basis, beta)
+        reads[src, t] = c * dst[:, None] + np.arange(c)
+        coeffs[src, t] = w[:, None, None] * mat.conj()
+    reads, coeffs = reads.reshape(monomials, 1, -1), coeffs.reshape(monomials, -1, c)
+    yield v
+    for _ in range(m_max):
+        v = (v[reads] @ coeffs).reshape(-1)
+        yield v
 
 
 def decay_curve(
@@ -175,13 +196,7 @@ def decay_curve(
     is invariant), so ||A|| <= ||M_Phi|| <= 1 + tol and the curve does not
     rise beyond that slack."""
     _contractivity(phi, basis.domain, tol)
-    a = adjoint_compression(phi, basis).data
-    v = np.asarray(h, dtype=complex).reshape(-1)
-    curve = [float(np.linalg.norm(v))]
-    for _ in range(m_max):
-        v = a @ v
-        curve.append(float(np.linalg.norm(v)))
-    return curve
+    return [float(np.linalg.norm(v)) for v in _adjoint_orbit(phi, basis, h, m_max)]
 
 
 # The kinds of contractivity certificate (see the module docstring)
@@ -346,10 +361,9 @@ def _purity_verdicts(
     """
     if not phis:
         return []
-    for phi in phis:
-        if phi.n != domain.n:
-            raise InvalidInputError(f"symbol has n={phi.n}, basis has n={domain.n}")
     basis = basis_for(domain, d_max, phis[0].coeff_dim)
+    for phi in phis:
+        _check_symbol(basis, phi)
     certs: List[Optional[Contractivity]] = []
     certified = set()
     for phi in phis:
@@ -433,21 +447,14 @@ def invariant_restriction_test(
         raise InvalidInputError(
             f"theta is not inner at truncation (isometry defect {iso_defect:.3e})"
         )
-    frame = SubspaceFrame.from_columns(cols)
-    q = frame.columns
+    q = SubspaceFrame.from_columns(cols).columns
     # xi: a direction not annihilated by theta(0)^* (top left singular vector)
-    u, _, _ = np.linalg.svd(theta.phi0)
-    xi = u[:, 0]
     one_xi = np.zeros(basis.dim, dtype=complex)
-    one_xi[: basis.coeff_dim] = xi
-    comp = adjoint_compression(lift_scalar_symbol(phi, basis.coeff_dim), basis)
-    v = q @ (q.conj().T @ one_xi)
-    s_values = [float(np.linalg.norm(q.conj().T @ v))]
-    w = v
-    for _ in range(m_max):
-        w = comp.data @ w
-        s_values.append(float(np.linalg.norm(q.conj().T @ w)))
-    target = float(np.abs(phi(tuple([0.0] * phi.n))[0, 0]))
+    one_xi[: basis.coeff_dim] = np.linalg.svd(theta.phi0)[0][:, 0]
+    qh = q.conj().T
+    orbit = _adjoint_orbit(lift_scalar_symbol(phi, basis.coeff_dim), basis, q @ (qh @ one_xi), m_max)
+    s_values = [float(np.linalg.norm(qh @ w)) for w in orbit]
+    target = float(np.abs(phi.phi0[0, 0]))
     deg_phi = max(phi.degree, 1)
     certified = max(0, (basis.degree_cap - 2 * theta.degree) // deg_phi)
     certified = min(certified, m_max)

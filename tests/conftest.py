@@ -2,7 +2,8 @@
 
 One thread keeps test times from depending on the host's core count.  The
 dense linear algebra left in the tests is small: the dense oracles of
-tests/oracles.py and the decay curves' compressions.  On a 2-vCPU host the whole suite took about
+tests/oracles.py, the adjoint compressions that decay curves are checked
+against among them.  On a 2-vCPU host the whole suite took about
 as long with two OpenBLAS threads as with one (14.3-17.2 s against
 15.9-17.5 s, two runs each).  Variables already set in the environment win.
 """

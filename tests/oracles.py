@@ -169,6 +169,13 @@ def dense_multiplier(
     return m
 
 
+def dense_adjoint_compression(basis, terms: Dict[MultiIndex, np.ndarray]) -> np.ndarray:
+    """The matrix of M_Phi^* restricted to a basis's V_D: the conjugate
+    transpose of :func:`dense_multiplier` on its table, exact because V_D
+    is invariant under M_Phi^*."""
+    return dense_multiplier(basis.index_table, basis.norms, basis.coeff_dim, terms).conj().T
+
+
 def dense_per_degree_rho(
     index_table: Sequence[MultiIndex],
     norms: Sequence[float],

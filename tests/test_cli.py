@@ -20,6 +20,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from jsonschema.exceptions import best_match
 from jsonschema.validators import extend, validator_for
 
 from gradedshift import cli, dilation, errors, kernels, purity, spaces
+from gradedshift import operators as operators_module
 
 from oracles import polydisc_points_oracle
 
@@ -833,6 +835,27 @@ class TestScale:
         _refuse_large_svds(monkeypatch)
         assert cli.main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
         assert read_report(out)["payload"]["nonincreasing"] is True
+
+    def test_decay_at_dim_3276_forms_no_matrix(self, tmp_path, monkeypatch):
+        # a dense compression here is 164 MiB, and its adjoint as much again
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        config = json.loads((ACCEPTANCE_DIR / "decay-averaging-symbol.json").read_text(encoding="utf-8"))
+        config["space"] = {"family": "drury_arveson", "n": 3, "degree_cap": 25}
+        config["symbol"]["n"] = 3
+        for term in config["symbol"]["terms"]:
+            term["alpha"] += [0, 0]
+        write_json(cfg, config)
+        monkeypatch.setattr(operators_module, "_weighted_shift", pytest.fail)
+        tracemalloc.start()
+        try:
+            assert cli.main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        curve = read_report(out)["payload"]["curve"]
+        assert len(curve) == 13
+        assert all(b <= a for a, b in zip(curve, curve[1:]))
 
 
 class TestReportWriter:

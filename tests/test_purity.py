@@ -18,7 +18,6 @@ from gradedshift import (
     InvalidInputError,
     NotContractiveError,
     PolydiscDomain,
-    adjoint_compression,
     basis_for,
     bergman,
     cli,
@@ -43,6 +42,7 @@ from gradedshift.operators import spectral_radius
 from gradedshift.spaces import BallDomain, MultiplierSymbol, lift_scalar_symbol, slice_symbol
 
 from oracles import (
+    dense_adjoint_compression,
     dense_multiplier,
     dense_per_degree_rho,
     realized_symbol_oracle,
@@ -61,32 +61,40 @@ DIAG_ONE_Z = MultiplierSymbol(
 )
 
 
+def map_compression(phi, basis):
+    """The compression of M_Phi^* to V_D, column by column, from the
+    shift-map apply on the identity columns."""
+    eye = np.eye(basis.dim, dtype=complex)
+    return np.column_stack(
+        [list(purity_module._adjoint_orbit(phi, basis, e, 1))[1] for e in eye]
+    )
+
+
 class TestAdjointCompression:
     def test_constant_scalar(self):
         basis = basis_for(HARDY1, 3, 1)
         phi = scalar_symbol(1, {(0,): 0.3 + 0.4j})
-        adj = adjoint_compression(phi, basis)
-        np.testing.assert_allclose(adj.data, (0.3 - 0.4j) * np.eye(4), atol=1e-15)
+        adj = map_compression(phi, basis)
+        np.testing.assert_allclose(adj, (0.3 - 0.4j) * np.eye(4), atol=1e-15)
 
     def test_backward_shift(self):
         basis = basis_for(HARDY1, 3, 1)
-        adj = adjoint_compression(scalar_symbol(1, {(1,): 1.0}), basis)
+        adj = map_compression(scalar_symbol(1, {(1,): 1.0}), basis)
         expected = np.zeros((4, 4))
         for m in range(3):
             expected[m, m + 1] = 1.0
-        np.testing.assert_allclose(adj.data, expected, atol=1e-15)
-        assert np.linalg.matrix_power(adj.data, 4).max() == 0.0
+        np.testing.assert_allclose(adj, expected, atol=1e-15)
+        assert np.linalg.matrix_power(adj, 4).max() == 0.0
 
     def test_degree_zero_block_is_phi0_star(self):
-        rng = np.random.default_rng(11)
         for seed in range(8):
             coeff_dim = 2
             basis = basis_for(HARDY2, 4, coeff_dim)
             phi = random_contractive_symbol(
                 np.random.default_rng(seed), HARDY2, coeff_dim, 2, 4
             )
-            adj = adjoint_compression(phi, basis)
-            block = adj.data[:coeff_dim, :coeff_dim]
+            adj = map_compression(phi, basis)
+            block = adj[:coeff_dim, :coeff_dim]
             np.testing.assert_allclose(block, phi.phi0.conj().T, atol=1e-13)
 
 
@@ -108,15 +116,38 @@ class TestDecayCurve:
     def test_half_one_plus_z_matches_power_oracle(self):
         basis = basis_for(HARDY1, 10, 1)
         phi = scalar_symbol(1, {(0,): 0.5, (1,): 0.5})
-        adj = adjoint_compression(phi, basis)
+        adj = dense_adjoint_compression(basis, phi.terms)
         h = np.zeros(basis.dim, dtype=complex)
         h[0] = 1.0
         curve = decay_curve(phi, basis, h, 8)
         acc = h.copy()
         for m in range(9):
             assert curve[m] == pytest.approx(float(np.linalg.norm(acc)), abs=1e-13)
-            acc = adj.data @ acc
+            acc = adj @ acc
         assert all(curve[i + 1] < curve[i] for i in range(8))
+
+    def test_wrong_length_vector_refused(self):
+        basis = basis_for(HARDY1, 4, 1)
+        phi = scalar_symbol(1, {(0,): 0.5, (1,): 0.5})
+        for size in (basis.dim - 1, basis.dim + 2):
+            with pytest.raises(InvalidInputError, match=f"vector has {size} entries, V_D has dim 5"):
+                decay_curve(phi, basis, np.ones(size, dtype=complex), 3)
+
+    def test_matches_dense_oracle(self):
+        # Hardy bidisc with c = 2, Bergman, and a ball, at D <= 8
+        cases = (
+            (HARDY2, 2, 6),
+            (PolydiscDomain((bergman(),)), 1, 8),
+            (BallDomain(drury_arveson(2)), 2, 5),
+        )
+        for domain, c, d_cap in cases:
+            rng = np.random.default_rng(d_cap)
+            basis = basis_for(domain, d_cap, c)
+            phi = random_contractive_symbol(rng, domain, c, 2, d_cap)
+            h = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+            adj = dense_adjoint_compression(basis, phi.terms)
+            expected = [float(np.linalg.norm(np.linalg.matrix_power(adj, m) @ h)) for m in range(13)]
+            np.testing.assert_allclose(decay_curve(phi, basis, h, 12), expected, rtol=1e-15, atol=0)
 
     def test_noncontraction_rejected(self):
         basis = basis_for(HARDY1, 3, 1)
@@ -177,7 +208,7 @@ class TestPurityVerdict:
             phi = random_contractive_symbol(np.random.default_rng(11), domain, c, 2, d_max)
             rep = multiplier_purity_verdict(phi, domain, d_max)
             for d in range(d_max + 1):
-                fresh = adjoint_compression(phi, basis_for(domain, d, c))
+                fresh = dense_adjoint_compression(basis_for(domain, d, c), phi.terms)
                 assert abs(spectral_radius(fresh) - rep.phi0_rho) <= 1e-12
 
     def test_ball_space_sweep_no_inconsistency(self):
