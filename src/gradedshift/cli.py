@@ -607,6 +607,8 @@ def _run_witness(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     domain = build_domain(config.space)
     basis = basis_for(domain, config.space["degree_cap"], config.space.get("coeff_dim", 1))
     theta = _require_symbol(config)
+    if not theta.terms:
+        raise InvalidInputError("the subspace symbol is zero, so it spans no subspace")
     if np.any(theta.phi0 != 0):
         raise InvalidInputError(
             "witness subspaces are orbit spans of a vanishing-at-0 symbol "

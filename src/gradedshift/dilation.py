@@ -19,22 +19,21 @@ J_beta (x) Phi_beta.  Write Phi = Phi_0 + z_p Phi_1.
   Phi_q), [M_{Phi_p}, M_{Phi_q}] is sum_gamma J_gamma (x) (Phi_p Phi_q -
   Phi_q Phi_p)_gamma over gamma in {0, e_p, 2 e_p}, so its norm is at most
   the sum of the coefficient norms.
-- Isometry defect.  On the columns of degree <= D - deg Phi, the defect
-  M_Phi^* M_Phi - I is I (x) (Phi_0^* Phi_0 + Phi_1^* Phi_1 - I) +
-  T (x) Phi_1^* Phi_0 + T^* (x) Phi_0^* Phi_1, with T a compressed shift
-  of norm <= 1, so its norm is at most ||Phi_0^* Phi_0 + Phi_1^* Phi_1 -
-  I|| + 2 ||Phi_0^* Phi_1||.  On the full space the same sum gives
-  ||M_Phi||^2 <= 1 + that bound, so contractivity needs no other bound.
+- Isometry defect.  ||M_Phi^* M_Phi - I|| <= ||Phi_0^* Phi_0 + Phi_1^*
+  Phi_1 - I|| + 2 ||Phi_0^* Phi_1||, the degree-1 case of the bound proved
+  at :func:`gradedshift.purity._isometry_defect_bounds`, which also gives
+  ||M_Phi||^2 <= 1 + the bound, so contractivity needs no other bound.
 - A coordinate shift is J_(e_i) (x) I: it commutes with every M_Phi and is
   isometric on its exact columns, so it adds exactly 0.
 
 A BCL sweep draws, validates and certifies its triples as stacks: one
 batched QR for every Haar matrix, one batched SVD per validation test,
-stacked coefficient products, one batched SVD of all e x e residual
-matrices, and one stacked call for all purity verdicts.  The one-triple
-functions (:func:`random_bcl_triple`, :func:`bcl_dilation_certify`) are the
-k=1 case, and a stack's results equal theirs bit for bit.  The dense
-residuals are cross-checks in ``tests/oracles.py``.
+stacked coefficient products, one batched SVD of the commutator
+coefficients and one of the isometry-defect blocks, and one stacked call
+for all purity verdicts.  The one-triple functions (:func:`random_bcl_triple`,
+:func:`bcl_dilation_certify`) are the k=1 case, and a stack's results
+equal theirs bit for bit.  The dense residuals are cross-checks in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -44,10 +43,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CertificationError, InvalidInputError
+from .errors import InvalidInputError
 from .kernels import hardy
-from .operators import _opnorms, opnorm
-from .purity import PurityReport, _purity_verdicts, basis_for
+from .operators import _adjoints, _opnorms, opnorm
+from .purity import PurityReport, _isometry_defect_bounds, _purity_verdicts, basis_for
 from .spaces import MultiIndex, MultiplierSymbol, PolydiscDomain, enumerate_indices
 
 __all__ = [
@@ -178,11 +177,6 @@ def transfer_jet(c: Colligation, degree: int) -> MultiplierSymbol:
     return MultiplierSymbol(n, c.e_dim, terms)
 
 
-def _adjoints(a: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of a matrix, or of every matrix of a stack."""
-    return a.conj().swapaxes(-1, -2)
-
-
 def _check_bcl_stacks(u: np.ndarray, p: np.ndarray) -> None:
     """Refuse unless every U of a ``(k, e, e)`` stack is unitary to
     ``UNITARITY_TOL`` and every P an orthogonal projection to
@@ -217,24 +211,19 @@ class BCLTriple:
         return np.eye(self.e_dim, dtype=complex) - self.p
 
 
-_PairCoefficients = Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
-
-
-def _pair_coefficients(u: np.ndarray, p: np.ndarray) -> _PairCoefficients:
-    """``((P U*, P_perp U*), (U P_perp, U P))``: the z_p^0 and z_p^1
-    coefficients of Phi_p and Phi_q, as stacks for ``(k, e, e)`` stacks."""
+def _pair_coefficients(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The ``(2k, 2, e, e)`` coefficient stack of Phi_p, Phi_q, Phi_p, ...,
+    the pair of every triple of ``(k, e, e)`` stacks in turn: the z_p^0 and
+    z_p^1 coefficients P U*, P_perp U* of Phi_p, then U P_perp, U P of Phi_q."""
     uh = _adjoints(u)
     p_perp = np.eye(u.shape[-1], dtype=complex) - p
-    return (p @ uh, p_perp @ uh), (u @ p_perp, u @ p)
+    return np.stack([p @ uh, p_perp @ uh, u @ p_perp, u @ p], axis=1).reshape((-1, 2) + u.shape[1:])
 
 
-def _pair_symbols(n: int, axis: int, coeffs: _PairCoefficients) -> List[MultiplierSymbol]:
-    """Phi_p, Phi_q, Phi_p, ... in n variables, the pair of every triple of
-    a stack in turn, from one ``(2k, 2, e, e)`` coefficient stack."""
+def _pair_symbols(n: int, axis: int, stack: np.ndarray) -> List[MultiplierSymbol]:
+    """The symbols of a :func:`_pair_coefficients` stack in n variables."""
     zero, ep = (0,) * n, tuple(int(i == axis) for i in range(n))
-    stack = np.moveaxis(np.array(coeffs), 2, 0)  # (k, 2, 2, e, e): triple, symbol, term
-    e = stack.shape[-1]
-    return MultiplierSymbol.stack(n, e, [zero, ep], stack.reshape(-1, 2, e, e))
+    return MultiplierSymbol.stack(n, stack.shape[-1], [zero, ep], stack)
 
 
 def bcl_pair(t: BCLTriple, n_vars: Optional[int] = None) -> Tuple[MultiplierSymbol, MultiplierSymbol]:
@@ -295,39 +284,34 @@ def _bcl_certificates(
     :func:`gradedshift.spaces.symbol_product` sums them.  The same products
     give ``max_commutator``, sum_gamma ||(Phi_p Phi_q - Phi_q
     Phi_p)_gamma||, counted where D >= 2 max deg.  ``max_isometry_defect``
-    is the larger of ||Phi_0^* Phi_0 + Phi_1^* Phi_1 - I|| + 2 ||Phi_0^*
-    Phi_1|| over the symbols with D >= deg Phi.  Both bound the dense
-    residuals on exactness blocks by the module docstring's proof, which
-    needs every Hardy norm to be exactly 1.0 (else ``CertificationError``).
-    A z_p coefficient that is exactly 0 (U P at P = 0) makes that symbol
-    constant.  The defect bound certifies contractivity, so the 2k purity
-    verdicts come from one stacked call that checks no other bound.
+    is the larger :func:`gradedshift.purity._isometry_defect_bounds` of the
+    pair, over the symbols with D >= deg Phi.  Both bound the dense
+    residuals on exactness blocks and need every Hardy norm to be exactly
+    1.0 (else ``CertificationError``).  A z_p coefficient that is exactly 0
+    (U P at P = 0) makes that symbol constant.  The defect bound certifies
+    contractivity, so the 2k purity verdicts come from one stacked call.
     """
     if n < 2:
         raise InvalidInputError("dilation tuple needs n >= 2")
     if not 0 <= axis <= n - 2:
         raise InvalidInputError(f"axis {axis} out of range for n - 1 = {n - 1} variables")
-    coeffs = _pair_coefficients(u, p)
+    stack = _pair_coefficients(u, p)
+    coeffs = [(stack[j::2, 0], stack[j::2, 1]) for j in (0, 1)]
     domain = PolydiscDomain((hardy(),) * (n - 1))
-    basis = basis_for(domain, degree_cap, u.shape[-1])
-    if np.any(basis.norm_array != 1.0):
-        raise CertificationError("a Hardy monomial norm is not exactly 1.0, so shifts are not isometries")
+    support = [(0,) * (n - 1), tuple(int(i == axis) for i in range(n - 1))]
+    iso = _isometry_defect_bounds(basis_for(domain, degree_cap, u.shape[-1]), support, stack)
     eye = np.eye(u.shape[-1], dtype=complex)
     # the z_p^0, z_p^1 and z_p^2 coefficients of Phi_p Phi_q and of Phi_q Phi_p
     pq, qp = ([a0 @ b0, a0 @ b1 + a1 @ b0, a1 @ b1] for (a0, a1), (b0, b1) in (coeffs, coeffs[::-1]))
     diffs = [d for prod in (pq, qp) for d in (prod[0], prod[1] - eye, prod[2])]
     errors = np.max([np.abs(d).max(axis=(-2, -1)) for d in diffs], axis=0)
-    # per triple: three commutator coefficients, then G_0 - I and Phi_0^* Phi_1 per symbol
-    blocks = [x - y for x, y in zip(pq, qp)]
-    for c0, c1 in coeffs:
-        blocks += [_adjoints(c0) @ c0 + _adjoints(c1) @ c1 - eye, _adjoints(c0) @ c1]
-    norms = _opnorms(np.stack(blocks, axis=1))
+    norms = _opnorms(np.stack([x - y for x, y in zip(pq, qp)], axis=1))
     # deg Phi_p and deg Phi_q of each triple: 1 unless the z_p coefficient is 0
     deg_p, deg_q = (np.any(c1 != 0, axis=(-2, -1)) for _, c1 in coeffs)
     comm = np.where(degree_cap >= 2 * (deg_p | deg_q), norms[:, 0] + norms[:, 1] + norms[:, 2], 0.0)
-    iso_p = np.where(degree_cap >= deg_p, norms[:, 3] + 2 * norms[:, 4], 0.0)
-    iso_q = np.where(degree_cap >= deg_q, norms[:, 5] + 2 * norms[:, 6], 0.0)
-    symbols = _pair_symbols(n - 1, axis, coeffs)
+    iso_p = np.where(degree_cap >= deg_p, iso[0::2], 0.0)
+    iso_q = np.where(degree_cap >= deg_q, iso[1::2], 0.0)
+    symbols = _pair_symbols(n - 1, axis, stack)
     # Phi_p(0) is P U* and Phi_q(0) is U P_perp, so these are rho(P U*), rho(U P_perp)
     reports = _purity_verdicts(symbols, domain, degree_cap, purity_tol, check_contractive=False)
     return [

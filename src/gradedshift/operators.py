@@ -1,19 +1,8 @@
 """Exact matrix models of shifts, multipliers, duals, and wandering subspaces.
 
 Every operator here is a dense complex matrix tagged with its domain and
-codomain bases plus two integers that make truncation soundness auditable:
-
-``exactness_degree`` (d*)
-    The matrix agrees with the untruncated operator on every vector
-    supported in degrees <= d*.
-
-``lift``
-    The largest amount by which the operator can raise total degree
-    (0 for adjoints and projections, 1 for a coordinate shift, deg(Phi)
-    for a multiplier).
-
-A product A B is exact on degrees <= ``min(d*_B, d*_A - lift(B))``; every
-certified property check downstream restricts itself to that sub-block.
+codomain bases and an ``exactness_degree`` d*: the matrix agrees with the
+untruncated operator on every vector supported in degrees <= d*.
 
 A practical consequence of compression: a truncated shift or multiplier has
 exactly-zero (or truncation-damaged) columns above its exactness degree, so
@@ -74,7 +63,6 @@ class OperatorMatrix:
     domain: TruncatedBasis
     codomain: TruncatedBasis
     exactness_degree: int
-    lift: int = 0
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
@@ -120,6 +108,11 @@ def _opnorms(stack: np.ndarray) -> np.ndarray:
     if not np.isfinite(stack).all():
         raise FloatingPointError("spectral norm of a matrix with non-finite entries")
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _adjoints(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a matrix, or of every matrix of a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def spectral_radius(op: Union[OperatorMatrix, np.ndarray]) -> float:
@@ -229,7 +222,7 @@ def shift_matrix(basis: TruncatedBasis, axis: int) -> OperatorMatrix:
         raise InvalidInputError(f"axis {axis} out of range for n={basis.n}")
     e_axis = tuple(int(i == axis) for i in range(basis.n))
     data = _weighted_shift(basis, {e_axis: np.eye(basis.coeff_dim, dtype=complex)})
-    return OperatorMatrix(data, basis, basis, basis.degree_cap - 1, 1)
+    return OperatorMatrix(data, basis, basis, basis.degree_cap - 1)
 
 
 def shift_tuple(basis: TruncatedBasis) -> List[OperatorMatrix]:
@@ -256,7 +249,7 @@ def multiplier_matrix(basis: TruncatedBasis, phi: MultiplierSymbol) -> OperatorM
     """
     _check_symbol(basis, phi)
     data = _weighted_shift(basis, phi.terms)
-    return OperatorMatrix(data, basis, basis, basis.degree_cap - phi.degree, phi.degree)
+    return OperatorMatrix(data, basis, basis, basis.degree_cap - phi.degree)
 
 
 def _monomial_entries(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,7 +291,7 @@ def cauchy_dual(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
     rows, cols, w = _exact_entries(t, tol)
     data = np.zeros_like(t.data)
     data[rows, cols] = 1.0 / w.conj()
-    return OperatorMatrix(data, t.domain, t.codomain, t.exactness_degree, t.lift)
+    return OperatorMatrix(data, t.domain, t.codomain, t.exactness_degree)
 
 
 def range_projection(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
@@ -307,7 +300,7 @@ def range_projection(t: OperatorMatrix, tol: float = 1e-8) -> OperatorMatrix:
     rows, _, _ = _exact_entries(t, tol)
     diag = np.zeros(t.codomain.dim)
     diag[rows] = 1.0
-    return OperatorMatrix(np.diag(diag), t.codomain, t.codomain, t.exactness_degree, 0)
+    return OperatorMatrix(np.diag(diag), t.codomain, t.codomain, t.exactness_degree)
 
 
 def wandering_subspace(x: Sequence[OperatorMatrix]) -> SubspaceFrame:

@@ -100,24 +100,18 @@ is certified on V_D itself, with no norm.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from functools import lru_cache, reduce
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CertificationError, InvalidInputError, NotContractiveError
 from .kernels import KernelSpec1D
-from .operators import (
-    SubspaceFrame,
-    _check_symbol,
-    _opnorms,
-    _shift_map,
-    multiplier_matrix,
-    opnorm,
-)
+from .operators import _adjoints, _check_symbol, _opnorms, _shift_map, opnorm
 from .spaces import (
     _BASIS_MEMO_SIZE,
     MAX_DIM,
@@ -156,19 +150,13 @@ def basis_for(domain: Domain, degree_cap: int, coeff_dim: int) -> TruncatedBasis
     raise InvalidInputError(f"unknown domain {domain!r}")
 
 
-def _adjoint_orbit(
-    phi: MultiplierSymbol, basis: TruncatedBasis, h: np.ndarray, m_max: int
-) -> Iterator[np.ndarray]:
-    """Yield h, A h, ..., A^m_max h, A the compression of M_Phi^* to V_D, off
-    the shift maps: (A v)_alpha = sum_beta w Phi_beta^* v_(alpha+beta).  A
-    table with a row per monomial and a column per term holds the coordinates
-    of alpha + beta and w Phi_beta^* (zero where alpha + beta leaves V_D), so a
-    step is one gather and one batched matmul at any term count, and no dim x
-    dim matrix is formed.  An h without ``basis.dim`` entries is refused."""
+def _adjoint_step(phi: MultiplierSymbol, basis: TruncatedBasis) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> A v, A the compression of M_Phi^* to V_D, (A v)_alpha = sum_beta
+    w Phi_beta^* v_(alpha+beta) off the shift maps.  A table with a row per
+    monomial and a column per term holds the coordinates of alpha + beta and
+    w Phi_beta^* (zero where alpha + beta leaves V_D), so a step is one gather
+    and one batched matmul at any term count, with no dim x dim matrix."""
     _check_symbol(basis, phi)
-    v = np.asarray(h, dtype=complex).reshape(-1)
-    if v.size != basis.dim:
-        raise InvalidInputError(f"vector has {v.size} entries, V_D has dim {basis.dim}")
     c = basis.coeff_dim
     monomials = basis.dim // c
     reads = np.zeros((monomials, len(phi.terms), c), dtype=int)
@@ -178,10 +166,16 @@ def _adjoint_orbit(
         reads[src, t] = c * dst[:, None] + np.arange(c)
         coeffs[src, t] = w[:, None, None] * mat.conj()
     reads, coeffs = reads.reshape(monomials, 1, -1), coeffs.reshape(monomials, -1, c)
-    yield v
-    for _ in range(m_max):
-        v = (v[reads] @ coeffs).reshape(-1)
-        yield v
+    return lambda v: (v[reads] @ coeffs).reshape(-1)
+
+
+def _adjoint_orbit(phi: MultiplierSymbol, basis: TruncatedBasis, h: np.ndarray, m_max: int) -> Iterator[np.ndarray]:
+    """h, A h, ..., A^m_max h (:func:`_adjoint_step`); refuses an h without ``basis.dim`` entries."""
+    step = _adjoint_step(phi, basis)
+    v = np.asarray(h, dtype=complex).reshape(-1)
+    if v.size != basis.dim:
+        raise InvalidInputError(f"vector has {v.size} entries, V_D has dim {basis.dim}")
+    return itertools.accumulate(range(m_max), lambda w, _: step(w), initial=v)
 
 
 def decay_curve(
@@ -398,6 +392,37 @@ def multiplier_purity_verdict(
     return report
 
 
+def _isometry_defect_bounds(basis: TruncatedBasis, support: Sequence[MultiIndex], coeffs: np.ndarray) -> np.ndarray:
+    """||R(0) - I|| + 2 sum_(gamma > 0) ||R(gamma)|| for each symbol Theta of
+    a ``(k, M, c, c)`` coefficient stack on ``support``, R(gamma) =
+    sum_(beta - beta' = gamma) Theta_beta'^* Theta_beta, gamma > 0
+    lexicographically: a bound on ||M_Theta^* M_Theta - I|| on the Hardy
+    polydisc, from one batched matmul and one batched SVD.
+
+    Proof.  M_Theta^* M_Theta = sum S^(beta'*) S^beta (x) Theta_beta'^*
+    Theta_beta.  The Hardy shifts are doubly commuting isometries, so
+    S^(beta'*) S^beta = S^(b*) S^a =: T_gamma, a and b the positive and
+    negative parts of gamma = beta - beta', with ||T_gamma|| <= 1, T_0 = I
+    and T_(-gamma) = T_gamma^*, as R(-gamma) = R(gamma)^*.  So M_Theta^*
+    M_Theta - I is I (x) (R(0) - I) plus T_gamma (x) R(gamma) + its adjoint
+    over gamma > 0.  It compresses to the defect of M_Theta's exact columns
+    on V_D, and ||M_Theta||^2 <= 1 + the bound.  ``basis`` must have every
+    monomial norm exactly 1.0 (else ``CertificationError``)."""
+    if np.any(basis.norm_array != 1.0):
+        raise CertificationError("a Hardy monomial norm is not exactly 1.0, so shifts are not isometries")
+    pairs: Dict[MultiIndex, List[Tuple[int, int]]] = {}
+    for (i, beta_i), (j, beta_j) in itertools.product(enumerate(support), repeat=2):
+        gamma = tuple(map(operator.sub, beta_j, beta_i))
+        if gamma >= (0,) * len(gamma):
+            pairs.setdefault(gamma, []).append((i, j))
+    grams = _adjoints(coeffs)[:, :, None] @ coeffs[:, None]
+    # gamma = 0 comes first, from the pair (0, 0)
+    blocks = [reduce(operator.add, [grams[:, i, j] for i, j in ij]) for ij in pairs.values()]
+    blocks[0] = blocks[0] - np.eye(coeffs.shape[-1], dtype=complex)
+    norms = _opnorms(np.stack(blocks, axis=1))
+    return norms[:, 0] + 2 * norms[:, 1:].sum(axis=1)
+
+
 @dataclass
 class InvariantRestrictionReport:
     """Geometric-decay check of ||P_S M_phi^*m P_S (1 (x) xi)||.
@@ -424,45 +449,41 @@ def invariant_restriction_test(
     m_max: int,
     tol: float = 1e-8,
 ) -> InvariantRestrictionReport:
-    """Decay of the compressed adjoint powers on S = theta . V, theta inner.
+    """Decay of the compressed adjoint powers on S = theta . V_(D - deg theta)
+    with no matrix on V_D.
 
-    Preconditions: scalar phi; theta inner at truncation (isometric exact
-    columns) with theta(0) != 0; basis is a Hardy polydisc basis matching
-    theta's coefficient dimension.
+    Preconditions: scalar phi; a Hardy polydisc basis matching theta's
+    coefficient dimension; theta(0) != 0; theta inner by
+    :func:`_isometry_defect_bounds` <= 1e-10; D >= 2 deg theta + deg phi.
+    Then P_S (1 (x) xi) = M_theta M_theta^* (1 (x) xi) = theta(z) theta(0)^*
+    xi, and ||P_S w|| is the norm of M_theta^* w (one :func:`_adjoint_step`)
+    on degrees <= D - deg theta.
     """
     if phi.coeff_dim != 1:
         raise InvalidInputError("test requires a scalar symbol phi")
-    if not isinstance(basis.domain, PolydiscDomain) or any(
-        f.family != "hardy" for f in basis.domain.factors
-    ):
+    if not isinstance(basis.domain, PolydiscDomain) or any(f.family != "hardy" for f in basis.domain.factors):
         raise InvalidInputError("test requires a Hardy polydisc basis")
     if opnorm(theta.phi0) <= tol:
         raise InvalidInputError("theta(0) must be nonzero")
-    pi = multiplier_matrix(basis, theta)
-    cols, ncols = pi.data[:, : pi.exact_column_count()], pi.exact_column_count()
-    if ncols == 0:
-        raise InvalidInputError("degree cap too small for deg theta")
-    iso_defect = opnorm(cols.conj().T @ cols - np.eye(ncols))
+    theta_star = _adjoint_step(theta, basis)
+    coeffs = np.array(list(theta.terms.values()))
+    (iso_defect,) = _isometry_defect_bounds(basis, tuple(theta.terms), coeffs[None])
     if iso_defect > 1e-10:
-        raise InvalidInputError(
-            f"theta is not inner at truncation (isometry defect {iso_defect:.3e})"
-        )
-    q = SubspaceFrame.from_columns(cols).columns
-    # xi: a direction not annihilated by theta(0)^* (top left singular vector)
-    one_xi = np.zeros(basis.dim, dtype=complex)
-    one_xi[: basis.coeff_dim] = np.linalg.svd(theta.phi0)[0][:, 0]
-    qh = q.conj().T
-    orbit = _adjoint_orbit(lift_scalar_symbol(phi, basis.coeff_dim), basis, q @ (qh @ one_xi), m_max)
-    s_values = [float(np.linalg.norm(qh @ w)) for w in orbit]
-    target = float(np.abs(phi.phi0[0, 0]))
-    deg_phi = max(phi.degree, 1)
-    certified = max(0, (basis.degree_cap - 2 * theta.degree) // deg_phi)
-    certified = min(certified, m_max)
+        raise InvalidInputError(f"theta is not inner (isometry defect bound {iso_defect:.3e})")
+    certified = min(max(0, (basis.degree_cap - 2 * theta.degree) // max(phi.degree, 1)), m_max)
     if certified < 1:
         raise InvalidInputError(
             "exactness budget too small for deg theta + m deg phi growth "
             f"(largest certified m = {certified})"
         )
+    # xi: a direction not annihilated by theta(0)^* (top left singular vector)
+    xi = np.linalg.svd(theta.phi0)[0][:, 0]
+    h = np.zeros((basis.dim // basis.coeff_dim, basis.coeff_dim), dtype=complex)
+    h[[basis.position(beta) for beta in theta.terms]] = coeffs @ (theta.phi0.conj().T @ xi)
+    exact = basis.dim_upto(basis.degree_cap - theta.degree)
+    orbit = _adjoint_orbit(lift_scalar_symbol(phi, basis.coeff_dim), basis, h, m_max)
+    s_values = [float(np.linalg.norm(theta_star(w)[:exact])) for w in orbit]
+    target = float(np.abs(phi.phi0[0, 0]))
     ratios: List[float] = []
     errors: List[float] = []
     floor = 1e-14 * max(s_values[0], 1.0)

@@ -176,6 +176,39 @@ def dense_adjoint_compression(basis, terms: Dict[MultiIndex, np.ndarray]) -> np.
     return dense_multiplier(basis.index_table, basis.norms, basis.coeff_dim, terms).conj().T
 
 
+def dense_restriction_route(
+    basis, phi_terms: Dict[MultiIndex, complex], theta_terms: Dict[MultiIndex, np.ndarray], m_max: int
+) -> Tuple[List[float], float]:
+    """``(s_values, isometry defect)`` of the restriction test on S = theta .
+    V_(D - deg theta), from dense matrices on the basis's table.
+
+    The exact columns of :func:`dense_multiplier` of theta (degrees <= D -
+    deg theta) give the defect ||cols^* cols - I|| and, through an SVD
+    (rank at singular values > 1e-10), an orthonormal frame Q of S.  With
+    xi the top left singular vector of theta(0) and A the dense
+    compression of (M_phi (x) I)^* to V_D, s_m = ||Q^* A^m Q Q^* (1 (x) xi)||.
+    """
+    c = basis.coeff_dim
+    table, norms = basis.index_table, basis.norms
+    theta_deg = max(sum(beta) for beta in theta_terms)
+    exact = c * sum(1 for alpha in table if sum(alpha) <= basis.degree_cap - theta_deg)
+    cols = dense_multiplier(table, norms, c, theta_terms)[:, :exact]
+    defect = _top_singular_value(cols.conj().T @ cols - np.eye(exact))
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    q = u[:, : int(np.sum(s > SVD_THRESHOLD))]
+    lifted = {beta: v * np.eye(c, dtype=complex) for beta, v in phi_terms.items()}
+    a = dense_multiplier(table, norms, c, lifted).conj().T
+    zero = (0,) * len(table[0])
+    w = np.zeros(len(cols), dtype=complex)
+    w[:c] = np.linalg.svd(theta_terms[zero])[0][:, 0]
+    w = q @ (q.conj().T @ w)
+    s_values = []
+    for _ in range(m_max + 1):
+        s_values.append(float(np.linalg.norm(q.conj().T @ w)))
+        w = a @ w
+    return s_values, defect
+
+
 def dense_per_degree_rho(
     index_table: Sequence[MultiIndex],
     norms: Sequence[float],

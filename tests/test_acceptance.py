@@ -55,6 +55,7 @@ from oracles import (
     brute_force_feasible,
     dense_dual_and_projection,
     dense_per_degree_rho,
+    dense_restriction_route,
     frames_match,
     null_space_frame,
     principal_angles,
@@ -314,6 +315,8 @@ def test_criterion_09_restriction_ratio(inner_bcl_theta):
             assert rep.passed
             assert rep.max_ratio_error <= 1e-8
             assert rep.target_ratio == pytest.approx(abs(coeffs[(0, 0)]), abs=1e-12)
+            dense, _ = dense_restriction_route(basis, coeffs, theta.terms, 4)
+            np.testing.assert_allclose(rep.s_values, dense, rtol=1e-13, atol=0)
 
 
 def test_criterion_10_slice_consistency():

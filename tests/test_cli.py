@@ -626,6 +626,30 @@ class TestTaskPayloads:
         )
         assert cli.main(["witness", "--config", str(cfg), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize(
+        "symbol, message",
+        [
+            (monomial_scalar_symbol(2, (6, 0), 1.0), "degree cap too small for the subspace symbol"),
+            (monomial_scalar_symbol(2, (1, 0), 0.0), "the subspace symbol is zero"),
+        ],
+    )
+    def test_witness_empty_subspace_refused(self, tmp_path, symbol, message):
+        # z_1^6 leaves V_5; a zero symbol spans nothing at any cap
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        config = {
+            "schema_version": "1",
+            "scenario_id": "witness-empty",
+            "task": "witness",
+            "space": {"family": "hardy", "n": 2, "degree_cap": 5},
+            "seed": 0,
+            "symbol": symbol,
+        }
+        write_json(cfg, config)
+        assert cli.main(["witness", "--config", str(cfg), "--out", str(out)]) == 2
+        error = read_report(out)["error"]
+        assert error["type"] == "InvalidInputError"
+        assert error["message"].startswith(message)
+
     def test_bcl_single_triple(self, tmp_path):
         cfg = tmp_path / "s.json"
         out = tmp_path / "r.json"

@@ -95,7 +95,6 @@ class TestShiftMatrix:
             expected[m + 1, m] = 1.0
         np.testing.assert_allclose(s.data, expected, atol=0)
         assert s.exactness_degree == 2
-        assert s.lift == 1
         assert s.exact_column_count() == basis.dim_upto(2) == 3
 
     def test_bergman_weights(self):
@@ -480,7 +479,7 @@ class TestOrbitFrame:
         rng = np.random.default_rng(n)
         basis = polydisc_basis((hardy(),) * n, 1)
         x = [
-            OperatorMatrix(rng.standard_normal((basis.dim,) * 2) + 0j, basis, basis, 1, 1)
+            OperatorMatrix(rng.standard_normal((basis.dim,) * 2) + 0j, basis, basis, 1)
             for _ in range(n)
         ]
         seed = rng.standard_normal((basis.dim, 2)) + 1j * rng.standard_normal((basis.dim, 2))

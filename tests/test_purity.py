@@ -7,6 +7,7 @@ block-diagonal mixes).
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,15 +37,18 @@ from gradedshift import (
     slice_purity_consistency,
     weighted_bergman,
 )
+from gradedshift import operators as operators_module
 from gradedshift import purity as purity_module
 from gradedshift import spaces as spaces_module
 from gradedshift.operators import spectral_radius
-from gradedshift.spaces import BallDomain, MultiplierSymbol, lift_scalar_symbol, slice_symbol
+from gradedshift.dilation import bcl_pair, haar_unitary, random_bcl_triple
+from gradedshift.spaces import BallDomain, MultiplierSymbol, lift_scalar_symbol, slice_symbol, symbol_product
 
 from oracles import (
     dense_adjoint_compression,
     dense_multiplier,
     dense_per_degree_rho,
+    dense_restriction_route,
     realized_symbol_oracle,
     sampled_sup_norm,
     sphere_points,
@@ -363,9 +367,10 @@ def _key(name):
 
 def _take_no_norm(monkeypatch):
     # the generator and the coefficient bound norm with _opnorms; a dense
-    # norm would assemble with multiplier_matrix and take opnorm
-    for name in ("_opnorms", "opnorm", "multiplier_matrix"):
+    # norm would assemble with operators._weighted_shift and take opnorm
+    for name in ("_opnorms", "opnorm"):
         monkeypatch.setattr(purity_module, name, pytest.fail)
+    monkeypatch.setattr(operators_module, "_weighted_shift", pytest.fail)
 
 
 class TestRealizationScales:
@@ -404,7 +409,7 @@ class TestCoefficientBound:
         phi = random_contractive_symbol(np.random.default_rng(4), DIRICHLET2, 1, 2, 5)
         rebuilt = MultiplierSymbol(phi.n, phi.coeff_dim, phi.terms)
         assert rebuilt.contractivity_record is None
-        monkeypatch.setattr(purity_module, "multiplier_matrix", pytest.fail)
+        monkeypatch.setattr(operators_module, "_weighted_shift", pytest.fail)
         monkeypatch.setattr(purity_module, "opnorm", pytest.fail)
         for name, d_max in (("dirichlet2", 4), ("dirichlet-hardy", 5)):
             domain, scales = SCALED_SPACES[name]
@@ -545,7 +550,7 @@ class TestRealizationRecord:
         phi = random_contractive_symbol(np.random.default_rng(2), SCALED_SPACES[source][0], 1, 2, 4)
         domain = SCALED_SPACES[target][0]
         bound = purity_module._coefficient_bound(phi, domain)
-        monkeypatch.setattr(purity_module, "multiplier_matrix", pytest.fail)
+        monkeypatch.setattr(operators_module, "_weighted_shift", pytest.fail)
         monkeypatch.setattr(purity_module, "opnorm", pytest.fail)
         if (source, target) in REFUSED_WITHOUT_RECORD:
             assert bound > 1.0
@@ -827,6 +832,26 @@ class TestStackedSweep:
             assert seen == support
 
 
+def random_inner_symbol(rng, n, c):
+    """An inner symbol in n variables with coeff_dim c: the product of two
+    random (P + z_p P_perp) U* on random axes, P of rank >= 1 so that the
+    factors do not vanish at 0, times a Haar unitary constant."""
+    factors = []
+    for _ in range(2):
+        t = random_bcl_triple(rng, c, axis=int(rng.integers(n)), rank=int(rng.integers(1, c + 1)))
+        factors.append(bcl_pair(t, n)[0])
+    unitary = MultiplierSymbol(n, c, {(0,) * n: haar_unitary(rng, c)})
+    return symbol_product(symbol_product(*factors), unitary)
+
+
+def defect_bounds(basis, thetas):
+    """The isometry-defect bound of each symbol, one call per symbol."""
+    return [
+        purity_module._isometry_defect_bounds(basis, tuple(t.terms), np.array(list(t.terms.values()))[None])[0]
+        for t in thetas
+    ]
+
+
 class TestInvariantRestriction:
     def test_constant_phi_exact_ratio(self, inner_bcl_theta):
         basis = basis_for(HARDY2, 8, 2)
@@ -837,6 +862,9 @@ class TestInvariantRestriction:
         assert rep.passed
         assert rep.target_ratio == pytest.approx(abs(c), abs=1e-14)
         assert rep.max_ratio_error <= 1e-10
+        dense, defect = dense_restriction_route(basis, {(0, 0): c}, theta.terms, 5)
+        assert defect <= 1e-14
+        np.testing.assert_allclose(rep.s_values, dense, rtol=1e-13, atol=0)
 
     def test_bcl_theta_with_polynomial_phi(self, inner_bcl_theta):
         basis = basis_for(HARDY2, 10, 2)
@@ -852,6 +880,78 @@ class TestInvariantRestriction:
             rep = invariant_restriction_test(phi, theta, basis, m_max=4)
             assert rep.passed
             assert rep.max_ratio_error <= 1e-8
+            dense, _ = dense_restriction_route(basis, terms, theta.terms, 4)
+            np.testing.assert_allclose(rep.s_values, dense, rtol=1e-13, atol=0)
+
+    def test_degree_two_inner_theta_matches_dense_route(self):
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            theta = random_inner_symbol(rng, 2, 2)
+            assert np.linalg.norm(theta.phi0) > 1e-3
+            terms = {(0, 0): 0.3 + 0.1j, (1, 0): 0.2, (0, 1): -0.15}
+            basis = basis_for(HARDY2, 9, 2)
+            rep = invariant_restriction_test(scalar_symbol(2, terms), theta, basis, m_max=4)
+            assert rep.passed
+            dense, _ = dense_restriction_route(basis, terms, theta.terms, 4)
+            np.testing.assert_allclose(rep.s_values, dense, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("c", (1, 2))
+    def test_defect_bound_dominates_dense_defect(self, n, c):
+        rng = np.random.default_rng(10 * n + c)
+        domain = PolydiscDomain((hardy(),) * n)
+        basis = basis_for(domain, 5, c)
+        thetas = [random_inner_symbol(rng, n, c) for _ in range(3)]
+        thetas += [random_contractive_symbol(rng, domain, c, 2, 5) for _ in range(3)]
+        pencil = {(0,) * n: 0.6 * np.eye(c), (1,) + (0,) * (n - 1): 0.8 * haar_unitary(rng, c)}
+        thetas.append(MultiplierSymbol(n, c, pencil))
+        bounds = defect_bounds(basis, thetas)
+        for theta, bound in zip(thetas, bounds):
+            dense = dense_multiplier(basis.index_table, basis.norms, c, theta.terms)
+            cols = dense[:, : basis.dim_upto(5 - theta.degree)]
+            defect = np.linalg.svd(cols.conj().T @ cols - np.eye(cols.shape[1]), compute_uv=False)[0]
+            assert defect <= bound * (1 + 1e-12) + 1e-14
+        # the inner ones are certified, the contractive draws and the pencil are not
+        assert max(bounds[:3]) <= 1e-14 and min(bounds[3:]) > 1e-3
+
+    def test_defect_bound_is_sharp_for_a_pencil(self):
+        # theta = a + b z: M^* M - I = conj(a) b S + a conj(b) S^*, of norm
+        # 2 |a b|, which the compressions to V_D approach from below
+        a, b = 0.6, 0.8j
+        theta = scalar_symbol(1, {(0,): a, (1,): b})
+        basis = basis_for(HARDY1, 60, 1)
+        (bound,) = defect_bounds(basis, [theta])
+        assert bound == pytest.approx(2 * abs(a * b), rel=1e-15)
+        cols = dense_multiplier(basis.index_table, basis.norms, 1, theta.terms)[:, :60]
+        defect = np.linalg.svd(cols.conj().T @ cols - np.eye(60), compute_uv=False)[0]
+        assert 0.99 * bound <= defect <= bound
+
+    def test_hardy_bidisc_at_dim_1722_forms_no_matrix(self, inner_bcl_theta, monkeypatch):
+        # a dense M_theta here is 45 MiB, and its SVD frame as much again
+        basis = basis_for(HARDY2, 40, 2)
+        theta = inner_bcl_theta(5)
+        phi = scalar_symbol(2, {(0, 0): 0.4 - 0.1j, (1, 0): 0.2, (0, 1): 0.1})
+        real_svd = np.linalg.svd
+
+        def small_only(a, *args, **kwargs):
+            assert np.shape(a)[-2] <= 64, f"SVD of a matrix with {np.shape(a)[-2]} rows"
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", small_only)
+        monkeypatch.setattr(operators_module, "_weighted_shift", pytest.fail)
+        tracemalloc.start()
+        try:
+            rep = invariant_restriction_test(phi, theta, basis, m_max=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.certified_m_max == 8
+        assert peak < 16 * 2**20
+
+    def test_cap_below_deg_theta_rejected(self, inner_bcl_theta):
+        phi = scalar_symbol(2, {(0, 0): 0.5})
+        with pytest.raises(InvalidInputError, match="certified m = 0"):
+            invariant_restriction_test(phi, inner_bcl_theta(0), basis_for(HARDY2, 0, 2), m_max=3)
 
     def test_theta_vanishing_at_zero_rejected(self):
         basis = basis_for(HARDY2, 6, 1)
