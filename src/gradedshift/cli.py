@@ -279,10 +279,17 @@ def decode_matrix(rows: Sequence[Sequence[Sequence[float]]], path: str) -> np.nd
 
 
 def decode_symbol(obj: Dict[str, Any]) -> MultiplierSymbol:
-    terms = {
-        tuple(t["alpha"]): decode_matrix(t["matrix"], f"$.symbol.terms[{k}].matrix")
-        for k, t in enumerate(obj["terms"])
-    }
+    """The symbol of a config; a multi-index given twice is refused, not
+    summed or overwritten."""
+    terms: Dict[Tuple[int, ...], np.ndarray] = {}
+    for k, t in enumerate(obj["terms"]):
+        alpha = tuple(t["alpha"])
+        if alpha in terms:
+            raise InvalidInputError(
+                f"$.symbol.terms[{k}].alpha: multi-index {list(alpha)} is already "
+                f"$.symbol.terms[{list(terms).index(alpha)}].alpha"
+            )
+        terms[alpha] = decode_matrix(t["matrix"], f"$.symbol.terms[{k}].matrix")
     return MultiplierSymbol(obj["n"], obj["coeff_dim"], terms)
 
 

@@ -167,9 +167,14 @@ def _shift_map(
 
     alpha + beta stays inside exactly for |alpha| <= D - |beta|, which in the
     graded layout is a leading run of positions; dst follows the basis's
-    successor table beta_i times along each axis i.  The read-only arrays are
-    kept on the basis (at most ``spaces._SHIFT_MAP_MEMO_SIZE`` maps), so
-    later calls with the same beta return them without arithmetic.
+    successor table beta_i times along each axis i.  A map is certified as
+    it is built: beta = 0 maps every position to itself (dst is src) with
+    weight exactly 1.0, and beta != 0 raises degree by exactly |beta|, else
+    ``CertificationError``.  So a multiplier on V_D is block lower-triangular
+    by degree with diagonal blocks I (x) Phi(0).  Only certified maps are
+    kept on the basis, read-only (at most ``spaces._SHIFT_MAP_MEMO_SIZE``
+    of them), so later calls with the same beta return them without
+    arithmetic.
     """
     beta = tuple(beta)
     memo = basis._shift_maps
@@ -177,14 +182,19 @@ def _shift_map(
         return memo[beta]
     if len(beta) != basis.n or min(beta) < 0:
         raise InvalidInputError(f"bad multi-index {beta} for n={basis.n}")
-    kept = basis.dim_upto(basis.degree_cap - sum(beta)) // basis.coeff_dim
+    lift = sum(beta)
+    kept = basis.dim_upto(basis.degree_cap - lift) // basis.coeff_dim
     src = np.arange(kept)
     dst = src
     for i, b in enumerate(beta):
         for _ in range(b):
             dst = basis.successors[i, dst]
-    norms = basis.norm_array
+    norms, degrees = basis.norm_array, basis.degree_array
     maps = (src, dst, norms[dst] / norms[src])
+    if (degrees[dst] - degrees[src] != lift).any() or not (lift or (maps[2] == 1.0).all()):
+        raise CertificationError(
+            f"shift map of term {beta} breaks the degree grading of V_{basis.degree_cap}"
+        )
     for a in maps:
         a.flags.writeable = False
     if len(memo) >= _SHIFT_MAP_MEMO_SIZE:

@@ -11,21 +11,23 @@ meaningful: a unimodular eigenvalue of the compression is a genuine
 non-decaying vector of the full operator.
 
 The verdict is a structural certificate plus one eig of Phi(0).  The
-certificate reads the ``(src, dst, w)`` maps of
-:func:`gradedshift.operators._shift_map`, in O(nnz) with no dense matrix:
-beta = 0 maps every position to itself with weight exactly 1.0, and every
-beta != 0 raises degree by exactly |beta|.  So the compression is block
-upper-triangular by degree with diagonal blocks I (x) Phi(0)^*, and its
-spectrum at every degree is that of Phi(0)^*.  This is the finite form of
-the paper's (i) <=> (ii).  A map that breaks the structure raises
-``CertificationError``, so every verdict is "pure" or "not_pure".  Dense
-per-degree ``eigvals`` run only as a cross-check (``tests/oracles.py``): on
+certificate is the ``(src, dst, w)`` maps of
+:func:`gradedshift.operators._shift_map`, each checked once, in O(nnz)
+with no dense matrix, when it is built: beta = 0 maps every position to
+itself with weight exactly 1.0, and every beta != 0 raises degree by
+exactly |beta|.  So the compression is block upper-triangular by degree
+with diagonal blocks I (x) Phi(0)^*, and its spectrum at every degree is
+that of Phi(0)^*.  This is the finite form of the paper's (i) <=> (ii).  A
+map that breaks the structure raises ``CertificationError`` and is not
+memoised, so every verdict is "pure" or "not_pure".  Dense per-degree
+``eigvals`` run only as a cross-check (``tests/oracles.py``): on
 non-normal block-triangular matrices they are evidence, not proof.
 
 The certificate reads only a symbol's support and the basis, so a sweep
-certifies each distinct support once per call, checking the degree shift
-of all its maps in one comparison; nothing is cached across calls.  A
-sweep norms its colligations with one batched SVD and takes every
+fetches the maps of each distinct support once per call.  Only checked
+maps enter the basis's memo, so a warm verdict is a map lookup plus one
+eig of Phi(0); verdicts, norms, Grams and residuals are computed on every
+call.  A sweep norms its colligations with one batched SVD and takes every
 rho(Phi(0)) from one batched ``eigvals``; its results equal those of
 one-symbol calls bit for bit.
 
@@ -286,41 +288,6 @@ def _contractivity(phi: MultiplierSymbol, domain: Domain, tol: float) -> Contrac
     return cert
 
 
-def _certify_degree_structure(basis: TruncatedBasis, support: Sequence[MultiIndex]) -> None:
-    """Certify on the shift maps that M_Phi on V_D, for any Phi with this
-    support, is block lower-triangular by degree with diagonal blocks
-    I (x) Phi(0); raise ``CertificationError`` naming the first term of
-    ``support`` whose map breaks it.  beta = 0 must map every position to
-    itself with weight 1.0; the maps of all beta != 0 are checked to raise
-    degree by |beta| in one comparison."""
-    degrees = basis.degree_array
-    maps = [_shift_map(basis, beta) for beta in support]
-    broken, lifted = [], []
-    for j, (beta, (src, dst, w)) in enumerate(zip(support, maps)):
-        if len(dst) != len(src):
-            broken.append(j)
-        elif sum(beta):
-            lifted.append(j)
-        elif (
-            len(src) != len(degrees)
-            or (src != np.arange(len(src))).any()
-            or (dst != src).any()
-            or (w != 1.0).any()
-        ):
-            broken.append(j)
-    if lifted:
-        sizes = [len(maps[j][0]) for j in lifted]
-        src, dst = (np.concatenate([maps[j][i] for j in lifted]) for i in (0, 1))
-        lifts = np.repeat(np.array([sum(support[j]) for j in lifted]), sizes)
-        bad = degrees[dst] - degrees[src] != lifts
-        if bad.any():
-            broken.append(lifted[np.searchsorted(np.cumsum(sizes), bad.argmax(), side="right")])
-    if broken:
-        raise CertificationError(
-            f"shift map of term {support[min(broken)]} breaks the degree grading of V_{basis.degree_cap}"
-        )
-
-
 def _phi0_radii(phis: Sequence[MultiplierSymbol]) -> np.ndarray:
     """rho(Phi(0)) of every symbol, from one batched ``eigvals`` per chunk:
     LAPACK runs the same geev on each matrix as on that matrix alone."""
@@ -343,9 +310,12 @@ def _purity_verdicts(
     equal to its own :func:`multiplier_purity_verdict` bit for bit.
 
     In symbol order, each symbol's bound (:func:`_contractivity`) meets
-    the refusal, and each support not yet seen in this call is certified on
-    the shift maps of V_D_max.  The Phi(0) spectra come from one batched
-    ``eigvals``.
+    the refusal, and the shift maps of V_D_max of each support not yet seen
+    in this call are fetched in support order: a map is certified when it
+    is built (:func:`gradedshift.operators._shift_map`), and only certified
+    maps are memoised, so the first broken term of a support is named and
+    a warm basis costs a lookup per term.  Bounds and the Phi(0) spectra
+    (one batched ``eigvals``) are computed on every call.
 
     ``check_contractive=False`` certifies on V_D_max and takes no norm;
     ``contractivity`` is then None.  Its callers are
@@ -359,12 +329,13 @@ def _purity_verdicts(
     for phi in phis:
         _check_symbol(basis, phi)
     certs: List[Optional[Contractivity]] = []
-    certified = set()
+    fetched = set()
     for phi in phis:
         certs.append(_contractivity(phi, domain, tol) if check_contractive else None)
-        if tuple(phi.terms) not in certified:
-            _certify_degree_structure(basis, tuple(phi.terms))
-            certified.add(tuple(phi.terms))
+        if tuple(phi.terms) not in fetched:
+            for beta in phi.terms:
+                _shift_map(basis, beta)
+            fetched.add(tuple(phi.terms))
     return [
         PurityReport(
             phi0_rho=rho,

@@ -34,8 +34,9 @@ needs, built on first use and read-only: the degree of every monomial
 (:attr:`TruncatedBasis.prefix`) and a memo of the weighted-shift maps of
 :func:`gradedshift.operators._shift_map`, at most
 :data:`_SHIFT_MAP_MEMO_SIZE` of them.  None depends on a symbol, so
-certificates on one basis share them; certificate outcomes are never
-cached.
+certificates on one basis share them.  A shift map's degree grading is
+checked when the map is built and only checked maps are memoised;
+verdicts, norms, Grams and residuals are computed on every call.
 """
 
 from __future__ import annotations

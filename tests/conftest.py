@@ -36,6 +36,36 @@ def cold_memos():
 
 
 @pytest.fixture
+def break_tables(monkeypatch):
+    """``break_tables(basis, stall=None, nan_norm=False)`` corrupts, for the
+    rest of the test, the cached tables that the shift maps of ``basis``
+    are built from.  With ``stall = d < D`` the successor table sends each
+    monomial of degree d to itself on every axis, so the map of every beta
+    != 0 built from then on keeps some entry below its lift; with
+    ``nan_norm`` the last monomial norm is nan, so the map of beta = 0 gets
+    a weight that is not 1.0.  The swapped tables are read-only, as the
+    cached ones are.  Maps already memoised are kept, and those memoised
+    from then on are dropped with the corrupted tables."""
+    import numpy as np
+
+    def corrupt(basis, stall=None, nan_norm=False):
+        tables = {"_shift_maps": dict(basis._shift_maps)}
+        if stall is not None:
+            tables["successors"] = basis.successors.copy()
+            at = np.flatnonzero(basis.degree_array == stall)
+            tables["successors"][:, at] = at
+        if nan_norm:
+            tables["norm_array"] = basis.norm_array.copy()
+            tables["norm_array"][-1] = np.nan
+        for name, table in tables.items():
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False
+            monkeypatch.setitem(vars(basis), name, table)
+
+    return corrupt
+
+
+@pytest.fixture
 def inner_bcl_theta():
     """``theta(seed, e_dim=2)``: an inner degree-1 symbol on two variables
     with theta(0) != 0, the first of a seeded BCL pair."""

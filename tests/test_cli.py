@@ -216,45 +216,79 @@ class TestExitCodes:
         assert rep["error"]["message"].startswith("$.symbol.terms[0].matrix: ")
         jsonschema.validate(rep, cli._load_schema("report.schema.json"))
 
-    def test_broken_degree_grading_is_one(self, tmp_path, monkeypatch):
-        real = purity._shift_map
+    @staticmethod
+    def config_basis(name):
+        """The basis that the acceptance config ``name`` runs on."""
+        space = json.loads((ACCEPTANCE_DIR / f"{name}.json").read_text(encoding="utf-8"))["space"]
+        return purity.basis_for(cli.build_domain(space), space["degree_cap"], space.get("coeff_dim", 1))
 
-        def keeps_degree(basis, beta):
-            src, dst, w = real(basis, beta)
-            return src, (src if sum(beta) else dst), w
+    @staticmethod
+    def assert_certification_error(out):
+        rep = read_report(out)
+        assert rep["pass"] is False and rep["payload"] == {}
+        assert rep["error"]["type"] == "CertificationError"
+        assert "degree grading" in rep["error"]["message"]
+        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
 
-        monkeypatch.setattr(purity, "_shift_map", keeps_degree)
+    @pytest.mark.parametrize(
+        "name, task",
+        (("purity-hardy-monomial", "purity"), ("decay-averaging-symbol", "decay"), ("witness-axis-orbit", "witness")),
+    )
+    def test_repeated_multi_index_is_two(self, tmp_path, name, task):
+        # a second term at the first term's multi-index is refused: on
+        # purity-hardy-monomial, 0.9 z1z2 and 0.5 z1z2 would sum to 1.4 z1z2,
+        # which is not contractive, and keeping the last would certify 0.5 z1z2
+        cfg, out = tmp_path / "s.json", tmp_path / "s.report.json"
+        config = json.loads((ACCEPTANCE_DIR / f"{name}.json").read_text(encoding="utf-8"))
+        terms = config["symbol"]["terms"]
+        terms.append({"alpha": terms[0]["alpha"], "matrix": [[[0.5, 0.0]]]})
+        write_json(cfg, config)
+        assert cli.main([task, "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["pass"] is False and rep["payload"] == {}
+        assert rep["error"]["type"] == "InvalidInputError"
+        assert rep["error"]["message"] == (
+            f"$.symbol.terms[{len(terms) - 1}].alpha: multi-index {terms[0]['alpha']} "
+            "is already $.symbol.terms[0].alpha"
+        )
+        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+
+    def test_broken_degree_grading_is_one(self, tmp_path, cold_memos, break_tables):
+        # the constant monomial is its own successor, so the (1, 1) map
+        # breaks the grading
+        break_tables(self.config_basis("purity-hardy-monomial"), stall=0)
         out = tmp_path / "s.report.json"
         config = str(ACCEPTANCE_DIR / "purity-hardy-monomial.json")
         assert cli.main(["purity", "--config", config, "--out", str(out)]) == 1
-        rep = read_report(out)
-        assert rep["pass"] is False
-        assert rep["error"]["type"] == "CertificationError"
-        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+        self.assert_certification_error(out)
 
-    def test_broken_grading_on_a_warm_basis_is_one(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name, task", (("decay-averaging-symbol", "decay"), ("witness-axis-orbit", "witness")))
+    def test_broken_degree_grading_is_one_for_every_map_consumer(
+        self, tmp_path, cold_memos, break_tables, name, task
+    ):
+        # decay applies M_phi^* off the maps, witness builds M_theta and the
+        # shifts from them: the first map with beta != 0 breaks the grading
+        break_tables(self.config_basis(name), stall=0)
+        out = tmp_path / "s.report.json"
+        assert cli.main([task, "--config", str(ACCEPTANCE_DIR / f"{name}.json"), "--out", str(out)]) == 1
+        self.assert_certification_error(out)
+
+    def test_broken_grading_on_a_warm_basis_is_one(self, tmp_path, cold_memos, break_tables):
         config = str(ACCEPTANCE_DIR / "purity-hardy-monomial.json")
         domain = cli.build_domain(json.loads(Path(config).read_text(encoding="utf-8"))["space"])
-        phi = spaces.scalar_symbol(2, {(1, 1): 0.9})
-        # build the certifying basis's tables: the Hardy bidisc at D = 6
-        assert purity.multiplier_purity_verdict(phi, domain, 6).verdict == "pure"
+        # warm the certifying basis's tables, the Hardy bidisc at D = 6,
+        # with a symbol of another support
+        assert purity.multiplier_purity_verdict(spaces.scalar_symbol(2, {(1, 0): 0.9}), domain, 6).verdict == "pure"
         warm = purity.basis_for(domain, 6, 1)
-        assert (1, 1) in warm._shift_maps and "successors" in vars(warm)
-        real = purity._shift_map
-
-        def keeps_degree(basis, beta):
-            src, dst, w = real(basis, beta)
-            return src, (src if sum(beta) else dst), w
-
-        monkeypatch.setattr(purity, "_shift_map", keeps_degree)
-        with pytest.raises(errors.CertificationError, match="degree grading"):
+        assert "successors" in vars(warm) and list(warm._shift_maps) == [(1, 0)]
+        break_tables(warm, stall=1)
+        phi = spaces.scalar_symbol(2, {(1, 1): 0.9})
+        with pytest.raises(errors.CertificationError, match=r"term \(1, 1\) breaks the degree grading"):
             purity.multiplier_purity_verdict(phi, domain, 6)
         out = tmp_path / "s.report.json"
         assert cli.main(["purity", "--config", config, "--out", str(out)]) == 1
-        rep = read_report(out)
-        assert rep["pass"] is False
-        assert rep["error"]["type"] == "CertificationError"
-        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+        self.assert_certification_error(out)
+        assert list(warm._shift_maps) == [(1, 0)]
         cached = [warm.index_array, warm.degree_array, warm.norm_array, warm.successors]
         cached += [arr for maps in warm._shift_maps.values() for arr in maps]
         for arr in cached:
@@ -262,27 +296,18 @@ class TestExitCodes:
                 arr[...] = 0
         assert isinstance(warm.index_table, tuple) and isinstance(warm.norms, tuple)
 
-    def test_broken_grading_on_a_warm_basis_is_one_for_a_sweep(self, tmp_path, monkeypatch):
+    def test_broken_grading_on_a_warm_basis_is_one_for_a_sweep(self, tmp_path, cold_memos, break_tables):
         config = str(ACCEPTANCE_DIR / "purity-sweep-bergman.json")
         out = tmp_path / "s.report.json"
-        assert cli.main(["purity", "--config", config, "--out", str(out)]) == 0
-        # the sweep's realizations are certified on the Bergman bidisc's V_4 itself
-        space = json.loads(Path(config).read_text(encoding="utf-8"))["space"]
-        basis = purity.basis_for(cli.build_domain(space), 4, 2)
-        assert (1, 1) in basis._shift_maps and "successors" in vars(basis)
-        real = purity._shift_map
-
-        def keeps_degree(basis, beta):
-            src, dst, w = real(basis, beta)
-            return src, (src if sum(beta) else dst), w
-
-        monkeypatch.setattr(purity, "_shift_map", keeps_degree)
+        # the sweep's realizations are certified on the Bergman bidisc's V_4
+        # itself; a constant symbol warms its tables and the beta = 0 map
+        basis = self.config_basis("purity-sweep-bergman")
+        constant = spaces.MultiplierSymbol(2, 2, {(0, 0): 0.5 * np.eye(2)})
+        assert purity.multiplier_purity_verdict(constant, basis.domain, 4).verdict == "pure"
+        break_tables(basis, stall=3)
         assert cli.main(["purity", "--config", config, "--out", str(out)]) == 1
-        rep = read_report(out)
-        assert rep["pass"] is False
-        assert rep["error"]["type"] == "CertificationError"
-        assert "degree grading" in rep["error"]["message"]
-        jsonschema.validate(rep, cli._load_schema("report.schema.json"))
+        self.assert_certification_error(out)
+        assert list(basis._shift_maps) == [(0, 0)]
 
     def test_bcl_triple_coeff_dim_mismatch_is_two(self, tmp_path, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -1407,6 +1432,12 @@ class TestDecoders:
         assert set(sym.terms) == {(0, 0), (1, 2)}
         assert sym.terms[(1, 2)][0, 0] == -0.5j
         assert sym.contractivity_record is None
+
+    def test_symbol_with_a_repeated_alpha_names_the_earlier_term(self):
+        terms = [{"alpha": alpha, "matrix": [[[0.25, 0]]]} for alpha in ([0, 0], [1, 2], [2, 0], [1, 2])]
+        with pytest.raises(errors.InvalidInputError) as exc:
+            cli.decode_symbol({"n": 2, "coeff_dim": 1, "terms": terms})
+        assert str(exc.value) == "$.symbol.terms[3].alpha: multi-index [1, 2] is already $.symbol.terms[1].alpha"
 
     def test_triple_axis_defaults_to_zero(self):
         obj = {"e_dim": 1, "u": [[[0, 1]]], "p": [[[1, 0]]]}

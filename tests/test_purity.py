@@ -261,19 +261,11 @@ class TestStructuralCertificate:
                 assert max(abs(r - rep.phi0_rho) for r in dense) <= 1e-12
                 assert rep.verdict == ("not_pure" if forced else "pure")
 
-    def test_broken_degree_grading_raises(self, monkeypatch):
-        real = purity_module._shift_map
-
-        def patched(basis, beta):
-            # one entry of the beta = (1, 0) map stays in its own degree
-            src, dst, w = real(basis, beta)
-            if tuple(beta) == (1, 0):
-                dst = dst.copy()
-                dst[0] = src[0]
-            return src, dst, w
-
+    def test_broken_degree_grading_raises(self, cold_memos, break_tables):
+        # the constant monomial is its own successor, so one entry of the
+        # beta = (1, 0) map stays in its own degree
         phi = scalar_symbol(2, {(0, 0): 0.3, (1, 0): 0.5})
-        monkeypatch.setattr(purity_module, "_shift_map", patched)
+        break_tables(basis_for(HARDY2, 4, 1), stall=0)
         with pytest.raises(CertificationError, match=r"\(1, 0\)"):
             multiplier_purity_verdict(phi, HARDY2, 4)
 
@@ -286,40 +278,58 @@ class TestStructuralCertificate:
             ([(1, 0), (0, 1), (0, 0)], [(0, 0)], (0, 0)),
         ),
     )
-    def test_the_first_broken_term_of_the_support_is_named(self, monkeypatch, support, broken, named):
-        # the lifted maps are checked in one comparison; the error still
-        # names the first broken term in support order, down to the last
-        # entry of the last map
-        real = purity_module._shift_map
-
-        def patched(basis, beta):
-            src, dst, w = real(basis, beta)
-            if tuple(beta) in broken and sum(beta):
-                # the last entry stays in its own degree
-                dst = dst.copy()
-                dst[-1] = src[-1]
-            elif tuple(beta) in broken:
-                w = w.copy()
-                w[-1] = 0.5
-            return src, dst, w
-
+    def test_the_first_broken_term_of_the_support_is_named(
+        self, cold_memos, break_tables, support, broken, named
+    ):
+        # the maps of the sound terms are built first; then every map built
+        # breaks at its last entries: a lifted one stalls at degree D - 1,
+        # and beta = 0 weighs the last monomial by nan
+        basis = basis_for(HARDY2, 4, 1)
+        for beta in support:
+            if beta not in broken:
+                purity_module._shift_map(basis, beta)
+        lifted = any(map(sum, broken))
+        break_tables(basis, stall=3 if lifted else None, nan_norm=(0, 0) in broken)
         phi = scalar_symbol(2, {beta: 0.1 for beta in support})
         assert list(phi.terms) == support
-        monkeypatch.setattr(purity_module, "_shift_map", patched)
         with pytest.raises(CertificationError) as exc:
             multiplier_purity_verdict(phi, HARDY2, 4)
         assert str(exc.value) == f"shift map of term {named} breaks the degree grading of V_4"
+        assert set(basis._shift_maps) == set(support) - set(broken)
 
-    def test_broken_constant_term_raises(self, monkeypatch):
-        real = purity_module._shift_map
-
-        def patched(basis, beta):
-            src, dst, w = real(basis, beta)
-            return src, dst, w * 1.0000001 if sum(beta) == 0 else w
-
-        monkeypatch.setattr(purity_module, "_shift_map", patched)
-        with pytest.raises(CertificationError):
+    def test_broken_constant_term_raises(self, cold_memos, break_tables):
+        break_tables(basis_for(HARDY2, 4, 1), nan_norm=True)
+        with pytest.raises(CertificationError, match=r"\(0, 0\)"):
             multiplier_purity_verdict(scalar_symbol(2, {(0, 0): 0.3}), HARDY2, 4)
+
+    def test_a_map_whose_build_failed_is_not_memoised(self, cold_memos, break_tables):
+        basis = basis_for(HARDY2, 4, 1)
+        break_tables(basis, stall=0)
+        phi = scalar_symbol(2, {(0, 0): 0.3, (1, 1): 0.5})
+        for _ in range(2):
+            with pytest.raises(CertificationError, match=r"\(1, 1\)"):
+                multiplier_purity_verdict(phi, HARDY2, 4)
+            assert list(basis._shift_maps) == [(0, 0)]
+
+    @pytest.mark.parametrize(
+        "domain",
+        (PolydiscDomain((bergman(),) * 2), PolydiscDomain((hardy(),) * 3)),
+        ids=("bergman2", "hardy3"),
+    )
+    def test_a_warm_verdict_builds_no_map(self, cold_memos, monkeypatch, domain):
+        # warm, a verdict reads no table a map is built or checked from
+        phis = purity_module._random_symbols(np.random.default_rng(3), domain, 2, 2, 4, 1)
+        d_max = 8 if domain.n == 2 else 6
+        cold = purity_module._purity_verdicts(phis, domain, d_max)
+        basis = basis_for(domain, d_max, 2)
+        maps = dict(basis._shift_maps)
+        assert list(maps) == list(phis[0].terms)
+        for name in ("successors", "degree_array", "norm_array", "index_array"):
+            monkeypatch.setitem(vars(basis), name, None)
+        assert purity_module._purity_verdicts(phis, domain, d_max) == cold
+        assert [multiplier_purity_verdict(phi, domain, d_max) for phi in phis] == cold
+        assert basis._shift_maps.keys() == maps.keys()
+        assert all(basis._shift_maps[beta] is maps[beta] for beta in maps)
 
 
 CUSTOM_1D = KernelSpec1D("custom", custom_coeffs=tuple(1.0 / (m + 1) ** 2 for m in range(20)))
