@@ -39,6 +39,7 @@ import csv
 import errno
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -48,6 +49,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -259,10 +261,23 @@ def _finite_float(token: str) -> float:
     return value
 
 
+def _unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    """The object of ``pairs``; a key given twice is refused."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InvalidInputError(f"duplicate key {key!r} in JSON input")
+            seen.add(key)
+    return obj
+
+
 def _load_json(path: str) -> Any:
-    """json.load that refuses NaN, Infinity and overflowing literals like 1e999."""
+    """json.load that refuses NaN, Infinity, overflowing literals like 1e999,
+    and a key given twice in one object (json.load would keep the last)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+        return json.load(fh, parse_constant=_finite_float, parse_float=_finite_float, object_pairs_hook=_unique_keys)
 
 
 def decode_complex(pair: Sequence[float]) -> complex:
@@ -702,6 +717,60 @@ def _error_report(
     )
 
 
+def _encode(obj: Any, indent: str, out: List[str]) -> None:
+    """Append the chunks of ``obj`` to ``out``; ``indent`` is the newline and
+    spaces before its closing bracket, and its items sit two spaces deeper."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj != obj:
+            out.append("NaN")
+        elif math.isinf(obj):
+            out.append("Infinity" if obj > 0 else "-Infinity")
+        else:
+            out.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _encode(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _encode(obj[key], inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _report_text(obj: Any) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` for an object
+    with str keys, in one pass.  Before Python 3.13 any ``indent`` makes
+    ``json.dumps`` take its pure-Python generator encoder."""
+    out: List[str] = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def _write_text(path: Path, text: str) -> None:
     """Write ``text`` as UTF-8 over ``path`` in place, then cut the file to it.
 
@@ -710,19 +779,24 @@ def _write_text(path: Path, text: str) -> None:
     makes ``close`` start a flush that the next overwrite waits for.  The
     parent directories are made only when the open finds them missing.
     """
+    data = text.encode("utf-8")
     flags = os.O_WRONLY | os.O_CREAT
     try:
         fd = os.open(path, flags, 0o666)
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(path, flags, 0o666)
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        fh.truncate()
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _write_report(report: RunReport, path: Path) -> None:
-    _write_text(path, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    _write_text(path, _report_text(report.to_dict()))
 
 
 def _refuse_unwritable(path: Path, is_dir: bool) -> None:
@@ -730,7 +804,7 @@ def _refuse_unwritable(path: Path, is_dir: bool) -> None:
     path that cannot be written: a report path that is a directory, or a
     directory of reports (or a report's parent) that is a regular file or
     lies under one."""
-    for k, p in enumerate((path, *path.parents)):
+    for k, p in enumerate(itertools.chain((path,), path.parents)):
         try:
             isdir = stat.S_ISDIR(os.stat(p).st_mode)
         except OSError:
@@ -818,7 +892,7 @@ def run_suite(
         "scenario_count": len(rows),
         "scenarios": rows,
     }
-    _write_text(out_dir / "suite_report.json", json.dumps(aggregate, sort_keys=True, indent=2) + "\n")
+    _write_text(out_dir / "suite_report.json", _report_text(aggregate))
     summary = io.StringIO(newline="")
     writer = csv.DictWriter(summary, fieldnames=["scenario_id", "task", "exit_code", "expected_exit", "ok"])
     writer.writeheader()
@@ -829,13 +903,15 @@ def run_suite(
 
 def _parse_tol_overrides(pairs: Optional[List[str]], command: str) -> Dict[str, float]:
     """The ``--tol`` overrides by name; a name must be documented for the
-    subcommand's task, or, for ``suite``, for some task."""
+    command's task, or, for ``suite``, for some task, and given once."""
     out: Dict[str, float] = {}
     for pair in pairs or []:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise InvalidInputError(f"--tol expects name=value, got {pair!r}")
         _refuse_unknown_tolerances([name], TASKS if command == "suite" else [command], "--tol {}")
+        if name in out:
+            raise InvalidInputError(f"--tol {name} given twice")
         tol = float(value)
         if not (math.isfinite(tol) and tol > 0):
             raise InvalidInputError(f"--tol {name} must be finite and > 0, got {value!r}")
@@ -849,13 +925,13 @@ def _parser() -> argparse.ArgumentParser:
         prog="gradedshift",
         description="run finite-matrix verification scenarios and suites",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for task in TASKS + ("suite",):
-        p = sub.add_parser(task, help=f"run a {task} scenario" if task != "suite" else "run a manifest of scenarios")
-        p.add_argument("--config", required=True, help="scenario config JSON (manifest JSON for suite)")
-        p.add_argument("--out", help="report file (directory for suite); default from $GRADEDSHIFT_OUT_DIR")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--tol", action="append", metavar="NAME=VALUE", help="override a tolerance")
+    parser.add_argument(
+        "command", choices=TASKS + ("suite",), help="the task of a scenario, or suite for a manifest of scenarios"
+    )
+    parser.add_argument("--config", required=True, help="scenario config JSON (manifest JSON for suite)")
+    parser.add_argument("--out", help="report file (directory for suite); default from $GRADEDSHIFT_OUT_DIR")
+    parser.add_argument("--seed", type=int, help="override the config seed")
+    parser.add_argument("--tol", action="append", metavar="NAME=VALUE", help="override a tolerance, once per name")
     return parser
 
 

@@ -7,6 +7,7 @@ All invocations but two go through ``cli.main`` in process (the two run
 prints); configs are written to pytest tmp dirs so every test is hermetic.
 """
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -962,6 +963,56 @@ class TestReportWriter:
             if path in written:
                 assert flags & os.O_CREAT and not flags & os.O_TRUNC, path
 
+    def test_report_text_is_json_dumps_on_random_payloads(self):
+        rng = random.Random(0)
+        for _ in range(500):
+            payload = _random_payload(rng, 0)
+            assert cli._report_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    def test_report_text_takes_numpy_floats_and_refuses_other_numpy_scalars(self):
+        payload = {"x": np.float64(0.1), "y": [np.float64("nan"), np.float64(-0.0)]}
+        assert cli._report_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        for bad in (np.int64(1), np.bool_(True), {1, 2}, [{"k": {0.5}}]):
+            with pytest.raises(TypeError):
+                json.dumps(bad)
+            with pytest.raises(TypeError):
+                cli._report_text(bad)
+
+
+_ODD_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16, 1e-7)
+_ODD_INTS = (0, -1, 2**70, -(2**63), True, False)
+_ODD_STRINGS = ("", "é", "Φ(0)", "\x00\x1f\x7f", '"quoted"', "back\\slash", "\ud800", "tab\t\r\n", "\U0001f600", "/")
+
+
+def _random_text(rng):
+    return "".join(
+        rng.choice(_ODD_STRINGS) if rng.random() < 0.3 else chr(rng.randrange(0x20, 0x3000))
+        for _ in range(rng.randrange(4))
+    )
+
+
+def _random_payload(rng, depth):
+    """A nested payload of dicts, lists and tuples (empty ones too) over
+    non-finite and extreme floats, big ints, bools beside ints, None, and
+    strings with quotes, control and non-ASCII characters."""
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice(_ODD_FLOATS) if rng.random() < 0.5 else rng.uniform(-1e3, 1e3)
+    if kind == 1:
+        return rng.choice(_ODD_INTS) if rng.random() < 0.5 else rng.randrange(-(10**6), 10**6)
+    if kind == 2:
+        return _random_text(rng)
+    if kind == 3:
+        return None
+    if kind == 4:
+        return rng.random() < 0.5
+    items = [_random_payload(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return items
+    if kind == 6:
+        return tuple(items)
+    return {_random_text(rng): item for item in items}
+
 
 class TestSuite:
     @staticmethod
@@ -1061,6 +1112,97 @@ def acceptance_config(stem):
 
 def json_path(path):
     return "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+class TestDuplicateKeys:
+    @pytest.mark.parametrize(
+        "literal, repeated, key",
+        [
+            ('"seed": 0', '"seed": 0, "seed": 3', "seed"),
+            ('"tol": 0.5', '"tol": 0.5, "tol": 1e-09', "tol"),
+            ('"degree_cap": 4', '"degree_cap": 4, "degree_cap": 5', "degree_cap"),
+        ],
+        ids=("top-level", "tolerances", "space"),
+    )
+    def test_duplicate_config_key_is_two(self, tmp_path, literal, repeated, key):
+        cfg = tmp_path / "s.json"
+        out = tmp_path / "r.json"
+        config = purity_config("dup", constant_scalar_symbol(2, 0.5))
+        config["tolerances"] = {"tol": 0.5}
+        text = json.dumps(config)
+        assert text.count(literal) == 1
+        cfg.write_text(text.replace(literal, repeated), encoding="utf-8")
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 2
+        rep = read_report(out)
+        assert rep["error"] == {"type": "InvalidInputError", "message": f"duplicate key {key!r} in JSON input"}
+        assert rep["seed"] is None and rep["payload"] == {}
+        REPORT_VALIDATOR.validate(rep)
+
+    def test_duplicate_manifest_key_is_two(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        text = json.dumps({"schema_version": "1", "scenarios": [{"path": "a.json", "expected_exit": 0}]})
+        manifest.write_text(text.replace('"expected_exit": 0', '"expected_exit": 0, "expected_exit": 2'))
+        out = tmp_path / "out"
+        assert cli.main(["suite", "--config", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: duplicate key 'expected_exit' in JSON input\n"
+        assert not out.exists()
+
+
+def _subcommand_parser():
+    """The grammar of one subparser per command that the flat parser
+    replaced: every argv it takes must parse to the same namespace."""
+    parser = argparse.ArgumentParser(prog="gradedshift")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in cli.TASKS + ("suite",):
+        p = sub.add_parser(command)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out")
+        p.add_argument("--seed", type=int)
+        p.add_argument("--tol", action="append", metavar="NAME=VALUE")
+    return parser
+
+
+class TestGrammar:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["purity", "--config", "c.json"],
+            ["suite", "--config", "m.json", "--out", "o", "--seed", "3", "--tol", "tol=1e-3", "--tol", "purity_tol=1"],
+            ["cnp", "--config=c.json", "--seed=0", "--out=r.json"],
+            ["witness", "--conf", "c.json", "--se", "-1"],
+            ["decay", "--tol", "monotone_tol=1", "--config", "c.json", "--out", ""],
+        ],
+    )
+    def test_valid_argv_parses_as_the_subcommand_grammar(self, argv):
+        assert vars(cli._parser().parse_args(argv)) == vars(_subcommand_parser().parse_args(argv))
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--help"])
+        assert exit_info.value.code == 0
+        usage = capsys.readouterr().out
+        assert "{" + ",".join(cli.TASKS + ("suite",)) + "}" in usage
+        assert all(flag in usage for flag in ("--config", "--out", "--seed", "--tol"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nope", "--config", "c.json"],
+            ["purity"],
+            ["purity", "--config"],
+            ["purity", "--config", "c.json", "--seed", "x"],
+            ["purity", "--config", "c.json", "extra"],
+            ["purity", "--config", "c.json", "--bogus"],
+        ],
+        ids=("empty", "unknown-command", "missing-config", "config-without-value", "seed-x", "extra", "unknown-flag"),
+    )
+    def test_bad_argv_is_two(self, capsys, argv):
+        for parse in (cli.main, _subcommand_parser().parse_args):
+            with pytest.raises(SystemExit) as exit_info:
+                parse(argv)
+            assert exit_info.value.code == 2
+        assert "error: " in capsys.readouterr().err
 
 
 class TestSpaceFields:
@@ -1280,6 +1422,18 @@ class TestTolerances:
         out = tmp_path / "out"
         assert cli.main([command, "--config", str(config), "--out", str(out), "--tol", f"{name}=0.5"]) == 2
         assert f"error: --tol {name}: unknown tolerance (documented: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("purity", ACCEPTANCE_DIR / "purity-hardy-monomial.json"), ("suite", MANIFEST)],
+        ids=("purity", "suite"),
+    )
+    def test_repeated_tol_override_is_two(self, tmp_path, capsys, command, config):
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out), "--tol", "tol=1e-3", "--tol", "tol=1e-9"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: --tol tol given twice\n"
         assert not out.exists()
 
     def test_suite_tol_override_of_another_task_is_used_where_documented(self, tmp_path):
