@@ -76,7 +76,7 @@ from .kernels import (
     hardy,
     series_1d,
 )
-from .operators import SubspaceFrame, multiplier_matrix, opnorm, shift_tuple, wandering_witness
+from .operators import _shift_witness, opnorm
 from .purity import (
     _purity_verdicts,
     _random_symbols,
@@ -628,20 +628,7 @@ def _run_decay(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
 def _run_witness(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     domain = build_domain(config.space)
     basis = basis_for(domain, config.space["degree_cap"], config.space.get("coeff_dim", 1))
-    theta = _require_symbol(config)
-    if not theta.terms:
-        raise InvalidInputError("the subspace symbol is zero, so it spans no subspace")
-    if np.any(theta.phi0 != 0):
-        raise InvalidInputError(
-            "witness subspaces are orbit spans of a vanishing-at-0 symbol "
-            "(constant term would meet the wandering subspace)"
-        )
-    pi = multiplier_matrix(basis, theta)
-    if not np.any(pi.data):
-        raise InvalidInputError("degree cap too small for the subspace symbol")
-    # X^m P_D theta xi = P_D z^m theta xi: the orbit span is the range of P_D M_theta
-    frame = SubspaceFrame.from_columns(pi.data)
-    result = wandering_witness(shift_tuple(basis), frame, basis.degree_cap, config.tol("tol"))
+    result = _shift_witness(basis, _require_symbol(config), config.tol("tol"))
     payload = {
         "found": result.found,
         "h_index": result.h_index,

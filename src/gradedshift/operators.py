@@ -13,6 +13,12 @@ diag(|w|^2) and sigma_min is min |w|; :func:`cauchy_dual` writes 1/conj(w)
 in the same places, :func:`range_projection` is the 0/1 diagonal on the rows
 hit, and :func:`wandering_subspace` is spanned by the coordinate vectors of
 the rows no member hits.  They refuse an operator that is not monomial.
+
+The certificates read the same structure off the shift maps
+(:func:`_shift_map`) and form no dim x dim matrix; the ``witness`` task runs
+:func:`_shift_witness`, which needs a dense matrix only for a subspace symbol
+of more than one term.  The dense forms here remain the general API and the
+references the tests check the maps against.
 """
 
 from __future__ import annotations
@@ -430,6 +436,12 @@ def wandering_witness(
     returns eta = P_M X'^m~ h at the lexicographically minimal such
     multi-index m~ (the coordinate-wise recursive minimization).  The
     certificate lists ||P_M X_i* eta|| for every i.
+
+    This is the dense form for any monomial tuple and any frame: it checks
+    the preconditions with leak and overlap norms and powers dense Cauchy
+    duals.  For the shift tuple and M the range of P_D M_theta, as in the
+    ``witness`` task, :func:`_shift_witness` gives the same search off the
+    shift maps.
     """
     q = m_frame.columns
     qh = q.conj().T
@@ -489,3 +501,134 @@ def wandering_witness(
         budget=budget,
         tol=tol,
     )
+
+
+def _range_frame(cols: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the range of a nonzero matrix: its left
+    singular vectors at singular values above SVD_THRESHOLD times the
+    largest, so ``t * cols`` has the rank of ``cols`` at any scale t."""
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    return u[:, : int(np.sum(s > SVD_THRESHOLD * s[0]))]
+
+
+def _axis_maps(basis: TruncatedBasis) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The shift map of every e_i, i < n: the coordinate shifts M_(z_i)."""
+    n = basis.n
+    return [_shift_map(basis, (0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
+
+
+def _dual_orbit_scalars(basis: TruncatedBasis) -> np.ndarray:
+    """The scalars s_m with X'^m e_(0, j) = s_m e_(m, j) for every monomial
+    m of V_D, X' the Cauchy dual of the shift tuple.
+
+    X'_i has the weights 1/w of the e_i map on its positions, so s_0 = 1 and
+    s_m = (1/w) s_(m - e_i), with i the first nonzero axis of m, m - e_i
+    read from ``basis.prefix`` and w the e_i map's weight at m - e_i.  These
+    are the products of :func:`_apply_powers`, in its order, one vector step
+    per degree, so each s_m equals its entry there bit for bit.
+    """
+    axis, prev = basis.prefix
+    inv = np.array([1.0 / w for _, _, w in _axis_maps(basis)])
+    out = np.ones(len(basis.index_table))
+    starts = basis._rank_tables[1].tolist() + [len(out)]  # the first position of each degree
+    for lo, hi in zip(starts[1:], starts[2:]):
+        p = prev[lo:hi]
+        out[lo:hi] = inv[axis[lo:hi], p] * out[p]
+    return out
+
+
+def _shift_witness(basis: TruncatedBasis, theta: MultiplierSymbol, tol: float = 1e-8) -> WitnessResult:
+    """:func:`wandering_witness` for the shift tuple X of V_D and M the range
+    of P_D M_theta, with budget D, off the shift maps.
+
+    The preconditions hold by construction, so no leak or overlap norm is
+    taken: the truncated shifts only raise degree, so P_D z_i P_D g = P_D z_i g
+    and M is invariant under each X_i; theta(0) = 0 puts M in degrees >= 1,
+    orthogonal to the wandering subspace W, the degree-0 block (coordinates
+    0..c-1).  The orbit of h = e_(0, j) is X'^m h = s_m e_(m, j)
+    (:func:`_dual_orbit_scalars`), so ||P_M X'^m h|| = |s_m| ||P_M e_(m, j)||,
+    and the residuals ||P_M X_i^* eta|| take one adjoint gather each on the
+    e_i maps.
+
+    P_M is read off the input.  A single term z^gamma Theta spans e_alpha (x)
+    ran Theta over the alpha >= gamma, the rows its shift map hits: a mask,
+    checked exactly to be closed under every e_i map and to miss the
+    constants, times the projection onto ran Theta from one c x c SVD.  Any
+    other theta takes an SVD frame Q of the dense P_D M_theta, the one
+    dim x dim step, and ||P_M e_(m, j)|| is a row norm of Q.  Either rank is
+    relative to the largest singular value.
+
+    Refused with :class:`InvalidInputError`: a zero theta, theta(0) != 0, and
+    a theta whose every term leaves V_D.
+    """
+    _check_symbol(basis, theta)
+    if not theta.terms:
+        raise InvalidInputError("the subspace symbol is zero, so it spans no subspace")
+    if np.any(theta.phi0 != 0):
+        raise InvalidInputError(
+            "witness subspaces are orbit spans of a vanishing-at-0 symbol "
+            "(constant term would meet the wandering subspace)"
+        )
+    if min(map(sum, theta.terms)) > basis.degree_cap:
+        raise InvalidInputError("degree cap too small for the subspace symbol")
+    c, count = basis.coeff_dim, len(basis.index_table)
+    shifts = _axis_maps(basis)
+    if len(theta.terms) == 1:
+        ((gamma, coeff),) = theta.terms.items()
+        mask = np.zeros(count, dtype=bool)
+        mask[_shift_map(basis, gamma)[1]] = True
+        for i, (src, dst, _) in enumerate(shifts):
+            if (mask[src] & ~mask[dst]).any():
+                raise CertificationError(f"the range of the subspace symbol leaks under shift {i}")
+        if mask[0]:
+            raise CertificationError("the range of the subspace symbol meets the constants")
+        u = _range_frame(coeff)
+        row_norms = mask[:, None] * np.linalg.norm(u, axis=1)
+
+        def coords(v: np.ndarray) -> np.ndarray:
+            return v[mask] @ u.conj()
+
+        def lift(y: np.ndarray) -> np.ndarray:
+            out = np.zeros((count, c), dtype=complex)
+            out[mask] = y @ u.T
+            return out
+
+    else:
+        q = _range_frame(_weighted_shift(basis, theta.terms))
+        qh = q.conj().T
+        row_norms = np.linalg.norm(q, axis=1).reshape(count, c)
+
+        def coords(v: np.ndarray) -> np.ndarray:
+            return qh @ v.reshape(-1)
+
+        def lift(y: np.ndarray) -> np.ndarray:
+            return (q @ y).reshape(count, c)
+
+    scalars = _dual_orbit_scalars(basis)
+    feasible = scalars[:, None] * row_norms > tol
+    feasible[0] = False  # |m| > 0
+    budget = basis.degree_cap
+    for h_index in range(c):
+        rows = np.flatnonzero(feasible[:, h_index])
+        if not rows.size:
+            continue
+        k = rows[np.lexsort(basis.index_array[rows].T[::-1])[0]]  # plain lexicographic minimum
+        orbit = np.zeros((count, c), dtype=complex)
+        orbit[k, h_index] = scalars[k]
+        eta = lift(coords(orbit))
+        residuals = []
+        for src, dst, w in shifts:
+            back = np.zeros((count, c), dtype=complex)
+            back[src] = w[:, None] * eta[dst]
+            residuals.append(float(np.linalg.norm(coords(back))))
+        return WitnessResult(
+            found=True,
+            eta=eta.reshape(-1),
+            h_index=h_index,
+            m_tilde=basis.index_table[k],
+            residuals=tuple(residuals),
+            certificate_ok=all(r <= tol for r in residuals),
+            budget=budget,
+            tol=tol,
+        )
+    return WitnessResult(False, None, None, None, (), False, budget, tol)

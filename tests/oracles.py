@@ -631,3 +631,52 @@ def wandering_span_dimension(x: Sequence, w: SubspaceFrame, budget: int, tol: fl
         blocks.append(v)
     s = np.linalg.svd(np.hstack(blocks), compute_uv=False)
     return int(np.sum(s > tol))
+
+
+def dense_witness_route(basis, theta_terms: Dict[MultiIndex, np.ndarray], tol: float = 1e-8) -> dict:
+    """The witness search on M = range of P_D M_theta over the basis's V_D,
+    with the shift tuple X and budget D, from dense matrices.
+
+    Q is an SVD frame of :func:`dense_multiplier` of theta (rank at singular
+    values above 1e-10 times the largest), the shifts are dense, W is
+    spanned by the coordinate vectors of the rows no shift hits, and the
+    Cauchy duals come from :func:`dense_dual_and_projection` on the columns
+    of degree < D.  For each column h of W in order, the dual orbit X'^m h
+    is powered out for |m| <= D; the first h with some ||Q^* X'^m h|| > tol
+    at |m| > 0 gives m~, the lexicographically least such m, eta = Q Q^*
+    X'^m~ h and the residuals ||Q^* X_i^* eta||.  Also returned: the
+    invariance leak max_i ||X_i Q - Q Q^* X_i Q|| and the overlap ||Q^* W||,
+    both structurally zero here, and ``cond``, the ratio of the largest to
+    the smallest kept singular value, which scales the round-off in Q.
+    """
+    table, norms, c = basis.index_table, basis.norms, basis.coeff_dim
+    n, cap = len(table[0]), basis.degree_cap
+    u, s, _ = np.linalg.svd(dense_multiplier(table, norms, c, theta_terms), full_matrices=False)
+    rank = int(np.sum(s > SVD_THRESHOLD * s[0]))
+    q, qh = u[:, :rank], u[:, :rank].conj().T
+    units = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    shifts = [dense_multiplier(table, norms, c, {e: np.eye(c, dtype=complex)}) for e in units]
+    leak = max(_top_singular_value(t @ q - q @ (qh @ t @ q)) for t in shifts)
+    hit = np.any([t != 0 for t in shifts], axis=(0, 2))
+    w = np.eye(len(hit), dtype=complex)[:, ~hit]
+    out = {"leak": leak, "overlap": _top_singular_value(qh @ w), "cond": float(s[0] / s[rank - 1])}
+    exact = c * sum(1 for alpha in table if sum(alpha) < cap)
+    duals = [dense_dual_and_projection(t, exact)[0] for t in shifts]
+    for h_index in range(w.shape[1]):
+        orbit = {}
+        for m in all_indices(n, cap):
+            v = w[:, h_index]
+            for i, e in enumerate(m):
+                for _ in range(e):
+                    v = duals[i] @ v
+            orbit[m] = v
+        feasible = [m for m, v in orbit.items() if sum(m) > 0 and np.linalg.norm(qh @ v) > tol]
+        if feasible:
+            m_tilde = min(feasible)
+            eta = q @ (qh @ orbit[m_tilde])
+            residuals = [float(np.linalg.norm(qh @ (t.conj().T @ eta))) for t in shifts]
+            out.update(found=True, h_index=h_index, m_tilde=m_tilde, residuals=residuals)
+            out["certificate_ok"] = all(r <= tol for r in residuals)
+            return out
+    out.update(found=False, h_index=None, m_tilde=None, residuals=[], certificate_ok=False)
+    return out

@@ -636,6 +636,45 @@ class TestTaskPayloads:
         assert rep["payload"]["found"] is True
         assert rep["payload"]["certificate_ok"] is True
 
+    @pytest.mark.parametrize(
+        "terms",
+        (
+            [((1, 0), [[0.6, 0.2j], [0.1, 0.3]])],
+            [((1, 0), [[0.6, 0.2j], [0.1, 0.3]]), ((0, 2), [[0.25, 0.0], [0.5j, 0.125]])],
+        ),
+        ids=("one-term", "two-term"),
+    )
+    def test_witness_report_does_not_depend_on_the_scale_of_theta(self, tmp_path, terms):
+        # t theta spans the range of theta for any t != 0; a rank threshold
+        # that was not relative refused 1e-12 z_1 as spanning nothing
+        payloads = []
+        for scale in (1.0, 1e-12):
+            cfg, out = tmp_path / f"{scale}.json", tmp_path / f"{scale}.report.json"
+            symbol = {"n": 2, "coeff_dim": 2, "terms": []}
+            for alpha, mat in terms:
+                matrix = [[[scale * complex(x).real, scale * complex(x).imag] for x in row] for row in mat]
+                symbol["terms"].append({"alpha": list(alpha), "matrix": matrix})
+            config = {
+                "schema_version": "1",
+                "scenario_id": "witness-scaled",
+                "task": "witness",
+                "space": {"family": "hardy", "n": 2, "degree_cap": 5, "coeff_dim": 2},
+                "seed": 0,
+                "symbol": symbol,
+            }
+            write_json(cfg, config)
+            assert cli.main(["witness", "--config", str(cfg), "--out", str(out)]) == 0
+            payloads.append(read_report(out)["payload"])
+        if len(terms) == 1:
+            assert payloads[0] == payloads[1]
+            assert payloads[0]["residuals"] == [0.0, 0.0]
+        else:
+            # the SVD frame of the scaled matrix differs in its last bits
+            residuals = [payload.pop("residuals") for payload in payloads]
+            assert payloads[0] == payloads[1]
+            np.testing.assert_allclose(residuals[1], residuals[0], rtol=0, atol=1e-15)
+        assert payloads[0]["found"] is True and payloads[0]["certificate_ok"] is True
+
     def test_witness_constant_term_rejected(self, tmp_path):
         cfg = tmp_path / "s.json"
         out = tmp_path / "r.json"
@@ -848,14 +887,16 @@ class TestPuritySweeps:
         assert {e["contractivity"]["kind"] for e in symbols} == {"realization"}
 
 
-def _refuse_large_svds(monkeypatch):
-    real = np.linalg.svd
+def _refuse_large_factorizations(monkeypatch):
+    """Fail the test on an SVD or a QR of a matrix with more than 64 rows."""
+    for name in ("svd", "qr"):
+        real = getattr(np.linalg, name)
 
-    def small_only(a, *args, **kwargs):
-        assert np.shape(a)[-2] <= 64, f"SVD of a matrix with {np.shape(a)[-2]} rows"
-        return real(a, *args, **kwargs)
+        def small_only(a, *args, _real=real, _name=name, **kwargs):
+            assert np.shape(a)[-2] <= 64, f"{_name} of a matrix with {np.shape(a)[-2]} rows"
+            return _real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", small_only)
+        monkeypatch.setattr(np.linalg, name, small_only)
 
 
 class TestScale:
@@ -868,7 +909,7 @@ class TestScale:
         config["symbol"]["terms"].append({"alpha": [1, 0, 0], "matrix": [[[0.5, 0.0]]]})
         config["space"] = {"family": "drury_arveson", "n": 3, "degree_cap": 25}
         write_json(cfg, config)
-        _refuse_large_svds(monkeypatch)
+        _refuse_large_factorizations(monkeypatch)
         assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 0
         payload = read_report(out)["payload"]
         assert payload["verdict"] == "pure"
@@ -882,7 +923,7 @@ class TestScale:
         for term in config["symbol"]["terms"]:
             term["alpha"] += [0, 0]
         write_json(cfg, config)
-        _refuse_large_svds(monkeypatch)
+        _refuse_large_factorizations(monkeypatch)
         assert cli.main(["decay", "--config", str(cfg), "--out", str(out)]) == 0
         assert read_report(out)["payload"]["nonincreasing"] is True
 
@@ -906,6 +947,27 @@ class TestScale:
         curve = read_report(out)["payload"]["curve"]
         assert len(curve) == 13
         assert all(b <= a for a, b in zip(curve, curve[1:]))
+
+    def test_witness_at_dim_3276_forms_no_matrix(self, tmp_path, monkeypatch):
+        # theta = z_1 spans a mask of coordinates: no frame SVD, leak norm or
+        # dense Cauchy-dual power, each 3,276 x 3,276 here
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        config = json.loads((ACCEPTANCE_DIR / "witness-axis-orbit.json").read_text(encoding="utf-8"))
+        config["space"] = {"family": "hardy", "n": 3, "degree_cap": 25}
+        config["symbol"] = monomial_scalar_symbol(3, (1, 0, 0), 1.0)
+        config["expected"]["m_tilde"] = [1, 0, 0]
+        write_json(cfg, config)
+        monkeypatch.setattr(operators_module, "_weighted_shift", pytest.fail)
+        _refuse_large_factorizations(monkeypatch)
+        tracemalloc.start()
+        try:
+            assert cli.main(["witness", "--config", str(cfg), "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        payload = read_report(out)["payload"]
+        assert payload["budget"] == 25 and payload["residuals"] == [0.0, 0.0, 0.0]
 
 
 class TestReportWriter:

@@ -14,6 +14,7 @@ import pytest
 
 from gradedshift import (
     BallKernelSpec,
+    CertificationError,
     InvalidInputError,
     KernelSpec1D,
     NotLeftInvertibleError,
@@ -37,12 +38,20 @@ from gradedshift import (
     wandering_witness,
     weighted_bergman,
 )
-from gradedshift.operators import OperatorMatrix, _apply_powers, opnorm, spectral_radius
+from gradedshift.operators import (
+    OperatorMatrix,
+    _apply_powers,
+    _dual_orbit_scalars,
+    _shift_witness,
+    opnorm,
+    spectral_radius,
+)
 from gradedshift.spaces import MultiplierSymbol, ball_basis, enumerate_indices
 
 from oracles import (
     brute_force_feasible,
     dense_dual_and_projection,
+    dense_witness_route,
     frames_match,
     null_space_frame,
     principal_angles,
@@ -587,3 +596,79 @@ class TestWanderingWitness:
         x = shift_tuple(basis)
         with pytest.raises(InvalidInputError):
             wandering_witness(x, SubspaceFrame.empty(basis.dim), budget=3)
+
+
+WITNESS_BASES = {
+    "hardy-bidisc": lambda c: polydisc_basis((hardy(), hardy()), 8, c),
+    "bergman-bidisc": lambda c: polydisc_basis((bergman(), bergman()), 8, c),
+    "dirichlet-tridisc": lambda c: polydisc_basis((dirichlet(),) * 3, 5, c),
+    "da-b3": lambda c: ball_basis(drury_arveson(3), 5, c),
+    "h3-b3": lambda c: ball_basis(hm_ball(3, 3), 5, c),
+}
+
+
+class TestShiftWitness:
+    """The witness route off the shift maps (a mask for one term, an SVD
+    frame otherwise) against the dense route with its leak and overlap
+    norms (tests/oracles.py)."""
+
+    @staticmethod
+    def theta(basis, terms, rank_one, seed):
+        # terms at distinct multi-indices of degree 1 or 2; a rank-one
+        # coefficient has range xi_(c-1), which only the last h meets
+        rng = np.random.default_rng(seed)
+        support = [alpha for alpha in basis.index_table if 1 <= sum(alpha) <= 2]
+        c = basis.coeff_dim
+        coeffs = {}
+        for k in rng.choice(len(support), size=terms, replace=False):
+            mat = rng.standard_normal((c, c)) + 1j * rng.standard_normal((c, c))
+            if rank_one:
+                mat[:-1] = 0.0
+            coeffs[support[k]] = mat
+        return MultiplierSymbol(basis.n, c, coeffs)
+
+    @pytest.mark.parametrize("rank_one", (False, True))
+    @pytest.mark.parametrize("terms", (1, 2))
+    @pytest.mark.parametrize("c", (1, 2))
+    @pytest.mark.parametrize("space", sorted(WITNESS_BASES))
+    def test_agrees_with_the_dense_route(self, space, c, terms, rank_one):
+        basis = WITNESS_BASES[space](c)
+        theta = self.theta(basis, terms, rank_one, seed=7 * c + terms)
+        got = _shift_witness(basis, theta)
+        want = dense_witness_route(basis, theta.terms, got.tol)
+        assert want["leak"] <= got.tol and want["overlap"] <= got.tol
+        assert got.found and got.budget == basis.degree_cap
+        assert (got.found, got.h_index, got.m_tilde, got.certificate_ok) == (
+            want["found"],
+            want["h_index"],
+            want["m_tilde"],
+            want["certificate_ok"],
+        )
+        assert got.h_index == (c - 1 if rank_one else 0)
+        # the dense frame's round-off grows with its condition number; the
+        # mask route's residuals are exact zeros
+        atol = 1e-15 * want["cond"]
+        np.testing.assert_allclose(got.residuals, want["residuals"], rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("space", sorted(WITNESS_BASES))
+    def test_dual_orbit_scalars_are_apply_powers_bit_for_bit(self, space):
+        basis = WITNESS_BASES[space](2)
+        duals = [cauchy_dual(t) for t in shift_tuple(basis)]
+        orbit = _apply_powers(duals, np.eye(basis.dim, dtype=complex)[:, :1], basis.degree_cap)
+        scalars = _dual_orbit_scalars(basis)
+        for k, m in enumerate(basis.index_table):
+            want = np.zeros(basis.dim, dtype=complex)
+            want[k * basis.coeff_dim] = scalars[k]
+            assert np.array_equal(orbit[m][:, 0], want), m
+
+    def test_a_mask_that_leaks_is_refused(self, monkeypatch):
+        # e_2 sends (1, 0) to (0, 2): the map keeps the grading, so it is
+        # certified, but the range of z_1 is not closed under it
+        basis = polydisc_basis((hardy(), hardy()), 3)
+        successors = basis.successors.copy()
+        successors[1, basis.position((1, 0))] = basis.position((0, 2))
+        successors.flags.writeable = False
+        monkeypatch.setitem(vars(basis), "successors", successors)
+        monkeypatch.setitem(vars(basis), "_shift_maps", {})
+        with pytest.raises(CertificationError, match="leaks under shift 1"):
+            _shift_witness(basis, scalar_symbol(2, {(1, 0): 1.0}))
