@@ -156,13 +156,13 @@ class SubspaceFrame:
 
     @staticmethod
     def from_columns(cols: np.ndarray, tol: float = SVD_THRESHOLD) -> "SubspaceFrame":
-        """Orthonormalize arbitrary spanning columns through an SVD."""
+        """Orthonormalize arbitrary spanning columns through an SVD
+        (:func:`_range_frame`, ranked relative to the largest singular
+        value, so ``t * cols`` has the frame of ``cols`` at any scale t)."""
         cols = np.asarray(cols, dtype=complex)
         if cols.ndim != 2 or cols.shape[1] == 0:
             return SubspaceFrame.empty(cols.shape[0] if cols.ndim == 2 else 0)
-        u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        rank = int(np.sum(s > tol))
-        return SubspaceFrame(u[:, :rank])
+        return SubspaceFrame(_range_frame(cols, tol))
 
 
 def _shift_map(
@@ -503,12 +503,13 @@ def wandering_witness(
     )
 
 
-def _range_frame(cols: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the range of a nonzero matrix: its left
-    singular vectors at singular values above SVD_THRESHOLD times the
-    largest, so ``t * cols`` has the rank of ``cols`` at any scale t."""
+def _range_frame(cols: np.ndarray, tol: float = SVD_THRESHOLD) -> np.ndarray:
+    """Orthonormal columns spanning the range of a matrix with at least one
+    column: its left singular vectors at singular values above ``tol``
+    times the largest, so ``t * cols`` has the rank of ``cols`` at any
+    scale t."""
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, : int(np.sum(s > SVD_THRESHOLD * s[0]))]
+    return u[:, : int(np.sum(s > tol * s[0]))]
 
 
 def _axis_maps(basis: TruncatedBasis) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:

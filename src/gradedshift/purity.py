@@ -37,8 +37,15 @@ from the multi-indices alone, lists the M terms of a product of f pencils
 A + sum_i z_i sqrt(q_i) B_i C_i and, step by step, which pairs of terms sum
 into each; a step is one batched matmul of every pair, summed in the order
 of :func:`gradedshift.spaces.symbol_product` chained one factor at a time,
-so every coefficient equals that route's to the last bit.  Each stack is
-validated once (:meth:`gradedshift.spaces.MultiplierSymbol.stack`).
+so every coefficient equals that route's to the last bit.  A realization
+plan (:func:`_realization_plan`), worked out once per (domain, c, degree),
+holds the draw's shape, the roots sqrt(q_i) and the product plan, so a
+call pays for its draw alone.  Each support's multi-indices are checked
+once per distinct (n, support), and each stack's coefficients get one
+shape check and one read-only copy, once per stack
+(:meth:`gradedshift.spaces.MultiplierSymbol.stack`).  The colligation
+norms, the contractivity refusal, the shift-map fetch of each support and
+the Phi(0) spectra run on every call.
 
 A verdict needs ||M_Phi|| <= 1, and takes it from a contractivity
 certificate of one of two kinds, with no norm of a matrix on V_D.
@@ -244,11 +251,13 @@ def _factor_scale(spec: KernelSpec1D) -> float:
     return 1.0
 
 
+@lru_cache(maxsize=_BASIS_MEMO_SIZE)
 def _realization_scales(domain: Domain) -> Tuple[float, ...]:
     """One q_i in (0, 1] per axis such that every realization with E(z)
     scaled by sqrt(q_i) on axis i is a contractive multiplier of the
     domain's space (see the module docstring): per factor on a polydisc,
-    and min(1, inf_j a_j / a_(j-1)) on every axis of a ball."""
+    and min(1, inf_j a_j / a_(j-1)) on every axis of a ball.  Memoised per
+    domain: they depend on the kernel alone."""
     if isinstance(domain, PolydiscDomain):
         return tuple(_factor_scale(f) for f in domain.factors)
     spec = domain.spec
@@ -290,11 +299,13 @@ def _contractivity(phi: MultiplierSymbol, domain: Domain, tol: float) -> Contrac
 
 def _phi0_radii(phis: Sequence[MultiplierSymbol]) -> np.ndarray:
     """rho(Phi(0)) of every symbol, from one batched ``eigvals`` per chunk:
-    LAPACK runs the same geev on each matrix as on that matrix alone."""
-    c = phis[0].coeff_dim
+    LAPACK runs the same geev on each matrix as on that matrix alone.  The
+    chunk is stacked from the read-only terms themselves."""
+    c, zero = phis[0].coeff_dim, (0,) * phis[0].n
+    absent = np.zeros((c, c), dtype=complex)
     radii = np.empty(len(phis))
     for part in _stack_chunks(len(phis), 16 * c * c):
-        stack = np.array([phi.phi0 for phi in phis[part]])
+        stack = np.array([phi.terms.get(zero, absent) for phi in phis[part]])
         radii[part] = np.abs(np.linalg.eigvals(stack)).max(axis=-1)
     return radii
 
@@ -523,6 +534,38 @@ def _colligation_shape(domain: Domain, c: int) -> Tuple[int, int]:
     return c + domain.n * c, c + inputs * c
 
 
+class _RealizationPlan(NamedTuple):
+    """What the realized symbols of one space, c and degree share
+    (:func:`_realization_plan`): a call adds only its draw."""
+
+    c: int
+    degree: int
+    shape: Tuple[int, ...]  # one symbol's (f, 2, rows, cols) draw, f = max(degree, 1)
+    roots: Tuple[Tuple[int, float], ...]  # (i, sqrt(q_i)) on every axis with q_i != 1
+    support: Tuple[MultiIndex, ...]  # support and steps: the product plan of f pencils
+    steps: Tuple
+
+
+@lru_cache(maxsize=_BASIS_MEMO_SIZE)
+def _realization_plan(domain: Domain, c: int, degree: int) -> _RealizationPlan:
+    """The plan of the realized symbols of coefficient dimension c and the
+    given degree on ``domain``: their draw's shape (:func:`_colligation_shape`),
+    the roots of the scales (:func:`_realization_scales`) and the
+    :func:`_product_plan` of their f pencils.  Memoised per ``(domain, c,
+    degree)``; it holds no draw, norm or record.  A symbol with more than
+    ``MAX_DIM`` coefficient rows is refused, and a refusal is not kept."""
+    n = domain.n
+    if c * math.comb(degree + n, n) > MAX_DIM:
+        raise InvalidInputError(
+            f"a degree-{degree} symbol in {n} variables with coeff_dim {c} has more "
+            f"than MAX_DIM = {MAX_DIM} coefficient rows"
+        )
+    f = max(degree, 1)
+    roots = tuple((i, math.sqrt(q)) for i, q in enumerate(_realization_scales(domain)) if q != 1.0)
+    support, steps = _product_plan(n, f, degree > 0)
+    return _RealizationPlan(c, degree, (f, 2) + _colligation_shape(domain, c), roots, support, steps)
+
+
 def _frozen(values: Sequence[int]) -> np.ndarray:
     out = np.array(values)
     out.flags.writeable = False
@@ -565,7 +608,7 @@ def _expand(pencils: np.ndarray, steps: Tuple) -> np.ndarray:
     for s, (first, rounds) in enumerate(steps, start=1):
         pairs = coeffs[:, :, None] @ pencils[:, s, None]
         pairs = pairs.reshape((len(pairs), -1) + pairs.shape[-2:])
-        coeffs = pairs[:, first]
+        coeffs = pairs.take(first, axis=1)
         for g, p in rounds:
             coeffs[:, g] += pairs[:, p]
     return coeffs
@@ -602,27 +645,26 @@ def _with_unitary_constants(
 
 
 def _realized_symbols(
-    domain: Domain, c: int, degree: int, gauss: np.ndarray, phases: Optional[List[complex]] = None
+    domain: Domain, plan: _RealizationPlan, gauss: np.ndarray, phases: Optional[List[complex]] = None
 ) -> List[MultiplierSymbol]:
-    """One symbol per row of a ``(k, f, 2, rows, cols)`` stack, f =
-    max(degree, 1): the product of the transfer functions A + B E(z) C of
-    its f colligations ``gauss[:, j, 0] + 1j gauss[:, j, 1]`` with the lower
-    right block set to 0, each scaled to norm 0.99 (one batched SVD per
-    chunk), and E(z) scaled by sqrt(q_i) on axis i
-    (:func:`_realization_scales`; an axis with q_i = 1 is left as it is).
-    At degree 0 it is the A of its one colligation.  Each records its
-    geometry and scales with the product of its colligations' norms.  With
-    ``phases``, row s gives blockdiag(phases[s], that product)
+    """One symbol per row of a ``(k,) + plan.shape`` stack ``gauss``: the
+    product of the transfer functions A + B E(z) C of its f colligations
+    ``gauss[:, j, 0] + 1j gauss[:, j, 1]`` with the lower right block set to
+    0, each scaled to norm 0.99 (one batched SVD per chunk), and E(z) scaled
+    by sqrt(q_i) on axis i (``plan.roots``; an axis with q_i = 1 is left as
+    it is).  At degree 0 it is the A of its one colligation.  Each records
+    its geometry and scales with the product of its colligations' norms.
+    With ``phases``, row s gives blockdiag(phases[s], that product)
     (:func:`_with_unitary_constants`).
 
-    The products of all rows are expanded together along one
+    The products of all rows are expanded together along the plan's
     :func:`_product_plan`, with batched matmuls, in chunks of at most
-    ``_STACK_BYTES`` of coefficients; each chunk is validated once
-    (:meth:`MultiplierSymbol.stack`)."""
+    ``_STACK_BYTES`` of coefficients; each chunk is one
+    :meth:`MultiplierSymbol.stack`."""
     k, f, _, rows, cols = gauss.shape
     if k == 0:
         return []
-    n = domain.n
+    c, n = plan.c, domain.n
     u = (gauss[:, :, 0] + 1j * gauss[:, :, 1]).reshape(k * f, rows, cols)
     u[:, c:, c:] = 0.0
     norms = np.empty(k * f)
@@ -637,23 +679,21 @@ def _realized_symbols(
     # the i-th column block of B on a polydisc and all of B on a ball, C_i
     # the i-th row block of C
     pencils = u[:, None, :c, :c]
-    if degree:
+    if plan.degree:
         b = u[:, :c, c:].reshape(k * f, c, -1, c).transpose(0, 2, 1, 3)
         lin = b @ u[:, c:, :c].reshape(k * f, n, c, c)
-        for i, q in enumerate(_realization_scales(domain)):
-            if q != 1.0:
-                lin[:, i] *= math.sqrt(q)
+        for i, root in plan.roots:
+            lin[:, i] *= root
         pencils = np.concatenate((pencils, lin), axis=1)
     pencils = pencils.reshape((k, f) + pencils.shape[1:])
-    support, steps = _product_plan(n, f, degree > 0)
     h = c if phases is None else c + 1
     symbols = []
-    for part in _stack_chunks(k, 16 * h * h * len(support)):
-        coeffs = _expand(pencils[part], steps)
+    for part in _stack_chunks(k, 16 * h * h * len(plan.support)):
+        coeffs = _expand(pencils[part], plan.steps)
         if phases is None:
-            symbols += _recorded(domain, support, coeffs, bounds[part])
+            symbols += _recorded(domain, plan.support, coeffs, bounds[part])
         else:
-            symbols += _with_unitary_constants(domain, phases[part], support, coeffs, bounds[part])
+            symbols += _with_unitary_constants(domain, phases[part], plan.support, coeffs, bounds[part])
     return symbols
 
 
@@ -673,34 +713,27 @@ def _random_symbols(
     rows, cols)`` stack of colligations, f = max(degree, 1).  Then each
     forced symbol draws its phase and its inner symbol's stack of size c -
     1.  A stack's colligations are normed together
-    (:func:`_realized_symbols`).
+    (:func:`_realized_symbols`), on the :func:`_realization_plan` of its
+    size.
     """
-    n = domain.n
     if degree < 0 or coeff_dim < 1:
         raise InvalidInputError(f"need degree >= 0 and coeff_dim >= 1, got {degree}, {coeff_dim}")
-    if coeff_dim * math.comb(degree + n, n) > MAX_DIM:
-        raise InvalidInputError(
-            f"a degree-{degree} symbol in {n} variables with coeff_dim {coeff_dim} has more "
-            f"than MAX_DIM = {MAX_DIM} coefficient rows"
-        )
-
-    def shape(c: int) -> Tuple[int, ...]:
-        return (max(degree, 1), 2) + _colligation_shape(domain, c)
-
-    gauss = rng.standard_normal((count,) + shape(coeff_dim))
+    plan = _realization_plan(domain, coeff_dim, degree)
+    gauss = rng.standard_normal((count,) + plan.shape)
     phases, inner = [], []
+    inner_plan = _realization_plan(domain, coeff_dim - 1, degree) if forced and coeff_dim > 1 else None
     for _ in range(forced):
         phases.append(complex(np.exp(2j * math.pi * rng.uniform())))
-        if coeff_dim > 1:
-            inner.append(rng.standard_normal(shape(coeff_dim - 1)))
-    symbols = _realized_symbols(domain, coeff_dim, degree, gauss)
+        if inner_plan is not None:
+            inner.append(rng.standard_normal(inner_plan.shape))
+    symbols = _realized_symbols(domain, plan, gauss)
     if not forced:
         return symbols
-    if coeff_dim == 1:
+    if inner_plan is None:
         constants = np.zeros((forced, 1, 0, 0))
-        return symbols + _with_unitary_constants(domain, phases, [(0,) * n], constants, [0.0] * forced)
-    inner_gauss = np.array(inner).reshape((forced,) + shape(coeff_dim - 1))
-    return symbols + _realized_symbols(domain, coeff_dim - 1, degree, inner_gauss, phases)
+        return symbols + _with_unitary_constants(domain, phases, [(0,) * domain.n], constants, [0.0] * forced)
+    inner_gauss = np.array(inner).reshape((forced,) + inner_plan.shape)
+    return symbols + _realized_symbols(domain, inner_plan, inner_gauss, phases)
 
 
 def random_contractive_symbol(

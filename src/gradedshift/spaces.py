@@ -37,6 +37,10 @@ needs, built on first use and read-only: the degree of every monomial
 certificates on one basis share them.  A shift map's degree grading is
 checked when the map is built and only checked maps are memoised;
 verdicts, norms, Grams and residuals are computed on every call.
+
+A symbol's multi-indices are checked once per distinct ``(n, support)``
+(:func:`_checked_support`, at most :data:`_BASIS_MEMO_SIZE` supports); a
+refusal is not memoised.  Its coefficients are copied on every call.
 """
 
 from __future__ import annotations
@@ -373,15 +377,59 @@ def _ball_basis(spec: BallKernelSpec, degree_cap: int, coeff_dim: int) -> Trunca
     )
 
 
+def _integral(a) -> int:
+    """``a`` as an int if it equals one (an int, a numpy int or an integral
+    float); else ``ValueError`` (also for ``nan``), ``OverflowError`` (for
+    ``inf``) or ``TypeError``."""
+    i = int(a)
+    if i != a:
+        raise ValueError(a)
+    return i
+
+
+def _multi_index(n: int, alpha) -> MultiIndex:
+    """``alpha`` as a tuple of n nonnegative ints, or ``InvalidInputError``."""
+    try:
+        row = tuple(map(_integral, alpha))
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"bad multi-index {alpha!r} for n={n}") from None
+    if len(row) != n or min(row) < 0:
+        raise InvalidInputError(f"bad multi-index {row} for n={n}")
+    return row
+
+
+@lru_cache(maxsize=_BASIS_MEMO_SIZE)
+def _checked_support(n: int, support: Tuple) -> Tuple[MultiIndex, ...]:
+    """The multi-indices of a support as tuples of ints, each checked by
+    :func:`_multi_index`.  Memoised by ``(n, support)``; a refusal raises
+    and so is not kept, and a support that compares equal to a kept one
+    (``(1.0, 0)`` and ``(1, 0)``) has the same checked form."""
+    return tuple(_multi_index(n, alpha) for alpha in support)
+
+
+def _canonical_support(n: int, support: Sequence) -> Tuple[MultiIndex, ...]:
+    """:func:`_checked_support`, memoised for a hashable support of at most
+    ``MAX_DIM`` entries (terms times n) and checked afresh otherwise."""
+    support = tuple(support)
+    if len(support) * n <= MAX_DIM:
+        try:
+            return _checked_support(n, support)
+        except TypeError:  # unhashable: a multi-index given as a list
+            pass
+    return _checked_support.__wrapped__(n, support)
+
+
 def _canonical_terms(
     n: int, coeff_dim: int, k: int, support: Sequence[MultiIndex], coeffs: Sequence
 ) -> List[Dict[MultiIndex, np.ndarray]]:
     """The terms of k symbols, ``coeffs[j][s]`` the coefficient of the s-th
-    at ``support[j]``.  Each multi-index and coefficient shape is checked
-    once, the coefficients are copied into one read-only complex stack, and
+    at ``support[j]``.  The support is checked once per distinct ``(n,
+    support)`` (:func:`_canonical_support`); the coefficients are copied
+    into one read-only complex stack, whose shape is checked once, and
     each symbol's terms are views into it at its nonzero coefficients (one
-    ``any`` over the stack), in support order (at a repeated multi-index the
-    last nonzero coefficient wins)."""
+    ``any`` over the stack), in support order (at a repeated multi-index
+    the last nonzero coefficient wins).  Only a refusal walks the terms, to
+    name the first whose coefficient has the wrong shape."""
     if n < 1:
         raise InvalidInputError("symbol needs n >= 1 variables")
     if coeff_dim < 1:
@@ -389,19 +437,20 @@ def _canonical_terms(
     n, coeff_dim = int(n), int(coeff_dim)
     if len(coeffs) != len(support):
         raise InvalidInputError(f"{len(coeffs)} coefficients for {len(support)} multi-indices")
-    alphas, mats = [], []
-    for alpha, mat in zip(support, coeffs):
-        alpha = tuple(map(int, alpha))
-        if len(alpha) != n or min(alpha) < 0:
-            raise InvalidInputError(f"bad multi-index {alpha} for n={n}")
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape[1:] != (coeff_dim, coeff_dim):
-            raise InvalidInputError(
-                f"coefficient at {alpha} has shape {mat.shape[1:]}, expected square dim {coeff_dim}"
-            )
-        alphas.append(alpha)
-        mats.append(mat)
-    stack = np.array(mats) if mats else np.zeros((0, k, coeff_dim, coeff_dim), complex)
+    alphas = _canonical_support(n, support)
+    shape = (len(alphas), k, coeff_dim, coeff_dim)
+    try:
+        stack = np.array(coeffs, dtype=complex) if alphas else np.zeros(shape, dtype=complex)
+    except ValueError:  # ragged, or an entry that is not a number
+        stack = None
+    if stack is None or stack.shape != shape:
+        # some term's coefficients are not (k, c, c): name the first
+        for alpha, mat in zip(alphas, coeffs):
+            mat = np.asarray(mat, dtype=complex)
+            if mat.shape != shape[1:]:
+                raise InvalidInputError(
+                    f"coefficient at {alpha} has shape {mat.shape[1:]}, expected square dim {coeff_dim}"
+                )
     stack.flags.writeable = False
     return [
         {alpha: mat for alpha, mat, kept in zip(alphas, row, keep) if kept}
@@ -429,7 +478,7 @@ class MultiplierSymbol:
     """
 
     def __init__(self, n: int, coeff_dim: int, terms: Dict[MultiIndex, np.ndarray]):
-        (canon,) = _canonical_terms(n, coeff_dim, 1, list(terms), [[mat] for mat in terms.values()])
+        (canon,) = _canonical_terms(n, coeff_dim, 1, tuple(terms), [[mat] for mat in terms.values()])
         self._set(n, coeff_dim, canon)
 
     def _set(self, n: int, coeff_dim: int, terms: Dict[MultiIndex, np.ndarray]) -> None:
@@ -443,11 +492,12 @@ class MultiplierSymbol:
         cls, n: int, coeff_dim: int, support: Sequence[MultiIndex], coeffs: np.ndarray
     ) -> List["MultiplierSymbol"]:
         """The k symbols of a ``(k, M, c, c)`` coefficient stack, the s-th
-        with the coefficient ``coeffs[s, j]`` at ``support[j]``, validated
-        once per stack; ``__init__`` is the case k = 1.  The terms of all k
-        are views into one read-only copy of the stack."""
+        with the coefficient ``coeffs[s, j]`` at ``support[j]``: the
+        support is checked once per distinct ``(n, support)`` and the
+        coefficients' shape once per stack; ``__init__`` is the case k = 1.
+        The terms of all k are views into one read-only copy of the stack."""
         symbols = [cls.__new__(cls) for _ in range(len(coeffs))]
-        canon = _canonical_terms(n, coeff_dim, len(coeffs), support, np.swapaxes(coeffs, 0, 1))
+        canon = _canonical_terms(n, coeff_dim, len(coeffs), support, np.asarray(coeffs).swapaxes(0, 1))
         for phi, terms in zip(symbols, canon):
             phi._set(n, coeff_dim, terms)
         return symbols

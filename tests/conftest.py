@@ -19,15 +19,19 @@ import pytest  # noqa: E402
 @pytest.fixture
 def cold_memos():
     """Start from empty memos: no basis, index table, multinomial table,
-    product plan, schema or parser is cached (tests/test_surface.py checks
-    that these are all of the package's memos)."""
+    checked support, realization scale or plan, product plan, schema or
+    parser is cached (tests/test_surface.py checks that these are all of
+    the package's memos)."""
     from gradedshift import ball_identities, cli, purity, spaces
 
     for memo in (
         spaces._polydisc_basis,
         spaces._ball_basis,
         spaces.enumerate_indices,
+        spaces._checked_support,
         ball_identities.gamma_coeffs,
+        purity._realization_scales,
+        purity._realization_plan,
         purity._product_plan,
         cli._validator,
         cli._parser,

@@ -529,6 +529,17 @@ class TestOrbitFrame:
         want = SubspaceFrame.from_columns(np.eye(basis.dim)[:, cols])
         assert frames_match(frame, want, 1e-10)
 
+    def test_a_scaled_seed_has_the_same_frame(self):
+        # ranks are relative to the largest singular value, so a seed of
+        # norm 1e-12 spans the 10 monomials z_1 z^alpha, |alpha| <= 3, too
+        basis = polydisc_basis((hardy(),) * 2, 4)
+        seed = np.zeros(basis.dim, dtype=complex)
+        seed[basis.coord_index((1, 0), 0)] = 1.0
+        x = shift_tuple(basis)
+        frame, scaled = (orbit_frame(x, t * seed, 4) for t in (1.0, 1e-12))
+        assert frame.dim == scaled.dim == 10
+        assert frames_match(frame, scaled, 1e-12)
+
 
 class TestWanderingWitness:
     def test_z1z2_block_witness(self):

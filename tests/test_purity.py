@@ -6,6 +6,7 @@ expectations come from hand-computable symbols (constants, monomials,
 block-diagonal mixes).
 """
 
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -840,6 +841,80 @@ class TestStackedSweep:
             seen.clear()
             purity_module._purity_verdicts(phis, domain, 4)
             assert seen == support
+
+
+# the four spaces of the benchmark's purity sweep and the Dirichlet bidisc
+DIGEST_SPACES = (
+    PolydiscDomain((bergman(),) * 2),
+    BallDomain(drury_arveson(2)),
+    PolydiscDomain((hardy(),) * 3),
+    BallDomain(hm_ball(3, 3)),
+    DIRICHLET2,
+)
+
+# SHA-256 of generator_digest() as the generator stood before its
+# realization plans and support memo; any change to a coefficient bit, a
+# support, a record, a verdict field or the rng state after a draw moves it
+GENERATOR_DIGEST = "b69f0208de1b6b864e0affbc02f9e53c5b61c81f0f36af49ee202fd2acb39fb7"
+
+
+def generator_digest():
+    digest = hashlib.sha256()
+    for domain in DIGEST_SPACES:
+        for c in (1, 2, 3):
+            for seed in range(5):
+                for count, forced in ((1, 0), (0, 1), (7, 3)):
+                    rng = np.random.default_rng(seed)
+                    phis = purity_module._random_symbols(rng, domain, c, 2, count, forced)
+                    reports = purity_module._purity_verdicts(phis, domain, 4)
+                    digest.update(repr(rng.bit_generator.state).encode())
+                    for phi, rep in zip(phis, reports):
+                        digest.update(repr((list(phi.terms), phi.contractivity_record, rep)).encode())
+                        for mat in phi.terms.values():
+                            digest.update(mat.tobytes())
+    return digest.hexdigest()
+
+
+class TestGeneratorIdentity:
+    def test_generator_digest_is_frozen(self):
+        assert generator_digest() == GENERATOR_DIGEST
+
+    def test_a_sweep_checks_its_support_once_and_a_warm_plan_changes_no_bit(self, cold_memos, monkeypatch):
+        real, seen = spaces_module._multi_index, []
+        monkeypatch.setattr(spaces_module, "_multi_index", lambda n, alpha: seen.append(alpha) or real(n, alpha))
+        domain = PolydiscDomain((bergman(),) * 2)
+        # 12 plain and 3 forced symbols, two stacks on one support
+        cold = purity_module._random_symbols(np.random.default_rng(29), domain, 2, 2, 12, 3)
+        assert len(cold) == 15
+        assert seen == list(purity_module._realization_plan(domain, 2, 2).support)
+        seen.clear()
+        warm = purity_module._random_symbols(np.random.default_rng(29), domain, 2, 2, 12, 3)
+        assert seen == []
+        for a, b in zip(cold, warm):
+            assert list(a.terms) == list(b.terms)
+            assert [m.tobytes() for m in a.terms.values()] == [m.tobytes() for m in b.terms.values()]
+            assert a.contractivity_record == b.contractivity_record
+        assert purity_module._purity_verdicts(cold, domain, 6) == purity_module._purity_verdicts(warm, domain, 6)
+
+    def test_plans_are_memoised_per_space_size_and_degree(self, cold_memos):
+        domain = DIRICHLET2
+        plan = purity_module._realization_plan(domain, 2, 2)
+        assert plan is purity_module._realization_plan(DIRICHLET2, 2, 2)
+        assert plan.shape == (2, 2, 6, 6) and plan.roots == ((0, np.sqrt(0.5)), (1, np.sqrt(0.5)))
+        assert (plan.support, plan.steps) == purity_module._product_plan(2, 2, True)
+        assert purity_module._realization_plan(domain, 1, 0).support == ((0, 0),)
+        assert purity_module._realization_plan(HARDY2, 1, 1).roots == ()
+        assert purity_module._realization_plan.cache_info().currsize == 3
+
+    def test_an_oversized_symbol_is_refused_before_its_draw_and_no_plan_is_kept(self, cold_memos):
+        # c C(D + 1, 1) = 65 * 64 > MAX_DIM
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match="^a degree-63 symbol in 1 variables with coeff_dim 65 "):
+                random_contractive_symbol(rng, PolydiscDomain((hardy(),)), 65, 63, 63)
+        assert rng.bit_generator.state == state
+        assert purity_module._realization_plan.cache_info().currsize == 0
 
 
 def random_inner_symbol(rng, n, c):

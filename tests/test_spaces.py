@@ -30,6 +30,7 @@ from gradedshift import (
     symbol_product,
     weighted_bergman,
 )
+from gradedshift import spaces as spaces_module
 from gradedshift.operators import _shift_map
 from gradedshift.spaces import (
     _SHIFT_MAP_MEMO_SIZE,
@@ -318,6 +319,12 @@ CANONICAL_CASES = [
     ({(0,): [[0.5]]}, "bad multi-index (0,) for n=2"),
     ({(): [[0.5]]}, "bad multi-index () for n=2"),
     ({(0, 0): [[0.5, 0.0]]}, "coefficient at (0, 0) has shape (1, 2), expected square dim 1"),
+    ({(1.5, 0): [[0.5]]}, "bad multi-index (1.5, 0) for n=2"),
+    ({(1, np.float64(0.5)): [[0.5]]}, "bad multi-index (1, np.float64(0.5)) for n=2"),
+    ({(np.nan, 0): [[0.5]]}, "bad multi-index (nan, 0) for n=2"),
+    ({(0, np.inf): [[0.5]]}, "bad multi-index (0, inf) for n=2"),
+    ({(0, "1"): [[0.5]]}, "bad multi-index (0, '1') for n=2"),
+    ({(0, 0): [[0.5]], (1, 0): [[0.5, 0.0]]}, "coefficient at (1, 0) has shape (1, 2), expected square dim 1"),
 ]
 
 
@@ -357,6 +364,32 @@ class TestSymbols:
             MultiplierSymbol.stack(2, 2, support, coeffs[:, :1])
         with pytest.raises(InvalidInputError, match=r"^coefficient at \(0, 1\) has shape \(2, 1\)"):
             MultiplierSymbol.stack(2, 2, support, coeffs[..., :1])
+
+    def test_a_support_is_checked_once_and_no_refusal_is_kept(self, cold_memos, monkeypatch):
+        real, seen = spaces_module._multi_index, []
+        monkeypatch.setattr(spaces_module, "_multi_index", lambda n, alpha: seen.append(alpha) or real(n, alpha))
+        for _ in range(3):
+            assert list(MultiplierSymbol(1, 1, {(1,): [[0.5]]}).terms) == [(1,)]
+        # an integral float or numpy int compares equal to the checked (1,)
+        for alpha in ((1.0,), (np.int64(1),)):
+            assert list(MultiplierSymbol(1, 1, {alpha: [[0.5]]}).terms) == [(1,)]
+        assert seen == [(1,)]
+        # a refusal raises, so a warm memo lets nothing through
+        for bad in ((1.5,), (np.nan,), (np.inf,), (-1,)):
+            for _ in range(2):
+                with pytest.raises(InvalidInputError, match="^bad multi-index "):
+                    MultiplierSymbol(1, 1, {bad: [[0.5]]})
+        assert spaces_module._checked_support.cache_info().currsize == 1
+
+    def test_unhashable_and_oversized_supports_are_checked_every_time(self, cold_memos):
+        # a multi-index given as a list, and a support of more than MAX_DIM entries
+        (phi,) = MultiplierSymbol.stack(2, 1, [[0, 1], (1, 0)], np.ones((1, 2, 1, 1)))
+        assert list(phi.terms) == [(0, 1), (1, 0)]
+        (phi,) = MultiplierSymbol.stack(1, 1, [(j,) for j in range(MAX_DIM + 1)], np.ones((1, MAX_DIM + 1, 1, 1)))
+        assert len(phi.terms) == MAX_DIM + 1
+        with pytest.raises(InvalidInputError, match=r"^bad multi-index \[0, 1.5\] for n=2$"):
+            MultiplierSymbol.stack(2, 1, [[0, 1.5]], np.ones((1, 1, 1, 1)))
+        assert spaces_module._checked_support.cache_info().currsize == 0
 
     def test_slice_drops_variable(self):
         phi = scalar_symbol(2, {(1, 1): 1.0, (0, 1): 1.0})

@@ -83,7 +83,8 @@ def test_cold_memos_clears_every_memo(request):
     gradedshift.polydisc_basis((gradedshift.hardy(),), 2)
     gradedshift.ball_basis(gradedshift.drury_arveson(2), 2)
     gradedshift.gamma_coeffs(2, 2)
-    _module("purity")._product_plan(2, 2, True)
+    gradedshift.MultiplierSymbol(1, 1, {(1,): [[1.0]]})
+    _module("purity")._realization_plan(gradedshift.PolydiscDomain((gradedshift.hardy(),)), 1, 2)
     cli = _module("cli")
     cli._validator("config.schema.json")
     cli._parser()
