@@ -38,6 +38,7 @@ from .spaces import (
     MultiIndex,
     MultiplierSymbol,
     TruncatedBasis,
+    _multi_index,
     enumerate_indices,
 )
 
@@ -180,14 +181,16 @@ def _shift_map(
     by degree with diagonal blocks I (x) Phi(0).  Only certified maps are
     kept on the basis, read-only (at most ``spaces._SHIFT_MAP_MEMO_SIZE``
     of them), so later calls with the same beta return them without
-    arithmetic.
+    arithmetic.  On a miss beta is checked by
+    :func:`gradedshift.spaces._multi_index`: an integral float entry is
+    taken as its int, and any other beta than n nonnegative integers is
+    refused with ``InvalidInputError``.
     """
     beta = tuple(beta)
     memo = basis._shift_maps
     if beta in memo:
         return memo[beta]
-    if len(beta) != basis.n or min(beta) < 0:
-        raise InvalidInputError(f"bad multi-index {beta} for n={basis.n}")
+    beta = _multi_index(basis.n, beta)
     lift = sum(beta)
     kept = basis.dim_upto(basis.degree_cap - lift) // basis.coeff_dim
     src = np.arange(kept)

@@ -24,14 +24,16 @@ memoised, so every verdict is "pure" or "not_pure".  Dense per-degree
 non-normal block-triangular matrices they are evidence, not proof.
 
 The certificate reads only a symbol's support and the basis, so a sweep
-fetches the maps of each distinct support once per call.  Only checked
-maps enter the basis's memo, so a warm verdict is a map lookup plus one
-eig of Phi(0); verdicts, norms, Grams and residuals are computed on every
-call.  A sweep norms its colligations with one batched SVD and takes every
-rho(Phi(0)) from one batched ``eigvals``; its results equal those of
-one-symbol calls bit for bit.
+fetches the map of each distinct multi-index once per call.  Only checked
+maps enter the basis's memo, so a warm verdict is a map lookup per term
+plus one eig of Phi(0); verdicts, norms, Grams and residuals are computed
+on every call.  A verdict takes every rho(Phi(0)) from one batched
+``eigvals``, in the same pass over the symbols as their bounds and maps;
+its results equal those of one-symbol calls bit for bit.
 
-A sweep builds its symbols as one (k, M, c, c) coefficient stack.  A
+A sweep draws its symbols in chunks of at most ``spaces._STACK_BYTES``,
+each run straight through one batched SVD of its colligations and one
+(k, M, c, c) coefficient stack; a one-symbol call is one chunk of one.  A
 product plan (:func:`_product_plan`), worked out once per (n, f, linear)
 from the multi-indices alone, lists the M terms of a product of f pencils
 A + sum_i z_i sqrt(q_i) B_i C_i and, step by step, which pairs of terms sum
@@ -44,8 +46,8 @@ call pays for its draw alone.  Each support's multi-indices are checked
 once per distinct (n, support), and each stack's coefficients get one
 shape check and one read-only copy, once per stack
 (:meth:`gradedshift.spaces.MultiplierSymbol.stack`).  The colligation
-norms, the contractivity refusal, the shift-map fetch of each support and
-the Phi(0) spectra run on every call.
+norms, the contractivity refusal, the shift-map fetch of each multi-index
+and the Phi(0) spectra run on every call.
 
 A verdict needs ||M_Phi|| <= 1, and takes it from a contractivity
 certificate of one of two kinds, with no norm of a matrix on V_D.
@@ -297,19 +299,6 @@ def _contractivity(phi: MultiplierSymbol, domain: Domain, tol: float) -> Contrac
     return cert
 
 
-def _phi0_radii(phis: Sequence[MultiplierSymbol]) -> np.ndarray:
-    """rho(Phi(0)) of every symbol, from one batched ``eigvals`` per chunk:
-    LAPACK runs the same geev on each matrix as on that matrix alone.  The
-    chunk is stacked from the read-only terms themselves."""
-    c, zero = phis[0].coeff_dim, (0,) * phis[0].n
-    absent = np.zeros((c, c), dtype=complex)
-    radii = np.empty(len(phis))
-    for part in _stack_chunks(len(phis), 16 * c * c):
-        stack = np.array([phi.terms.get(zero, absent) for phi in phis[part]])
-        radii[part] = np.abs(np.linalg.eigvals(stack)).max(axis=-1)
-    return radii
-
-
 def _purity_verdicts(
     phis: Sequence[MultiplierSymbol],
     domain: Domain,
@@ -320,13 +309,17 @@ def _purity_verdicts(
     """Purity verdicts of symbols on one space (one n and coeff_dim), each
     equal to its own :func:`multiplier_purity_verdict` bit for bit.
 
-    In symbol order, each symbol's bound (:func:`_contractivity`) meets
-    the refusal, and the shift maps of V_D_max of each support not yet seen
-    in this call are fetched in support order: a map is certified when it
-    is built (:func:`gradedshift.operators._shift_map`), and only certified
-    maps are memoised, so the first broken term of a support is named and
-    a warm basis costs a lookup per term.  Bounds and the Phi(0) spectra
-    (one batched ``eigvals``) are computed on every call.
+    One pass in symbol order checks each symbol against the basis, meets
+    its bound (:func:`_contractivity`) with the refusal, fetches the shift
+    map of V_D_max of each of its multi-indices not yet fetched in this
+    call, in support order, and keeps its Phi(0).  A map is certified when
+    it is built (:func:`gradedshift.operators._shift_map`), and only
+    certified maps are memoised, so the first broken term is named and a
+    warm basis costs a lookup per new term.  Then one batched ``eigvals``
+    of the Phi(0) stack gives every rho(Phi(0)): LAPACK runs the same geev
+    on each matrix as on that matrix alone.  The stack is one c x c block
+    per symbol, a share of the symbols' own coefficients, so it is not
+    chunked.  Bounds and spectra are computed on every call.
 
     ``check_contractive=False`` certifies on V_D_max and takes no norm;
     ``contractivity`` is then None.  Its callers are
@@ -337,16 +330,18 @@ def _purity_verdicts(
     if not phis:
         return []
     basis = basis_for(domain, d_max, phis[0].coeff_dim)
+    zero, absent = (0,) * basis.n, np.zeros((basis.coeff_dim,) * 2, dtype=complex)
+    certs: List[Optional[Contractivity]] = []
+    phi0s, fetched = [], set()
     for phi in phis:
         _check_symbol(basis, phi)
-    certs: List[Optional[Contractivity]] = []
-    fetched = set()
-    for phi in phis:
         certs.append(_contractivity(phi, domain, tol) if check_contractive else None)
-        if tuple(phi.terms) not in fetched:
-            for beta in phi.terms:
+        for beta in phi.terms:
+            if beta not in fetched:
                 _shift_map(basis, beta)
-            fetched.add(tuple(phi.terms))
+                fetched.add(beta)
+        phi0s.append(phi.terms.get(zero, absent))
+    radii = list(map(max, np.abs(np.linalg.eigvals(np.array(phi0s))).tolist()))
     return [
         PurityReport(
             phi0_rho=rho,
@@ -355,7 +350,7 @@ def _purity_verdicts(
             contractivity=cert,
             near_boundary=abs(rho - 1.0) <= tol,
         )
-        for cert, rho in zip(certs, _phi0_radii(phis).tolist())
+        for cert, rho in zip(certs, radii)
     ]
 
 
@@ -553,7 +548,8 @@ def _realization_plan(domain: Domain, c: int, degree: int) -> _RealizationPlan:
     the roots of the scales (:func:`_realization_scales`) and the
     :func:`_product_plan` of their f pencils.  Memoised per ``(domain, c,
     degree)``; it holds no draw, norm or record.  A symbol with more than
-    ``MAX_DIM`` coefficient rows is refused, and a refusal is not kept."""
+    ``MAX_DIM`` coefficient rows is refused, and so is one whose product
+    plan is over ``_PLAN_PAIRS``; a refusal is not kept."""
     n = domain.n
     if c * math.comb(degree + n, n) > MAX_DIM:
         raise InvalidInputError(
@@ -572,6 +568,13 @@ def _frozen(values: Sequence[int]) -> np.ndarray:
     return out
 
 
+# Term pairs a product plan may hold, summed over its steps: (n + 1)
+# (C(f + n, n + 1) - 1) for f linear pencils.  The largest plan within
+# MAX_DIM for n >= 2 (n = 2, degree 89) has 364,452; in one variable the
+# count grows as f^2, and degree 723 is the last accepted.
+_PLAN_PAIRS = 2**19
+
+
 @lru_cache(maxsize=_BASIS_MEMO_SIZE)
 def _product_plan(n: int, f: int, linear: bool) -> Tuple[Tuple[MultiIndex, ...], Tuple]:
     """The support of a product of f pencils with the terms 1 and, if
@@ -582,7 +585,15 @@ def _product_plan(n: int, f: int, linear: bool) -> Tuple[Tuple[MultiIndex, ...],
     with the M terms of the partial product as pairs a F + b, and is
     ``(first, rounds)``: new term j starts as pair ``first[j]``, and each
     round ``(g, p)`` adds the next pair to every new term ``g`` that has
-    one, in that function's order, so the sums round as they do there."""
+    one, in that function's order, so the sums round as they do there.
+    A plan of more than ``_PLAN_PAIRS`` pairs is refused before it is
+    built, and a refusal is not kept."""
+    size = (n + 1) * (math.comb(f + n, n + 1) - 1) if linear else f - 1
+    if size > _PLAN_PAIRS:
+        raise InvalidInputError(
+            f"a product of {f} pencils in {n} variables has {size} term pairs, "
+            f"more than the plan budget of {_PLAN_PAIRS}"
+        )
     factor = [(0,) * n] + ([tuple(int(j == i) for j in range(n)) for i in range(n)] if linear else [])
     support, steps = factor, []
     for _ in range(f - 1):
@@ -610,7 +621,8 @@ def _expand(pencils: np.ndarray, steps: Tuple) -> np.ndarray:
         pairs = pairs.reshape((len(pairs), -1) + pairs.shape[-2:])
         coeffs = pairs.take(first, axis=1)
         for g, p in rounds:
-            coeffs[:, g] += pairs[:, p]
+            # take gathers as fancy indexing does, in fewer steps
+            coeffs[:, g] = coeffs.take(g, axis=1) + pairs.take(p, axis=1)
     return coeffs
 
 
@@ -657,43 +669,41 @@ def _realized_symbols(
     With ``phases``, row s gives blockdiag(phases[s], that product)
     (:func:`_with_unitary_constants`).
 
-    The products of all rows are expanded together along the plan's
-    :func:`_product_plan`, with batched matmuls, in chunks of at most
-    ``_STACK_BYTES`` of coefficients; each chunk is one
-    :meth:`MultiplierSymbol.stack`."""
+    The rows run in chunks, each straight through scaling, pencils,
+    :func:`_expand` and one :meth:`MultiplierSymbol.stack`.  A chunk holds
+    as many symbols as fit in ``_STACK_BYTES`` at the largest per-symbol
+    footprint of those stages: its f colligations, or (n + 1) M
+    coefficients of its widest product step, M = ``len(plan.support)``."""
     k, f, _, rows, cols = gauss.shape
-    if k == 0:
-        return []
-    c, n = plan.c, domain.n
-    u = (gauss[:, :, 0] + 1j * gauss[:, :, 1]).reshape(k * f, rows, cols)
-    u[:, c:, c:] = 0.0
-    norms = np.empty(k * f)
-    for part in _stack_chunks(k * f, 16 * rows * cols):
-        norms[part] = _opnorms(u[part])
-    if not norms.all():
-        raise InvalidInputError("degenerate zero random colligation")
-    factors = 0.99 / norms
-    u = factors[:, None, None] * u
-    bounds = [math.prod(row) for row in (factors * norms).reshape(k, f).tolist()]
-    # each pencil's terms: A, then the z_i coefficient B_i C_i, where B_i is
-    # the i-th column block of B on a polydisc and all of B on a ball, C_i
-    # the i-th row block of C
-    pencils = u[:, None, :c, :c]
-    if plan.degree:
-        b = u[:, :c, c:].reshape(k * f, c, -1, c).transpose(0, 2, 1, 3)
-        lin = b @ u[:, c:, :c].reshape(k * f, n, c, c)
-        for i, root in plan.roots:
-            lin[:, i] *= root
-        pencils = np.concatenate((pencils, lin), axis=1)
-    pencils = pencils.reshape((k, f) + pencils.shape[1:])
+    c, n, m = plan.c, domain.n, len(plan.support)
     h = c if phases is None else c + 1
     symbols = []
-    for part in _stack_chunks(k, 16 * h * h * len(plan.support)):
-        coeffs = _expand(pencils[part], plan.steps)
+    for part in _stack_chunks(k, 16 * max(f * rows * cols, (n + 1) * m * h * h)):
+        # the (re, im) pairs of the draw, side by side, are u's entries; a
+        # draw is finite, so its norms need no finiteness check
+        u = gauss[part].transpose(0, 1, 3, 4, 2).copy().view(complex)[..., 0]
+        u[..., c:, c:] = 0.0
+        norms = np.linalg.svd(u, compute_uv=False)[..., 0]
+        if np.count_nonzero(norms) < norms.size:
+            raise InvalidInputError("degenerate zero random colligation")
+        factors = 0.99 / norms
+        u *= factors[..., None, None]
+        bounds = [math.prod(row) for row in (factors * norms).tolist()]
+        # each pencil's terms: A, then the z_i coefficient B_i C_i, where B_i
+        # is the i-th column block of B on a polydisc and all of B on a
+        # ball, C_i the i-th row block of C
+        pencils = np.empty(norms.shape + (1 + n if plan.degree else 1, c, c), dtype=complex)
+        pencils[:, :, 0] = u[..., :c, :c]
+        if plan.degree:
+            b = u[..., :c, c:].reshape(norms.shape + (c, -1, c)).swapaxes(2, 3)
+            np.matmul(b, u[..., c:, :c].reshape(norms.shape + (n, c, c)), out=pencils[:, :, 1:])
+            for i, root in plan.roots:
+                pencils[:, :, 1 + i] *= root
+        coeffs = _expand(pencils, plan.steps)
         if phases is None:
-            symbols += _recorded(domain, plan.support, coeffs, bounds[part])
+            symbols += _recorded(domain, plan.support, coeffs, bounds)
         else:
-            symbols += _with_unitary_constants(domain, phases[part], plan.support, coeffs, bounds[part])
+            symbols += _with_unitary_constants(domain, phases[part], plan.support, coeffs, bounds)
     return symbols
 
 
@@ -716,6 +726,11 @@ def _random_symbols(
     (:func:`_realized_symbols`), on the :func:`_realization_plan` of its
     size.
     """
+    # as ints before the plan memo, where 2.0 would hit the plan of 2
+    try:
+        degree, coeff_dim = operator.index(degree), operator.index(coeff_dim)
+    except TypeError:
+        raise InvalidInputError(f"degree and coeff_dim must be integers, got {degree!r}, {coeff_dim!r}") from None
     if degree < 0 or coeff_dim < 1:
         raise InvalidInputError(f"need degree >= 0 and coeff_dim >= 1, got {degree}, {coeff_dim}")
     plan = _realization_plan(domain, coeff_dim, degree)

@@ -80,11 +80,14 @@ MultiIndex = Tuple[int, ...]
 # are dense dim x dim complex matrices, 256 MiB each at this size.
 MAX_DIM = 4096
 
-# Byte budget of one chunk of a stack of dense matrices (the colligations of
-# a purity sweep, normed together; its symbols' coefficients and Phi(0)
-# blocks).  A stack is split into chunks of at most this many bytes and never
-# less than one matrix, so its peak memory does not grow with the number of
-# symbols.
+# Byte budget of one chunk of a purity sweep's draw.  A chunk of symbols runs
+# straight through its colligation norms, pencils, products and coefficient
+# stack, and holds as many symbols as fit in this many bytes at the largest
+# per-symbol footprint of those stages (16 f rows cols bytes of colligations,
+# or 16 (n + 1) M h^2 of the widest product step, h the coefficient size;
+# purity._realized_symbols), and never fewer than one, so its peak memory
+# does not grow with the number of symbols.  A verdict's Phi(0) stack, one
+# c x c block per symbol, is not chunked.
 _STACK_BYTES = 8 * 2**20
 
 # Distinct bases kept by the memo of polydisc_basis / ball_basis.
@@ -95,11 +98,11 @@ _BASIS_MEMO_SIZE = 32
 _SHIFT_MAP_MEMO_SIZE = 64
 
 
-def _stack_chunks(count: int, matrix_bytes: int) -> Iterator[slice]:
+def _stack_chunks(count: int, item_bytes: int) -> Iterator[slice]:
     """Consecutive slices of ``range(count)``, each holding as many
-    ``matrix_bytes``-byte matrices as fit in ``_STACK_BYTES``, and at least
+    ``item_bytes``-byte items as fit in ``_STACK_BYTES``, and at least
     one."""
-    step = max(1, _STACK_BYTES // matrix_bytes)
+    step = max(1, _STACK_BYTES // item_bytes)
     for start in range(0, count, step):
         yield slice(start, min(start + step, count))
 

@@ -818,6 +818,15 @@ def sweep_config(path, space, sweep, seed=11):
 
 
 class TestPuritySweeps:
+    def test_a_product_plan_over_budget_exits_2(self, tmp_path):
+        # in one variable a degree-1000 symbol is within MAX_DIM, its plan is not
+        config, out = tmp_path / "c.json", tmp_path / "r.json"
+        sweep_config(config, {"family": "hardy", "n": 1, "degree_cap": 4}, {"count": 1, "symbol_degree": 1000})
+        assert cli.main(["purity", "--config", str(config), "--out", str(out)]) == 2
+        error = read_report(out)["error"]
+        assert error["type"] == "InvalidInputError"
+        assert error["message"].startswith("a product of 1000 pencils in 1 variables has 1000998 term pairs")
+
     def test_manifest_sweep_is_realized(self, tmp_path):
         out = tmp_path / "r.json"
         config = str(ACCEPTANCE_DIR / "purity-sweep-bergman.json")

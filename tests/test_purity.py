@@ -8,6 +8,8 @@ block-diagonal mixes).
 
 import hashlib
 import json
+import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -915,6 +917,108 @@ class TestGeneratorIdentity:
                 random_contractive_symbol(rng, PolydiscDomain((hardy(),)), 65, 63, 63)
         assert rng.bit_generator.state == state
         assert purity_module._realization_plan.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
+    def test_a_float_degree_or_size_is_refused_on_a_cold_and_a_warm_memo(self, cold_memos, warm):
+        # 2.0 == 2, so a float reaching the plan memo would find the plan of 2
+        domain = PolydiscDomain((bergman(),) * 2)
+        if warm:
+            random_contractive_symbol(np.random.default_rng(0), domain, 2, 2, 8)
+        for coeff_dim, degree in ((2, 2.0), (2.0, 2), (2, 1.5)):
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            with pytest.raises(InvalidInputError, match="^degree and coeff_dim must be integers"):
+                random_contractive_symbol(rng, domain, coeff_dim, degree, 8)
+            assert rng.bit_generator.state == state
+        assert purity_module._realization_plan.cache_info().currsize == int(warm)
+        phi = random_contractive_symbol(np.random.default_rng(0), domain, np.int64(2), np.int32(2), 8)
+        same = random_contractive_symbol(np.random.default_rng(0), domain, 2, 2, 8)
+        assert [m.tobytes() for m in phi.terms.values()] == [m.tobytes() for m in same.terms.values()]
+
+
+def product_plan_pairs(n, f):
+    """The term pairs of a built product plan, summed over its steps."""
+    _, steps = purity_module._product_plan(n, f, True)
+    return sum(len(first) + sum(len(g) for g, _ in rounds) for first, rounds in steps)
+
+
+class TestProductPlanBudget:
+    def test_the_pair_count_is_the_built_plans(self, cold_memos, monkeypatch):
+        # the budget set to each plan's own size accepts it and refuses one
+        # more pencil, before anything is built or kept
+        sizes = {(n, f): product_plan_pairs(n, f) for n, f in ((1, 6), (2, 4), (3, 3))}
+        assert list(sizes.values()) == [40, 57, 56]
+        for (n, f), pairs in sizes.items():
+            purity_module._product_plan.cache_clear()
+            monkeypatch.setattr(purity_module, "_PLAN_PAIRS", pairs)
+            assert product_plan_pairs(n, f) == pairs
+            with pytest.raises(InvalidInputError, match=f"^a product of {f + 1} pencils in {n} variables "):
+                purity_module._product_plan(n, f + 1, True)
+            assert purity_module._product_plan.cache_info().currsize == 1
+            purity_module._product_plan.cache_clear()
+
+    def test_every_plan_within_max_dim_for_two_or_more_variables_fits(self):
+        # the largest degree within MAX_DIM at c = 1, for every n >= 2
+        largest = 0
+        for n in range(2, spaces_module.MAX_DIM):
+            f = 1
+            while math.comb(f + 1 + n, n) <= spaces_module.MAX_DIM:
+                f += 1
+            largest = max(largest, (n + 1) * (math.comb(f + n, n + 1) - 1))
+        assert largest == 364452 <= purity_module._PLAN_PAIRS
+
+    def test_a_long_one_variable_product_is_refused_before_it_is_built(self, cold_memos):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        started = time.perf_counter()
+        with pytest.raises(InvalidInputError, match="^a product of 1000 pencils in 1 variables has 1000998 "):
+            random_contractive_symbol(rng, HARDY1, 1, 1000, 1000)
+        assert time.perf_counter() - started < 0.1
+        assert rng.bit_generator.state == state
+        assert purity_module._realization_plan.cache_info().currsize == 0
+        assert purity_module._product_plan.cache_info().currsize == 0
+
+
+class TestLapackCalls:
+    """A purity op pays for one batched SVD of its colligations and one
+    batched eigvals of its Phi(0) stack."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"svd": 0, "eigvals": 0}
+        for name in counts:
+            real = getattr(np.linalg, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("space", ("bergman2", "da2", "hardy3"))
+    def test_one_symbol_and_its_verdict(self, calls, space):
+        domain = {
+            "bergman2": PolydiscDomain((bergman(),) * 2),
+            "da2": BallDomain(drury_arveson(2)),
+            "hardy3": PolydiscDomain((hardy(),) * 3),
+        }[space]
+        for c, forced, svds in ((2, False, 1), (1, False, 1), (2, True, 1), (1, True, 0)):
+            calls.update(svd=0, eigvals=0)
+            phi = random_contractive_symbol(np.random.default_rng(3), domain, c, 2, 6, unitary_constant=forced)
+            multiplier_purity_verdict(phi, domain, 6)
+            assert calls == {"svd": svds, "eigvals": 1}
+
+    def test_a_sweep_in_three_chunks(self, calls, monkeypatch):
+        domain = PolydiscDomain((bergman(),) * 2)
+        # 16 (n + 1) M c^2 = 16 f rows cols = 1,152 bytes per symbol for the
+        # plain c = 2 stack and the forced one (inner c = 1, h = 2), so two
+        # symbols fill a chunk
+        monkeypatch.setattr(spaces_module, "_STACK_BYTES", 2 * 1152)
+        phis = purity_module._random_symbols(np.random.default_rng(4), domain, 2, 2, 6, 6)
+        assert calls == {"svd": 3 + 3, "eigvals": 0}
+        purity_module._purity_verdicts(phis, domain, 6)
+        assert calls == {"svd": 6, "eigvals": 1}
 
 
 def random_inner_symbol(rng, n, c):

@@ -267,6 +267,19 @@ class TestBasisMemo:
                 _shift_map(basis, beta)
         assert not basis._shift_maps
 
+    def test_shift_map_takes_an_integral_float_and_refuses_other_floats(self, cold_memos):
+        basis = polydisc_basis((hardy(), hardy()), 3)
+        for beta in ((1.5, 0), (np.nan, 0), (0, np.inf)):
+            with pytest.raises(InvalidInputError, match="^bad multi-index "):
+                _shift_map(basis, beta)
+        assert not basis._shift_maps
+        maps = _shift_map(basis, (1.0, 0))
+        assert list(basis._shift_maps) == [(1, 0)]
+        assert type(next(iter(basis._shift_maps))[0]) is int
+        assert _shift_map(basis, (1, 0)) is maps and _shift_map(basis, (np.int64(1), 0)) is maps
+        for got, want in zip(maps, shift_map_oracle(position_oracle(2, 3), basis.norms, (1, 0))):
+            assert np.array_equal(got, want)
+
     def test_index_tables_are_shared_tuples(self):
         assert enumerate_indices(3, 4) is enumerate_indices(3, 4)
         assert isinstance(enumerate_indices(3, 4), tuple)
