@@ -63,7 +63,6 @@ from .dilation import (
     Colligation,
     _bcl_certificates,
     _random_bcl_stacks,
-    _transfer_values,
     bcl_dilation_certify,
     schur_agler_purity,
 )
@@ -78,6 +77,7 @@ from .kernels import (
 )
 from .operators import _shift_witness, opnorm
 from .purity import (
+    PurityReport,
     _purity_verdicts,
     _random_symbols,
     basis_for,
@@ -88,7 +88,7 @@ from .spaces import BallDomain, Domain, MultiplierSymbol, PolydiscDomain, Trunca
 
 __all__ = ["ScenarioConfig", "RunReport", "run_scenario", "run_suite", "main"]
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 OUT_DIR_ENV = "GRADEDSHIFT_OUT_DIR"
 
 DEFAULT_TOLERANCES: Dict[str, Dict[str, float]] = {
@@ -451,6 +451,16 @@ def _require_symbol(config: ScenarioConfig) -> MultiplierSymbol:
     return phi
 
 
+def _verdict_fields(rep: PurityReport) -> Dict[str, Any]:
+    """The report fields of one purity verdict, in either mode."""
+    return {
+        "verdict": rep.verdict,
+        "phi0_rho": rep.phi0_rho,
+        "contractivity": rep.contractivity._asdict(),
+        "near_boundary": rep.near_boundary,
+    }
+
+
 def _run_purity(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     domain = build_domain(config.space)
     d_max = config.space["degree_cap"]
@@ -465,27 +475,12 @@ def _run_purity(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
         forced = config.sweep.get("forced_unitary", 0)
         symbols = _random_symbols(rng, domain, coeff_dim, degree, count, forced)
         entries = [
-            {
-                "index": k,
-                "forced_unitary": k >= count,
-                "verdict": rep.verdict,
-                "phi0_rho": rep.phi0_rho,
-                "contractivity": rep.contractivity._asdict(),
-                "near_boundary": rep.near_boundary,
-            }
+            dict(_verdict_fields(rep), index=k, forced_unitary=k >= count)
             for k, rep in enumerate(_purity_verdicts(symbols, domain, d_max, tol))
         ]
         return {"mode": "sweep", "count": count + forced, "symbols": entries}, True
-    phi = _require_symbol(config)
-    rep = multiplier_purity_verdict(phi, domain, d_max, tol)
-    payload = {
-        "mode": "single",
-        "verdict": rep.verdict,
-        "phi0_rho": rep.phi0_rho,
-        "contractivity": rep.contractivity._asdict(),
-        "near_boundary": rep.near_boundary,
-    }
-    return payload, True
+    rep = multiplier_purity_verdict(_require_symbol(config), domain, d_max, tol)
+    return dict(_verdict_fields(rep), mode="single"), True
 
 
 def _run_identity(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
@@ -579,15 +574,6 @@ def _run_bcl(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     return single, bool(single["passed"])
 
 
-def _polydisc_points(rng: np.random.Generator, count: int, n_vars: int) -> np.ndarray:
-    """``(count, n_vars)`` points z = r e^(i theta) with r = 0.999 sqrt(u),
-    theta = 2 pi v, from one draw of ``(u, v)`` per coordinate in point order."""
-    draws = rng.uniform(size=(count, n_vars, 2))
-    r = np.sqrt(draws[..., 0]) * 0.999
-    theta = 2.0 * math.pi * draws[..., 1]
-    return r * (np.cos(theta) + 1j * np.sin(theta))
-
-
 def _run_colligation(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
     if config.colligation is None:
         raise InvalidInputError("colligation task needs a colligation literal")
@@ -599,20 +585,15 @@ def _run_colligation(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:
             f"colligation task runs on the Hardy polydisc with n = len(h_dims) = {coll.n_vars} "
             f"and coeff_dim = e_dim = {coll.e_dim}"
         )
-    d_max = config.space["degree_cap"]
-    transfer_tol = config.tol("transfer_tol")
-    purity_tol = config.tol("purity_tol")
-    points = _polydisc_points(np.random.default_rng(config.seed), 200, coll.n_vars)
-    max_norm = opnorm(_transfer_values(coll, points))
-    rep = schur_agler_purity(coll, d_max, purity_tol)
+    rep = schur_agler_purity(coll, config.space["degree_cap"], config.tol("purity_tol"))
+    # Phi is in the Schur-Agler class of U, so ||M_Phi|| <= ||U||
+    bound = opnorm(coll.unitary)
     payload = {
-        "transfer_max_norm": max_norm,
-        "jet_degree": d_max,
+        "contractivity": {"kind": "realization", "bound": bound},
         "rho_a": rep.phi0_rho,
         "verdict": rep.verdict,
     }
-    ok = max_norm <= 1.0 + transfer_tol
-    return payload, ok
+    return payload, bound <= 1.0 + config.tol("transfer_tol")
 
 
 def _run_decay(config: ScenarioConfig) -> Tuple[Dict[str, Any], bool]:

@@ -60,6 +60,9 @@ __all__ = [
 ]
 
 SVD_THRESHOLD = 1e-10
+# The largest V_D on which :func:`_shift_witness` builds the dense frame of a
+# subspace symbol of more than one term; its SVD grows as dim^3.
+_FRAME_DIM = 1024
 
 
 @dataclass
@@ -562,8 +565,9 @@ def _shift_witness(basis: TruncatedBasis, theta: MultiplierSymbol, tol: float = 
     dim x dim step, and ||P_M e_(m, j)|| is a row norm of Q.  Either rank is
     relative to the largest singular value.
 
-    Refused with :class:`InvalidInputError`: a zero theta, theta(0) != 0, and
-    a theta whose every term leaves V_D.
+    Refused with :class:`InvalidInputError`: a zero theta, theta(0) != 0, a
+    theta whose every term leaves V_D, and a theta of more than one term on
+    a V_D of more than ``_FRAME_DIM`` coordinates.
     """
     _check_symbol(basis, theta)
     if not theta.terms:
@@ -598,6 +602,11 @@ def _shift_witness(basis: TruncatedBasis, theta: MultiplierSymbol, tol: float = 
             return out
 
     else:
+        if basis.dim > _FRAME_DIM:
+            raise InvalidInputError(
+                f"a subspace symbol of {len(theta.terms)} terms needs a dense frame of dim {basis.dim}, "
+                f"beyond the frame budget {_FRAME_DIM}"
+            )
         q = _range_frame(_weighted_shift(basis, theta.terms))
         qh = q.conj().T
         row_norms = np.linalg.norm(q, axis=1).reshape(count, c)

@@ -105,8 +105,8 @@ compression norm, a lower bound on ||M_Phi||.
 Either bound meets the ``NotContractiveError`` refusal.  A forced sweep
 symbol u (+) Phi_inner with |u| = 1 records max(|u|, r), r the record of
 Phi_inner, by the direct-sum argument (for coeff_dim = 1, the constant u
-records |u|).  The jet of a transfer function need not be contractive; it
-is certified on V_D itself, with no norm.
+records |u|).  A unitary colligation bounds its transfer function,
+||M_Phi|| <= ||U||, so that verdict takes no norm here.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ class PurityReport:
     "pure" iff phi0_rho < 1 - tol.  ``near_boundary`` flags spectra within
     tol of 1 without reclassifying them.  ``contractivity`` is the upper
     bound on ||M_Phi|| the verdict checked (a realization record where it
-    holds, else the block coefficient bound), or None for a jet.
+    holds, else the block coefficient bound), or None if it took no norm.
     """
 
     phi0_rho: float
@@ -323,8 +323,8 @@ def _purity_verdicts(
 
     ``check_contractive=False`` certifies on V_D_max and takes no norm;
     ``contractivity`` is then None.  Its callers are
-    :func:`gradedshift.dilation.schur_agler_purity`, whose jets need not be
-    contractive, and :func:`gradedshift.dilation._bcl_certificates`, whose
+    :func:`gradedshift.dilation.schur_agler_purity`, bounded by ||U||, and
+    :func:`gradedshift.dilation._bcl_certificates`, whose
     isometry-defect bound certifies contractivity.
     """
     if not phis:

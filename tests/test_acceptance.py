@@ -378,32 +378,32 @@ def test_rerun_overwrites_every_file_exactly(tmp_path):
 # of one tree; these pin the contract across changes to the package.
 FROZEN_REPORTS = {
     0: {
-        "bcl-sweep.report.json": "17c1de258234a6773e3fe6ba9b4033f65af85a05931a54a5abcc59f17a9b35e9",
-        "chen-refusal-h2b2.report.json": "9d80eb888e403d037246d057340006769a2b90aeaeb440f6a05d2f8c92ad78b8",
-        "cnp-bergman.report.json": "0a6497ba65b477dddea5c38d0c99af4bfad677142153fcc647957ea3386714b6",
-        "cnp-dirichlet-order40.report.json": "bddead83d7f0861c740e9ad12c71198ae06ec803fc74a9736b76e59b7e74657b",
-        "colligation-coordinate-flip.report.json": "700dd7413aae9e2352f23e0b3979350ad5b5b8048b849599b7b2af88f74487f9",
-        "decay-averaging-symbol.report.json": "55bfd8bdc22ca9dba842afcda9d34db4233397a0e5de5ac1eeffcd04c39ee74a",
-        "identity-chen-da.report.json": "1593f83e532304e7e9526491f4d7efdc70e87b46c7a72267a75abaf5246448c1",
-        "identity-defect-h2b2.report.json": "a018f7fdd0535ec81c35d0cec3a94e9c77ff908d4c9b6ce95988829fad20c73a",
-        "purity-hardy-monomial.report.json": "74038f3b17650078e1e2f97a2f6cd05aabbabc48de5476e51d9b63f9499b7973",
-        "purity-sweep-bergman.report.json": "516536bc2d801989e7d35bb350547b92ec4c7b158ccde05dfdd11c4881cd5bf1",
-        "suite_report.json": "bf4fcbfee79f79155b7cb2c116ea7236697383014a30e860e694050d085403ee",
-        "witness-axis-orbit.report.json": "efe218ecb7a707e890e0fe1b9c3b13277cd124821e2888082ffef6c6ddf7aac3",
+        "bcl-sweep.report.json": "6c110ecffb4a4ea3d75299dcd7e3f4840b33f3cf881d202dd0a7e646ff255674",
+        "chen-refusal-h2b2.report.json": "2cbb6cae336663d0d536616dc091d630aa7ea1e58f3e6225e1e6e4992fc5ced1",
+        "cnp-bergman.report.json": "0c766fafd1bef0c4407f6d0816ef8cb354e98a1b42b327c776c6939a798aff7c",
+        "cnp-dirichlet-order40.report.json": "4672a5e058ca6259c4ec424fd05a8e9c0c270e4f0b6a702193885fdfbae1f034",
+        "colligation-coordinate-flip.report.json": "175d8df781c84dc77e0643b244e1dcd0bd49115a8fe76b28df50dba912022151",
+        "decay-averaging-symbol.report.json": "8fffb5188d62c1aaaaa6bd79cd2d46a170636cc36bf16e42a56320bcc141b324",
+        "identity-chen-da.report.json": "e0bd33d0301990bb12f28d16e47cab7894b78f2aeb82e019843ffac545c8e2d1",
+        "identity-defect-h2b2.report.json": "e2b2b1d770c26625d7c5da8f06229b795aa931935750e656ebbc2c1b57557066",
+        "purity-hardy-monomial.report.json": "3f88aa85679d8ec53f479475cc4e27ae91b531a831883124e3a4bc9617df9dc2",
+        "purity-sweep-bergman.report.json": "95791a7032ded94bc3635760b4b5690a1951bdba52d527d357a6a67876fa8932",
+        "suite_report.json": "1ca6df6b5fc51ffc4e78a166d576153d4dd73def273a6e38c2adc1abe51570e6",
+        "witness-axis-orbit.report.json": "09882649f97e29ad8c0d8f829013b4c96dd0826791faf3380701678ba5ac6a6c",
     },
     5: {
-        "bcl-sweep.report.json": "3aa5b1f94847314a2048730fa5e7af34e03743e1d494084f759b38f9ef1d3b81",
-        "chen-refusal-h2b2.report.json": "7424121a3aedbe4edeec1ede2f838c8b94d6dd6b76a6a4f7d986382f749826ad",
-        "cnp-bergman.report.json": "21fb95d585b30742d7ade25500c4fb93b2a76f27811a8593914b81f031ca8179",
-        "cnp-dirichlet-order40.report.json": "d1846feb96d6d15c1604fad4c893535433f4df8420f672b73f76e0853e866c56",
-        "colligation-coordinate-flip.report.json": "506d69ca0c2828d374678c352fb8d6cca5895fe261f6b666e020ce85e0ac3e5e",
-        "decay-averaging-symbol.report.json": "aa981557c966dcd4d731730e8e50a001fd2d377cadcbfa6614498df4cd3e883e",
-        "identity-chen-da.report.json": "d8f09918f8fb35d4a2bf165654473bbf5e8270627b1eccccc0fe4925565aaf31",
-        "identity-defect-h2b2.report.json": "eb9aa5feb120ce03dfefc71a359678e2c5e58b004bedf2798d11a1d59cc89628",
-        "purity-hardy-monomial.report.json": "683a67310d045b86f583245d75ef9a1032a1c9971f5b493fabf508349da3c96b",
-        "purity-sweep-bergman.report.json": "5fa5a233722e26c1916becf721db3d4366e9e8813f6d2a1474412bf8d60254ea",
-        "suite_report.json": "bf4fcbfee79f79155b7cb2c116ea7236697383014a30e860e694050d085403ee",
-        "witness-axis-orbit.report.json": "74fd1ef3444eb98751ad5e0bde148239a656f8c27df65220ac0d304b863f86f3",
+        "bcl-sweep.report.json": "bd56af4ee6699298c3e0500e153e292f7dd67672b4486b4cb45e6741f69e74cd",
+        "chen-refusal-h2b2.report.json": "c73d27456a56641cb8d6192acf1fddf85cbc2536ee20e94ecfd16b5278ac928f",
+        "cnp-bergman.report.json": "ac784d33dca34f9945eb0ffb59bf04a46bc0fbceeb2d027b940327e157ed7fc9",
+        "cnp-dirichlet-order40.report.json": "eed8fee5d0a4cf8adfb7b253bac60b71cdad0b98e56359ce968a187b03f8f44f",
+        "colligation-coordinate-flip.report.json": "63001ddd621e7ccbcbfc13f27d3d4de3fd99c29c6b4b446cc6250e7108265d19",
+        "decay-averaging-symbol.report.json": "1912377cf1510d7debb71a26f31929e60a1b6eb7b1c16b156110f0ee51f784be",
+        "identity-chen-da.report.json": "288f06fda815aa9498d2f71e168434a52e2bdf12747f450b624ef3852c0bc22c",
+        "identity-defect-h2b2.report.json": "12efb4f90bf21bfa2bc5ac37892ceb199cc1796d6c5563bd0ee1207ea7935439",
+        "purity-hardy-monomial.report.json": "03008c10d7ba981ef5898b4f7c8c2d3f7ecf7e8c02035f7b3dac13f1dab168e3",
+        "purity-sweep-bergman.report.json": "6d6b7ed4b6a34aac6c428d6b11ab301cc99c0a62f4f9f979c0321913f9fbe026",
+        "suite_report.json": "1ca6df6b5fc51ffc4e78a166d576153d4dd73def273a6e38c2adc1abe51570e6",
+        "witness-axis-orbit.report.json": "7290d678495d6f223f5d9d2f43dc61d12619bbf6f160e7d092847b57f46b9eb6",
     },
 }
 

@@ -22,6 +22,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -760,7 +761,8 @@ class TestTaskPayloads:
         )
         assert cli.main(["colligation", "--config", str(cfg), "--out", str(out)]) == 0
         rep = read_report(out)
-        assert rep["payload"]["transfer_max_norm"] <= 1.0 + 1e-10
+        assert rep["payload"]["contractivity"]["kind"] == "realization"
+        assert rep["payload"]["contractivity"]["bound"] <= 1.0 + 1e-10
         assert rep["payload"]["verdict"] == "pure"
 
     @pytest.mark.parametrize(
@@ -782,14 +784,104 @@ class TestTaskPayloads:
         assert rep["error"]["type"] == "InvalidInputError"
         assert "Hardy polydisc with n = len(h_dims) = 1 and coeff_dim = e_dim = 1" in rep["error"]["message"]
 
-    @pytest.mark.parametrize("n_vars", (1, 2, 3))
-    def test_colligation_points_equal_scalar_draws(self, n_vars):
-        # bit for bit only where np.sqrt, np.cos and np.sin round as math does
-        for seed in range(20):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            points = cli._polydisc_points(rng, 200, n_vars)
-            assert points.tobytes() == np.array(polydisc_points_oracle(ref, 200, n_vars)).tobytes()
-            assert rng.bit_generator.state == ref.bit_generator.state
+    @pytest.mark.parametrize("stem", ["colligation-coordinate-flip", None])
+    def test_colligation_builds_no_jet_and_samples_no_point(self, tmp_path, monkeypatch, stem):
+        # the README row is the 3x3 cycle on the Hardy bidisc at D = 64
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        config = acceptance_config(stem) if stem else cycle_config(64)
+        write_json(cfg, config)
+        for name in ("transfer_jet", "transfer_eval"):
+            monkeypatch.setattr(dilation, name, pytest.fail)
+        assert cli.main(["colligation", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = read_report(out)["payload"]
+        coll = cli.decode_colligation(config["colligation"])
+        assert payload == {
+            "contractivity": {"kind": "realization", "bound": operators_module.opnorm(coll.unitary)},
+            "rho_a": 0.0,
+            "verdict": "pure",
+        }
+
+    def test_colligation_past_the_series_cap_is_refused_by_the_basis(self, tmp_path, monkeypatch):
+        # no jet cap applies; a Hardy basis, like every polydisc basis, stops at SERIES_CAP
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        write_json(cfg, cycle_config(kernels.SERIES_CAP + 1))
+        monkeypatch.setattr(dilation, "transfer_jet", pytest.fail)
+        assert cli.main(["colligation", "--config", str(cfg), "--out", str(out)]) == 2
+        error = read_report(out)["error"]
+        assert error["type"] == "SeriesRangeError"
+        assert error["message"] == "coefficient index 65 beyond documented series cap 64"
+
+    @pytest.mark.parametrize("stem", ["colligation-coordinate-flip", None])
+    def test_colligation_bound_dominates_sampled_values(self, stem):
+        # the sampled norm is a lower bound on ||M_Phi||, the realization an upper one
+        config = acceptance_config(stem) if stem else cycle_config(64)
+        coll = cli.decode_colligation(config["colligation"])
+        bound = operators_module.opnorm(coll.unitary)
+        for seed in range(5):
+            points = polydisc_points_oracle(np.random.default_rng(seed), 200, coll.n_vars)
+            values = [operators_module.opnorm(dilation.transfer_eval(coll, z)) for z in points]
+            assert max(values) <= bound + 1e-12
+
+    def test_colligation_payload_does_not_depend_on_the_seed(self, tmp_path):
+        cfg = tmp_path / "s.json"
+        write_json(cfg, acceptance_config("colligation-coordinate-flip"))
+        payloads = []
+        for seed in (0, 5, 12345):
+            out = tmp_path / f"{seed}.json"
+            assert cli.main(["colligation", "--config", str(cfg), "--out", str(out), "--seed", str(seed)]) == 0
+            payloads.append(read_report(out)["payload"])
+        assert payloads[0] == payloads[1] == payloads[2]
+
+    @pytest.mark.parametrize(
+        "task, field, literal, message",
+        [
+            ("colligation", "a", [[[1e200, 0.0]]], "colligation block matrix not unitary"),
+            ("bcl", "u", [[[1e200, 0.0]]], "U is not unitary to 1e-10"),
+            ("bcl", "p", [[[1e200, 0.0]]], "P is not an orthogonal projection to 1e-12"),
+        ],
+    )
+    def test_overflowing_literal_is_refused_before_any_product(self, tmp_path, task, field, literal, message):
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        if task == "colligation":
+            config = _colligation_with(**{field: literal})
+        else:
+            one = [[[1.0, 0.0]]]
+            config = {
+                "schema_version": "1",
+                "scenario_id": "bcl-huge",
+                "task": "bcl",
+                "space": {"family": "hardy", "n": 1, "degree_cap": 3},
+                "seed": 0,
+                "triple": {"e_dim": 1, "u": one, "p": one, field: literal},
+            }
+        write_json(cfg, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([task, "--config", str(cfg), "--out", str(out)]) == 2
+        error = read_report(out)["error"]
+        assert error["type"] == "InvalidInputError"
+        assert error["message"].startswith(message)
+
+
+def cycle_config(degree_cap):
+    """The 3x3 cyclic permutation as a colligation on the Hardy bidisc:
+    e = 1, h = (1, 1), and Phi(z) = z_1 z_2."""
+    one, zero = [1.0, 0.0], [0.0, 0.0]
+    return {
+        "schema_version": "1",
+        "scenario_id": "colligation-cycle",
+        "task": "colligation",
+        "space": {"family": "hardy", "n": 2, "degree_cap": degree_cap},
+        "seed": 0,
+        "colligation": {
+            "e_dim": 1,
+            "h_dims": [1, 1],
+            "a": [[zero]],
+            "b": [[zero, one]],
+            "c": [[one], [zero]],
+            "d": [[zero, zero], [one, zero]],
+        },
+    }
 
 
 # The payload of the Dirichlet sweep below, frozen when Dirichlet sweeps
@@ -977,6 +1069,23 @@ class TestScale:
         assert peak < 64 * 2**20
         payload = read_report(out)["payload"]
         assert payload["budget"] == 25 and payload["residuals"] == [0.0, 0.0, 0.0]
+
+    def test_witness_frame_past_its_budget_is_refused(self, tmp_path, monkeypatch):
+        # theta = (z_1 + z_2 z_3)/2 takes the dense frame; D = 17 is dim 1,140
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        config = json.loads((ACCEPTANCE_DIR / "witness-axis-orbit.json").read_text(encoding="utf-8"))
+        config["space"] = {"family": "hardy", "n": 3, "degree_cap": 17}
+        config["symbol"] = monomial_scalar_symbol(3, (1, 0, 0), 0.5)
+        config["symbol"]["terms"] += monomial_scalar_symbol(3, (0, 1, 1), 0.5)["terms"]
+        write_json(cfg, config)
+        monkeypatch.setattr(operators_module, "_weighted_shift", pytest.fail)
+        assert operators_module._FRAME_DIM < 1140
+        assert cli.main(["witness", "--config", str(cfg), "--out", str(out)]) == 2
+        error = read_report(out)["error"]
+        assert error["type"] == "InvalidInputError"
+        assert error["message"] == (
+            "a subspace symbol of 2 terms needs a dense frame of dim 1140, beyond the frame budget 1024"
+        )
 
 
 class TestReportWriter:
@@ -1750,7 +1859,7 @@ class TestSchemaValidation:
     def test_report_schema_still_loads(self):
         # the report schema is checked with jsonschema in the tests, never by the runtime checker
         schema = cli._load_schema("report.schema.json")
-        assert schema["$id"] == "gradedshift/report/4"
+        assert schema["$id"] == f"gradedshift/report/{cli.SCHEMA_VERSION}"
         with pytest.raises(NotImplementedError, match="^report.schema.json: outside the schema checker's subset: "):
             cli._check_keywords("report.schema.json", schema)
 
@@ -1885,8 +1994,18 @@ class TestReportSchema:
         reports = _manifest_reports(tmp_path, seed)
         assert len(reports) == 11
         for rep in reports:
-            assert rep["schema_version"] == cli.SCHEMA_VERSION == "4"
+            assert rep["schema_version"] == cli.SCHEMA_VERSION == "5"
             REPORT_VALIDATOR.validate(rep)
+        # a successful report of every task, and an error report
+        assert {r["task"] for r in reports if "error" not in r} == set(cli.TASKS)
+        assert any("error" in r for r in reports)
+
+    def test_schema_names_the_report_version(self):
+        schema = cli._load_schema("report.schema.json")
+        version = cli.SCHEMA_VERSION
+        assert schema["$id"] == f"gradedshift/report/{version}"
+        assert schema["title"] == f"gradedshift run report, schema version {version}"
+        assert schema["properties"]["schema_version"] == {"const": version}
 
     @pytest.mark.parametrize("seed", (0, 5))
     def test_report_without_a_payload_field_fails(self, tmp_path, seed):

@@ -31,7 +31,6 @@ from gradedshift.dilation import (
     _bcl_certificates,
     _check_bcl_stacks,
     _random_bcl_stacks,
-    _transfer_values,
     haar_unitary,
     random_bcl_triple,
 )
@@ -122,29 +121,24 @@ class TestTransferValues:
     @pytest.mark.parametrize(
         "seed,e_dim,h_dims", [(13, 2, (2, 3)), (4, 1, (1, 1, 1)), (8, 3, (4,)), (21, 2, (1, 1)), (22, 3, (3,))]
     )
-    def test_batch_equals_pointwise_algebra_bit_for_bit(self, seed, e_dim, h_dims):
+    def test_point_equals_pointwise_algebra_bit_for_bit(self, seed, e_dim, h_dims):
         c = random_colligation(seed, e_dim, h_dims)
         rng = np.random.default_rng(seed)
         k, h = len(h_dims), sum(h_dims)
         points = 0.99 * np.sqrt(rng.uniform(size=(40, k))) * np.exp(2j * np.pi * rng.uniform(size=(40, k)))
-        stack = _transfer_values(c, points)
-        assert stack.shape == (40, e_dim, e_dim)
-        for z, val in zip(points, stack):
+        for z in points:
             ez = np.diag(np.repeat(z, h_dims))
             direct = c.a + c.b @ ez @ np.linalg.solve(np.eye(h) - c.d @ ez, c.c)
-            assert np.array_equal(val, direct)
             assert np.array_equal(transfer_eval(c, z), direct)
-        assert opnorm(stack) == max(opnorm(v) for v in stack)
 
-    def test_one_bad_point_refuses_the_batch(self):
+    def test_bad_point_refused(self):
         c = random_colligation(5, 1, (2,))
         for bad in (1.0, 0.6 + 0.8j, np.nan, complex(0.0, np.inf)):
             with pytest.raises(InvalidInputError):
-                _transfer_values(c, [(0.1,), (bad,), (0.2j,)])
-        with pytest.raises(InvalidInputError):
-            _transfer_values(c, [])
-        with pytest.raises(InvalidInputError):
-            _transfer_values(c, [(0.1, 0.2)])
+                transfer_eval(c, (bad,))
+        for wrong_arity in ((), (0.1, 0.2), [(0.1,)]):
+            with pytest.raises(InvalidInputError):
+                transfer_eval(c, wrong_arity)
 
 
 class TestTransferJet:
@@ -179,6 +173,18 @@ class TestTransferJet:
                 h_dims=(2,),
                 e_dim=1,
             )
+
+    @pytest.mark.parametrize("entry", (2.0 + 1e-9, 1e200, np.nan))
+    def test_large_entry_refused_before_any_product(self, entry):
+        # U*U of a 1e200 entry overflows; the refusal comes first, with no warning
+        eye = np.eye(2)
+        with np.errstate(all="raise"):
+            with pytest.raises(InvalidInputError, match="colligation block matrix not unitary"):
+                Colligation(a=np.array([[entry]]), b=np.zeros((1, 2)), c=np.zeros((2, 1)), d=eye, h_dims=(2,), e_dim=1)
+            with pytest.raises(InvalidInputError, match="U is not unitary"):
+                _check_bcl_stacks(np.array([[[entry, 0.0], [0.0, 1.0]]]), eye[None])
+            with pytest.raises(InvalidInputError, match="P is not an orthogonal projection"):
+                _check_bcl_stacks(eye[None], np.array([[[entry, 0.0], [0.0, 0.0]]]))
 
 
 class TestBCLPair:
