@@ -9,8 +9,9 @@ rounding noise.
 
 Every summand is diagonal in the monomial basis: ``M^alpha`` sends each
 ``e_beta (x) xi`` to a multiple of ``e_(beta+alpha) (x) xi``, and distinct
-betas land on distinct rows.  So each Gram is kept as its diagonal, both
-identities are sums of length-dim vectors (O(#alpha * dim) time and
+betas land on distinct rows.  So each Gram is kept as its diagonal over
+the monomials it does not annihilate, each degree's Grams are folded into
+length-dim sums as they are made (O(#alpha * dim) time, one degree in
 memory), and a residual is the largest absolute entry of a diagonal.
 
 The powers follow the prefix recursion of
@@ -23,9 +24,11 @@ powers of degree k are two ``(#m, run)`` arrays, positions and values,
 indexed from those of degree k - 1.  Each value is the step weight
 ``||z^(gamma + e_i)|| / ||z^gamma||`` times the value at prev, and each Gram
 entry is ``v conj(v)``: the same elementwise products, in the same order,
-as the dense matrix products, whose other terms are exact zeros.  So the
-diagonals, the residuals and the Chen partial sums are bit-identical to the
-dense products of the shift matrices.
+as the dense matrix products, whose other terms are exact zeros; each sum
+adds its terms coordinate by coordinate in graded-lex order of alpha, as
+``+=`` over the dense Grams would, and adding an exact zero changes no sum.
+So the diagonals, the residuals and the Chen partial sums are bit-identical
+to the dense products of the shift matrices.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import List, Mapping, Tuple
+from typing import Iterator, List, Mapping, Tuple
 
 import numpy as np
 
@@ -96,52 +99,43 @@ class IdentityResidual:
     term_count: int
 
 
-def _degree_zero_projection(basis: TruncatedBasis) -> np.ndarray:
-    """Diagonal of the projection onto the degree-0 block."""
-    p = np.zeros(basis.dim, dtype=complex)
-    p[: basis.dim_upto(0)] = 1.0
-    return p
+def _power_grams(basis: TruncatedBasis, budget: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Diagonals of M^alpha M^{*alpha} for all |alpha| <= budget <= D, exact on V_D,
+    one degree k = 0, 1, ..., budget at a time: a pair ``(dst, gram)`` of
+    ``(#alpha, dim_upto(D - k) / coeff_dim)`` arrays, one row per alpha of
+    degree k in graded-lex order.
 
-
-def _power_grams(basis: TruncatedBasis, budget: int) -> Tuple[Tuple[MultiIndex, ...], np.ndarray]:
-    """Diagonals of M^alpha M^{*alpha} for all |alpha| <= budget <= D, exact on V_D:
-    the multi-indices in graded-lex order and the ``(#alpha, dim)`` array of
-    their diagonals, degree k in rows ``C(k - 1 + n, n) : C(k + n, n)``.
-
-    Each M^alpha is kept as index arrays ``(dst, value)``, one entry per
-    monomial e_beta with |beta| <= D - |alpha|: it sends ``e_beta (x) xi``
-    to ``value e_(beta+alpha) (x) xi``, and ``dst`` is the position of
-    beta + alpha.  The values follow the prefix recursion of
-    :func:`~gradedshift.operators._apply_powers`, one degree at a time on
-    the basis's prefix and successor tables (see the module docstring).
+    Row alpha holds M^alpha as index arrays, one entry per monomial e_beta
+    with |beta| <= D - |alpha|: M^alpha sends ``e_beta (x) xi`` to a
+    multiple of ``e_(beta+alpha) (x) xi``, ``dst`` is the position of
+    beta + alpha, and ``gram`` the squared modulus of the multiple, the
+    diagonal entry at each coordinate ``coeff_dim * dst + j``.  Every other
+    diagonal entry is an exact zero.  The multiples follow the prefix
+    recursion of :func:`~gradedshift.operators._apply_powers` on the
+    basis's prefix and successor tables (see the module docstring).
     """
     n, c, count = basis.n, basis.coeff_dim, len(basis.index_table)
     succ, norms = basis.successors, basis.norm_array
     axes, prevs = basis.prefix[0], basis.prefix[1]
     dst = np.arange(count)[None, :]
     value = np.ones((1, count), dtype=complex)
-    diags = np.zeros((math.comb(budget + n, n), basis.dim), dtype=complex)
     for k in range(budget + 1):
-        lo, hi = math.comb(k - 1 + n, n), math.comb(k + n, n)
         if k > 0:
+            lo, hi = math.comb(k - 1 + n, n), math.comb(k + n, n)
             # the row of each prev among the monomials of degree k - 1
             prev = prevs[lo:hi] - math.comb(k - 2 + n, n)
             kept = basis.dim_upto(basis.degree_cap - k) // c
             at = dst[prev, :kept]
             dst = succ[axes[lo:hi, None], at]
             value = (norms[dst] / norms[at]) * value[prev, :kept]
-        rows, gram = np.arange(lo, hi)[:, None], value * value.conj()
-        for j in range(c):
-            diags[rows, c * dst + j] = gram
-    return basis.index_table[: len(diags)], diags
+        yield dst, value * value.conj()
 
 
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """``0 + terms[0] + terms[1] + ...``, added left to right like a loop of
-    ``+=``.  numpy sums the rows of a stack one after another when they are
-    longer than 1 (rows of length 1 it sums pairwise); the rows here are
-    diagonals on V_D, of length 1 only on V_0 with coeff_dim 1: one term."""
-    return terms.sum(axis=0) + 0.0  # as from a zero start, so -0 becomes +0
+def _fold(total: np.ndarray, dst: np.ndarray, terms: np.ndarray) -> None:
+    """``total[dst[r, i]] += terms[r, i]`` for r = 0, 1, ... in turn: each
+    position adds its terms in row order, as a loop of ``+=`` over dense
+    rows would, less their exact zeros."""
+    np.add.at(total, dst, terms)
 
 
 def defect_identity_residual(basis: TruncatedBasis, tol: float = 1e-10) -> IdentityResidual:
@@ -152,23 +146,29 @@ def defect_identity_residual(basis: TruncatedBasis, tol: float = 1e-10) -> Ident
     """
     if not isinstance(basis.domain, BallDomain) or basis.domain.spec.family != "hm":
         raise InvalidInputError("defect identity requires an H_m ball basis")
-    m = basis.domain.spec.m
+    m, n, c = basis.domain.spec.m, basis.n, basis.coeff_dim
     # terms with |alpha| > D vanish identically on V_D (the adjoint power
     # annihilates everything), so the assembled sum stops at the budget
     budget = min(m, basis.degree_cap)
-    monos, diags = _power_grams(basis, budget)
-    gamma = gamma_coeffs(basis.n, max(budget, 1)).values
-    # exact integer weights; the terms add up in graded-lex order
-    weights = [(-1) ** (sum(a) - 1) * math.comb(m, sum(a)) * gamma[a] for a in monos[1:]]
-    total = _ordered_sum(np.array(weights, dtype=complex)[:, None] * diags[1:])
-    residual = float(np.max(np.abs(1.0 - total - _degree_zero_projection(basis))))
+    gamma = list(gamma_coeffs(n, max(budget, 1)).values.values())
+    total = np.zeros(len(basis.index_table), dtype=complex)
+    grams = _power_grams(basis, budget)
+    next(grams)  # alpha = 0 is no term
+    for k, (dst, gram) in enumerate(grams, 1):
+        # exact integer weights; the terms add up in graded-lex order
+        sign_comb = (-1) ** (k - 1) * math.comb(m, k)
+        weights = [sign_comb * g for g in gamma[math.comb(k - 1 + n, n) : math.comb(k + n, n)]]
+        _fold(total, dst, np.array(weights, dtype=complex)[:, None] * gram)
+    defect = 1.0 - np.repeat(total, c)
+    defect[:c] -= 1.0  # P_E
+    residual = float(np.max(np.abs(defect)))
     report = IdentityResidual(
-        residual_norm=residual, certified_block=basis.degree_cap, term_count=len(monos) - 1
+        residual_norm=residual,
+        certified_block=basis.degree_cap,
+        term_count=math.comb(budget + n, n) - 1,
     )
     if residual > tol:
-        raise CertificationError(
-            f"defect identity residual {residual:.3e} exceeds {tol}"
-        )
+        raise CertificationError(f"defect identity residual {residual:.3e} exceeds {tol}")
     return report
 
 
@@ -200,40 +200,37 @@ def chen_identity_residual(basis: TruncatedBasis, tol: float = 1e-10) -> ChenIde
     d = basis.degree_cap
     cc = chen_coeffs(spec, d)
     if not cc.signs_ok:
-        bad = next(
-            (j for j in range(1, d + 1) if cc.c.coeffs[j] > 0), None
-        )
+        bad = next((j for j in range(1, d + 1) if cc.c.coeffs[j] > 0), None)
         raise NotCnpError(
             f"kernel is not cnp-certified to order {d}"
             + (f" (c_{bad} = {cc.c.coeffs[bad]:+.6g} > 0)" if bad is not None else "")
         )
-    monos, diags = _power_grams(basis, d)
-    dim, n = basis.dim, basis.n
+    n, c, count = basis.n, basis.coeff_dim, len(basis.index_table)
     # gamma in graded-lex order, gamma_0 = 1
-    gamma = np.fromiter(gamma_coeffs(n, max(d, 1)).values.values(), float, len(monos))
-    per_degree = np.empty((d + 1, dim), dtype=complex)
-    for j in range(d + 1):
-        lo, hi = math.comb(j - 1 + n, n), math.comb(j + n, n)
-        weights = cc.c.coeffs[j] * gamma[lo:hi]
-        per_degree[j] = _ordered_sum(weights[:, None] * diags[lo:hi])
-    total = sum(per_degree)
-    residual = float(np.max(np.abs(total - _degree_zero_projection(basis))))
-    h = np.ones(dim, dtype=complex) / math.sqrt(dim)
+    gamma = np.fromiter(gamma_coeffs(n, max(d, 1)).values.values(), float, count)
+    total = np.zeros(basis.dim, dtype=complex)
+    h = np.ones(basis.dim, dtype=complex) / math.sqrt(basis.dim)
     sums: List[float] = []
     acc = 0.0
-    for j in range(1, d + 1):
-        acc += float(np.real(np.vdot(h, per_degree[j] * h)))
-        sums.append(acc)
+    for j, (dst, gram) in enumerate(_power_grams(basis, d)):
+        weights = cc.c.coeffs[j] * gamma[math.comb(j - 1 + n, n) : math.comb(j + n, n)]
+        degree_sum = np.zeros(count, dtype=complex)
+        _fold(degree_sum, dst, weights[:, None] * gram)
+        degree_sum = np.repeat(degree_sum, c)
+        total += degree_sum
+        if j > 0:
+            acc += float(np.real(np.vdot(h, degree_sum * h)))
+            sums.append(acc)
+    total[:c] -= 1.0  # P_E
+    residual = float(np.max(np.abs(total)))
     monotone = all(sums[i + 1] <= sums[i] + 1e-12 for i in range(len(sums) - 1))
     report = ChenIdentityResidual(
         residual_norm=residual,
         certified_block=d,
-        term_count=len(monos),
+        term_count=count,
         partial_sums=tuple(sums),
         monotone=monotone,
     )
     if residual > tol:
-        raise CertificationError(
-            f"reconstruction identity residual {residual:.3e} exceeds {tol}"
-        )
+        raise CertificationError(f"reconstruction identity residual {residual:.3e} exceeds {tol}")
     return report

@@ -41,7 +41,8 @@ class ValidationError(InvalidInputError):
 
 
 class SeriesRangeError(InvalidInputError):
-    """Coefficient index beyond the documented series cap."""
+    """A series coefficient out of range: its index beyond the documented
+    series cap, or its value beyond float range."""
 
 
 class NotLeftInvertibleError(InvalidInputError):

@@ -167,7 +167,10 @@ def ball_coeff(spec: BallKernelSpec, j: int) -> float:
     """Coefficient a_j of the ball kernel ``sum a_j <z, w>^j``."""
     _check_order(j)
     if spec.family == "hm":
-        return float(math.comb(j + spec.m - 1, j))
+        try:
+            return float(math.comb(j + spec.m - 1, j))
+        except OverflowError:
+            raise SeriesRangeError(f"H_m coefficient a_{j} = C(j + m - 1, j) is beyond float range") from None
     if j >= len(spec.a_coeffs):
         raise SeriesRangeError(
             f"custom ball spec has {len(spec.a_coeffs)} coefficients, index {j} requested"

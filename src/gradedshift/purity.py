@@ -274,6 +274,10 @@ def _coefficient_bound(phi: MultiplierSymbol, domain: Domain) -> float:
     if not phi.terms:
         return 0.0
     scales = _realization_scales(domain)
+    # q_i = 0 (a coefficient ratio that underflows) bounds no M_(z_i)
+    axis = next((i for alpha in phi.terms for i, a in enumerate(alpha) if a and not scales[i]), None)
+    if axis is not None:
+        raise NotContractiveError(f"no bound on M_z{axis + 1}: the kernel's coefficient ratio floor is 0")
     weights = [math.prod(q ** (-a / 2) for q, a in zip(scales, alpha)) for alpha in phi.terms]
     stack = np.array(weights)[:, None, None] * np.array(list(phi.terms.values()))
     # i ~ j where some coefficient links them, closed by repeated squaring

@@ -334,6 +334,8 @@ def _polydisc_basis(
         nsq = 1.0
         for spec, a in zip(factors, alpha):
             nsq /= coeff_1d(spec, a)
+        if not (math.isfinite(nsq) and nsq > 0.0):
+            raise InvalidInputError(f"degenerate monomial norm at {alpha}")
         norms.append(math.sqrt(nsq))
     return TruncatedBasis(
         domain=PolydiscDomain(factors),

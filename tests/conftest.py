@@ -21,10 +21,11 @@ def cold_memos():
     """Start from empty memos: no basis, index table, multinomial table,
     checked support, realization scale or plan, product plan, schema or
     parser is cached (tests/test_surface.py checks that these are all of
-    the package's memos)."""
+    the package's memos).  Returns the function that empties them, for a
+    test that starts cold more than once."""
     from gradedshift import ball_identities, cli, purity, spaces
 
-    for memo in (
+    memos = (
         spaces._polydisc_basis,
         spaces._ball_basis,
         spaces.enumerate_indices,
@@ -35,8 +36,14 @@ def cold_memos():
         purity._product_plan,
         cli._validator,
         cli._parser,
-    ):
-        memo.cache_clear()
+    )
+
+    def clear():
+        for memo in memos:
+            memo.cache_clear()
+
+    clear()
+    return clear
 
 
 @pytest.fixture

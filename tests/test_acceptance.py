@@ -8,6 +8,7 @@ documented tolerance and runtime budget.  Oracles live in tests/oracles.py.
 import hashlib
 import json
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -418,3 +419,61 @@ def test_manifest_reports_are_frozen(tmp_path, seed):
         report.pop("timing", None)
         digests[path.name] = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
     assert digests == FROZEN_REPORTS[seed]
+
+# The timing-free reports of configs/scale_manifest.json: each task at its
+# largest size within MAX_DIM (the README's size table).
+SCALE_REPORTS = {
+    "scale-bcl-sweep-hardy2-d50.report.json": "2e642d83893e0f9f7dbc0e390785a08d92521691082ccda78ecfb72a853a763a",
+    "scale-cnp-dirichlet-order64.report.json": "629b3159075417bd3bbed45499cb216e6e2de79d91afb9ef3d9478e1ad07d415",
+    "scale-colligation-cycle-d64.report.json": "93fdbd12467570fcdccf520dbe5df2a712dd27a68ddb528ac3eb5527796383fa",
+    "scale-decay-hardy3-d27.report.json": "9eab906ca2007d7ad5e6867d7f4011cd26a834bfc3e83f1dd322f8049f9dac7b",
+    "scale-identity-chen-da3-d27.report.json": "e21d60bb6027fe54b87b6fddf1e7adc3aacda6babdc13cb90d7867a5692c396c",
+    "scale-identity-defect-h2b3-d27.report.json": "410587311ff39963ff4d1b52359359f51291464a27bf2e55ba66fc213cfc7b0c",
+    "scale-purity-da3-d27.report.json": "9006c00f7a6cc6a218edc9ee300e58151e4735cbb63160a648624390d1f98876",
+    "scale-purity-sweep-da3-d21.report.json": "fe13a7954c4c4c2efed7bd953da9849a4265c4b25c56832f6b57018f06deebb5",
+    "scale-witness-axis-d25.report.json": "4dbb0bdbc288bf82b222e40d22a62e687484cc991418cfded287e1168edbd0c8",
+    "scale-witness-two-term-d12.report.json": "5f37d083ed7895f53ba27e3d6351197279a4b210ee1b80572108d784233d1e8c",
+    "suite_report.json": "c784cbfd91a9ad9011ae610b4d80b4d56cde9b360f82d103697a33975643a8ae",
+}
+
+# The tracemalloc peak of each scale scenario from cold memos, at most (MiB):
+# about twice the peak measured when the budget was set, rounded up to a
+# power of two, and at least 1; the two-term witness is the dense frame route.
+SCALE_PEAK_MIB = {
+    "scale-bcl-sweep-hardy2-d50": 4,
+    "scale-cnp-dirichlet-order64": 1,
+    "scale-colligation-cycle-d64": 1,
+    "scale-decay-hardy3-d27": 4,
+    "scale-identity-chen-da3-d27": 16,
+    "scale-identity-defect-h2b3-d27": 4,
+    "scale-purity-da3-d27": 2,
+    "scale-purity-sweep-da3-d21": 2,
+    "scale-witness-axis-d25": 4,
+    "scale-witness-two-term-d12": 32,
+}
+
+
+def test_scale_reports_are_frozen_within_their_memory_budgets(tmp_path, monkeypatch, cold_memos):
+    run = cli._run_config_file
+    peaks = {}
+
+    def traced(path, *args):
+        cold_memos()
+        tracemalloc.start()
+        try:
+            return run(path, *args)
+        finally:
+            peaks[Path(path).stem] = tracemalloc.get_traced_memory()[1] / 2**20
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_run_config_file", traced)
+    manifest = CONFIG_DIR / "scale_manifest.json"
+    assert cli.main(["suite", "--config", str(manifest), "--out", str(tmp_path)]) == 0
+    digests = {}
+    for path in sorted(tmp_path.glob("*.json")):
+        report = json.loads(path.read_text())
+        report.pop("timing", None)
+        digests[path.name] = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digests == SCALE_REPORTS
+    assert peaks.keys() == SCALE_PEAK_MIB.keys()
+    assert {name: peak for name, peak in peaks.items() if peak > SCALE_PEAK_MIB[name]} == {}

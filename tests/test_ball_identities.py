@@ -29,7 +29,7 @@ from gradedshift import (
     shift_tuple,
     hardy,
 )
-from gradedshift.ball_identities import _ordered_sum, _power_grams
+from gradedshift.ball_identities import _fold, _power_grams
 
 from oracles import dense_power_grams
 
@@ -193,7 +193,15 @@ class TestDiagonalPowerGrams:
             p0 = np.zeros((basis.dim, basis.dim), dtype=complex)
             p0[: coeff_dim, : coeff_dim] = np.eye(coeff_dim)
             for _call in ("cold", "warm"):
-                grams = dict(zip(*_power_grams(basis, d)))
+                # each full diagonal, rebuilt from its row of yielded runs
+                diags = []
+                for dst, gram in _power_grams(basis, d):
+                    for row_dst, row_gram in zip(dst, gram):
+                        diag = np.zeros(basis.dim, dtype=complex)
+                        for j in range(coeff_dim):
+                            diag[coeff_dim * row_dst + j] = row_gram
+                        diags.append(diag)
+                grams = dict(zip(basis.index_table, diags, strict=True))
                 assert list(grams) == list(dense)
                 for alpha, gram in dense.items():
                     diag = np.diag(gram)
@@ -219,7 +227,9 @@ class TestDiagonalPowerGrams:
         want = np.zeros(width, dtype=complex)
         for row in terms:
             want += row
-        got = _ordered_sum(terms)
+        # every row hits the same positions, so each adds in row order
+        got = np.zeros(width, dtype=complex)
+        _fold(got, np.broadcast_to(np.arange(width), (rows, width)), terms)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
 

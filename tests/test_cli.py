@@ -82,6 +82,11 @@ def read_report(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+_UNDERFLOW = {"family": "custom", "coeffs": [1.0, 1e300, 1e-300, 1e300], "n": 2, "degree_cap": 1}
+_Z1_TENTH = monomial_scalar_symbol(2, (1, 0), 0.1)
+_NO_BOUND = "no bound on M_z1: the kernel's coefficient ratio floor is 0"
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, tmp_path):
         cfg = tmp_path / "s.json"
@@ -117,6 +122,53 @@ class TestExitCodes:
         rep = read_report(out)
         assert rep["pass"] is False
         assert rep["error"]["type"] == "NotContractiveError"
+
+    @pytest.mark.parametrize(
+        "task, space, fields, error, message",
+        [
+            (
+                "identity",
+                {"family": "hm", "m": 10**400, "n": 2, "degree_cap": 3},
+                {"identity_kind": "defect"},
+                "SeriesRangeError",
+                "H_m coefficient a_1 = C(j + m - 1, j) is beyond float range",
+            ),
+            # c_2 / c_1 = 1e-600 underflows: q_1 = 0 bounds no M_(z_1)
+            ("purity", _UNDERFLOW, {"symbol": _Z1_TENTH}, "NotContractiveError", _NO_BOUND),
+            ("decay", _UNDERFLOW, {"symbol": _Z1_TENTH, "m_max": 4}, "NotContractiveError", _NO_BOUND),
+            (
+                "purity",
+                {"family": "custom_ball", "a_coeffs": [1, 1e300, 1e-30, 1], "n": 2, "degree_cap": 3},
+                {"symbol": _Z1_TENTH},
+                "NotContractiveError",
+                _NO_BOUND,
+            ),
+            # ||z_1 z_2||^2 = 1 / (c_1 c_1) underflows to 0
+            (
+                "purity",
+                dict(_UNDERFLOW, degree_cap=3),
+                {"sweep": {"count": 3}},
+                "InvalidInputError",
+                "degenerate monomial norm at (1, 1)",
+            ),
+        ],
+        ids=["huge-hm", "purity", "decay", "custom-ball", "sweep"],
+    )
+    def test_kernel_beyond_float_range_is_refused(self, tmp_path, task, space, fields, error, message):
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        write_json(cfg, {"schema_version": "1", "scenario_id": "range", "task": task, "seed": 0, "space": space, **fields})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([task, "--config", str(cfg), "--out", str(out)]) == 2
+        assert read_report(out)["error"] == {"type": error, "message": message}
+
+    def test_constant_needs_no_ratio_floor(self, tmp_path):
+        cfg, out = tmp_path / "s.json", tmp_path / "r.json"
+        config = purity_config("constant", constant_scalar_symbol(2, 0.1))
+        config["space"] = _UNDERFLOW
+        write_json(cfg, config)
+        assert cli.main(["purity", "--config", str(cfg), "--out", str(out)]) == 0
+        assert read_report(out)["payload"]["verdict"] == "pure"
 
     def test_schema_violation_is_two(self, tmp_path):
         cfg = tmp_path / "s.json"
